@@ -13,7 +13,7 @@
 //! throughput. The large-instance suite ([`measure_large`]) exercises
 //! the data-oriented engine at bf(14) (quick) / bf(16) with a packet on
 //! every non-final node — the million-packet saturation target — with
-//! invariant audits on and the intra-run banded path enabled. The
+//! invariant audits on. The
 //! steady-state suite ([`measure_streaming`]) drives a continuous
 //! Poisson injection stream through the admission-controlled streaming
 //! loop and reports the sustained delivery rate. The trace-pipeline
@@ -28,7 +28,7 @@
 
 use crate::table::{f, Table};
 use baselines::{GreedyConfig, GreedyRouter, StoreForwardRouter};
-use busch_router::{BuschConfig, BuschRouter, Params};
+use busch_router::{BuschRouter, Params};
 use hotpotato_sim::{route_streaming, JsonlTraceObserver, StreamPriority, StreamingConfig};
 use hotpotato_trace::{schema, ShardOptions, Trace};
 use leveled_net::builders::{self, ButterflyCoords};
@@ -257,8 +257,7 @@ pub fn measure(quick: bool) -> PerfReport {
 
 /// The large-instance suite: saturation random walks (one packet on
 /// every non-final node) on bf(14) quick / bf(16) full — ≥1M packets —
-/// routed by the audited Busch router with the intra-run banded engine
-/// path enabled. Panics if any packet is undelivered or any invariant
+/// routed by the audited Busch router. Panics if any packet is undelivered or any invariant
 /// is violated: the row's existence in the baseline *is* the claim that
 /// the large instance completes cleanly.
 pub fn measure_large(quick: bool) -> PerfMeasurement {
@@ -275,9 +274,7 @@ pub fn measure_large(quick: bool) -> PerfMeasurement {
     // minimum-wall threshold.
     let (wall_s, repeats, out) = timed_best(true, || {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut cfg = BuschConfig::new(params);
-        cfg.parallel_bands = true;
-        BuschRouter::with_config(cfg).route(&prob, &mut rng)
+        BuschRouter::new(params).route(&prob, &mut rng)
     });
     assert!(out.stats.all_delivered(), "large instance must complete");
     assert!(
@@ -387,7 +384,7 @@ pub fn measure_verify(quick: bool) -> PerfMeasurement {
     let trace = Arc::new(Trace::parse(&text).expect("recorder emits valid traces"));
     let events = trace.events.len() as u64;
 
-    let opts = ShardOptions::default(); // jobs auto-detected, like the banded engine
+    let opts = ShardOptions::default(); // jobs auto-detected
     let (wall_s, repeats, run) = timed_best(quick, || {
         hotpotato_trace::verify_trace_sharded(&trace, &opts).expect("clean trace verifies")
     });
@@ -484,7 +481,9 @@ pub fn run(quick: bool) {
             row.rss_bytes_per_packet().map_or_else(|| "-".into(), f),
         ]);
     }
-    t.note("best-of-repeats per component; large row audited + banded; streaming row is sustained Poisson load");
+    t.note(
+        "best-of-repeats per component; large row audited; streaming row is sustained Poisson load",
+    );
     t.note("fleet row: verified sweep ladder through the fleet envelope + aggregation");
     t.print();
 }

@@ -12,8 +12,8 @@
 //! * worker contention — two workers sharing the queue mutex never
 //!   deadlock or drop a job.
 //!
-//! Plus the intra-run band handoff (`BandResults`, the per-step
-//! rendezvous of the sharded engine driver):
+//! Plus the band handoff (`BandResults`, the rendezvous of sharded
+//! trace verification):
 //!
 //! * band isolation — a worker posting into an already-filled slot
 //!   panics under every schedule (two workers can never both claim a

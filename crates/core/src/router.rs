@@ -24,6 +24,11 @@
 //! parameters a configurable grace period follows (frames have left the
 //! network, targets degenerate to destinations, so stragglers chase their
 //! destinations directly with the same conflict rules).
+//!
+//! Every run goes through [`BuschRouter::route_observed`], which drives
+//! the data-oriented engine (`crate::soa`). [`BuschRouter::route_reference`]
+//! runs the same algorithm on the scalar [`Simulation`]; it is kept only
+//! as the oracle the equivalence tests compare the fast driver against.
 
 use crate::invariants::{
     check_phase_end, initial_per_set_congestion, InvariantReport, PhaseAuditScratch,
@@ -77,14 +82,6 @@ pub struct Meta {
     pub state: PacketState,
 }
 
-/// Which bufferless engine executes the run — re-exported from
-/// [`routing_core::spec`], the one typed selection surface shared by
-/// `RunSpec`, `SimulationBuilder`, and this router's config. Both
-/// engines implement the same algorithm; the scalar engine is the
-/// oracle the data-oriented engine is golden-tested against, and stays
-/// selectable for audit.
-pub use routing_core::spec::EngineKind;
-
 /// Router configuration beyond the scheduling parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct BuschConfig {
@@ -112,16 +109,6 @@ pub struct BuschConfig {
     /// Record every movement event for independent replay auditing
     /// ([`hotpotato_sim::replay::verify`]).
     pub record: bool,
-    /// Which engine executes the run (see [`EngineKind::resolve`]: the
-    /// default honors the deprecated `HOTPOTATO_ENGINE` env var, with a
-    /// warning, when no explicit kind is set).
-    pub engine: EngineKind,
-    /// SoA engine only: shard each step's dispatch across contiguous
-    /// level bands with per-band rng streams (see `crate::soa`). Results
-    /// are deterministic in (problem, seed) regardless of thread count,
-    /// but differ from the sequential/scalar stream, so this is opt-in
-    /// (large-instance benchmarks, the parallel determinism tests).
-    pub parallel_bands: bool,
 }
 
 impl BuschConfig {
@@ -136,17 +123,6 @@ impl BuschConfig {
             eager_injection: false,
             trace: false,
             record: false,
-            engine: EngineKind::resolve(None),
-            parallel_bands: false,
-        }
-    }
-
-    /// [`BuschConfig::new`] with an explicit engine choice (bypasses the
-    /// deprecated env-var fallback entirely).
-    pub fn with_engine(params: Params, engine: EngineKind) -> Self {
-        BuschConfig {
-            engine,
-            ..BuschConfig::new(params)
         }
     }
 }
@@ -213,24 +189,26 @@ impl BuschRouter {
     /// phase boundaries, per-set frontiers `φ_i(k)`, and (when audits are
     /// on) the per-set congestion measured at each phase end. With
     /// [`NoopObserver`] this monomorphizes to exactly [`BuschRouter::route`].
+    ///
+    /// Runs on the data-oriented engine ([`hotpotato_sim::SoaEngine`]).
     pub fn route_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
         &self,
         problem: &Arc<RoutingProblem>,
         rng: &mut R,
         observer: &mut O,
     ) -> BuschOutcome {
-        match self.cfg.engine {
-            EngineKind::Scalar => self.route_scalar(problem, rng, observer),
-            EngineKind::Soa => crate::soa::route_soa(&self.cfg, problem, rng, observer),
-        }
+        crate::soa::route_soa(&self.cfg, problem, rng, observer)
     }
 
-    /// The scalar-engine driver (the original implementation); kept as
-    /// the oracle the data-oriented driver is golden-tested against.
+    /// The reference driver: the same algorithm on the scalar engine
+    /// ([`Simulation`]), written for clarity rather than speed. It is the
+    /// oracle [`BuschRouter::route_observed`] must reproduce bit for bit
+    /// (stats, records, observer streams) from the same rng state; only
+    /// the equivalence tests call it.
     // lint: telemetry
     // (the `Instant` reads feed `on_section` profiling only; no routing
     // decision depends on them)
-    fn route_scalar<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
+    pub fn route_reference<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
         &self,
         problem: &Arc<RoutingProblem>,
         rng: &mut R,

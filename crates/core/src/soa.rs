@@ -1,41 +1,16 @@
 //! The data-oriented step driver for [`crate::BuschRouter`].
 //!
-//! Runs the same algorithm as the scalar driver in `router.rs` — the
+//! Runs the same algorithm as the reference driver in `router.rs` — the
 //! paper's states/targets/conflicts/injection (§3) — on
 //! [`hotpotato_sim::SoaEngine`] instead of [`hotpotato_sim::Simulation`].
 //! The per-packet algorithm state (state tag, oscillation edge) lives in
-//! flat arrays ([`DriverState`]) mirroring the engine's SoA layout.
+//! one flat array of packed words mirroring the engine's SoA layout.
 //!
-//! One dispatch body, two decision modes (see `DESIGN.md` §11):
-//!
-//! * **Sequential** ([`BuschConfig::parallel_bands`] off): a single
-//!   [`BandStage`] spans every occupied node and all randomness comes
-//!   from the caller's rng, drawn in exactly the scalar driver's order —
-//!   which makes this mode *bit-identical* to the scalar engine (stats,
-//!   records, observer streams), as the golden-equivalence tests pin.
-//! * **Banded** (`parallel_bands` on): nodes are partitioned into
-//!   [`BANDS`] contiguous level bands, each with a persistent
-//!   `ChaCha8Rng` stream seeded from the master rng at run start. Band
-//!   count and node→band assignment depend only on the network, so
-//!   results are identical whether the bands run on one thread or many
-//!   (`HOTPOTATO_THREADS` is a speed knob, not a semantics knob). With
-//!   ≥ 2 threads and ≥ 2 non-empty bands, a step's bands are dispatched
-//!   concurrently on the process-wide worker pool.
-//!
-//! Why bands may run concurrently at all: during dispatch nothing
-//! mutates the engine — every decision reads [`SoaShared`] and
-//! [`DriverState`] behind `Arc`s — and every slot a band claims
-//! *originates at a node of that band* (desired moves and oscillations
-//! depart the packet's node; safe deflections reverse an edge whose
-//! reversal departs it too), and each (edge, direction) slot has exactly
-//! one origin node. Disjoint node sets therefore claim disjoint slots:
-//! each band tracks its claims in a private bitset and no shared slot
-//! state exists until [`SoaEngine::merge_band`] commits the bands — in
-//! fixed band-index order, which is the reduction order that keeps the
-//! merged staging sequence, and hence every downstream artifact,
-//! deterministic. Deferred state updates are equivalent to the scalar
-//! driver's in-place writes because all same-step reads of a packet's
-//! state happen at its own node, inside its own band.
+//! Each step dispatches every occupied node in ascending order into one
+//! [`StepStage`], and all randomness comes from the caller's rng, drawn
+//! in exactly the reference driver's order — which makes this driver
+//! *bit-identical* to [`crate::BuschRouter::route_reference`] (stats,
+//! records, observer streams), as the equivalence tests pin.
 
 use crate::invariants::{check_phase_end_soa, InvariantReport, PhaseAuditScratch};
 use crate::router::{BuschConfig, BuschOutcome};
@@ -45,20 +20,13 @@ use hotpotato_sim::soa::{
     pack_move, unpack_move, KIND_ADVANCE, KIND_DEFLECT_FREE, KIND_DEFLECT_SAFE, KIND_OSCILLATE,
 };
 use hotpotato_sim::{
-    BandStage, InjectOutcome, RouteObserver, Section, SoaEngine, SoaShared, Time, NO_MOVE,
+    InjectOutcome, RouteObserver, Section, SoaEngine, SoaShared, StepStage, Time, NO_MOVE,
 };
 use leveled_net::ids::DirectedEdge;
 use leveled_net::{EdgeId, LeveledNetwork, NodeId};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use rand::Rng;
 use routing_core::RoutingProblem;
-use std::sync::{Arc, Mutex};
-
-/// Number of level bands in banded mode. A constant (rather than the
-/// thread count) so banded results are a pure function of (problem,
-/// seed); 8 bands keep every machine size busy without fragmenting the
-/// per-band rng streams.
-pub(crate) const BANDS: usize = 8;
+use std::sync::Arc;
 
 /// Packet state tags; numerically equal to the paper's conflict
 /// priorities (excited > normal > wait), so `tag as u32` *is* the
@@ -67,26 +35,18 @@ const TAG_WAIT: u8 = 0;
 const TAG_NORMAL: u8 = 1;
 const TAG_EXCITED: u8 = 2;
 
-/// The algorithm's per-packet state in SoA form: the counterpart of
-/// `Meta.state` in the scalar driver. Read-shared with band workers
-/// behind an `Arc`; mutated only between dispatches via `Arc::get_mut`
-/// (the band workers have dropped their clones by then).
-struct DriverState {
-    /// Per packet: the state tag (`TAG_*`) in the top 2 bits, and — for
-    /// wait-state packets — the edge they oscillate on in the low 30.
-    /// One word because every dispatch reads both halves together.
-    tagwe: Vec<u32>,
-}
-
-/// Packs a (state tag, wait edge) pair into a [`DriverState::tagwe`] word.
+/// Packs a (state tag, wait edge) pair into a per-packet state word: the
+/// counterpart of `Meta.state` in the reference driver. The tag
+/// (`TAG_*`) sits in the top 2 bits and — for wait-state packets — the
+/// edge they oscillate on in the low 30; one word because every
+/// dispatch reads both halves together.
 #[inline]
 fn pack_tagwe(tag: u8, we: u32) -> u32 {
     debug_assert!(we < 1 << 30, "edge id overflows the state word");
     ((tag as u32) << 30) | we
 }
 
-/// Everything a band needs per step beyond the shared state: copies of
-/// the step clock decomposition and the configuration switches that
+/// The step clock decomposition and the configuration switches that
 /// influence dispatch.
 #[derive(Clone, Copy)]
 struct StepCtx {
@@ -108,70 +68,40 @@ struct StepCtx {
     rule: DeflectRule,
 }
 
-/// Per-band working set, persistent across steps: the staging buffer
-/// (with its band-local slot bitset), resolver scratch, the deferred
-/// state-update list, and per-band counters folded into the run totals
-/// at merge time.
-struct BandCtx {
-    stage: BandStage,
+/// The dispatch working set, persistent across steps: the staging
+/// buffer, resolver scratch, and per-step counters folded into the run
+/// totals after each dispatch.
+struct DispatchCtx {
+    stage: StepStage,
     scratch: ConflictScratch,
     contenders: Vec<Contender>,
     /// (tag, wait_edge) per arrival of the node in hand — the node-local
-    /// view of the state updates, so same-node reads see them before
-    /// they are committed.
+    /// view of the state updates, which conflict resolution must see.
     tags_buf: Vec<(u8, u32)>,
-    /// Deferred `DriverState` writes: (packet, packed tag + wait edge).
-    updates: Vec<(u32, u32)>,
-    /// Occupied nodes assigned to this band this step, ascending.
-    nodes: Vec<u32>,
     excitations: u64,
     cross_set_meetings: u64,
     unsafe_deflections: u64,
 }
 
-impl BandCtx {
-    fn new(net: Arc<LeveledNetwork>) -> Self {
-        BandCtx {
-            stage: BandStage::new(net),
-            scratch: ConflictScratch::default(),
-            contenders: Vec::new(),
-            tags_buf: Vec::new(),
-            updates: Vec::new(),
-            nodes: Vec::new(),
-            excitations: 0,
-            cross_set_meetings: 0,
-            unsafe_deflections: 0,
-        }
-    }
-}
-
-/// A band's full persistent state; in parallel steps each lives behind
-/// its own `Arc<Mutex<..>>`, locked by exactly one worker per step.
-struct BandState {
-    rng: ChaCha8Rng,
-    ctx: BandCtx,
-}
-
-/// Dispatches every node in `nodes`: folds the round/phase
-/// demotions and excitation draws into the visit (exactly as the scalar
-/// driver does), builds contenders, resolves conflicts against the
-/// band-local slot bitset, and stages one exit per arrival. Mutates
-/// nothing shared — updates and counters accumulate in `ctx` for the
-/// merge.
+/// Dispatches every occupied node, ascending: folds the round/phase
+/// demotions and excitation draws into the visit (exactly as the
+/// reference driver does), builds contenders, resolves conflicts against
+/// the stage's slot bitset, and stages one exit per arrival. Packet
+/// states are updated in `tagwe` as each node finishes; no other node
+/// reads them in the same step.
 // lint: hot-path
 #[allow(clippy::too_many_arguments)]
-fn dispatch_band<R: Rng + ?Sized>(
+fn dispatch<R: Rng + ?Sized>(
     net: &LeveledNetwork,
     sh: &SoaShared,
-    st: &DriverState,
+    tagwe: &mut [u32],
     sets: &[u32],
     targets: &[i64],
     sc: StepCtx,
     rng: &mut R,
-    nodes: &[u32],
-    ctx: &mut BandCtx,
+    ctx: &mut DispatchCtx,
 ) {
-    for &v in nodes {
+    for &v in &sh.occupied {
         let arrivals = sh.arrivals(v);
 
         // Most nodes host a single arrival, which cannot conflict: its
@@ -181,7 +111,7 @@ fn dispatch_band<R: Rng + ?Sized>(
         // order) is exactly the general path's.
         if let [p] = *arrivals {
             let i = p as usize;
-            let twe = st.tagwe[i];
+            let twe = tagwe[i];
             let mut tag = (twe >> 30) as u8;
             let mut we = twe & ((1 << 30) - 1);
             if sc.round_start && (tag == TAG_EXCITED || (tag == TAG_WAIT && sc.phase_start)) {
@@ -220,7 +150,7 @@ fn dispatch_band<R: Rng + ?Sized>(
             ctx.stage.stage(p, mv, kind);
             let new_twe = pack_tagwe(tag, we);
             if new_twe != twe {
-                ctx.updates.push((p, new_twe));
+                tagwe[i] = new_twe;
             }
             continue;
         }
@@ -230,8 +160,7 @@ fn dispatch_band<R: Rng + ?Sized>(
         // this node's conflict resolution must see the updated states.
         ctx.tags_buf.clear();
         for &p in arrivals {
-            let i = p as usize;
-            let twe = st.tagwe[i];
+            let twe = tagwe[p as usize];
             let mut tag = (twe >> 30) as u8;
             if sc.round_start && (tag == TAG_EXCITED || (tag == TAG_WAIT && sc.phase_start)) {
                 tag = TAG_NORMAL;
@@ -339,38 +268,18 @@ fn dispatch_band<R: Rng + ?Sized>(
             }
         }
 
-        // Defer the state writes: commit them at merge time, in band
-        // order. Equivalent to writing now — no other node reads them
-        // this step.
         for (j, &p) in arrivals.iter().enumerate() {
             let (tag, we) = ctx.tags_buf[j];
-            let i = p as usize;
             let twe = pack_tagwe(tag, we);
-            if twe != st.tagwe[i] {
-                ctx.updates.push((p, twe));
+            if twe != tagwe[p as usize] {
+                tagwe[p as usize] = twe;
             }
         }
     }
 }
 
-/// The process-wide band worker pool, sized once from
-/// `HOTPOTATO_THREADS` (capped at [`BANDS`] — more workers than bands
-/// cannot help). Distinct from the bench sweep pool: a sweep of
-/// banded runs uses both, which oversubscribes but cannot deadlock.
-mod pool {
-    use hotpotato_sim::pool_core::{configured_threads, PoolCore};
-    use std::sync::OnceLock;
-
-    static POOL: OnceLock<PoolCore> = OnceLock::new();
-
-    pub(super) fn get() -> &'static PoolCore {
-        POOL.get_or_init(|| PoolCore::new(configured_threads().min(super::BANDS), || {}))
-    }
-}
-
 /// Routes `problem` on the data-oriented engine. Same contract and
-/// event stream as the scalar driver; see the module docs for the
-/// sequential/banded split.
+/// event stream as the reference driver.
 // lint: telemetry
 // (the `Instant` reads feed `on_section` profiling only; no routing
 // decision depends on them)
@@ -388,58 +297,30 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
     let max_steps = params.max_steps(depth).max(phase_len);
 
     // Random uniform frontier-set assignment (§2.4) — same draw as the
-    // scalar driver.
-    let sets_master = assign_sets(problem.num_packets(), params.num_sets, rng);
-    observer.on_sets_assigned(&sets_master, params.num_sets);
-    let sets: Arc<Vec<u32>> = Arc::new(sets_master.clone());
+    // reference driver.
+    let sets = assign_sets(problem.num_packets(), params.num_sets, rng);
+    observer.on_sets_assigned(&sets, params.num_sets);
 
     let timing = observer.wants_timing();
     let mut sim = SoaEngine::new(Arc::clone(problem), cfg.trace, cfg.record, observer);
     let mut invariants = InvariantReport::default();
     let initial_per_set = if cfg.check_invariants {
-        problem.per_set_congestion(sets.as_slice(), params.num_sets as usize)
+        problem.per_set_congestion(&sets, params.num_sets as usize)
     } else {
         Vec::new()
     };
 
     let n = problem.num_packets();
-    let mut state = Arc::new(DriverState {
-        tagwe: vec![(TAG_NORMAL as u32) << 30; n],
-    });
-
-    // Band setup. Sequential mode is one band over everything, fed by
-    // the caller's rng; banded mode fixes BANDS contiguous level bands
-    // with persistent per-band rng streams seeded from the master rng.
-    let banded = cfg.parallel_bands;
-    let num_bands = if banded {
-        BANDS.min(net.num_levels())
-    } else {
-        1
+    let mut tagwe = vec![(TAG_NORMAL as u32) << 30; n];
+    let mut ctx = DispatchCtx {
+        stage: StepStage::new(Arc::clone(&net)),
+        scratch: ConflictScratch::default(),
+        contenders: Vec::new(),
+        tags_buf: Vec::new(),
+        excitations: 0,
+        cross_set_meetings: 0,
+        unsafe_deflections: 0,
     };
-    let bands: Vec<Arc<Mutex<BandState>>> = if banded {
-        (0..num_bands)
-            .map(|_| {
-                Arc::new(Mutex::new(BandState {
-                    rng: ChaCha8Rng::seed_from_u64(rng.next_u64()),
-                    ctx: BandCtx::new(Arc::clone(&net)),
-                }))
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    // Sequential mode dispatches on this thread every step, so its
-    // scratch lives outside the mutex vector: no per-step locks, no
-    // partition copy (the engine's occupied list is the node list).
-    let mut solo = BandCtx::new(Arc::clone(&net));
-    let band_of = |v: u32| -> usize {
-        if num_bands == 1 {
-            0
-        } else {
-            net.level(NodeId(v)) as usize * num_bands / net.num_levels()
-        }
-    };
-    let threads = hotpotato_sim::pool_core::configured_threads();
 
     // Injection agenda: (injection step, packet), sorted descending so
     // due packets pop off the back.
@@ -459,10 +340,8 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
     let mut audit_scratch = PhaseAuditScratch::default();
     let mut total_moves = 0u64;
     // Per-set target levels, hoisted out of the per-packet dispatch:
-    // they only change when (phase, round) does. Behind an Arc so band
-    // workers can share the slice; refreshed via `get_mut` between
-    // dispatches (the workers have dropped their clones by then).
-    let mut targets: Arc<Vec<i64>> = Arc::new(vec![0; params.num_sets as usize]);
+    // they only change when (phase, round) does.
+    let mut targets = vec![0i64; params.num_sets as usize];
     let mut targets_key = (u64::MAX, u32::MAX);
     let rule = if cfg.arbitrary_deflections {
         DeflectRule::Arbitrary
@@ -522,8 +401,7 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
 
         if targets_key != (phase, round) {
             targets_key = (phase, round);
-            let tg = Arc::get_mut(&mut targets).expect("band workers dropped target handles");
-            for (set, t) in tg.iter_mut().enumerate() {
+            for (set, t) in targets.iter_mut().enumerate() {
                 *t = schedule.target_level(set as u32, phase, round);
             }
         }
@@ -533,164 +411,22 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
             None
         };
 
-        // Partition this step's occupied nodes into the bands (ascending
-        // node order is preserved within each band), then dispatch.
-        let sh = Arc::clone(sim.shared());
-        let mut busy = 0usize;
-        if !banded {
-            busy = usize::from(!sh.occupied.is_empty());
-        } else if num_bands == 1 {
-            let mut b = bands[0].try_lock().expect("band 0 is uncontended");
-            b.ctx.nodes.clear();
-            b.ctx.nodes.extend_from_slice(&sh.occupied);
-            busy = usize::from(!b.ctx.nodes.is_empty());
-        } else {
-            for band in &bands {
-                band.try_lock()
-                    .expect("bands are uncontended")
-                    .ctx
-                    .nodes
-                    .clear();
-            }
-            let mut cur = usize::MAX;
-            let mut locked = None;
-            for &v in &sh.occupied {
-                let b = band_of(v);
-                if b != cur {
-                    cur = b;
-                    busy += 1;
-                    locked = Some(bands[b].try_lock().expect("bands are uncontended"));
-                }
-                locked.as_mut().expect("band locked").ctx.nodes.push(v);
-            }
-            drop(locked);
-        }
-
-        if banded && threads > 1 && busy >= 2 {
-            // Parallel: one pool job per non-empty band. Workers read
-            // the shared state behind Arcs, keep everything they produce
-            // band-local, drop their Arc clones, then post.
-            let results = Arc::new(hotpotato_sim::pool_core::BandResults::<
-                Option<Box<dyn std::any::Any + Send>>,
-            >::new(busy));
-            let mut slot = 0usize;
-            for band in &bands {
-                if band
-                    .try_lock()
-                    .expect("bands are uncontended")
-                    .ctx
-                    .nodes
-                    .is_empty()
-                {
-                    continue;
-                }
-                let band = Arc::clone(band);
-                let net = Arc::clone(&net);
-                let sh = Arc::clone(&sh);
-                let st = Arc::clone(&state);
-                let sets = Arc::clone(&sets);
-                let targets = Arc::clone(&targets);
-                let results = Arc::clone(&results);
-                pool::get()
-                    .submit(Box::new(move || {
-                        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let mut b = band.lock().expect("band state");
-                            let BandState { rng, ctx } = &mut *b;
-                            let nodes = std::mem::take(&mut ctx.nodes);
-                            dispatch_band(
-                                &net,
-                                &sh,
-                                &st,
-                                sets.as_slice(),
-                                &targets,
-                                sc,
-                                rng,
-                                &nodes,
-                                ctx,
-                            );
-                            ctx.nodes = nodes;
-                        }))
-                        .err();
-                        // Drop every shared handle *before* posting:
-                        // after wait_all the coordinator reclaims
-                        // exclusive access with Arc::get_mut.
-                        drop(band);
-                        drop(net);
-                        drop(sh);
-                        drop(st);
-                        drop(sets);
-                        drop(targets);
-                        results.post(slot, panic);
-                    }))
-                    .expect("band pool is live");
-                slot += 1;
-            }
-            if let Some(panic) = results.wait_all().into_iter().flatten().next() {
-                std::panic::resume_unwind(panic);
-            }
-        } else if banded {
-            // Banded but run on this thread: bands in band order.
-            for band in &bands {
-                let mut b = band.try_lock().expect("bands are uncontended");
-                if b.ctx.nodes.is_empty() {
-                    continue;
-                }
-                let BandState { rng: band_rng, ctx } = &mut *b;
-                let nodes = std::mem::take(&mut ctx.nodes);
-                dispatch_band(
-                    &net,
-                    &sh,
-                    &state,
-                    sets.as_slice(),
-                    &targets,
-                    sc,
-                    band_rng,
-                    &nodes,
-                    ctx,
-                );
-                ctx.nodes = nodes;
-            }
-        } else if busy > 0 {
-            // Sequential: the scalar-identical path — the master rng
-            // feeds every draw in the scalar driver's order, and the
-            // engine's occupied list is already the ascending node list.
-            dispatch_band(
-                &net,
-                &sh,
-                &state,
-                sets.as_slice(),
-                &targets,
-                sc,
-                rng,
-                &sh.occupied,
-                &mut solo,
-            );
-        }
-
-        // Merge in band-index order: commit staged exits to the global
-        // slot bitset, apply the deferred state writes, fold counters.
-        let mut excitations = 0u64;
-        {
-            let st = Arc::get_mut(&mut state).expect("band workers dropped their state handles");
-            let mut fold = |ctx: &mut BandCtx| {
-                sim.merge_band(&mut ctx.stage);
-                for &(p, twe) in &ctx.updates {
-                    st.tagwe[p as usize] = twe;
-                }
-                ctx.updates.clear();
-                excitations += std::mem::take(&mut ctx.excitations);
-                invariants.cross_set_meetings += std::mem::take(&mut ctx.cross_set_meetings);
-                invariants.unsafe_deflections += std::mem::take(&mut ctx.unsafe_deflections);
-            };
-            if banded {
-                for band in &bands {
-                    let mut b = band.try_lock().expect("bands are uncontended");
-                    fold(&mut b.ctx);
-                }
-            } else {
-                fold(&mut solo);
-            }
-        }
+        // Dispatch, then hand the staged exits to the engine and fold the
+        // dispatch counters into the run totals.
+        dispatch(
+            &net,
+            sim.shared(),
+            &mut tagwe,
+            &sets,
+            &targets,
+            sc,
+            rng,
+            &mut ctx,
+        );
+        sim.commit_stage(&mut ctx.stage);
+        invariants.cross_set_meetings += std::mem::take(&mut ctx.cross_set_meetings);
+        invariants.unsafe_deflections += std::mem::take(&mut ctx.unsafe_deflections);
+        let excitations = std::mem::take(&mut ctx.excitations);
         if excitations > 0 {
             sim.stats_mut().bump_by("excitations", excitations);
         }
@@ -735,7 +471,6 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
             now
         });
 
-        drop(sh);
         let report = sim.finish_step().expect("all arrivals staged");
         total_moves += report.moved as u64;
         let section_start = section_start.map(|start| {
@@ -749,9 +484,8 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
         if cfg.check_invariants && (t + 1).is_multiple_of(phase_len) {
             // Wait packets count at their target node (the head of
             // their oscillation edge), regardless of oscillation parity.
-            let st = &state;
             let effective = |idx: u32, actual: leveled_net::Level| {
-                let twe = st.tagwe[idx as usize];
+                let twe = tagwe[idx as usize];
                 if (twe >> 30) as u8 == TAG_WAIT {
                     net.level(net.edge(EdgeId(twe & ((1 << 30) - 1))).head)
                 } else {
@@ -761,7 +495,7 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
             let per_set_max = check_phase_end_soa(
                 &sim,
                 &schedule,
-                sets.as_slice(),
+                &sets,
                 phase,
                 &initial_per_set,
                 effective,
@@ -792,7 +526,7 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
     BuschOutcome {
         stats,
         invariants,
-        set_assignment: sets_master,
+        set_assignment: sets,
         schedule,
         phases_elapsed,
         params,

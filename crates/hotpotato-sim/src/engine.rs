@@ -31,7 +31,7 @@ use crate::record::{MoveEvent, RunRecord, TrivialDelivery};
 use crate::stats::{RouteStats, Time};
 use leveled_net::ids::DirectedEdge;
 use leveled_net::{LeveledNetwork, NodeId};
-use routing_core::{EngineKind, PacketId, RoutingProblem};
+use routing_core::{PacketId, RoutingProblem};
 use std::sync::Arc;
 
 /// Lifecycle of a packet inside the engine.
@@ -131,26 +131,10 @@ pub struct StepReport {
     pub oscillations: usize,
 }
 
-/// How much post-hoc auditability a [`SimulationBuilder`] run keeps.
-///
-/// Engine-level switch only: the Busch router's *online* invariant audits
-/// (`I_a..I_f`) are a property of the algorithm, not the engine, and stay
-/// on `BuschConfig::check_invariants` in the `busch-router` crate.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum AuditLevel {
-    /// Keep nothing beyond [`RouteStats`].
-    #[default]
-    Off,
-    /// Record every movement event ([`RunRecord`]) so the run can be
-    /// re-verified offline with [`crate::replay::verify`].
-    Replay,
-}
-
-/// Staged construction of a [`Simulation`]: replaces the old
-/// `Simulation::new(problem, metas, trace)` + `enable_recording()` pair.
+/// Staged construction of a [`Simulation`].
 ///
 /// ```
-/// # use hotpotato_sim::{Simulation, AuditLevel};
+/// # use hotpotato_sim::Simulation;
 /// # use routing_core::{Path, RoutingProblem};
 /// # use leveled_net::{builders, NodeId};
 /// # use std::sync::Arc;
@@ -159,7 +143,7 @@ pub enum AuditLevel {
 /// # let problem = Arc::new(RoutingProblem::new(net, vec![path]).unwrap());
 /// let mut sim: Simulation<()> = Simulation::builder(problem, vec![()])
 ///     .trace(true)
-///     .audits(AuditLevel::Replay)
+///     .recording(true)
 ///     .build();
 /// ```
 ///
@@ -171,7 +155,6 @@ pub struct SimulationBuilder<M, O = NoopObserver> {
     metas: Vec<M>,
     trace: bool,
     recording: bool,
-    engine: EngineKind,
     observer: O,
 }
 
@@ -182,7 +165,6 @@ impl<M> SimulationBuilder<M> {
             metas,
             trace: false,
             recording: false,
-            engine: EngineKind::Scalar,
             observer: NoopObserver,
         }
     }
@@ -202,24 +184,6 @@ impl<M, O> SimulationBuilder<M, O> {
         self
     }
 
-    /// Sets the audit level (an explicit-intent alias for
-    /// [`SimulationBuilder::recording`]).
-    pub fn audits(self, level: AuditLevel) -> Self {
-        self.recording(level == AuditLevel::Replay)
-    }
-
-    /// Declares which engine substrate this run selects — the typed
-    /// replacement for the deprecated `HOTPOTATO_ENGINE` env var. The
-    /// builder itself always constructs the scalar [`Simulation`]
-    /// (that *is* the scalar substrate); drivers that own both
-    /// substrates (the Busch router, the streaming driver) read the
-    /// declaration back via [`Simulation::engine_kind`] and dispatch.
-    /// Defaults to [`EngineKind::Scalar`].
-    pub fn engine(mut self, kind: EngineKind) -> Self {
-        self.engine = kind;
-        self
-    }
-
     /// Attaches an event sink; the simulation feeds it every engine event
     /// (see [`RouteObserver`]). Pass `&mut sink` to keep ownership.
     pub fn observer<O2: RouteObserver>(self, observer: O2) -> SimulationBuilder<M, O2> {
@@ -228,7 +192,6 @@ impl<M, O> SimulationBuilder<M, O> {
             metas: self.metas,
             trace: self.trace,
             recording: self.recording,
-            engine: self.engine,
             observer,
         }
     }
@@ -246,7 +209,6 @@ impl<M, O> SimulationBuilder<M, O> {
             metas,
             trace,
             recording,
-            engine,
             observer,
         } = self;
         assert_eq!(metas.len(), problem.num_packets());
@@ -296,7 +258,6 @@ impl<M, O> SimulationBuilder<M, O> {
             } else {
                 None
             },
-            engine,
             observer,
         }
     }
@@ -360,9 +321,6 @@ pub struct Simulation<M, O = NoopObserver> {
     delivered: usize,
     stats: RouteStats,
     record: Option<RunRecord>,
-    /// The engine substrate this run declared (see
-    /// [`SimulationBuilder::engine`]).
-    engine: EngineKind,
     observer: O,
 }
 
@@ -386,31 +344,9 @@ impl<M> Simulation<M> {
     pub fn builder(problem: Arc<RoutingProblem>, metas: Vec<M>) -> SimulationBuilder<M> {
         SimulationBuilder::new(problem, metas)
     }
-
-    /// Creates an engine over `problem` with the per-step active-count
-    /// trace toggled by `trace`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Simulation::builder(..).trace(..).build()"
-    )]
-    pub fn new(problem: Arc<RoutingProblem>, metas: Vec<M>, trace: bool) -> Self {
-        SimulationBuilder::new(problem, metas).trace(trace).build()
-    }
 }
 
 impl<M, O: RouteObserver> Simulation<M, O> {
-    /// Enables full run recording: every movement event is logged for
-    /// later [`crate::replay::verify`] auditing. Call before the first
-    /// step.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Simulation::builder(..).audits(AuditLevel::Replay).build()"
-    )]
-    pub fn enable_recording(&mut self) {
-        assert_eq!(self.now, 0, "enable recording before the run starts");
-        self.record = Some(RunRecord::default());
-    }
-
     /// The attached event sink.
     #[inline]
     pub fn observer(&self) -> &O {
@@ -422,13 +358,6 @@ impl<M, O: RouteObserver> Simulation<M, O> {
     #[inline]
     pub fn observer_mut(&mut self) -> &mut O {
         &mut self.observer
-    }
-
-    /// The engine substrate this run declared via
-    /// [`SimulationBuilder::engine`].
-    #[inline]
-    pub fn engine_kind(&self) -> EngineKind {
-        self.engine
     }
 
     /// Current simulation time (step number).
@@ -1082,24 +1011,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "before the run starts")]
-    #[allow(deprecated)]
-    fn recording_must_start_at_step_zero() {
-        let prob = line_problem(vec![vec![0, 1]]);
-        let mut sim: Simulation<()> = Simulation::builder(prob, vec![()]).build();
-        sim.try_inject(0).unwrap();
-        sim.finish_step().unwrap();
-        sim.enable_recording();
-    }
-
-    /// The deprecated constructor shims must keep working for one PR so
-    /// downstream callers can migrate incrementally.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_route() {
+    fn builder_trace_and_recording_route() {
         let prob = line_problem(vec![vec![0, 1, 2]]);
-        let mut sim: Simulation<()> = Simulation::new(prob, vec![()], true);
-        sim.enable_recording();
+        let mut sim: Simulation<()> = Simulation::builder(prob, vec![()])
+            .trace(true)
+            .recording(true)
+            .build();
         sim.try_inject(0).unwrap();
         sim.finish_step().unwrap();
         while !sim.is_done() {

@@ -1,6 +1,6 @@
 //! Synchronous network simulators for leveled-network routing.
 //!
-//! Two engines share the packet/problem model of `routing-core`:
+//! Three engines share the packet/problem model of `routing-core`:
 //!
 //! * [`Simulation`] — the **bufferless (hot-potato) engine** (paper §2.3):
 //!   time is discrete; at each step every active packet *must* leave its
@@ -8,6 +8,10 @@
 //!   step. Routing algorithms drive the engine by staging one exit per
 //!   arriving packet each step; the engine enforces the hot-potato
 //!   constraints, performs movement/absorption, and keeps statistics.
+//! * [`SoaEngine`] ([`soa`]) — the same bufferless semantics on flat
+//!   structure-of-arrays state. The Busch router runs on it; the
+//!   equivalence tests pin it bit for bit against the Busch reference
+//!   driver on [`Simulation`].
 //! * [`store_forward`] — the **buffered engine** used by the
 //!   store-and-forward baselines: per-edge output queues, one dequeue per
 //!   edge per direction per step.
@@ -48,8 +52,7 @@ pub mod summary;
 
 pub use conflict::SlotView;
 pub use engine::{
-    AuditLevel, ExitKind, InjectOutcome, PacketStatus, SimError, Simulation, SimulationBuilder,
-    StepReport,
+    ExitKind, InjectOutcome, PacketStatus, SimError, Simulation, SimulationBuilder, StepReport,
 };
 pub use exchange::{snapshot_exchange, SnapshotPublisher, SnapshotReader};
 pub use kinematics::SimPacket;
@@ -58,7 +61,7 @@ pub use observe::{
 };
 pub use record::{replay, MoveEvent, RunRecord, TrivialDelivery};
 pub use router_api::{RouteOutcome, Router};
-pub use soa::{BandStage, SoaEngine, SoaShared, NO_MOVE};
+pub use soa::{SoaEngine, SoaShared, StepStage, NO_MOVE};
 pub use stats::{RouteStats, Time};
 pub use streaming::{
     route_streaming, route_streaming_observed, AdmissionControl, StreamPriority, StreamingConfig,

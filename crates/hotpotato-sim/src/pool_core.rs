@@ -3,20 +3,18 @@
 //! and to the vendored `loom` workalike under `--cfg loom`.
 //!
 //! The split exists so the loom models (`bench/tests/loom_pool.rs`)
-//! verify *this* code — the channel/mutex/condvar protocols that both
-//! the bench sweep runner's `parallel_map` and the SoA engine's
-//! intra-run band sharding build on — rather than a lookalike.
+//! verify *this* code — the channel/mutex/condvar protocols that the
+//! bench sweep runner's `parallel_map`, the fleet workers and the
+//! sharded trace verifier build on — rather than a lookalike.
 //! Everything schedule-sensitive lives here: worker
 //! spawn/dequeue/shutdown ([`PoolCore`]), sweep completion signaling
 //! ([`CompletionLatch`]), first-panic capture ([`PanicSlot`]), and the
-//! per-band result handoff of the intra-run sharded step
+//! per-band result handoff of sharded trace verification
 //! ([`BandResults`]). The consumers keep the parts the models do not
 //! need: chunking, result slots, and (bench only) the lifetime-erasing
 //! transmute.
 //!
-//! Historically this module lived in the `bench` crate; it moved here so
-//! the simulation engine can shard a single run across the same pool
-//! (`bench` re-exports it under the old `bench::pool_core` path).
+//! `bench` re-exports this module under the `bench::pool_core` path.
 
 #[cfg(loom)]
 use loom::{
@@ -192,11 +190,12 @@ pub fn configured_threads() -> usize {
     2
 }
 
-/// Per-band result slots for the intra-run sharded step: band `b` posts
-/// its output into slot `b`, and the coordinating thread blocks until
-/// every slot is filled, then consumes them **in band-index order** —
-/// the fixed reduction order that makes the sharded step deterministic
-/// regardless of which worker finishes first.
+/// Per-band result slots for a sharded job (sharded trace
+/// verification): band `b` posts its output into slot `b`, and the
+/// coordinating thread blocks until every slot is filled, then consumes
+/// them **in band-index order** — the fixed reduction order that makes
+/// the sharded result deterministic regardless of which worker
+/// finishes first.
 pub struct BandResults<T> {
     total: usize,
     slots: Mutex<Vec<Option<T>>>,

@@ -21,17 +21,16 @@
 //!   `path_mv` array with per-packet offsets, so following a path is a
 //!   linear scan with no per-packet `Vec` indirection.
 //!
-//! The dispatch-read state is split into [`SoaShared`] behind an [`Arc`]:
-//! a step driver clones the `Arc` to read arrivals/positions (including
-//! from worker threads in the intra-run banded mode, see [`BandStage`]),
-//! stages exits, drops its clones, and calls
-//! [`SoaEngine::finish_step`], which reclaims exclusive access via
-//! `Arc::get_mut` — no locks, no unsafe.
+//! The dispatch-read state is split into [`SoaShared`]: a step driver
+//! borrows it through [`SoaEngine::shared`] to read arrivals and
+//! positions while it stages exits into its own [`StepStage`], then
+//! hands the stage over with [`SoaEngine::commit_stage`] and calls
+//! [`SoaEngine::finish_step`].
 //!
 //! The scalar engine remains the oracle: driven with the same decision
 //! sequence, `SoaEngine` produces bit-identical [`RouteStats`], movement
-//! records and observer event streams (the golden-equivalence tests in
-//! the bench crate assert this end to end).
+//! records and observer event streams (`tests/soa_equivalence.rs` at the
+//! workspace root asserts this end to end).
 
 use crate::conflict::SlotView;
 use crate::engine::{ExitKind, InjectOutcome, SimError, StepReport};
@@ -101,7 +100,7 @@ pub fn kind_of(tag: u8) -> ExitKind {
 /// Packs one staged exit into a single word: the kind tag in the top 3
 /// bits, the packed move in bits 32..61, the packet id in the low 32.
 /// One push per staged exit (instead of one per column) is what keeps
-/// [`BandStage::stage`] a two-store operation.
+/// [`StepStage::stage`] a two-store operation.
 #[inline]
 pub fn pack_staged(pkt: u32, mv: u32, kind: u8) -> u64 {
     debug_assert!(mv < 1 << 29, "move index overflows the staged-exit word");
@@ -185,9 +184,8 @@ pub struct Flight {
 }
 
 /// The dispatch-read half of the engine's state: everything a step
-/// driver (possibly on a worker thread) reads while deciding exits.
-/// Mutated only inside [`SoaEngine::finish_step`], via `Arc::get_mut` —
-/// which statically guarantees no reader exists while it changes.
+/// driver reads while deciding exits. Mutated only inside
+/// [`SoaEngine::finish_step`].
 pub struct SoaShared {
     /// Per-packet flight rows: every column the per-move hot loops
     /// touch, packed into one cache line per packet.
@@ -322,32 +320,23 @@ impl SoaShared {
     }
 }
 
-/// Band-local staging buffer for one shard of a step's dispatch.
-///
-/// During the dispatch half of a step, every staged move originates at
-/// the node being processed, and each (edge, direction) slot has exactly
-/// one origin node — so shards that partition the nodes can never
-/// contend for a slot, and each can track its claims in a private bitset
-/// with no cross-thread slot state at all. The claims become global in
-/// [`SoaEngine::merge_band`], called shard-by-shard in fixed band order
-/// on the coordinating thread.
-///
-/// The sequential path uses a single `BandStage` over all nodes, which
-/// makes it decision-for-decision identical to the banded path with one
-/// band — and, driven with the scalar driver's decision sequence,
-/// bit-identical to the scalar engine.
-pub struct BandStage {
+/// The step driver's staging buffer for one step's dispatch: the staged
+/// exits plus a private slot bitset that the conflict resolver reads as
+/// its [`SlotView`]. Every staged move originates at the node being
+/// processed, so the stage needs no view of injections (those follow
+/// the dispatch). [`SoaEngine::commit_stage`] adopts its buffers.
+pub struct StepStage {
     net: Arc<LeveledNetwork>,
     slot_words: Vec<u64>,
     /// Staged exits in staging order, packed per [`pack_staged`].
     pub staged: Vec<u64>,
 }
 
-impl BandStage {
+impl StepStage {
     /// An empty stage over `net`'s slot space.
     pub fn new(net: Arc<LeveledNetwork>) -> Self {
         let words = (2 * net.num_edges()).div_ceil(64);
-        BandStage {
+        StepStage {
             net,
             slot_words: vec![0; words],
             staged: Vec::new(),
@@ -355,7 +344,7 @@ impl BandStage {
     }
 
     /// Stages packet `pkt` on packed move `mv`, claiming its slot in the
-    /// band-local bitset. The caller (the step driver) guarantees the
+    /// stage's bitset. The caller (the step driver) guarantees the
     /// packet is active, unstaged, and at the move's origin.
     // lint: hot-path
     #[inline]
@@ -378,7 +367,7 @@ impl BandStage {
     }
 }
 
-impl SlotView for BandStage {
+impl SlotView for StepStage {
     #[inline]
     fn network(&self) -> &LeveledNetwork {
         &self.net
@@ -392,13 +381,14 @@ impl SlotView for BandStage {
 
 /// The structure-of-arrays bufferless engine. See the module docs for
 /// the layout; the step protocol matches [`crate::Simulation`]:
-/// dispatch exits for every arrival (via [`BandStage`]s merged with
-/// [`SoaEngine::merge_band`]), inject with [`SoaEngine::try_inject`],
-/// then commit with [`SoaEngine::finish_step`].
+/// dispatch exits for every arrival into a [`StepStage`] handed over
+/// with [`SoaEngine::commit_stage`], inject with
+/// [`SoaEngine::try_inject`], then commit with
+/// [`SoaEngine::finish_step`].
 pub struct SoaEngine<O = NoopObserver> {
     problem: Arc<RoutingProblem>,
     net: Arc<LeveledNetwork>,
-    shared: Arc<SoaShared>,
+    shared: SoaShared,
     status: Vec<u8>,
     /// Global per-step slot claims (one bit per (edge, direction)).
     slot_words: Vec<u64>,
@@ -463,7 +453,7 @@ impl<O: RouteObserver> SoaEngine<O> {
         SoaEngine {
             problem,
             net,
-            shared: Arc::new(SoaShared {
+            shared: SoaShared {
                 flight,
                 dev_mv: Vec::new(),
                 dev_next: Vec::new(),
@@ -478,7 +468,7 @@ impl<O: RouteObserver> SoaEngine<O> {
                 occupied: Vec::new(),
                 occ_words: vec![0; nv.div_ceil(64)],
                 occ_sum: vec![0; nv.div_ceil(64).div_ceil(64)],
-            }),
+            },
             status: vec![STATUS_PENDING; n],
             slot_words: vec![0; (2 * ne).div_ceil(64)],
             staged: Vec::new(),
@@ -498,11 +488,9 @@ impl<O: RouteObserver> SoaEngine<O> {
         }
     }
 
-    /// The dispatch-read state; step drivers clone the `Arc` for the
-    /// duration of a dispatch and must drop every clone before
-    /// [`SoaEngine::finish_step`].
+    /// The dispatch-read state.
     #[inline]
-    pub fn shared(&self) -> &Arc<SoaShared> {
+    pub fn shared(&self) -> &SoaShared {
         &self.shared
     }
 
@@ -574,37 +562,17 @@ impl<O: RouteObserver> SoaEngine<O> {
         &mut self.observer
     }
 
-    /// Commits a band's staged exits into the engine: claims the global
-    /// slots, appends to the step's staged list (preserving band staging
-    /// order), and resets the band for its next shard. Bands must be
-    /// merged in band-index order — that order *is* the reduction order
-    /// that makes the sharded step deterministic.
+    /// Commits the step's dispatch: adopts the stage's buffers
+    /// wholesale — its claimed bits become the global bits, and it
+    /// inherits the engine's (clear) bitset and (empty) staging list for
+    /// the next step. O(1); call once per step, before any injection.
     // lint: hot-path
-    pub fn merge_band(&mut self, band: &mut BandStage) {
-        self.staged_arrivals += band.staged.len() as u32;
-        if self.staged.is_empty() {
-            // First band of the step: the engine has nothing staged and a
-            // clear slot bitset, so adopt the band's buffers wholesale —
-            // its claimed bits become the global bits and it inherits the
-            // engine's (clear) bitset and (empty) staging list for the
-            // next shard. O(1) instead of a copy; in sequential one-band
-            // runs this makes the merge free.
-            debug_assert!(self.slot_words.iter().all(|&w| w == 0));
-            std::mem::swap(&mut self.slot_words, &mut band.slot_words);
-            std::mem::swap(&mut self.staged, &mut band.staged);
-            return;
-        }
-        for &e in &band.staged {
-            let mv = staged_mv(e);
-            debug_assert!(
-                !bit_get(&self.slot_words, mv),
-                "band slot collision: shards must partition move origins"
-            );
-            bit_set(&mut self.slot_words, mv);
-            bit_clear(&mut band.slot_words, mv);
-            self.staged.push(e);
-        }
-        band.staged.clear();
+    pub fn commit_stage(&mut self, stage: &mut StepStage) {
+        debug_assert!(self.staged.is_empty(), "stage committed twice in a step");
+        debug_assert!(self.slot_words.iter().all(|&w| w == 0));
+        self.staged_arrivals = stage.staged.len() as u32;
+        std::mem::swap(&mut self.slot_words, &mut stage.slot_words);
+        std::mem::swap(&mut self.staged, &mut stage.staged);
     }
 
     /// Attempts to inject pending packet `pkt` — same semantics and
@@ -683,8 +651,7 @@ impl<O: RouteObserver> SoaEngine<O> {
         if self.staged_arrivals != self.shared.arrivals_count {
             return Err(self.find_rested());
         }
-        let sh = Arc::get_mut(&mut self.shared)
-            .expect("dispatch must drop its SoaShared clones before finish_step");
+        let sh = &mut self.shared;
 
         let mut report = StepReport::default();
         let step = self.now;
@@ -957,16 +924,15 @@ mod tests {
         assert_eq!(sim.try_inject(0), InjectOutcome::Injected);
         sim.finish_step().unwrap();
         assert_eq!(sim.status(0), STATUS_ACTIVE);
-        let mut band = BandStage::new(net);
+        let mut stage = StepStage::new(net);
         for _ in 0..2 {
-            let sh = Arc::clone(sim.shared());
+            let sh = sim.shared();
             for &v in &sh.occupied {
                 for &p in sh.arrivals(v) {
-                    band.stage(p, sh.next_move(p), KIND_ADVANCE);
+                    stage.stage(p, sh.next_move(p), KIND_ADVANCE);
                 }
             }
-            drop(sh);
-            sim.merge_band(&mut band);
+            sim.commit_stage(&mut stage);
             sim.finish_step().unwrap();
         }
         assert!(sim.is_done());
@@ -999,27 +965,26 @@ mod tests {
         sim.try_inject(0);
         sim.finish_step().unwrap();
         // Deflect backward along edge 0 (unsafe), then walk home.
-        let mut band = BandStage::new(net);
-        band.stage(
+        let mut stage = StepStage::new(net);
+        stage.stage(
             0,
             pack_move(DirectedEdge::backward(EdgeId(0))),
             KIND_DEFLECT_FREE,
         );
-        sim.merge_band(&mut band);
+        sim.commit_stage(&mut stage);
         let report = sim.finish_step().unwrap();
         assert_eq!(report.deflections, 1);
         assert_eq!(report.fallback_deflections, 1);
         assert_eq!(sim.shared().flight[0].dev_depth, 1);
         assert!(sim.shared().validate_current_path(sim.net(), 0));
         while !sim.is_done() {
-            let sh = Arc::clone(sim.shared());
+            let sh = sim.shared();
             for &v in &sh.occupied {
                 for &p in sh.arrivals(v) {
-                    band.stage(p, sh.next_move(p), KIND_ADVANCE);
+                    stage.stage(p, sh.next_move(p), KIND_ADVANCE);
                 }
             }
-            drop(sh);
-            sim.merge_band(&mut band);
+            sim.commit_stage(&mut stage);
             sim.finish_step().unwrap();
         }
         let (stats, _) = sim.into_parts();
@@ -1050,9 +1015,9 @@ mod tests {
         sim.finish_step().unwrap();
         // p0 at node 1 advances over edge 1; p1's injection (edge 1 fwd)
         // must block, then succeed next step.
-        let mut band = BandStage::new(net);
-        band.stage(0, pack_move(DirectedEdge::forward(EdgeId(1))), KIND_ADVANCE);
-        sim.merge_band(&mut band);
+        let mut stage = StepStage::new(net);
+        stage.stage(0, pack_move(DirectedEdge::forward(EdgeId(1))), KIND_ADVANCE);
+        sim.commit_stage(&mut stage);
         assert_eq!(sim.try_inject(1), InjectOutcome::Blocked);
         sim.finish_step().unwrap();
         assert_eq!(sim.try_inject(1), InjectOutcome::Injected);
@@ -1065,16 +1030,16 @@ mod tests {
         let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
         sim.try_inject(0);
         sim.finish_step().unwrap();
-        let mut band = BandStage::new(net);
-        band.stage(0, pack_move(DirectedEdge::forward(EdgeId(1))), KIND_ADVANCE);
-        sim.merge_band(&mut band);
+        let mut stage = StepStage::new(net);
+        stage.stage(0, pack_move(DirectedEdge::forward(EdgeId(1))), KIND_ADVANCE);
+        sim.commit_stage(&mut stage);
         sim.finish_step().unwrap();
-        band.stage(
+        stage.stage(
             0,
             pack_move(DirectedEdge::backward(EdgeId(1))),
             KIND_DEFLECT_SAFE,
         );
-        sim.merge_band(&mut band);
+        sim.commit_stage(&mut stage);
         sim.finish_step().unwrap();
         let edges: Vec<EdgeId> = sim.shared().current_path_edges(0).collect();
         assert_eq!(edges, vec![EdgeId(1), EdgeId(2), EdgeId(3)]);

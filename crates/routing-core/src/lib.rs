@@ -17,7 +17,7 @@
 //!   `C = D = Θ(n)` — plus [`ArrivalProcess`], which times a problem's
 //!   packets for streaming (continuous-injection) runs;
 //! * [`spec`] — the text grammar naming topologies, workloads, arrival
-//!   processes, and engines (`bf:10/bitrev/busch/7[/poisson:0.5]`),
+//!   processes, and algorithms (`bf:10/bitrev/busch/7[/poisson:0.5]`),
 //!   shared by the CLI, `hotpotato serve`, the bench harness, and the
 //!   trace analyzer so an instance can be reconstructed from a trace's
 //!   `meta` line.
@@ -32,5 +32,5 @@ pub mod workloads;
 pub use dag::DagNetwork;
 pub use path::{Path, PathError};
 pub use problem::{PacketId, PacketSpec, ProblemError, RoutingProblem};
-pub use spec::{EngineKind, RunSpec};
+pub use spec::RunSpec;
 pub use workloads::ArrivalProcess;

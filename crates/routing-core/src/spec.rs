@@ -31,95 +31,6 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
-/// Which simulation engine substrate executes a run.
-///
-/// This is the one typed surface for engine selection: the CLI
-/// (`--engine`), `hotpotato serve`, the bench runner, and tests all pick
-/// scalar/SoA by setting it explicitly on a [`RunSpec`] or a
-/// `SimulationBuilder`. The legacy `HOTPOTATO_ENGINE` environment
-/// variable is honored only as a deprecated fallback (with a one-time
-/// warning) when no explicit kind was given — see
-/// [`EngineKind::resolve`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum EngineKind {
-    /// The arena-based scalar engine (`Simulation`).
-    Scalar,
-    /// The data-oriented structure-of-arrays engine (bit-identical to
-    /// scalar when run sequentially). The default.
-    #[default]
-    Soa,
-}
-
-impl EngineKind {
-    /// Parses an engine name: `scalar` or `soa` (case-insensitive).
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Ok(EngineKind::Scalar),
-            "soa" => Ok(EngineKind::Soa),
-            other => Err(format!("unknown engine '{other}' (scalar|soa)")),
-        }
-    }
-
-    /// The canonical name [`EngineKind::parse`] accepts.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EngineKind::Scalar => "scalar",
-            EngineKind::Soa => "soa",
-        }
-    }
-
-    /// Resolves the engine to run: an explicit choice wins; otherwise
-    /// the deprecated `HOTPOTATO_ENGINE` environment variable is
-    /// consulted (warning once on stderr); otherwise the default
-    /// ([`EngineKind::Soa`]).
-    pub fn resolve(explicit: Option<EngineKind>) -> EngineKind {
-        if let Some(kind) = explicit {
-            return kind;
-        }
-        match std::env::var("HOTPOTATO_ENGINE") {
-            Ok(v) => {
-                if let Some(msg) = engine_env_deprecation_notice() {
-                    eprintln!("{msg}");
-                }
-                if v.eq_ignore_ascii_case("scalar") {
-                    EngineKind::Scalar
-                } else {
-                    EngineKind::Soa
-                }
-            }
-            Err(_) => EngineKind::default(),
-        }
-    }
-}
-
-/// The `HOTPOTATO_ENGINE` deprecation warning, handed out exactly once
-/// per process: the first caller gets the message, every later caller
-/// gets `None`. A sweep instantiates hundreds of [`RunSpec`]s in one
-/// process, and each deprecated-env resolution funnels through here, so
-/// the warning cannot spam stderr once per run.
-pub fn engine_env_deprecation_notice() -> Option<&'static str> {
-    static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-    let mut first = false;
-    WARN_ONCE.call_once(|| first = true);
-    first.then_some(
-        "warning: HOTPOTATO_ENGINE is deprecated; select the engine \
-         explicitly (--engine, RunSpec.engine, or SimulationBuilder::engine)",
-    )
-}
-
-impl std::str::FromStr for EngineKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        EngineKind::parse(s)
-    }
-}
-
-impl std::fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// A parsed topology plus the coordinate helpers some workloads need.
 pub struct ParsedTopo {
     /// The network.
@@ -312,14 +223,10 @@ pub struct RunSpec {
     /// Arrival-process spec segment ([`ArrivalProcess::parse`] grammar);
     /// `None` selects classic batch mode (all packets ready at step 0).
     pub arrival: Option<String>,
-    /// Explicit engine choice; `None` defers to
-    /// [`EngineKind::resolve`]'s deprecated-env-var fallback/default.
-    pub engine: Option<EngineKind>,
 }
 
 impl RunSpec {
-    /// A batch-mode spec with no explicit engine — the shape every
-    /// pre-streaming call site used.
+    /// A batch-mode spec (no arrival process).
     pub fn batch(topo: &str, workload: &str, algo: &str, seed: u64) -> Self {
         RunSpec {
             topo: topo.to_string(),
@@ -327,7 +234,6 @@ impl RunSpec {
             algo: algo.to_string(),
             seed,
             arrival: None,
-            engine: None,
         }
     }
 
@@ -356,12 +262,6 @@ impl RunSpec {
             .as_deref()
             .map(ArrivalProcess::parse)
             .transpose()
-    }
-
-    /// The engine this spec resolves to (explicit choice, else the
-    /// deprecated env-var fallback, else the default).
-    pub fn engine_kind(&self) -> EngineKind {
-        EngineKind::resolve(self.engine)
     }
 
     /// Builds the exact instance this spec names: parses the topology,
@@ -433,7 +333,6 @@ pub fn parse_run_spec(spec: &str) -> Result<RunSpec, String> {
         algo: parts.get(2).copied().unwrap_or("busch").to_string(),
         seed,
         arrival,
-        engine: None,
     })
 }
 
@@ -532,10 +431,13 @@ mod tests {
                 algo: "greedy".into(),
                 seed: 7,
                 arrival: None,
-                engine: None,
             }
         );
         assert_eq!(full.name(), "greedy-bf_10-bitrev-7");
+        assert_eq!(
+            RunSpec::batch("bf:4", "bitrev", "busch", 1).name(),
+            "busch-bf_4-bitrev-1"
+        );
 
         let minimal = parse_run_spec("mesh:8x8/transpose").unwrap();
         assert_eq!(minimal.algo, "busch");
@@ -555,27 +457,6 @@ mod tests {
         assert!(parse_run_spec("bf:10//busch").is_err());
         assert!(parse_run_spec("bf:10/bitrev/busch/x").is_err());
         assert!(parse_run_spec("bf:10/bitrev/busch/7/nosuch:1").is_err());
-    }
-
-    #[test]
-    fn engine_kinds_parse_and_resolve() {
-        assert_eq!(EngineKind::parse("scalar").unwrap(), EngineKind::Scalar);
-        assert_eq!(EngineKind::parse("SoA").unwrap(), EngineKind::Soa);
-        assert!(EngineKind::parse("vector").is_err());
-        assert_eq!(
-            EngineKind::resolve(Some(EngineKind::Scalar)),
-            EngineKind::Scalar
-        );
-        // Explicit choice wins over anything the environment says.
-        let spec = RunSpec {
-            engine: Some(EngineKind::Scalar),
-            ..RunSpec::batch("bf:4", "bitrev", "busch", 1)
-        };
-        assert_eq!(spec.engine_kind(), EngineKind::Scalar);
-        assert_eq!(
-            RunSpec::batch("bf:4", "bitrev", "busch", 1).name(),
-            "busch-bf_4-bitrev-1"
-        );
     }
 
     #[test]
@@ -625,17 +506,6 @@ mod tests {
         );
         assert!(expand_sweep("bf:8/bitrev/nosuch/1..3").is_err(), "bad algo");
         assert!(expand_sweep("bf:8/bitrev/busch/1..999999").is_err(), "cap");
-    }
-
-    #[test]
-    fn engine_env_deprecation_warns_once_per_process() {
-        // The first caller in the process may or may not have run
-        // already (test order is unspecified); what is pinned is that
-        // once drained, the notice never fires again — the sweep
-        // anti-spam contract.
-        let _ = engine_env_deprecation_notice();
-        assert!(engine_env_deprecation_notice().is_none());
-        assert!(engine_env_deprecation_notice().is_none());
     }
 
     #[test]

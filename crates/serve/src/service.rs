@@ -15,14 +15,14 @@ use crate::prom::{Kind, PromWriter};
 use baselines::{
     GreedyConfig, GreedyPriority, GreedyRouter, RandomPriorityRouter, StoreForwardRouter,
 };
-use busch_router::{BuschConfig, BuschRouter, Params};
+use busch_router::{BuschRouter, Params};
 use hotpotato_sim::{
     route_streaming_observed, AdmissionControl, Router, SnapshotReader, StreamPriority,
     StreamingConfig,
 };
 use hotpotato_trace::{report_json, rollup_doc, Rollup};
 use rand_chacha::ChaCha8Rng;
-use routing_core::spec::{EngineKind, RunSpec};
+use routing_core::spec::RunSpec;
 use routing_core::RoutingProblem;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -60,18 +60,9 @@ impl RunConfig {
 
 /// Builds the router the CLI would build for `algo` (default
 /// configurations; `record` off — the service audits nothing offline).
-/// `engine` selects the Busch router's substrate; the baselines run on
-/// the scalar engine regardless.
-pub fn build_router(
-    algo: &str,
-    problem: &RoutingProblem,
-    engine: EngineKind,
-) -> Result<Box<dyn Router>, String> {
+pub fn build_router(algo: &str, problem: &RoutingProblem) -> Result<Box<dyn Router>, String> {
     Ok(match algo {
-        "busch" => Box::new(BuschRouter::with_config(BuschConfig::with_engine(
-            Params::auto(problem),
-            engine,
-        ))),
+        "busch" => Box::new(BuschRouter::new(Params::auto(problem))),
         "greedy" | "ftg" => Box::new(GreedyRouter::with_config(GreedyConfig {
             priority: if algo == "ftg" {
                 GreedyPriority::FurthestToGo
@@ -129,7 +120,7 @@ impl Service {
                     StreamPriority::for_algo(&spec.algo)?;
                 }
                 None => {
-                    build_router(&spec.algo, &problem, spec.engine_kind())?;
+                    build_router(&spec.algo, &problem)?;
                 }
             }
             let name = spec.name();
@@ -170,8 +161,8 @@ impl Service {
                         observer.finish(&outcome.stats);
                     }
                     None => {
-                        let router = build_router(&spec.algo, &problem, spec.engine_kind())
-                            .expect("algo validated at launch");
+                        let router =
+                            build_router(&spec.algo, &problem).expect("algo validated at launch");
                         let outcome = router.route(&problem, &mut rng, &mut observer);
                         observer.finish(&outcome.stats);
                     }

@@ -2,9 +2,9 @@
 //!
 //! Models the exact regression the hot-path lint exists to catch in the
 //! data-oriented engine: a scratch buffer that should live in the
-//! band-local context (`BandCtx`) being rebuilt inside the per-step
-//! dispatch instead. The shape mirrors `dispatch_band` / `finish_step`:
-//! iterate occupied nodes, gather arrivals, stage moves.
+//! persistent dispatch context (`DispatchCtx`) being rebuilt inside the
+//! per-step dispatch instead. The shape mirrors `dispatch` /
+//! `finish_step`: iterate occupied nodes, gather arrivals, stage moves.
 
 pub struct Shared {
     pub occupied: Vec<u32>,
@@ -17,7 +17,7 @@ pub fn dispatch_soa(sh: &Shared, staged: &mut Vec<u64>) {
     for &v in &sh.occupied {
         let base = (v * sh.arr_stride) as usize;
         // Per-node scratch built fresh every step: the allocation the
-        // lint must flag (belongs in a reused band-local buffer).
+        // lint must flag (belongs in a reused dispatch buffer).
         let contenders: Vec<u32> = sh.arrivals[base..base + 2].to_vec();
         let tag = format!("node{v}");
         for &p in &contenders {

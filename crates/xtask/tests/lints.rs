@@ -44,7 +44,7 @@ fn hotpath_lint_fires_on_seeded_allocation() {
 fn hotpath_lint_fires_on_seeded_soa_dispatch_allocation() {
     // The data-oriented engine's shape specifically: a dispatch-style
     // loop over occupied nodes whose scratch should live in a reused
-    // band-local buffer, seeded with per-call allocations instead.
+    // dispatch buffer, seeded with per-call allocations instead.
     let got = rendered(hotpath::check(&fixture("hotpath_soa_violation")));
     assert_eq!(got, expected("hotpath_soa_violation"));
 }

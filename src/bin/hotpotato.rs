@@ -4,16 +4,16 @@
 //! hotpotato topo <SPEC> [--dot]          describe a topology
 //! hotpotato route --topo <SPEC> --workload <WL> [--algo A] [--seed S]
 //!                 [--spec TOPO/WL[/ALGO[/SEED[/ARRIVAL]]]]
-//!                 [--arrival P] [--engine scalar|soa]
+//!                 [--arrival P]
 //!                 [--max-in-flight N] [--max-deferred N] [--max-steps N]
 //!                 [--params m,w,q,sets] [--verify] [--json]
 //!                 [--metrics-out PATH] [--trace-out PATH]
 //!                 [--aggregate-out PATH] [--aggregate-cap N]
 //! hotpotato serve --run TOPO/WL[/ALGO[/SEED[/ARRIVAL]]] [--run ...] [--addr A]
 //!                 [--publish-every N] [--rollup-cap N] [--throttle-us N]
-//!                 [--engine scalar|soa] [--max-in-flight N] [--max-deferred N]
+//!                 [--max-in-flight N] [--max-deferred N]
 //! hotpotato serve --fleet --sweep EXPR [--sweep ...] [--addr A] [--workers N]
-//!                 [--no-verify] [--throttle-ms N] [--engine scalar|soa]
+//!                 [--no-verify] [--throttle-ms N]
 //!                                        execute a sweep, serve /fleet live
 //!                                        (EXPR = run spec where any integer
 //!                                         may be a LO..HI range)
@@ -67,7 +67,7 @@ use hotpotato_sim::{
 };
 use hotpotato_trace::{schema, StreamingAggregator, Trace};
 use leveled_net::render;
-use routing_core::spec::{expand_sweep, parse_run_spec, parse_topo, EngineKind, RunSpec};
+use routing_core::spec::{expand_sweep, parse_run_spec, parse_topo, RunSpec};
 use routing_core::ArrivalProcess;
 use std::io::Write as _;
 use std::process::exit;
@@ -102,16 +102,16 @@ fn print_usage() {
          \u{20}  hotpotato topo <SPEC> [--dot]\n\
          \u{20}  hotpotato route --topo <SPEC> --workload <WL> [--algo A] [--seed S]\n\
          \u{20}                  [--spec TOPO/WL[/ALGO[/SEED[/ARRIVAL]]]]\n\
-         \u{20}                  [--arrival P] [--engine scalar|soa]\n\
+         \u{20}                  [--arrival P]\n\
          \u{20}                  [--max-in-flight N] [--max-deferred N] [--max-steps N]\n\
          \u{20}                  [--params m,w,q,sets] [--verify] [--json]\n\
          \u{20}                  [--metrics-out PATH] [--trace-out PATH]\n\
          \u{20}                  [--aggregate-out PATH] [--aggregate-cap N]\n\
          \u{20}  hotpotato serve --run TOPO/WL[/ALGO[/SEED[/ARRIVAL]]] [--run ...] [--addr A]\n\
          \u{20}                  [--publish-every N] [--rollup-cap N] [--throttle-us N]\n\
-         \u{20}                  [--engine scalar|soa] [--max-in-flight N] [--max-deferred N]\n\
+         \u{20}                  [--max-in-flight N] [--max-deferred N]\n\
          \u{20}  hotpotato serve --fleet --sweep EXPR [--sweep ...] [--addr A] [--workers N]\n\
-         \u{20}                  [--no-verify] [--throttle-ms N] [--engine scalar|soa]\n\
+         \u{20}                  [--no-verify] [--throttle-ms N]\n\
          \u{20}                  (EXPR = run spec; any integer may be LO..HI)\n\
          \u{20}  hotpotato trace verify <FILE> [--jobs N] [--progress] [--json]\n\
          \u{20}  hotpotato trace analyze <FILE> [--out PATH]\n\
@@ -129,6 +129,27 @@ fn print_usage() {
          arrivals:   poisson:RATE burst:SIZE:PERIOD replay:T0,T1,... \
          adversarial:SIZE:GAP"
     );
+}
+
+/// Rejects every argument that is neither one of the `valued` flags
+/// (which consume the next argument) nor one of the `switches`, so a
+/// mistyped or unsupported flag fails instead of silently running the
+/// default.
+fn check_flags(args: &[String], valued: &[&str], switches: &[&str]) -> Result<(), String> {
+    let mut i = 0;
+    while i < args.len() {
+        let arg = args[i].as_str();
+        if valued.contains(&arg) {
+            i += 2;
+        } else if switches.contains(&arg) {
+            i += 1;
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown flag '{arg}'"));
+        } else {
+            return Err(format!("unexpected argument '{arg}'"));
+        }
+    }
+    Ok(())
 }
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -160,6 +181,26 @@ fn cmd_topo(args: &[String]) -> i32 {
 }
 
 fn cmd_route(args: &[String]) -> i32 {
+    const VALUED: &[&str] = &[
+        "--topo",
+        "--workload",
+        "--algo",
+        "--seed",
+        "--spec",
+        "--arrival",
+        "--max-in-flight",
+        "--max-deferred",
+        "--max-steps",
+        "--params",
+        "--metrics-out",
+        "--trace-out",
+        "--aggregate-out",
+        "--aggregate-cap",
+    ];
+    if let Err(e) = check_flags(args, VALUED, &["--verify", "--json"]) {
+        eprintln!("error: {e}");
+        return 2;
+    }
     // One typed surface: either a full run spec (`--spec TOPO/WL[/ALGO
     // [/SEED[/ARRIVAL]]]`, the same grammar `serve --run` and the bench
     // gate accept) or the individual flags; both produce a `RunSpec`.
@@ -193,15 +234,6 @@ fn cmd_route(args: &[String]) -> i32 {
             return 2;
         }
         run.arrival = Some(arrival.to_string());
-    }
-    if let Some(engine) = flag_value(args, "--engine") {
-        match EngineKind::parse(engine) {
-            Ok(kind) => run.engine = Some(kind),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        }
     }
     let verify = args.iter().any(|a| a == "--verify");
     let json = args.iter().any(|a| a == "--json");
@@ -306,7 +338,7 @@ fn cmd_route(args: &[String]) -> i32 {
             params = Some(p);
             let cfg = BuschConfig {
                 record: verify,
-                ..BuschConfig::with_engine(p, run.engine_kind())
+                ..BuschConfig::new(p)
             };
             Some(Box::new(BuschRouter::with_config(cfg)))
         }
@@ -575,6 +607,19 @@ fn cmd_serve(args: &[String]) -> i32 {
     if args.iter().any(|a| a == "--fleet") {
         return cmd_serve_fleet(args);
     }
+    const VALUED: &[&str] = &[
+        "--run",
+        "--addr",
+        "--publish-every",
+        "--rollup-cap",
+        "--throttle-us",
+        "--max-in-flight",
+        "--max-deferred",
+    ];
+    if let Err(e) = check_flags(args, VALUED, &[]) {
+        eprintln!("error: {e}");
+        return 2;
+    }
     let specs: Vec<&str> = args
         .windows(2)
         .filter(|w| w[0] == "--run")
@@ -597,16 +642,6 @@ fn cmd_serve(args: &[String]) -> i32 {
     let throttle_us: u64 = flag_value(args, "--throttle-us")
         .and_then(|s| s.parse().ok())
         .unwrap_or(0);
-    let engine = match flag_value(args, "--engine") {
-        Some(s) => match EngineKind::parse(s) {
-            Ok(kind) => Some(kind),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        },
-        None => None,
-    };
     let admission = AdmissionControl {
         max_in_flight: flag_value(args, "--max-in-flight")
             .and_then(|s| s.parse().ok())
@@ -619,8 +654,7 @@ fn cmd_serve(args: &[String]) -> i32 {
     let mut configs = Vec::with_capacity(specs.len());
     for spec in specs {
         match parse_run_spec(spec) {
-            Ok(mut run) => {
-                run.engine = engine;
+            Ok(run) => {
                 configs.push(serve::RunConfig {
                     spec: run,
                     publish_every,
@@ -666,6 +700,11 @@ fn cmd_serve(args: &[String]) -> i32 {
 /// queue on the worker pool, and serve the cross-run aggregation live.
 /// Keeps serving the final rollup after the sweep completes.
 fn cmd_serve_fleet(args: &[String]) -> i32 {
+    const VALUED: &[&str] = &["--sweep", "--addr", "--workers", "--throttle-ms"];
+    if let Err(e) = check_flags(args, VALUED, &["--fleet", "--no-verify"]) {
+        eprintln!("error: {e}");
+        return 2;
+    }
     let sweeps: Vec<&str> = args
         .windows(2)
         .filter(|w| w[0] == "--sweep")
@@ -687,16 +726,6 @@ fn cmd_serve_fleet(args: &[String]) -> i32 {
         .and_then(|s| s.parse().ok())
         .unwrap_or(0);
     let verify = !args.iter().any(|a| a == "--no-verify");
-    let engine = match flag_value(args, "--engine") {
-        Some(s) => match EngineKind::parse(s) {
-            Ok(kind) => Some(kind),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        },
-        None => None,
-    };
     let mut specs = Vec::new();
     for sweep in sweeps {
         match expand_sweep(sweep) {
@@ -706,9 +735,6 @@ fn cmd_serve_fleet(args: &[String]) -> i32 {
                 return 2;
             }
         }
-    }
-    for spec in &mut specs {
-        spec.engine = engine;
     }
     let service = match serve::FleetService::launch(serve::FleetConfig {
         specs,

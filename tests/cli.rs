@@ -191,3 +191,39 @@ fn deterministic_given_seed() {
     };
     assert_eq!(run(), run());
 }
+
+/// Unknown flags fail before any work, including the retired engine
+/// selector: a script passing it must not silently get the default.
+#[test]
+fn unknown_flags_are_rejected_before_any_work() {
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["route", "--spec", "bf:4/bitrev/busch", "--engine", "soa"],
+            "--engine",
+        ),
+        (&["route", "--spec", "bf:4/bitrev", "--bogus"], "--bogus"),
+        (&["serve", "--run", "bf:4/bitrev", "--bogus"], "--bogus"),
+        (
+            &[
+                "serve",
+                "--fleet",
+                "--sweep",
+                "bf:4/bitrev/busch/1..2",
+                "--bogus",
+            ],
+            "--bogus",
+        ),
+    ];
+    for &(args, flag) in cases {
+        let (out, err, code) = hotpotato(args);
+        assert_eq!(code, 2, "args {args:?}: {err}");
+        assert!(
+            err.contains(&format!("unknown flag '{flag}'")),
+            "args {args:?}: {err}"
+        );
+        assert!(
+            out.is_empty(),
+            "args {args:?} did work before failing: {out}"
+        );
+    }
+}

@@ -1,19 +1,16 @@
-//! Golden equivalence of the data-oriented engine against the scalar
-//! oracle, and determinism of the intra-run banded mode.
+//! Golden equivalence of the data-oriented driver against the
+//! reference driver.
 //!
-//! The scalar engine ([`hotpotato_sim::Simulation`]) remains the
-//! reference implementation; the SoA engine must reproduce it **bit for
-//! bit** in sequential mode — identical `RouteStats` (every array, every
-//! counter), identical movement records, and byte-identical JSONL trace
-//! streams — on instances that exercise injections, conflicts, both
-//! deflection kinds, and wait oscillation. The banded mode
-//! ([`BuschConfig::parallel_bands`]) is *not* stream-compatible with the
-//! scalar rng discipline, but must be a pure function of (problem,
-//! seed): sweeping `HOTPOTATO_THREADS` across {1, 2, 8} — which toggles
-//! between in-thread band execution and the worker pool — must not move
-//! a single event.
+//! [`BuschRouter::route_reference`] runs the algorithm on the scalar
+//! engine ([`hotpotato_sim::Simulation`]) and is the oracle;
+//! [`BuschRouter::route_observed`], which every caller uses, runs it on
+//! the SoA engine and must reproduce the oracle **bit for bit** —
+//! identical `RouteStats` (every array, every counter), identical
+//! movement records, and byte-identical JSONL trace streams — on
+//! instances that exercise injections, conflicts, both deflection kinds,
+//! and wait oscillation.
 
-use busch_router::{BuschConfig, BuschOutcome, BuschRouter, EngineKind, Params};
+use busch_router::{BuschConfig, BuschOutcome, BuschRouter, Params};
 use hotpotato_sim::{JsonlTraceObserver, RouteStats};
 use hotpotato_trace::schema::{self, Trace};
 use hotpotato_trace::verify::verify_trace;
@@ -23,25 +20,34 @@ use routing_core::spec;
 use routing_core::RoutingProblem;
 use std::sync::Arc;
 
-/// Runs the busch router on `problem` with the given engine, capturing
-/// the JSONL event stream.
+/// Which Busch driver a run goes through.
+#[derive(Clone, Copy)]
+enum Driver {
+    /// [`BuschRouter::route_observed`] (the SoA engine).
+    Soa,
+    /// [`BuschRouter::route_reference`] (the scalar oracle).
+    Reference,
+}
+
+/// Runs the busch router on `problem` through `driver`, capturing the
+/// JSONL event stream.
 fn run(
     problem: &Arc<RoutingProblem>,
     params: Params,
-    engine: EngineKind,
-    parallel_bands: bool,
+    driver: Driver,
     seed: u64,
 ) -> (BuschOutcome, Vec<u8>) {
-    let cfg = BuschConfig {
-        engine,
-        parallel_bands,
+    let router = BuschRouter::with_config(BuschConfig {
         record: true,
         trace: true,
         ..BuschConfig::new(params)
-    };
+    });
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut trace = JsonlTraceObserver::new(Vec::new());
-    let out = BuschRouter::with_config(cfg).route_observed(problem, &mut rng, &mut trace);
+    let out = match driver {
+        Driver::Soa => router.route_observed(problem, &mut rng, &mut trace),
+        Driver::Reference => router.route_reference(problem, &mut rng, &mut trace),
+    };
     (out, trace.finish().expect("no io errors"))
 }
 
@@ -70,14 +76,14 @@ fn assert_outcomes_identical(a: &BuschOutcome, b: &BuschOutcome) {
     assert_eq!(ra.trivial, rb.trivial, "trivial deliveries");
 }
 
-/// Scalar and SoA engines on butterfly(10) bit-reversal — ~1k packets,
-/// heavy conflicts — must agree on everything, to the byte.
+/// Both drivers on butterfly(10) bit-reversal — ~1k packets, heavy
+/// conflicts — must agree on everything, to the byte.
 #[test]
 fn soa_matches_scalar_on_butterfly_bitrev() {
     let (_, problem) = spec::reconstruct_problem("butterfly:10", "bitrev", 42).unwrap();
     let params = Params::auto(&problem);
-    let (scalar, scalar_trace) = run(&problem, params, EngineKind::Scalar, false, 7);
-    let (soa, soa_trace) = run(&problem, params, EngineKind::Soa, false, 7);
+    let (scalar, scalar_trace) = run(&problem, params, Driver::Reference, 7);
+    let (soa, soa_trace) = run(&problem, params, Driver::Soa, 7);
     assert!(scalar.stats.all_delivered(), "oracle run must deliver");
     assert_outcomes_identical(&scalar, &soa);
     assert_eq!(
@@ -91,8 +97,8 @@ fn soa_matches_scalar_on_butterfly_bitrev() {
 fn soa_matches_scalar_on_mesh_transpose() {
     let (_, problem) = spec::reconstruct_problem("mesh:8x8", "transpose", 0).unwrap();
     let params = Params::auto(&problem);
-    let (scalar, scalar_trace) = run(&problem, params, EngineKind::Scalar, false, 11);
-    let (soa, soa_trace) = run(&problem, params, EngineKind::Soa, false, 11);
+    let (scalar, scalar_trace) = run(&problem, params, Driver::Reference, 11);
+    let (soa, soa_trace) = run(&problem, params, Driver::Soa, 11);
     assert!(scalar.stats.all_delivered(), "oracle run must deliver");
     assert_outcomes_identical(&scalar, &soa);
     assert_eq!(scalar_trace, soa_trace, "JSONL trace streams");
@@ -105,7 +111,7 @@ fn soa_matches_scalar_on_mesh_transpose() {
 fn soa_trace_verifies_offline() {
     let (topo, problem) = spec::reconstruct_problem("butterfly:10", "bitrev", 42).unwrap();
     let params = Params::auto(&problem);
-    let (out, events) = run(&problem, params, EngineKind::Soa, false, 7);
+    let (out, events) = run(&problem, params, Driver::Soa, 7);
     let meta = schema::Meta {
         schema: schema::SCHEMA_VERSION,
         topo: "butterfly:10".into(),
@@ -127,40 +133,4 @@ fn soa_trace_verifies_offline() {
     let report = verify_trace(&trace).expect("SoA trace verifies clean");
     assert_eq!(report.delivered, problem.num_packets());
     assert!(report.replay_cross_checked);
-}
-
-/// Banded (intra-run sharded) runs are a pure function of (problem,
-/// seed): sweeping the worker budget across {1, 2, 8} — in-thread band
-/// execution at 1, pool execution above — reproduces byte-identical
-/// outcomes. Env manipulation stays inside this one test: integration
-/// tests in this binary run concurrently, and `HOTPOTATO_THREADS` is
-/// read per run.
-#[test]
-fn banded_runs_identical_across_thread_counts() {
-    let (_, problem) = spec::reconstruct_problem("butterfly:9", "bitrev", 5).unwrap();
-    let params = Params::auto(&problem);
-    let mut outcomes: Vec<(BuschOutcome, Vec<u8>)> = Vec::new();
-    for threads in ["1", "2", "8"] {
-        std::env::set_var("HOTPOTATO_THREADS", threads);
-        outcomes.push(run(&problem, params, EngineKind::Soa, true, 99));
-    }
-    std::env::remove_var("HOTPOTATO_THREADS");
-    let (first, first_trace) = &outcomes[0];
-    assert!(first.stats.all_delivered(), "banded run must deliver");
-    for (other, other_trace) in &outcomes[1..] {
-        assert_outcomes_identical(first, other);
-        assert_eq!(first_trace, other_trace, "banded JSONL trace streams");
-    }
-}
-
-/// Banded mode must still deliver everything with clean audit machinery
-/// on a conflict-free instance (sanity that sharding does not perturb
-/// the invariant counters themselves).
-#[test]
-fn banded_mode_keeps_invariants_clean_on_line() {
-    let (_, problem) = spec::reconstruct_problem("linear:12", "level:0:11", 3).unwrap();
-    let params = Params::scaled(4, 12, 0.05, 1);
-    let (out, _) = run(&problem, params, EngineKind::Soa, true, 13);
-    assert!(out.stats.all_delivered());
-    assert!(out.invariants.is_clean(), "{}", out.invariants.summary());
 }
