@@ -12,40 +12,22 @@
 //! leveled networks — the point of the paper — but is fast in easy
 //! regimes; the `T4` comparison experiment quantifies both sides.
 
-use hotpotato_sim::conflict::{self, Contender};
+use hotpotato_sim::conflict::{self, GreedyScratch};
 use hotpotato_sim::{
-    ExitKind, InjectOutcome, NoopObserver, RouteObserver, RouteOutcome, RouteStats, Router,
-    Simulation,
+    InjectOutcome, NoopObserver, RouteObserver, RouteOutcome, RouteStats, Router, Simulation,
+    StreamPriority,
 };
 use rand::{Rng, RngCore};
 use routing_core::RoutingProblem;
 use std::sync::Arc;
 
-/// Conflict-resolution priority rule for the greedy baseline.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum GreedyPriority {
-    /// All packets equal; ties (i.e. everything) resolved uniformly at
-    /// random.
-    Uniform,
-    /// The packet with the most remaining current-path edges wins
-    /// (furthest-to-go first).
-    FurthestToGo,
-    /// The packet deflected most often wins (aging): the standard
-    /// starvation-freedom device in practical deflection routers — a
-    /// packet's priority only ever rises, so it eventually outranks all
-    /// rivals on its route.
-    Aging,
-}
-
 /// Configuration of the greedy baseline.
 #[derive(Clone, Copy, Debug)]
 pub struct GreedyConfig {
-    /// Priority rule.
-    pub priority: GreedyPriority,
+    /// Conflict priority rule.
+    pub priority: StreamPriority,
     /// Safety cap on simulated steps.
     pub max_steps: u64,
-    /// Record the per-step active-packet trace.
-    pub trace: bool,
     /// Record every movement event for independent replay auditing.
     pub record: bool,
 }
@@ -53,9 +35,8 @@ pub struct GreedyConfig {
 impl Default for GreedyConfig {
     fn default() -> Self {
         GreedyConfig {
-            priority: GreedyPriority::Uniform,
+            priority: StreamPriority::Uniform,
             max_steps: 5_000_000,
-            trace: false,
             record: false,
         }
     }
@@ -108,83 +89,54 @@ impl GreedyRouter {
         rng: &mut R,
         observer: &mut O,
     ) -> GreedyOutcome {
-        let mut sim = Simulation::builder(Arc::clone(problem), vec![(); problem.num_packets()])
-            .trace(self.cfg.trace)
-            .recording(self.cfg.record)
-            .observer(observer)
-            .build();
-        let mut pending: Vec<u32> = (0..problem.num_packets() as u32).collect();
-        let mut arrivals_buf: Vec<u32> = Vec::new();
-        let mut contenders: Vec<Contender> = Vec::new();
-        let mut nodes_buf: Vec<leveled_net::NodeId> = Vec::new();
-        let mut scratch = conflict::ConflictScratch::default();
-
-        while !sim.is_done() && sim.now() < self.cfg.max_steps {
-            sim.occupied_nodes_into(&mut nodes_buf);
-            for &v in &nodes_buf {
-                arrivals_buf.clear();
-                arrivals_buf.extend_from_slice(sim.arrivals(v));
-                contenders.clear();
-                for &p in &arrivals_buf {
-                    let desired = sim
-                        .next_move_of(p)
-                        .expect("active packets are not at their destination");
-                    let priority = match self.cfg.priority {
-                        GreedyPriority::Uniform => 0,
-                        GreedyPriority::FurthestToGo => {
-                            let pkt = sim.packet(p);
-                            let remaining =
-                                pkt.deviation_depth() + (sim.path_of(p).len() - pkt.base_idx());
-                            remaining as u32
-                        }
-                        GreedyPriority::Aging => sim.packet(p).deflections(),
-                    };
-                    contenders.push(Contender {
-                        pkt: p,
-                        desired,
-                        priority,
-                        arrival: sim.packet(p).last_move,
-                    });
-                }
-                // Fast path: a lone packet at a node cannot conflict.
-                if let [c] = contenders[..] {
-                    sim.stage_exit(c.pkt, c.desired, ExitKind::Advance)
-                        .expect("lone desired slot is free");
-                    continue;
-                }
-                let exits = conflict::resolve_into(
-                    &sim,
-                    v,
-                    &contenders,
-                    conflict::DeflectRule::SafeBackward {
-                        allow_fallback: true,
-                    },
-                    rng,
-                    &mut scratch,
-                )
-                .expect("fallback resolution cannot fail within degree bound");
-                for &e in exits {
-                    let kind = if e.won {
-                        ExitKind::Advance
-                    } else {
-                        ExitKind::Deflect { safe: e.safe }
-                    };
-                    sim.stage_exit(e.pkt, e.mv, kind)
-                        .expect("resolver produces feasible exits");
-                }
-            }
-
-            // Greedy injection: everyone tries every step until admitted.
-            pending.retain(|&p| match sim.try_inject(p).expect("pending") {
-                InjectOutcome::Injected | InjectOutcome::DeliveredTrivially => false,
-                InjectOutcome::Blocked => true,
-            });
-
-            sim.finish_step().expect("all arrivals staged");
-        }
-        let (stats, record) = sim.into_parts();
-        GreedyOutcome { stats, record }
+        let rule = self.cfg.priority;
+        route_batch(
+            problem,
+            vec![(); problem.num_packets()],
+            |sim, p| rule.priority_of(sim, p),
+            self.cfg.max_steps,
+            self.cfg.record,
+            rng,
+            observer,
+        )
     }
+}
+
+/// The batch run of the greedy family, shared by [`GreedyRouter`] and
+/// [`crate::RandomPriorityRouter`]: every pending packet tries to inject
+/// every step until admitted, and the packets in the network move by
+/// [`conflict::greedy_step`] under `priority`. `metas` seeds the
+/// per-packet metadata that `priority` may read.
+pub(crate) fn route_batch<M, R, O, P>(
+    problem: &Arc<RoutingProblem>,
+    metas: Vec<M>,
+    priority: P,
+    max_steps: u64,
+    record: bool,
+    rng: &mut R,
+    observer: &mut O,
+) -> GreedyOutcome
+where
+    R: Rng + ?Sized,
+    O: RouteObserver + ?Sized,
+    P: Fn(&Simulation<M, &mut O>, u32) -> u32,
+{
+    let mut sim = Simulation::builder(Arc::clone(problem), metas)
+        .recording(record)
+        .observer(observer)
+        .build();
+    let mut pending: Vec<u32> = (0..problem.num_packets() as u32).collect();
+    let mut scratch = GreedyScratch::default();
+    while !sim.is_done() && sim.now() < max_steps {
+        conflict::greedy_step(&mut sim, &priority, rng, &mut scratch);
+        pending.retain(|&p| match sim.try_inject(p).expect("pending") {
+            InjectOutcome::Injected | InjectOutcome::DeliveredTrivially => false,
+            InjectOutcome::Blocked => true,
+        });
+        sim.finish_step().expect("all arrivals staged");
+    }
+    let (stats, record) = sim.into_parts();
+    GreedyOutcome { stats, record }
 }
 
 impl Router for GreedyRouter {
@@ -251,7 +203,7 @@ mod tests {
         let net = Arc::new(builders::complete_leveled(8, 4));
         let prob = workloads::funnel(&net, 12, &mut rng).unwrap();
         let cfg = GreedyConfig {
-            priority: GreedyPriority::FurthestToGo,
+            priority: StreamPriority::FurthestToGo,
             ..Default::default()
         };
         let out = GreedyRouter::with_config(cfg).route(&prob, &mut rng);
@@ -266,7 +218,7 @@ mod tests {
         let coords = ButterflyCoords { k };
         let prob = workloads::butterfly_bit_reversal(&net, &coords);
         let cfg = GreedyConfig {
-            priority: GreedyPriority::Aging,
+            priority: StreamPriority::Aging,
             ..Default::default()
         };
         let out = GreedyRouter::with_config(cfg).route(&prob, &mut rng);
@@ -283,7 +235,7 @@ mod tests {
         let prob = workloads::funnel(&net, 16, &mut rng).unwrap();
         let uni = GreedyRouter::new().route(&prob, &mut rng);
         let cfg = GreedyConfig {
-            priority: GreedyPriority::Aging,
+            priority: StreamPriority::Aging,
             ..Default::default()
         };
         let aging = GreedyRouter::with_config(cfg).route(&prob, &mut rng);

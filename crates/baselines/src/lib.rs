@@ -2,14 +2,20 @@
 //!
 //! * [`GreedyRouter`] — plain greedy hot-potato routing: every packet is
 //!   injected as soon as its first link is free and always tries its next
-//!   current-path move; conflicts resolved uniformly at random (or by
-//!   furthest-to-go priority), losers deflected backward-and-safe when
-//!   possible, arbitrarily otherwise. The folklore algorithm the
-//!   experimental literature measures ([4, 5] in the paper).
+//!   current-path move; conflicts resolved uniformly at random (or by the
+//!   furthest-to-go or aging rule of [`hotpotato_sim::StreamPriority`]),
+//!   losers deflected backward-and-safe when possible, arbitrarily
+//!   otherwise. The folklore algorithm the experimental literature
+//!   measures ([4, 5] in the paper).
 //! * [`RandomPriorityRouter`] — greedy with *fixed random ranks*: each
 //!   packet draws a rank at the start and all conflicts are decided by
 //!   rank, in the spirit of Busch–Herlihy–Wattenhofer's randomized greedy
 //!   hot-potato routing (reference 11 in the paper).
+//!
+//!   Both greedy routers run one batch loop: pending packets retry
+//!   injection every step, and the network moves by
+//!   [`hotpotato_sim::conflict::greedy_step`], the step the streaming mode
+//!   runs too. They differ only in the priority closure they pass it.
 //! * [`StoreForwardRouter`] — the buffered baseline (re-exported from
 //!   `hotpotato-sim`): FIFO or random-rank scheduling on the preselected
 //!   paths with optional `Θ(C)` random initial delays, achieving
@@ -18,7 +24,7 @@
 pub mod greedy;
 pub mod random_priority;
 
-pub use greedy::{GreedyConfig, GreedyOutcome, GreedyPriority, GreedyRouter};
+pub use greedy::{GreedyConfig, GreedyOutcome, GreedyRouter};
 pub use hotpotato_sim::store_forward::{QueueDiscipline, StoreForwardConfig, StoreForwardOutcome};
 pub use random_priority::RandomPriorityRouter;
 

@@ -6,11 +6,11 @@
 //! reference 11 in the paper). A consistent total order avoids the livelock
 //! patterns of uniform tie-breaking: the globally top-ranked packet in
 //! flight never loses a conflict, so it advances one level per step.
+//!
+//! The router shuffles the ranks, then runs the shared greedy batch loop
+//! with each packet's rank as its priority.
 
-use hotpotato_sim::conflict::{self, Contender};
-use hotpotato_sim::{
-    ExitKind, InjectOutcome, NoopObserver, RouteObserver, RouteOutcome, Router, Simulation,
-};
+use hotpotato_sim::{NoopObserver, RouteObserver, RouteOutcome, Router};
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
 use routing_core::RoutingProblem;
@@ -58,72 +58,18 @@ impl RandomPriorityRouter {
         rng: &mut R,
         observer: &mut O,
     ) -> crate::greedy::GreedyOutcome {
-        let n = problem.num_packets();
         // A random permutation gives distinct ranks — a strict total order.
-        let mut ranks: Vec<u32> = (0..n as u32).collect();
+        let mut ranks: Vec<u32> = (0..problem.num_packets() as u32).collect();
         ranks.shuffle(rng);
-
-        let mut sim = Simulation::builder(Arc::clone(problem), ranks)
-            .recording(self.record)
-            .observer(observer)
-            .build();
-        let mut pending: Vec<u32> = (0..n as u32).collect();
-        let mut arrivals_buf: Vec<u32> = Vec::new();
-        let mut contenders: Vec<Contender> = Vec::new();
-        let mut nodes_buf: Vec<leveled_net::NodeId> = Vec::new();
-        let mut scratch = conflict::ConflictScratch::default();
-
-        while !sim.is_done() && sim.now() < self.max_steps {
-            sim.occupied_nodes_into(&mut nodes_buf);
-            for &v in &nodes_buf {
-                arrivals_buf.clear();
-                arrivals_buf.extend_from_slice(sim.arrivals(v));
-                contenders.clear();
-                for &p in &arrivals_buf {
-                    contenders.push(Contender {
-                        pkt: p,
-                        desired: sim
-                            .next_move_of(p)
-                            .expect("active packets are not at their destination"),
-                        priority: sim.packet(p).meta,
-                        arrival: sim.packet(p).last_move,
-                    });
-                }
-                // Fast path: a lone packet at a node cannot conflict.
-                if let [c] = contenders[..] {
-                    sim.stage_exit(c.pkt, c.desired, ExitKind::Advance)
-                        .expect("lone desired slot is free");
-                    continue;
-                }
-                let exits = conflict::resolve_into(
-                    &sim,
-                    v,
-                    &contenders,
-                    conflict::DeflectRule::SafeBackward {
-                        allow_fallback: true,
-                    },
-                    rng,
-                    &mut scratch,
-                )
-                .expect("fallback resolution cannot fail within degree bound");
-                for &e in exits {
-                    let kind = if e.won {
-                        ExitKind::Advance
-                    } else {
-                        ExitKind::Deflect { safe: e.safe }
-                    };
-                    sim.stage_exit(e.pkt, e.mv, kind)
-                        .expect("resolver produces feasible exits");
-                }
-            }
-            pending.retain(|&p| match sim.try_inject(p).expect("pending") {
-                InjectOutcome::Injected | InjectOutcome::DeliveredTrivially => false,
-                InjectOutcome::Blocked => true,
-            });
-            sim.finish_step().expect("all arrivals staged");
-        }
-        let (stats, record) = sim.into_parts();
-        crate::greedy::GreedyOutcome { stats, record }
+        crate::greedy::route_batch(
+            problem,
+            ranks,
+            |sim, p| sim.packet(p).meta,
+            self.max_steps,
+            self.record,
+            rng,
+            observer,
+        )
     }
 }
 

@@ -34,7 +34,7 @@ use hotpotato_trace::{schema, ShardOptions, Trace};
 use leveled_net::builders::{self, ButterflyCoords};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use routing_core::spec::parse_run_spec;
+use routing_core::spec::{parse_run_spec, RunSpec};
 use routing_core::workloads;
 use std::io::Write as _;
 use std::sync::Arc;
@@ -360,18 +360,10 @@ pub fn measure_verify(quick: bool) -> PerfMeasurement {
     let prob = workloads::butterfly_bit_reversal(&net, &coords);
     let n = prob.num_packets() as u64;
     let params = Params::auto(&prob);
-    let meta = schema::Meta {
-        schema: schema::SCHEMA_VERSION,
-        topo: format!("bf:{k}"),
-        workload: "bitrev".to_string(),
-        algo: "busch".to_string(),
-        seed: 1,
-        arrival: String::new(),
-        packets: n,
-        levels: net.num_levels() as u64,
-        congestion: u64::from(prob.congestion()),
-        dilation: u64::from(prob.dilation()),
-    };
+    let meta = schema::Meta::new(
+        &RunSpec::batch(&format!("bf:{k}"), "bitrev", "busch", 1),
+        &prob,
+    );
     let mut buf: Vec<u8> = Vec::new();
     writeln!(buf, "{}", schema::meta_line(&meta)).expect("vec sink");
     let mut obs = JsonlTraceObserver::with_snapshots(buf, &prob);

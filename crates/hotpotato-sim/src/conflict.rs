@@ -21,8 +21,14 @@
 //! The counting argument of Lemma 2.1 guarantees that, when packets are
 //! injected in isolation, steps 1–2 always succeed for the paper's
 //! algorithm; the unit tests exercise exactly the induction's cases.
+//!
+//! [`greedy_step`] is the one per-step loop of the greedy family (uniform,
+//! furthest-to-go and aging greedy, fixed-rank greedy, and the streaming
+//! mode): it gathers the contenders at every occupied node, ranks them by
+//! a priority closure such as [`StreamPriority::priority_of`], resolves with
+//! fallback allowed, and stages the exits.
 
-use crate::engine::Simulation;
+use crate::engine::{ExitKind, Simulation};
 use crate::observe::RouteObserver;
 use leveled_net::ids::{DirectedEdge, Direction};
 use leveled_net::{LeveledNetwork, NodeId};
@@ -363,6 +369,137 @@ pub fn resolve_into<'s, S: SlotView + ?Sized, R: Rng + ?Sized>(
     result.clear();
     result.extend(out.iter().map(|e| e.expect("all assigned")));
     Ok(result)
+}
+
+/// Conflict-priority rule of the greedy family. It orders conflicts in
+/// both batch greedy runs and streaming runs; a streaming run injects its
+/// queued packets in arrival order whatever the rule.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum StreamPriority {
+    /// All packets equal; conflicts resolved uniformly at random.
+    Uniform,
+    /// The packet with the most remaining current-path edges wins.
+    #[default]
+    FurthestToGo,
+    /// The packet deflected most often wins (aging): the standard
+    /// starvation-freedom device in practical deflection routers — a
+    /// packet's priority only ever rises, so it eventually outranks all
+    /// rivals on its route.
+    Aging,
+}
+
+impl StreamPriority {
+    /// The priority rule a run spec's algorithm name selects. Only the
+    /// greedy family has one: the Busch phase algorithm, fixed-rank
+    /// greedy and the store-and-forward baselines do not, so none of
+    /// them can run with streaming arrivals.
+    pub fn for_algo(algo: &str) -> Result<StreamPriority, String> {
+        match algo {
+            "greedy" => Ok(StreamPriority::Uniform),
+            "ftg" => Ok(StreamPriority::FurthestToGo),
+            "aging" => Ok(StreamPriority::Aging),
+            other => Err(format!(
+                "algorithm '{other}' does not support streaming arrivals \
+                 (streaming algos: greedy|ftg|aging)"
+            )),
+        }
+    }
+
+    /// Packet `p`'s priority under this rule; higher wins.
+    #[inline]
+    pub fn priority_of<M, O: RouteObserver>(self, sim: &Simulation<M, O>, p: u32) -> u32 {
+        match self {
+            StreamPriority::Uniform => 0,
+            StreamPriority::FurthestToGo => {
+                let pkt = sim.packet(p);
+                (pkt.deviation_depth() + (sim.path_of(p).len() - pkt.base_idx())) as u32
+            }
+            StreamPriority::Aging => sim.packet(p).deflections(),
+        }
+    }
+}
+
+/// Reusable buffers for [`greedy_step`]; the contents carry no state
+/// between steps.
+#[derive(Default)]
+pub struct GreedyScratch {
+    nodes: Vec<NodeId>,
+    contenders: Vec<Contender>,
+    conflict: ConflictScratch,
+}
+
+/// The in-network half of one greedy-family step: stages an exit for
+/// every packet that arrived somewhere this step. At each occupied node
+/// the arrivals contend for their next current-path moves; `priority`
+/// ranks them (higher wins, ties uniformly at random). A lone packet
+/// takes its move without drawing randomness. Losers deflect backward and
+/// safely, or onto any free exit when no safe edge is left: greedy
+/// injection gives no isolation, so Lemma 2.1's precondition can fail.
+///
+/// Uniform, furthest-to-go and aging greedy, fixed-rank greedy and the
+/// streaming loop all step through this function; they differ only in
+/// `priority` and in how they inject.
+// lint: hot-path
+pub fn greedy_step<M, O, R, P>(
+    sim: &mut Simulation<M, O>,
+    priority: P,
+    rng: &mut R,
+    scratch: &mut GreedyScratch,
+) where
+    O: RouteObserver,
+    R: Rng + ?Sized,
+    P: Fn(&Simulation<M, O>, u32) -> u32,
+{
+    let GreedyScratch {
+        nodes,
+        contenders,
+        conflict,
+    } = scratch;
+    sim.occupied_nodes_into(nodes);
+    for &v in nodes.iter() {
+        contenders.clear();
+        for &p in sim.arrivals(v) {
+            let desired = sim
+                .next_move_of(p)
+                // lint: allow-panic(engine invariant: an active packet is off-destination, so next_move_of is Some)
+                .expect("active packets are not at their destination");
+            contenders.push(Contender {
+                pkt: p,
+                desired,
+                priority: priority(&*sim, p),
+                arrival: sim.packet(p).last_move,
+            });
+        }
+        // lint: allow-panic(RangeFull slicing of a Vec cannot panic)
+        if let [c] = contenders[..] {
+            sim.stage_exit(c.pkt, c.desired, ExitKind::Advance)
+                // lint: allow-panic(engine invariant: a lone contender's desired slot is free by the bufferless law)
+                .expect("lone desired slot is free");
+            continue;
+        }
+        let exits = resolve_into(
+            &*sim,
+            v,
+            contenders,
+            DeflectRule::SafeBackward {
+                allow_fallback: true,
+            },
+            rng,
+            conflict,
+        )
+        // lint: allow-panic(engine invariant: fallback resolution always succeeds within the degree bound)
+        .expect("fallback resolution cannot fail within degree bound");
+        for &e in exits {
+            let kind = if e.won {
+                ExitKind::Advance
+            } else {
+                ExitKind::Deflect { safe: e.safe }
+            };
+            sim.stage_exit(e.pkt, e.mv, kind)
+                // lint: allow-panic(engine invariant: the resolver emits only feasible exits)
+                .expect("resolver produces feasible exits");
+        }
+    }
 }
 
 #[cfg(test)]

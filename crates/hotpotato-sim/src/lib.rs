@@ -19,10 +19,12 @@
 //! The [`conflict`] module provides the shared conflict-resolution routine
 //! (priority winners, *safe backward deflections* in the sense of the
 //! paper's Lemma 2.1) used by both the paper's algorithm and the greedy
-//! baselines. The [`streaming`] module drives the engine in the
-//! *continuous-injection* (online) mode: an open-ended step loop fed by
-//! an arrival process through bounded admission control, instead of the
-//! batch run-to-quiesce loop.
+//! baselines, and [`conflict::greedy_step`], the one per-step loop of the
+//! whole greedy family with its priority rule [`StreamPriority`]. The
+//! [`streaming`] module drives that step in the *continuous-injection*
+//! (online) mode: an open-ended loop fed by an arrival process through
+//! bounded admission control, instead of the batch run-to-quiesce loop
+//! of the `baselines` crate.
 //!
 //! Cross-cutting layers on top of the engines:
 //!
@@ -50,7 +52,7 @@ pub mod store_forward;
 pub mod streaming;
 pub mod summary;
 
-pub use conflict::SlotView;
+pub use conflict::{SlotView, StreamPriority};
 pub use engine::{
     ExitKind, InjectOutcome, PacketStatus, SimError, Simulation, SimulationBuilder, StepReport,
 };
@@ -64,7 +66,6 @@ pub use router_api::{RouteOutcome, Router};
 pub use soa::{SoaEngine, SoaShared, StepStage, NO_MOVE};
 pub use stats::{RouteStats, Time};
 pub use streaming::{
-    route_streaming, route_streaming_observed, AdmissionControl, StreamPriority, StreamingConfig,
-    StreamingOutcome,
+    route_streaming, route_streaming_observed, AdmissionControl, StreamingConfig, StreamingOutcome,
 };
 pub use summary::Summary;

@@ -14,20 +14,21 @@
 //!   the **in-flight cap** and their source port is free — a queued
 //!   packet is **deferred**, not dropped, for as long as that takes.
 //!
-//! In-network packets obey the unchanged hot-potato constraints (every
-//! active packet moves every step, one packet per edge per direction,
-//! absorb on arrival), resolved per node with the shared
-//! [`conflict`] routine and safe backward deflections. The run ends when
-//! every arrival has been delivered or dropped and the network has
-//! drained, or at the step cap.
+//! Queued packets are injected in arrival order. In-network packets obey
+//! the unchanged hot-potato constraints (every active packet moves every
+//! step, one packet per edge per direction, absorb on arrival): each step
+//! runs [`conflict::greedy_step`], the step batch greedy and fixed-rank
+//! greedy share, with conflicts ordered by the configured
+//! [`StreamPriority`]. The run ends when every arrival has been delivered
+//! or dropped and the network has drained, or at the step cap.
 //!
 //! The driver emits the standard engine events plus the two streaming
 //! events ([`RouteObserver::on_arrival`] / [`RouteObserver::on_drop`]),
 //! so metrics, JSONL traces, live serving, and replay verification all
 //! work on open-ended runs through the existing observer path.
 
-use crate::conflict::{self, Contender};
-use crate::engine::{ExitKind, InjectOutcome, Simulation};
+use crate::conflict::{self, StreamPriority};
+use crate::engine::{InjectOutcome, Simulation};
 use crate::observe::{NoopObserver, RouteObserver};
 use crate::record::RunRecord;
 use crate::stats::{RouteStats, Time};
@@ -56,38 +57,6 @@ impl Default for AdmissionControl {
     }
 }
 
-/// Conflict-resolution priority rule for in-network streaming packets
-/// (the same rules as the greedy baseline).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum StreamPriority {
-    /// All packets equal; conflicts resolved uniformly at random.
-    Uniform,
-    /// The packet with the most remaining current-path edges wins.
-    #[default]
-    FurthestToGo,
-    /// The packet deflected most often wins (starvation freedom).
-    Aging,
-}
-
-impl StreamPriority {
-    /// The priority rule a run spec's algorithm name selects in
-    /// streaming mode. The streaming driver runs the shared
-    /// conflict-resolution core directly, so only the priority-rule
-    /// algorithms map onto it (the Busch phase algorithm and the
-    /// store-and-forward baselines are batch-only).
-    pub fn for_algo(algo: &str) -> Result<StreamPriority, String> {
-        match algo {
-            "greedy" => Ok(StreamPriority::Uniform),
-            "ftg" => Ok(StreamPriority::FurthestToGo),
-            "aging" => Ok(StreamPriority::Aging),
-            other => Err(format!(
-                "algorithm '{other}' does not support streaming arrivals \
-                 (streaming algos: greedy|ftg|aging)"
-            )),
-        }
-    }
-}
-
 /// Configuration of a streaming run.
 #[derive(Clone, Copy, Debug)]
 pub struct StreamingConfig {
@@ -98,8 +67,6 @@ pub struct StreamingConfig {
     /// Safety cap on simulated steps (the loop is open-ended; a cap
     /// keeps adversarial schedules finite).
     pub max_steps: u64,
-    /// Record the per-step active-packet trace.
-    pub trace: bool,
     /// Record every movement event for independent replay auditing.
     pub record: bool,
 }
@@ -110,7 +77,6 @@ impl Default for StreamingConfig {
             admission: AdmissionControl::default(),
             priority: StreamPriority::default(),
             max_steps: 5_000_000,
-            trace: false,
             record: false,
         }
     }
@@ -179,7 +145,6 @@ pub fn route_streaming_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
     // lint: allow-panic(api precondition: the schedule/packet arity contract is the fn's one caller-facing assert)
     assert_eq!(schedule.len(), n, "arrival schedule must time every packet");
     let mut sim = Simulation::builder(Arc::clone(problem), vec![(); n])
-        .trace(cfg.trace)
         .recording(cfg.record)
         .observer(observer)
         .build();
@@ -200,10 +165,7 @@ pub fn route_streaming_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
     let mut peak_deferred = 0usize;
     let mut peak_in_flight = 0usize;
 
-    let mut arrivals_buf: Vec<u32> = Vec::new();
-    let mut contenders: Vec<Contender> = Vec::new();
-    let mut nodes_buf: Vec<leveled_net::NodeId> = Vec::new();
-    let mut scratch = conflict::ConflictScratch::default();
+    let mut scratch = conflict::GreedyScratch::default();
 
     loop {
         let all_arrived = next_arrival >= n;
@@ -216,63 +178,12 @@ pub fn route_streaming_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
         let now = sim.now();
 
         // 1. Every in-network packet must be staged an exit (no rest).
-        sim.occupied_nodes_into(&mut nodes_buf);
-        for &v in &nodes_buf {
-            arrivals_buf.clear();
-            arrivals_buf.extend_from_slice(sim.arrivals(v));
-            contenders.clear();
-            for &p in &arrivals_buf {
-                let desired = sim
-                    .next_move_of(p)
-                    // lint: allow-panic(engine invariant: an active packet is off-destination, so next_move_of is Some)
-                    .expect("active packets are not at their destination");
-                let priority = match cfg.priority {
-                    StreamPriority::Uniform => 0,
-                    StreamPriority::FurthestToGo => {
-                        let pkt = sim.packet(p);
-                        let remaining =
-                            pkt.deviation_depth() + (sim.path_of(p).len() - pkt.base_idx());
-                        remaining as u32
-                    }
-                    StreamPriority::Aging => sim.packet(p).deflections(),
-                };
-                contenders.push(Contender {
-                    pkt: p,
-                    desired,
-                    priority,
-                    arrival: sim.packet(p).last_move,
-                });
-            }
-            // lint: allow-panic(RangeFull slicing of a Vec cannot panic)
-            if let [c] = contenders[..] {
-                sim.stage_exit(c.pkt, c.desired, ExitKind::Advance)
-                    // lint: allow-panic(engine invariant: a lone contender's desired slot is free by the bufferless law)
-                    .expect("lone desired slot is free");
-                continue;
-            }
-            let exits = conflict::resolve_into(
-                &sim,
-                v,
-                &contenders,
-                conflict::DeflectRule::SafeBackward {
-                    allow_fallback: true,
-                },
-                rng,
-                &mut scratch,
-            )
-            // lint: allow-panic(engine invariant: fallback resolution always succeeds within the degree bound)
-            .expect("fallback resolution cannot fail within degree bound");
-            for &e in exits {
-                let kind = if e.won {
-                    ExitKind::Advance
-                } else {
-                    ExitKind::Deflect { safe: e.safe }
-                };
-                sim.stage_exit(e.pkt, e.mv, kind)
-                    // lint: allow-panic(engine invariant: the resolver emits only feasible exits)
-                    .expect("resolver produces feasible exits");
-            }
-        }
+        conflict::greedy_step(
+            &mut sim,
+            |sim, p| cfg.priority.priority_of(sim, p),
+            rng,
+            &mut scratch,
+        );
 
         // 2. Arrival intake: packets whose step has come enter the
         // queue, or are dropped if the queue is at its bound.

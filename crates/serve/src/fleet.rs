@@ -123,19 +123,8 @@ impl FleetSnapshot {
 /// audits offline. The bench harness reuses this to build `t1`/`t8`
 /// from fleet artifacts.
 pub fn run_fleet_spec(spec: &RunSpec, verify: bool) -> Result<FleetSample, String> {
-    let (topo, problem, mut rng) = spec.instantiate()?;
-    let meta = schema::Meta {
-        schema: schema::SCHEMA_VERSION,
-        topo: spec.topo.clone(),
-        workload: spec.workload.clone(),
-        algo: spec.algo.clone(),
-        seed: spec.seed,
-        arrival: spec.arrival.clone().unwrap_or_default(),
-        packets: problem.num_packets() as u64,
-        levels: topo.net.num_levels() as u64,
-        congestion: u64::from(problem.congestion()),
-        dilation: u64::from(problem.dilation()),
-    };
+    let (_, problem, mut rng) = spec.instantiate()?;
+    let meta = schema::Meta::new(spec, &problem);
     let mut buf: Vec<u8> = Vec::new();
     writeln!(buf, "{}", schema::meta_line(&meta)).expect("vec sink");
     let mut obs = JsonlTraceObserver::with_snapshots(buf, &problem);
@@ -149,7 +138,7 @@ pub fn run_fleet_spec(spec: &RunSpec, verify: bool) -> Result<FleetSample, Strin
             route_streaming_observed(&problem, &schedule, &cfg, &mut rng, &mut obs).stats
         }
         None => {
-            let router = build_router(&spec.algo, &problem)?;
+            let router = build_router(&spec.algo, &problem, false)?;
             router.route(&problem, &mut rng, &mut obs).stats
         }
     };
@@ -170,18 +159,10 @@ pub fn run_fleet_router(
     seed: u64,
     verify: bool,
 ) -> Result<FleetSample, String> {
-    let meta = schema::Meta {
-        schema: schema::SCHEMA_VERSION,
-        topo: topo.to_string(),
-        workload: workload.to_string(),
-        algo: router.name().to_string(),
-        seed,
-        arrival: String::new(),
-        packets: problem.num_packets() as u64,
-        levels: problem.network().num_levels() as u64,
-        congestion: u64::from(problem.congestion()),
-        dilation: u64::from(problem.dilation()),
-    };
+    let meta = schema::Meta::new(
+        &RunSpec::batch(topo, workload, router.name(), seed),
+        problem,
+    );
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut buf: Vec<u8> = Vec::new();
     writeln!(buf, "{}", schema::meta_line(&meta)).expect("vec sink");
@@ -729,10 +710,10 @@ mod tests {
 
     #[test]
     fn failed_runs_are_counted_not_fatal() {
-        // `aging` parses as an algorithm but no router builds it here, so
-        // the run fails at execution and the sweep keeps going.
+        // `rank` parses as an algorithm but has no streaming rule, so the
+        // run fails at execution and the sweep keeps going.
         let mut specs = expand_sweep("bf:5/bitrev/busch/1..2").unwrap();
-        specs.extend(expand_sweep("bf:5/bitrev/aging/1").unwrap());
+        specs.extend(expand_sweep("bf:5/bitrev/rank/1/poisson:0.5").unwrap());
         let mut service = FleetService::launch(FleetConfig {
             specs,
             workers: 2,
@@ -747,7 +728,7 @@ mod tests {
         assert_eq!(runs, 2);
         assert_eq!(failed, 1);
         assert_eq!(errors.len(), 1, "{errors:?}");
-        assert!(errors[0].contains("aging"), "{errors:?}");
+        assert!(errors[0].contains("rank"), "{errors:?}");
     }
 
     #[test]

@@ -12,10 +12,8 @@
 use crate::http::{Request, Response, EXPOSITION_CONTENT_TYPE};
 use crate::live::{LiveObserver, LiveSnapshot, DEFL_BUCKET_BOUNDS, LAT_BUCKET_BOUNDS};
 use crate::prom::{Kind, PromWriter};
-use baselines::{
-    GreedyConfig, GreedyPriority, GreedyRouter, RandomPriorityRouter, StoreForwardRouter,
-};
-use busch_router::{BuschRouter, Params};
+use baselines::{GreedyConfig, GreedyRouter, RandomPriorityRouter, StoreForwardRouter};
+use busch_router::{BuschConfig, BuschRouter, Params};
 use hotpotato_sim::{
     route_streaming_observed, AdmissionControl, Router, SnapshotReader, StreamPriority,
     StreamingConfig,
@@ -58,20 +56,29 @@ impl RunConfig {
     }
 }
 
-/// Builds the router the CLI would build for `algo` (default
-/// configurations; `record` off — the service audits nothing offline).
-pub fn build_router(algo: &str, problem: &RoutingProblem) -> Result<Box<dyn Router>, String> {
+/// Builds the batch router `algo` names, with default configurations and
+/// move recording as `record` says: the one table from algorithm names
+/// to batch routers (the CLI builds only Busch with explicit `--params`
+/// itself).
+pub fn build_router(
+    algo: &str,
+    problem: &RoutingProblem,
+    record: bool,
+) -> Result<Box<dyn Router>, String> {
     Ok(match algo {
-        "busch" => Box::new(BuschRouter::new(Params::auto(problem))),
-        "greedy" | "ftg" => Box::new(GreedyRouter::with_config(GreedyConfig {
-            priority: if algo == "ftg" {
-                GreedyPriority::FurthestToGo
-            } else {
-                GreedyPriority::Uniform
-            },
+        "busch" => Box::new(BuschRouter::with_config(BuschConfig {
+            record,
+            ..BuschConfig::new(Params::auto(problem))
+        })),
+        "greedy" | "ftg" | "aging" => Box::new(GreedyRouter::with_config(GreedyConfig {
+            priority: StreamPriority::for_algo(algo)?,
+            record,
             ..Default::default()
         })),
-        "rank" => Box::new(RandomPriorityRouter::default()),
+        "rank" => Box::new(RandomPriorityRouter {
+            record,
+            ..Default::default()
+        }),
         "sf" => Box::new(StoreForwardRouter::fifo()),
         "sfrank" => Box::new(StoreForwardRouter::random_rank(problem.congestion() as u64)),
         other => return Err(format!("unknown algorithm '{other}'")),
@@ -120,7 +127,7 @@ impl Service {
                     StreamPriority::for_algo(&spec.algo)?;
                 }
                 None => {
-                    build_router(&spec.algo, &problem)?;
+                    build_router(&spec.algo, &problem, false)?;
                 }
             }
             let name = spec.name();
@@ -161,8 +168,8 @@ impl Service {
                         observer.finish(&outcome.stats);
                     }
                     None => {
-                        let router =
-                            build_router(&spec.algo, &problem).expect("algo validated at launch");
+                        let router = build_router(&spec.algo, &problem, false)
+                            .expect("algo validated at launch");
                         let outcome = router.route(&problem, &mut rng, &mut observer);
                         observer.finish(&outcome.stats);
                     }
@@ -550,4 +557,30 @@ fn render_rollup(name: &str, reader: &SnapshotReader<LiveSnapshot>) -> String {
 pub fn into_handler(service: Service) -> Arc<dyn Fn(&Request) -> Response + Send + Sync> {
     let service = Arc::new(service);
     Arc::new(move |req: &Request| service.handle(req))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use routing_core::spec::{parse_run_spec, KNOWN_ALGOS};
+
+    #[test]
+    fn every_known_algo_builds_a_batch_router() {
+        let (_, problem, _) = parse_run_spec("bf:4/bitrev")
+            .unwrap()
+            .instantiate()
+            .unwrap();
+        for &algo in KNOWN_ALGOS {
+            let router = build_router(algo, &problem, true)
+                .unwrap_or_else(|e| panic!("'{algo}' does not build: {e}"));
+            // Variants of one router share its name.
+            let want = match algo {
+                "ftg" | "aging" => "greedy",
+                "sfrank" => "sf",
+                other => other,
+            };
+            assert_eq!(router.name(), want);
+        }
+        assert!(build_router("nosuch", &problem, false).is_err());
+    }
 }

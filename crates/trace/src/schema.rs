@@ -15,6 +15,8 @@
 
 use hotpotato_sim::{ExitKind, RouteStats, Time};
 use leveled_net::{Direction, EdgeId};
+use routing_core::spec::RunSpec;
+use routing_core::RoutingProblem;
 use serde::Value;
 
 /// The trace schema version carried by the `meta` line and the live
@@ -58,6 +60,26 @@ pub struct Meta {
     pub congestion: u64,
     /// Instance dilation `D`.
     pub dilation: u64,
+}
+
+impl Meta {
+    /// The envelope of a run labelled by `spec` on `problem`: the labels
+    /// come from the spec, the packet and level counts, `C` and `D` from
+    /// the problem.
+    pub fn new(spec: &RunSpec, problem: &RoutingProblem) -> Meta {
+        Meta {
+            schema: SCHEMA_VERSION,
+            topo: spec.topo.clone(),
+            workload: spec.workload.clone(),
+            algo: spec.algo.clone(),
+            seed: spec.seed,
+            arrival: spec.arrival.clone().unwrap_or_default(),
+            packets: problem.num_packets() as u64,
+            levels: problem.network().num_levels() as u64,
+            congestion: u64::from(problem.congestion()),
+            dilation: u64::from(problem.dilation()),
+        }
+    }
 }
 
 /// The `stats` envelope line: the final per-packet statistics the

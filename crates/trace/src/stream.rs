@@ -168,56 +168,6 @@ impl StreamingAggregator {
         last
     }
 
-    /// Folds another aggregator into this one — the cross-run
-    /// accumulation path of the fleet observatory. `other`'s buckets are
-    /// appended in order through the same cap-respecting merge machinery
-    /// the live path uses: a bucket landing in the current last bucket's
-    /// slot is absorbed there, anything else opens a new bucket (merging
-    /// pairwise at the cap, exactly like a live key arrival).
-    ///
-    /// Two invariants hold unconditionally: the bucket count never
-    /// exceeds the cap, and bucket sums stay exact (folded totals equal
-    /// the sum of every constituent run's totals). When the per-run
-    /// bucket grids align — runs of the same shape under the same cap,
-    /// the fleet case — folding N per-run aggregators produces exactly
-    /// the state of one aggregator fed the concatenated stream.
-    pub fn fold(&mut self, other: &StreamingAggregator) {
-        self.phased |= other.phased;
-        // Adopt the coarser grid: a run that merged down to scale S
-        // groups S keys per bucket, and folding it at a finer scale
-        // would mistake each wide bucket for a distinct key.
-        if other.scale > self.scale {
-            self.scale = other.scale;
-        }
-        for i in 0..other.buckets.len() {
-            self.fold_bucket(&other.buckets[i]);
-        }
-        let mut totals = self.total;
-        totals.absorb(&other.total);
-        totals.key_lo = 0;
-        totals.key_hi = 0;
-        self.total = totals;
-    }
-
-    fn fold_bucket(&mut self, b: &Bucket) {
-        let slot = b.key_lo / self.scale;
-        let fits_last = self
-            .buckets
-            .last()
-            .is_some_and(|last| last.key_hi / self.scale == slot);
-        if fits_last {
-            self.buckets.last_mut().expect("non-empty").absorb(b);
-            return;
-        }
-        if self.buckets.len() == self.cap {
-            self.merge_sweep();
-            // The doubled scale may fold the range into the new last
-            // bucket; recheck before appending.
-            return self.fold_bucket(b);
-        }
-        self.buckets.push(*b);
-    }
-
     /// Current bucket key for the step that just ended.
     fn key_for(&self, t: Time) -> u64 {
         if self.phased {
@@ -363,93 +313,6 @@ mod tests {
             expect = b.key_hi + 1;
         }
         assert_eq!(expect, 1000);
-    }
-
-    /// One simulated run of `len` steps with per-step keys `0..len`,
-    /// fed into `agg` (the per-run stream the fleet folds).
-    fn feed_run(agg: &mut StreamingAggregator, len: u64, moved: usize, defl: usize) {
-        for t in 0..len {
-            step(agg, t, moved, defl);
-        }
-    }
-
-    /// Folding N per-run aggregators must equal one aggregator over the
-    /// concatenated stream — pinned at 2, 8, and 64 runs, both with and
-    /// without cap-forced merges, per the fleet cross-run contract.
-    fn assert_fold_equals_concat(runs: usize, cap: usize, len: u64) {
-        let mut concat = StreamingAggregator::new(cap);
-        let mut folded = StreamingAggregator::new(cap);
-        for r in 0..runs {
-            let moved = 2 + r % 3;
-            feed_run(&mut concat, len, moved, 1);
-            let mut per_run = StreamingAggregator::new(cap);
-            feed_run(&mut per_run, len, moved, 1);
-            folded.fold(&per_run);
-        }
-        // Cap respected.
-        assert!(folded.buckets().len() <= cap, "{runs} runs");
-        // Exact sums: totals equal the concatenated stream's totals and
-        // the bucket sums re-derive them.
-        assert_eq!(folded.totals(), concat.totals(), "{runs} runs");
-        let steps: u64 = folded.buckets().iter().map(|b| b.steps).sum();
-        assert_eq!(steps, runs as u64 * len, "{runs} runs");
-        // Same-shaped runs under the same cap: bucket-for-bucket equal.
-        // (`merges` is a diagnostic of *how* each aggregator got here and
-        // legitimately differs; the state itself must not.)
-        assert_eq!(folded.scale(), concat.scale(), "{runs} runs");
-        assert_eq!(folded.buckets(), concat.buckets(), "{runs} runs");
-        assert_eq!(
-            folded.to_json()["totals"],
-            concat.to_json()["totals"],
-            "{runs} runs"
-        );
-        assert_eq!(
-            folded.to_json()["buckets"],
-            concat.to_json()["buckets"],
-            "{runs} runs"
-        );
-    }
-
-    #[test]
-    fn folding_two_runs_equals_concatenated_stream() {
-        assert_fold_equals_concat(2, 64, 40); // no merges
-        assert_fold_equals_concat(2, 4, 100); // cap-forced merges
-    }
-
-    #[test]
-    fn folding_eight_runs_equals_concatenated_stream() {
-        assert_fold_equals_concat(8, 64, 40);
-        assert_fold_equals_concat(8, 4, 100);
-    }
-
-    #[test]
-    fn folding_sixty_four_runs_equals_concatenated_stream() {
-        assert_fold_equals_concat(64, 64, 40);
-        assert_fold_equals_concat(64, 4, 100);
-    }
-
-    #[test]
-    fn folding_varied_length_runs_keeps_sums_exact_under_cap() {
-        // Runs of different lengths: bucket-for-bucket equality is not
-        // promised, but the cap and the exact-sum invariant are.
-        let cap = 8;
-        let mut folded = StreamingAggregator::new(cap);
-        let mut expect_steps = 0u64;
-        let mut expect_moved = 0u64;
-        for r in 1..=10u64 {
-            let mut per_run = StreamingAggregator::new(cap);
-            feed_run(&mut per_run, 10 * r, 3, 1);
-            expect_steps += 10 * r;
-            expect_moved += 30 * r;
-            folded.fold(&per_run);
-            assert!(folded.buckets().len() <= cap, "run {r}");
-        }
-        assert_eq!(folded.totals().steps, expect_steps);
-        assert_eq!(folded.totals().moved, expect_moved);
-        let steps: u64 = folded.buckets().iter().map(|b| b.steps).sum();
-        let moved: u64 = folded.buckets().iter().map(|b| b.moved).sum();
-        assert_eq!(steps, expect_steps);
-        assert_eq!(moved, expect_moved);
     }
 
     #[test]

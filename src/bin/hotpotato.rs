@@ -36,7 +36,7 @@
 //!   pairs:N | m2m:N | permutation | bitrev | transpose
 //!   hotspot:N:D | funnel:N | level:FROM:TO | blast:FROM:TO
 //!
-//! algorithms: busch (default) | greedy | ftg | rank | sf | sfrank
+//! algorithms: busch (default) | greedy | ftg | aging | rank | sf | sfrank
 //!             (streaming arrivals: greedy | ftg | aging)
 //!
 //! arrival P (continuous-injection streaming mode):
@@ -57,9 +57,6 @@
 //! hotpotato params 64 32 1024
 //! ```
 
-use baselines::{
-    GreedyConfig, GreedyPriority, GreedyRouter, RandomPriorityRouter, StoreForwardRouter,
-};
 use busch_router::{BuschConfig, BuschRouter, FrameSchedule, InvariantReport, PaperParams, Params};
 use hotpotato_sim::{
     route_streaming_observed, AdmissionControl, JsonlTraceObserver, MetricsObserver, Router,
@@ -125,7 +122,7 @@ fn print_usage() {
          \u{20}           random:L[:WMAX[:PROB[:SEED]]]\n\
          workloads:  pairs:N m2m:N permutation bitrev transpose hotspot:N:D\n\
          \u{20}           funnel:N level:FROM:TO blast:FROM:TO\n\
-         algorithms: busch greedy ftg rank sf sfrank (streaming: greedy ftg aging)\n\
+         algorithms: busch greedy ftg aging rank sf sfrank (streaming: greedy ftg aging)\n\
          arrivals:   poisson:RATE burst:SIZE:PERIOD replay:T0,T1,... \
          adversarial:SIZE:GAP"
     );
@@ -252,7 +249,6 @@ fn cmd_route(args: &[String]) -> i32 {
         }
     };
     let algo = run.algo.as_str();
-    let seed = run.seed;
     if !json {
         println!("problem:  {}", problem.describe());
         println!(
@@ -281,7 +277,6 @@ fn cmd_route(args: &[String]) -> i32 {
                         .and_then(|s| s.parse().ok())
                         .unwrap_or(5_000_000),
                     record: verify,
-                    ..StreamingConfig::default()
                 };
                 Some((process, cfg))
             }
@@ -297,9 +292,10 @@ fn cmd_route(args: &[String]) -> i32 {
     };
 
     // Algorithm dispatch (batch mode): every router reduces to the same
-    // object-safe interface; only the Busch router carries extra pre-run
-    // output (parameters) and post-run output (invariants). Streaming
-    // drives the conflict core directly, so it builds no router.
+    // object-safe interface and comes from `serve::build_router`, except
+    // Busch, whose `--params` and pre-run parameter output live here (it
+    // also carries post-run output: invariants). Streaming runs the
+    // shared greedy step directly, so it builds no router.
     let mut params: Option<Params> = None;
     let router: Option<Box<dyn Router>> = match algo {
         _ if streaming.is_some() => None,
@@ -342,30 +338,13 @@ fn cmd_route(args: &[String]) -> i32 {
             };
             Some(Box::new(BuschRouter::with_config(cfg)))
         }
-        "greedy" | "ftg" => {
-            let cfg = GreedyConfig {
-                priority: if algo == "ftg" {
-                    GreedyPriority::FurthestToGo
-                } else {
-                    GreedyPriority::Uniform
-                },
-                record: verify,
-                ..Default::default()
-            };
-            Some(Box::new(GreedyRouter::with_config(cfg)))
-        }
-        "rank" => Some(Box::new(RandomPriorityRouter {
-            record: verify,
-            ..Default::default()
-        })),
-        "sf" => Some(Box::new(StoreForwardRouter::fifo())),
-        "sfrank" => Some(Box::new(StoreForwardRouter::random_rank(
-            problem.congestion() as u64,
-        ))),
-        other => {
-            eprintln!("unknown algorithm '{other}'");
-            return 2;
-        }
+        _ => match serve::service::build_router(algo, &problem, verify) {
+            Ok(router) => Some(router),
+            Err(e) => {
+                eprintln!("{e}");
+                return 2;
+            }
+        },
     };
 
     // Optional event sinks; `(Option<A>, Option<B>)` is itself an
@@ -376,18 +355,7 @@ fn cmd_route(args: &[String]) -> i32 {
     let metrics = metrics_out.map(|_| MetricsObserver::new(&problem).with_occupancy_sampling(64));
     let trace = match trace_out {
         Some(path) => {
-            let meta = schema::Meta {
-                schema: schema::SCHEMA_VERSION,
-                topo: run.topo.clone(),
-                workload: run.workload.clone(),
-                algo: algo.to_string(),
-                seed,
-                arrival: run.arrival.clone().unwrap_or_default(),
-                packets: problem.num_packets() as u64,
-                levels: topo.net.num_levels() as u64,
-                congestion: u64::from(problem.congestion()),
-                dilation: u64::from(problem.dilation()),
-            };
+            let meta = schema::Meta::new(&run, &problem);
             let sink = std::fs::File::create(path).and_then(|f| {
                 let mut w = std::io::BufWriter::new(f);
                 writeln!(w, "{}", schema::meta_line(&meta))?;
@@ -538,7 +506,7 @@ fn cmd_route(args: &[String]) -> i32 {
     } else {
         match algo {
             "busch" => println!("busch:    {}", stats.summary()),
-            "greedy" | "ftg" => println!("{algo}:   {}", stats.summary()),
+            "greedy" | "ftg" | "aging" => println!("{algo}:   {}", stats.summary()),
             "rank" => println!("rank:     {}", stats.summary()),
             "sf" => println!(
                 "sf:       {} (max queue {})",
@@ -552,7 +520,7 @@ fn cmd_route(args: &[String]) -> i32 {
             ),
             _ => unreachable!("dispatch rejected unknown algorithms"),
         }
-        if matches!(algo, "busch" | "greedy" | "ftg") {
+        if matches!(algo, "busch" | "greedy" | "ftg" | "aging") {
             println!("latency:  {}", stats.latency_summary());
         }
         if algo == "busch" {

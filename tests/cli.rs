@@ -106,6 +106,19 @@ fn route_all_baselines() {
 }
 
 #[test]
+fn route_batch_aging_spec() {
+    // `aging` is a known algorithm, so batch mode must run it too, not
+    // only streaming mode.
+    let (out, err, code) = hotpotato(&["route", "--spec", "bf:4/bitrev/aging", "--verify"]);
+    assert_eq!(code, 0, "{err}");
+    assert!(
+        out.contains("aging:") && out.contains("delivered 16/16"),
+        "{out}"
+    );
+    assert!(out.contains("replay:   VERIFIED"), "{out}");
+}
+
+#[test]
 fn route_workload_topology_mismatch() {
     let (_, err, code) = hotpotato(&["route", "--topo", "linear:5", "--workload", "permutation"]);
     assert_eq!(code, 2);

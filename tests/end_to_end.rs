@@ -1,10 +1,9 @@
 //! End-to-end integration: every topology × every algorithm delivers every
 //! packet, and the outcomes respect the basic physics of the model.
 
-use baselines::{
-    GreedyConfig, GreedyPriority, GreedyRouter, RandomPriorityRouter, StoreForwardRouter,
-};
+use baselines::{GreedyConfig, GreedyRouter, RandomPriorityRouter, StoreForwardRouter};
 use hotpotato_routing::prelude::*;
+use hotpotato_sim::StreamPriority;
 use leveled_net::builders::{ButterflyCoords, MeshCorner};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -112,7 +111,7 @@ fn greedy_delivers_on_the_whole_zoo() {
 #[test]
 fn greedy_furthest_first_delivers_on_the_whole_zoo() {
     let cfg = GreedyConfig {
-        priority: GreedyPriority::FurthestToGo,
+        priority: StreamPriority::FurthestToGo,
         ..Default::default()
     };
     for (i, problem) in instance_zoo(3).into_iter().enumerate() {
