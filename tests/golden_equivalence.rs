@@ -75,11 +75,16 @@ fn golden_path(name: &str) -> PathBuf {
 /// Compares the encoded run against the committed golden file; with
 /// `HOTPOTATO_BLESS=1`, rewrites the golden instead.
 fn check_golden(name: &str, stats: &RouteStats, record: &RunRecord) {
-    let encoded = encode(stats, record);
+    check_encoded(name, &encode(stats, record));
+}
+
+/// Compares `encoded` against the committed golden file `name`; with
+/// `HOTPOTATO_BLESS=1`, rewrites the golden instead.
+fn check_encoded(name: &str, encoded: &str) {
     let path = golden_path(name);
     if std::env::var("HOTPOTATO_BLESS").is_ok_and(|v| v == "1") {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &encoded).unwrap();
+        std::fs::write(&path, encoded).unwrap();
         eprintln!("blessed {}", path.display());
         return;
     }
@@ -295,4 +300,283 @@ fn observed_run_matches_unobserved_golden() {
     for line in jsonl.lines() {
         serde_json::from_str(line).expect("trace lines are valid JSON");
     }
+}
+
+// ---------------------------------------------------------------------
+// Outcome goldens: everything a run reports, not just its moves.
+// ---------------------------------------------------------------------
+
+/// 64-bit FNV-1a: a dependency-free digest for pinning byte streams.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Writes `key:` followed by `values`, 32 to a line, so a divergence
+/// shows up as a short diff near the packet or step that moved.
+fn write_array(out: &mut String, key: &str, values: impl IntoIterator<Item = String>) {
+    writeln!(out, "{key}:").unwrap();
+    let values: Vec<String> = values.into_iter().collect();
+    for chunk in values.chunks(32) {
+        writeln!(out, "  {}", chunk.join(" ")).unwrap();
+    }
+}
+
+/// Canonical text encoding of an outcome: every `RouteStats` array and
+/// counter, the driver-specific `extra` lines, and the length and
+/// FNV-1a-64 digest of the run's JSONL trace stream. The active-count
+/// trace is run-length encoded (`value*count`): Busch runs idle for long
+/// stretches between phases.
+fn encode_outcome(stats: &RouteStats, extra: &[String], trace: &[u8]) -> String {
+    let opt = |t: &Option<u64>| t.map_or_else(|| "-".to_string(), |t| t.to_string());
+    let mut out = String::new();
+    writeln!(out, "# golden outcome v2").unwrap();
+    writeln!(out, "steps_run={}", stats.steps_run).unwrap();
+    for (k, v) in &stats.counters {
+        writeln!(out, "counter {k}={v}").unwrap();
+    }
+    for line in extra {
+        writeln!(out, "{line}").unwrap();
+    }
+    write_array(&mut out, "injected_at", stats.injected_at.iter().map(opt));
+    write_array(&mut out, "delivered_at", stats.delivered_at.iter().map(opt));
+    write_array(
+        &mut out,
+        "deflections",
+        stats.deflections.iter().map(u32::to_string),
+    );
+    write_array(
+        &mut out,
+        "max_deviation",
+        stats.max_deviation.iter().map(u32::to_string),
+    );
+    match &stats.active_trace {
+        None => writeln!(out, "active_trace: none").unwrap(),
+        Some(trace) => {
+            let mut runs: Vec<(u32, usize)> = Vec::new();
+            for &v in trace {
+                match runs.last_mut() {
+                    Some((last, n)) if *last == v => *n += 1,
+                    _ => runs.push((v, 1)),
+                }
+            }
+            write_array(
+                &mut out,
+                "active_trace",
+                runs.iter().map(|(v, n)| format!("{v}*{n}")),
+            );
+        }
+    }
+    writeln!(
+        out,
+        "jsonl bytes={} fnv1a64={:016x}",
+        trace.len(),
+        fnv1a64(trace)
+    )
+    .unwrap();
+    out
+}
+
+/// A Busch run with trace and recording on, observed by a JSONL sink.
+fn busch_traced(
+    problem: &Arc<routing_core::RoutingProblem>,
+    seed: u64,
+) -> (busch_router::BuschOutcome, Vec<u8>) {
+    let router = BuschRouter::with_config(BuschConfig {
+        record: true,
+        trace: true,
+        ..BuschConfig::new(Params::auto(problem))
+    });
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut sink = hotpotato_sim::JsonlTraceObserver::new(Vec::new());
+    let out = router.route_observed(problem, &mut rng, &mut sink);
+    (out, sink.finish().expect("no io errors"))
+}
+
+/// Pins a traced Busch run's full outcome against golden `name`.
+fn check_busch_outcome(name: &str, topo: &str, workload: &str, seed: u64) {
+    let (_, problem) = routing_core::spec::reconstruct_problem(topo, workload, 42).unwrap();
+    let (out, trace) = busch_traced(&problem, seed);
+    assert!(out.stats.all_delivered(), "golden run must deliver");
+    let inv = &out.invariants;
+    let extra = vec![
+        format!("phases_elapsed={}", out.phases_elapsed),
+        format!(
+            "invariants isolation={} unsafe={} paths={} escapes={} cross_set={} \
+             congestion={} rear={} checks={}",
+            inv.isolation_violations,
+            inv.unsafe_deflections,
+            inv.invalid_current_paths,
+            inv.frame_escapes,
+            inv.cross_set_meetings,
+            inv.congestion_exceeded,
+            inv.rear_levels_occupied,
+            inv.phase_checks,
+        ),
+        format!(
+            "set_assignment {}",
+            out.set_assignment
+                .iter()
+                .map(u32::to_string)
+                .collect::<Vec<_>>()
+                .join(" ")
+        ),
+    ];
+    check_encoded(name, &encode_outcome(&out.stats, &extra, &trace));
+}
+
+/// Busch on butterfly(10) bit reversal: ~1k packets, heavy conflicts,
+/// both deflection kinds and wait oscillation.
+#[test]
+fn busch_butterfly10_outcome_matches_golden() {
+    check_busch_outcome("outcome_busch_bf10_bitrev.txt", "butterfly:10", "bitrev", 7);
+}
+
+/// Busch on the §5 mesh application: 8×8 transpose.
+#[test]
+fn busch_mesh8_outcome_matches_golden() {
+    check_busch_outcome(
+        "outcome_busch_mesh8_transpose.txt",
+        "mesh:8x8",
+        "transpose",
+        11,
+    );
+}
+
+/// The traced bf(10) Busch run passes the offline verifier: wrap the
+/// events in the meta/stats envelope the CLI writes and re-run the
+/// whole stream against the model from scratch.
+#[test]
+fn busch_butterfly10_trace_verifies_offline() {
+    use hotpotato_trace::schema::{self, Trace};
+    let (topo, problem) =
+        routing_core::spec::reconstruct_problem("butterfly:10", "bitrev", 42).unwrap();
+    let (out, events) = busch_traced(&problem, 7);
+    let meta = schema::Meta {
+        schema: schema::SCHEMA_VERSION,
+        topo: "butterfly:10".into(),
+        workload: "bitrev".into(),
+        algo: "busch".into(),
+        seed: 42,
+        arrival: String::new(),
+        packets: problem.num_packets() as u64,
+        levels: topo.net.num_levels() as u64,
+        congestion: u64::from(problem.congestion()),
+        dilation: u64::from(problem.dilation()),
+    };
+    let mut text = schema::meta_line(&meta);
+    text.push('\n');
+    text.push_str(std::str::from_utf8(&events).unwrap());
+    text.push_str(&schema::stats_line(&out.stats));
+    text.push('\n');
+    let trace = Trace::parse(&text).expect("trace parses");
+    let report = hotpotato_trace::verify::verify_trace(&trace).expect("trace verifies clean");
+    assert_eq!(report.delivered, problem.num_packets());
+    assert!(report.replay_cross_checked);
+}
+
+/// Pins a JSONL-observed greedy-family batch run on bf(5) bit reversal.
+fn check_greedy_outcome(
+    name: &str,
+    route: impl FnOnce(
+        &Arc<routing_core::RoutingProblem>,
+        &mut ChaCha8Rng,
+        &mut hotpotato_sim::JsonlTraceObserver<Vec<u8>>,
+    ) -> baselines::GreedyOutcome,
+) {
+    let prob = bitrev5();
+    let mut rng = ChaCha8Rng::seed_from_u64(0xFEED);
+    let mut sink = hotpotato_sim::JsonlTraceObserver::new(Vec::new());
+    let out = route(&prob, &mut rng, &mut sink);
+    assert!(out.stats.all_delivered(), "golden run must deliver");
+    let trace = sink.finish().expect("no io errors");
+    check_encoded(name, &encode_outcome(&out.stats, &[], &trace));
+}
+
+/// Uniform, furthest-to-go, aging and fixed-rank greedy on bf(5) bit
+/// reversal, observed.
+#[test]
+fn greedy_family_outcomes_match_goldens() {
+    use hotpotato_sim::StreamPriority::{self, Aging, FurthestToGo, Uniform};
+    let rule = |priority: StreamPriority| {
+        move |prob: &Arc<routing_core::RoutingProblem>,
+              rng: &mut ChaCha8Rng,
+              sink: &mut hotpotato_sim::JsonlTraceObserver<Vec<u8>>| {
+            let cfg = baselines::GreedyConfig {
+                priority,
+                ..Default::default()
+            };
+            baselines::GreedyRouter::with_config(cfg).route_observed(prob, rng, sink)
+        }
+    };
+    check_greedy_outcome("outcome_greedy_bitrev5.txt", rule(Uniform));
+    check_greedy_outcome("outcome_greedy_ftg_bitrev5.txt", rule(FurthestToGo));
+    check_greedy_outcome("outcome_greedy_aging_bitrev5.txt", rule(Aging));
+    check_greedy_outcome("outcome_rank_bitrev5.txt", |prob, rng, sink| {
+        baselines::RandomPriorityRouter::new().route_observed(prob, rng, sink)
+    });
+}
+
+/// Pins a JSONL-observed streaming run on 128 random pairs in bf(5).
+fn check_stream_outcome(
+    name: &str,
+    arrival: routing_core::workloads::ArrivalProcess,
+    cfg: hotpotato_sim::StreamingConfig,
+) -> hotpotato_sim::StreamingOutcome {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
+    let net = Arc::new(builders::butterfly(5));
+    let prob = workloads::random_pairs(&net, 128, &mut rng).unwrap();
+    let schedule = arrival.schedule(prob.num_packets(), &mut rng);
+    let mut sink = hotpotato_sim::JsonlTraceObserver::new(Vec::new());
+    let out = hotpotato_sim::route_streaming_observed(&prob, &schedule, &cfg, &mut rng, &mut sink);
+    assert!(out.drained, "golden stream must drain");
+    let trace = sink.finish().expect("no io errors");
+    let extra = vec![format!(
+        "stream arrivals={} admitted={} dropped={} peak_deferred={} peak_in_flight={}",
+        out.arrivals, out.admitted, out.dropped, out.peak_deferred, out.peak_in_flight
+    )];
+    check_encoded(name, &encode_outcome(&out.stats, &extra, &trace));
+    out
+}
+
+/// The furthest-to-go Poisson stream of `streaming_ftg_poisson_matches_golden`,
+/// observed.
+#[test]
+fn streaming_ftg_poisson_outcome_matches_golden() {
+    use hotpotato_sim::{AdmissionControl, StreamPriority, StreamingConfig};
+    let cfg = StreamingConfig {
+        admission: AdmissionControl {
+            max_in_flight: 64,
+            max_deferred: 64,
+        },
+        priority: StreamPriority::FurthestToGo,
+        ..StreamingConfig::default()
+    };
+    let arrival = workloads::ArrivalProcess::Poisson { rate: 8.0 };
+    let out = check_stream_outcome("outcome_stream_ftg_poisson5.txt", arrival, cfg);
+    assert_eq!(out.dropped, 0);
+}
+
+/// Uniform greedy streaming under bursts that overflow a tight deferred
+/// queue: pins the drop path alongside deferral and the in-network step.
+#[test]
+fn streaming_greedy_burst_drops_match_golden() {
+    use hotpotato_sim::{AdmissionControl, StreamPriority, StreamingConfig};
+    let cfg = StreamingConfig {
+        admission: AdmissionControl {
+            max_in_flight: 64,
+            max_deferred: 8,
+        },
+        priority: StreamPriority::Uniform,
+        ..StreamingConfig::default()
+    };
+    let arrival = workloads::ArrivalProcess::Bursts {
+        size: 16,
+        period: 1,
+    };
+    let out = check_stream_outcome("outcome_stream_greedy_burst5.txt", arrival, cfg);
+    assert!(out.dropped > 0, "the burst stream must drop packets");
+    assert!(out.stats.total_deflections() > 0, "and deflect some");
+    assert_eq!(out.admitted + out.dropped, out.arrivals);
 }
