@@ -14,8 +14,8 @@
 
 use hotpotato_sim::conflict::{self, GreedyScratch};
 use hotpotato_sim::{
-    InjectOutcome, NoopObserver, RouteObserver, RouteOutcome, RouteStats, Router, Simulation,
-    StreamPriority,
+    InjectOutcome, NoopObserver, RouteObserver, RouteOutcome, RouteStats, Router, SoaEngine,
+    StepStage, StreamPriority,
 };
 use rand::{Rng, RngCore};
 use routing_core::RoutingProblem;
@@ -92,7 +92,6 @@ impl GreedyRouter {
         let rule = self.cfg.priority;
         route_batch(
             problem,
-            vec![(); problem.num_packets()],
             |sim, p| rule.priority_of(sim, p),
             self.cfg.max_steps,
             self.cfg.record,
@@ -105,11 +104,9 @@ impl GreedyRouter {
 /// The batch run of the greedy family, shared by [`GreedyRouter`] and
 /// [`crate::RandomPriorityRouter`]: every pending packet tries to inject
 /// every step until admitted, and the packets in the network move by
-/// [`conflict::greedy_step`] under `priority`. `metas` seeds the
-/// per-packet metadata that `priority` may read.
-pub(crate) fn route_batch<M, R, O, P>(
+/// [`conflict::greedy_step`] under `priority`.
+pub(crate) fn route_batch<R, O, P>(
     problem: &Arc<RoutingProblem>,
-    metas: Vec<M>,
     priority: P,
     max_steps: u64,
     record: bool,
@@ -119,20 +116,16 @@ pub(crate) fn route_batch<M, R, O, P>(
 where
     R: Rng + ?Sized,
     O: RouteObserver + ?Sized,
-    P: Fn(&Simulation<M, &mut O>, u32) -> u32,
+    P: Fn(&SoaEngine<&mut O>, u32) -> u32,
 {
-    let mut sim = Simulation::builder(Arc::clone(problem), metas)
-        .recording(record)
-        .observer(observer)
-        .build();
+    let mut sim = SoaEngine::new(Arc::clone(problem), false, record, observer);
+    let mut stage = StepStage::new(problem.network_arc());
     let mut pending: Vec<u32> = (0..problem.num_packets() as u32).collect();
     let mut scratch = GreedyScratch::default();
     while !sim.is_done() && sim.now() < max_steps {
-        conflict::greedy_step(&mut sim, &priority, rng, &mut scratch);
-        pending.retain(|&p| match sim.try_inject(p).expect("pending") {
-            InjectOutcome::Injected | InjectOutcome::DeliveredTrivially => false,
-            InjectOutcome::Blocked => true,
-        });
+        conflict::greedy_step(&sim, &mut stage, &priority, rng, &mut scratch);
+        sim.commit_stage(&mut stage);
+        pending.retain(|&p| sim.try_inject(p) == InjectOutcome::Blocked);
         sim.finish_step().expect("all arrivals staged");
     }
     let (stats, record) = sim.into_parts();

@@ -63,8 +63,7 @@ impl RandomPriorityRouter {
         ranks.shuffle(rng);
         crate::greedy::route_batch(
             problem,
-            ranks,
-            |sim, p| sim.packet(p).meta,
+            |_, p| ranks[p as usize],
             self.max_steps,
             self.record,
             rng,

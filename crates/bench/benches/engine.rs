@@ -2,8 +2,9 @@
 //! per-step engine cycle, and the store-and-forward queue machinery.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use hotpotato_sim::conflict::{self, Contender};
-use hotpotato_sim::{store_forward, ExitKind, Simulation};
+use hotpotato_sim::conflict::{self, Contender, GreedyScratch};
+use hotpotato_sim::soa::unpack_move;
+use hotpotato_sim::{store_forward, SoaEngine, StepStage};
 use leveled_net::builders;
 use leveled_net::NodeId;
 use rand::SeedableRng;
@@ -13,7 +14,7 @@ use std::sync::Arc;
 
 /// A wide conflict: `width` packets converge on one node, all wanting the
 /// same edge.
-fn converging_sim(width: usize) -> (Simulation<()>, NodeId, Vec<Contender>) {
+fn converging_sim(width: usize) -> (SoaEngine, NodeId, Vec<Contender>) {
     let net = Arc::new(builders::complete_leveled(3, width));
     let mid = net.nodes_at_level(1)[0];
     let top = net.nodes_at_level(2)[0];
@@ -25,19 +26,20 @@ fn converging_sim(width: usize) -> (Simulation<()>, NodeId, Vec<Contender>) {
         .collect();
     let prob = Arc::new(RoutingProblem::new(Arc::clone(&net), paths).unwrap());
     let n = prob.num_packets();
-    let mut sim = Simulation::builder(prob, vec![(); n]).build();
+    let mut sim: SoaEngine = SoaEngine::new(prob, false, false, hotpotato_sim::NoopObserver);
     for p in 0..n as u32 {
-        sim.try_inject(p).unwrap();
+        sim.try_inject(p);
     }
     sim.finish_step().unwrap();
-    let contenders: Vec<Contender> = sim
-        .arrivals(mid)
+    let sh = sim.shared();
+    let contenders: Vec<Contender> = sh
+        .arrivals(mid.0)
         .iter()
         .map(|&p| Contender {
             pkt: p,
-            desired: sim.next_move_of(p).unwrap(),
+            desired: unpack_move(sh.next_move(p)),
             priority: 1,
-            arrival: sim.packet(p).last_move,
+            arrival: Some(unpack_move(sh.flight[p as usize].last_move)),
         })
         .collect();
     (sim, mid, contenders)
@@ -61,7 +63,7 @@ fn bench_conflict(c: &mut Criterion) {
 
 fn bench_engine_step(c: &mut Criterion) {
     // Measure one full engine cycle (dispatch + finish) with many packets
-    // in flight, by advancing a greedy-style wavefront on a butterfly.
+    // in flight, by advancing a greedy wavefront on a butterfly.
     let mut g = c.benchmark_group("engine_step");
     for k in [6u32, 8] {
         let net = Arc::new(builders::butterfly(k));
@@ -72,37 +74,24 @@ fn bench_engine_step(c: &mut Criterion) {
             b.iter_batched(
                 || {
                     let n = prob.num_packets();
-                    let mut sim = Simulation::builder(Arc::clone(&prob), vec![(); n]).build();
+                    let mut sim: SoaEngine = SoaEngine::new(
+                        Arc::clone(&prob),
+                        false,
+                        false,
+                        hotpotato_sim::NoopObserver,
+                    );
                     for p in 0..n as u32 {
-                        sim.try_inject(p).unwrap();
+                        sim.try_inject(p);
                     }
                     sim.finish_step().unwrap();
-                    sim
+                    let stage = StepStage::new(Arc::clone(sim.net()));
+                    (sim, stage)
                 },
-                |mut sim| {
+                |(mut sim, mut stage)| {
                     let mut rng = ChaCha8Rng::seed_from_u64(3);
-                    for v in sim.occupied_nodes() {
-                        let arr = sim.arrivals(v).to_vec();
-                        let contenders: Vec<Contender> = arr
-                            .iter()
-                            .map(|&p| Contender {
-                                pkt: p,
-                                desired: sim.next_move_of(p).unwrap(),
-                                priority: 0,
-                                arrival: sim.packet(p).last_move,
-                            })
-                            .collect();
-                        for e in conflict::resolve(&sim, v, &contenders, true, &mut rng)
-                            .expect("resolvable")
-                        {
-                            let kind = if e.won {
-                                ExitKind::Advance
-                            } else {
-                                ExitKind::Deflect { safe: e.safe }
-                            };
-                            sim.stage_exit(e.pkt, e.mv, kind).unwrap();
-                        }
-                    }
+                    let mut scratch = GreedyScratch::default();
+                    conflict::greedy_step(&sim, &mut stage, |_, _| 0, &mut rng, &mut scratch);
+                    sim.commit_stage(&mut stage);
                     sim.finish_step().unwrap();
                     sim.now()
                 },

@@ -18,7 +18,7 @@
 //! analysis describes.
 
 use crate::schedule::FrameSchedule;
-use hotpotato_sim::{RouteObserver, Simulation, SoaEngine};
+use hotpotato_sim::{RouteObserver, SoaEngine};
 use std::collections::BTreeMap;
 
 /// Machine-checked registry of the bufferless *model* invariants: the
@@ -188,28 +188,18 @@ impl InvariantReport {
     }
 }
 
-/// Initial per-set congestion of the preselected paths (the baseline for
-/// the `I_e` non-increase check and the subject of Lemma 2.2).
-pub fn initial_per_set_congestion<M, O: RouteObserver>(
-    sim: &Simulation<M, O>,
-    sets: &[u32],
-    num_sets: u32,
-) -> Vec<u32> {
-    sim.problem().per_set_congestion(sets, num_sets as usize)
-}
-
 /// Reusable buffers for [`check_phase_end`]: a flat per-(set, edge)
 /// congestion counter array plus the list of indices touched this check.
 /// The counters are zeroed via the touched list, so a check costs O(paths),
 /// not O(sets × edges) — and nothing allocates after the first check.
 ///
-/// The SoA auditor additionally keeps the *pending* packets' congestion
+/// The auditor also keeps the *pending* packets' congestion
 /// incrementally: a packet's preselected path is immutable and the
 /// pending population only ever shrinks, so the per-(set, edge) pending
 /// counts are maintained by subtracting the paths of packets that left
 /// pending since the previous check, instead of re-walking every
 /// still-pending path each phase. Per-set pending maxima survive the
-/// decrements via a count histogram ([`SetMax`]).
+/// decrements via a count histogram (`SetMax`).
 #[derive(Default)]
 pub struct PhaseAuditScratch {
     /// Counter for (set, edge) at index `set * num_edges + edge`.
@@ -287,94 +277,22 @@ impl PhaseAuditScratch {
 /// Runs the phase-end audits (`I_b` path validity, `I_c`, `I_e`, `I_f`)
 /// for the phase that just ended, updating `report`; returns the measured
 /// per-set congestion (the `I_e` subject, which observers consume as the
-/// Lemma 2.2 watermark source). `O(N·L)`.
+/// Lemma 2.2 watermark source). `O(N·L)`, reading the engine's layout
+/// directly (CSR preselected paths, arena deviation stacks).
+///
+/// Congestion counts active packets by their current paths and pending
+/// packets by their preselected paths, as in the paper's definition
+/// (§2.4); the initial per-set values are
+/// [`routing_core::RoutingProblem::per_set_congestion`].
 ///
 /// `effective_level` maps a packet index and its actual level to the level
 /// used for the `I_f` rear-emptiness check: the router passes the *target*
 /// endpoint of a wait packet's oscillation edge, since the paper treats an
 /// oscillating packet as sitting at its target node (the oscillation
 /// parity at the exact phase boundary is immaterial to the analysis).
+/// The outcome goldens pin the reports on fixed runs.
 #[allow(clippy::too_many_arguments)]
-pub fn check_phase_end<M, O: RouteObserver>(
-    sim: &Simulation<M, O>,
-    schedule: &FrameSchedule,
-    sets: &[u32],
-    phase: u64,
-    initial_per_set: &[u32],
-    effective_level: impl Fn(u32, leveled_net::Level) -> leveled_net::Level,
-    scratch: &mut PhaseAuditScratch,
-    report: &mut InvariantReport,
-) -> Vec<u32> {
-    report.phase_checks += 1;
-    let net = sim.network();
-    let num_edges = net.num_edges();
-
-    // Per-(set, edge) congestion of current paths, counting active packets
-    // (by their current paths) and pending packets (by their preselected
-    // paths), as in the paper's definition (§2.4). Flat counters with a
-    // touched list — the audits only ever sum per (set, edge), so the
-    // enumeration order of the maintained lists is immaterial.
-    scratch.reserve(initial_per_set.len().max(1), num_edges);
-
-    for &idx in sim.active_slice() {
-        let pkt = sim.packet(idx);
-        let path = sim.path_of(idx);
-        let set = sets[idx as usize];
-
-        // I_b: current path must be a valid forward path.
-        if pkt.validate_current_path(net, path).is_err() {
-            report.invalid_current_paths += 1;
-        }
-
-        // I_c: inside the frame.
-        let level = net.level(pkt.node());
-        if !schedule.contains(set, phase, level) {
-            report.frame_escapes += 1;
-        } else if let Some(inner) = schedule.inner_level(set, phase, effective_level(idx, level)) {
-            // I_f: rear three inner levels empty at phase end (packets at
-            // inner level ≤ m − 4, so the frame can shift and inject).
-            if inner + 3 >= schedule.m {
-                report.rear_levels_occupied += 1;
-            }
-        }
-
-        for e in pkt.current_path_edges(path) {
-            scratch.bump(set, num_edges, e.0);
-        }
-    }
-    for &idx in sim.pending_slice() {
-        let path = sim.path_of(idx);
-        let set = sets[idx as usize];
-        for &e in path.edges() {
-            scratch.bump(set, num_edges, e.0);
-        }
-    }
-
-    // I_e: per-set congestion must not exceed its initial value. Zero the
-    // counters on the way out so the scratch is clean for the next check.
-    let mut per_set_max = vec![0u32; initial_per_set.len()];
-    for &i in &scratch.touched {
-        let s = i as usize / num_edges;
-        per_set_max[s] = per_set_max[s].max(scratch.counts[i as usize]);
-        scratch.counts[i as usize] = 0;
-    }
-    scratch.touched.clear();
-    for (&now_max, &init) in per_set_max.iter().zip(initial_per_set) {
-        if now_max > init {
-            report.congestion_exceeded += 1;
-        }
-    }
-    per_set_max
-}
-
-/// [`check_phase_end`] for the data-oriented engine: the same audits,
-/// the same `O(N·L)` cost and the same scratch discipline, reading the
-/// SoA layout (CSR preselected paths, arena deviation stacks) instead of
-/// per-packet structs. Kept in this crate so both auditors share
-/// [`PhaseAuditScratch`]; the golden-equivalence tests pin their reports
-/// equal on the same runs.
-#[allow(clippy::too_many_arguments)]
-pub fn check_phase_end_soa<O: RouteObserver>(
+pub fn check_phase_end<O: RouteObserver>(
     sim: &SoaEngine<O>,
     schedule: &FrameSchedule,
     sets: &[u32],

@@ -41,5 +41,5 @@ mod soa;
 
 pub use invariants::InvariantReport;
 pub use params::{PaperParams, Params};
-pub use router::{BuschConfig, BuschOutcome, BuschRouter, PacketState};
+pub use router::{BuschConfig, BuschOutcome, BuschRouter};
 pub use schedule::FrameSchedule;

@@ -26,61 +26,16 @@
 //! destinations directly with the same conflict rules).
 //!
 //! Every run goes through [`BuschRouter::route_observed`], which drives
-//! the data-oriented engine (`crate::soa`). [`BuschRouter::route_reference`]
-//! runs the same algorithm on the scalar [`Simulation`]; it is kept only
-//! as the oracle the equivalence tests compare the fast driver against.
+//! the bufferless engine ([`hotpotato_sim::SoaEngine`]) step by step
+//! (`crate::soa`).
 
-use crate::invariants::{
-    check_phase_end, initial_per_set_congestion, InvariantReport, PhaseAuditScratch,
-};
+use crate::invariants::InvariantReport;
 use crate::params::Params;
-use crate::schedule::{assign_sets, FrameSchedule};
-use hotpotato_sim::conflict::{self, Contender, DeflectRule};
-use hotpotato_sim::{
-    ExitKind, InjectOutcome, NoopObserver, RouteObserver, RouteOutcome, RouteStats, Router,
-    Section, Simulation, Time,
-};
-use leveled_net::ids::{DirectedEdge, Direction};
-use leveled_net::EdgeId;
+use crate::schedule::FrameSchedule;
+use hotpotato_sim::{NoopObserver, RouteObserver, RouteOutcome, RouteStats, Router};
 use rand::{Rng, RngCore};
 use routing_core::RoutingProblem;
 use std::sync::Arc;
-
-/// The paper's packet states (§3, "Packet State").
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PacketState {
-    /// Following the current path toward the target; middle priority.
-    Normal,
-    /// Highest priority; entered with probability `q`, left on deflection
-    /// or at round end.
-    Excited,
-    /// Lowest priority; oscillating on `edge`, whose head is the packet's
-    /// target node.
-    Wait {
-        /// The edge the packet oscillates on (the last link it traversed
-        /// to reach its target node).
-        edge: EdgeId,
-    },
-}
-
-impl PacketState {
-    fn priority(self) -> u32 {
-        match self {
-            PacketState::Excited => 2,
-            PacketState::Normal => 1,
-            PacketState::Wait { .. } => 0,
-        }
-    }
-}
-
-/// Per-packet metadata carried through the engine.
-#[derive(Clone, Copy, Debug)]
-pub struct Meta {
-    /// The packet's frontier set.
-    pub set: u32,
-    /// The packet's current state.
-    pub state: PacketState,
-}
 
 /// Router configuration beyond the scheduling parameters.
 #[derive(Clone, Copy, Debug)]
@@ -198,338 +153,6 @@ impl BuschRouter {
         observer: &mut O,
     ) -> BuschOutcome {
         crate::soa::route_soa(&self.cfg, problem, rng, observer)
-    }
-
-    /// The reference driver: the same algorithm on the scalar engine
-    /// ([`Simulation`]), written for clarity rather than speed. It is the
-    /// oracle [`BuschRouter::route_observed`] must reproduce bit for bit
-    /// (stats, records, observer streams) from the same rng state; only
-    /// the equivalence tests call it.
-    // lint: telemetry
-    // (the `Instant` reads feed `on_section` profiling only; no routing
-    // decision depends on them)
-    pub fn route_reference<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
-        &self,
-        problem: &Arc<RoutingProblem>,
-        rng: &mut R,
-        observer: &mut O,
-    ) -> BuschOutcome {
-        let params = self.cfg.params;
-        let net = problem.network_arc();
-        let depth = net.depth();
-        let schedule = FrameSchedule::new(params.m, params.num_sets, depth);
-        let phase_len = params.phase_len();
-        let max_steps = params.max_steps(depth).max(phase_len);
-
-        // Random uniform frontier-set assignment (§2.4).
-        let sets = assign_sets(problem.num_packets(), params.num_sets, rng);
-        let metas: Vec<Meta> = sets
-            .iter()
-            .map(|&set| Meta {
-                set,
-                state: PacketState::Normal,
-            })
-            .collect();
-
-        observer.on_sets_assigned(&sets, params.num_sets);
-        let timing = observer.wants_timing();
-        let mut sim = Simulation::builder(Arc::clone(problem), metas)
-            .trace(self.cfg.trace)
-            .recording(self.cfg.record)
-            .observer(observer)
-            .build();
-        let mut invariants = InvariantReport::default();
-        let initial_per_set = if self.cfg.check_invariants {
-            initial_per_set_congestion(&sim, &sets, params.num_sets)
-        } else {
-            Vec::new()
-        };
-
-        // Injection agenda: (injection step, packet), sorted descending so
-        // due packets pop off the back.
-        let mut agenda: Vec<(Time, u32)> = (0..problem.num_packets() as u32)
-            .map(|p| {
-                if self.cfg.eager_injection {
-                    return (0, p);
-                }
-                let src = problem.packets()[p as usize].path.source();
-                let phase = schedule.injection_phase(sets[p as usize], net.level(src));
-                (phase * phase_len, p)
-            })
-            .collect();
-        agenda.sort_unstable_by(|a, b| b.cmp(a));
-        let mut ready: Vec<u32> = Vec::new();
-
-        // Scratch buffers reused across steps.
-        let mut arrivals_buf: Vec<u32> = Vec::new();
-        let mut contenders: Vec<Contender> = Vec::new();
-        let mut nodes_buf: Vec<leveled_net::NodeId> = Vec::new();
-        let mut conflict_scratch = conflict::ConflictScratch::default();
-        let mut audit_scratch = PhaseAuditScratch::default();
-        let mut total_moves = 0u64;
-
-        while !sim.is_done() && sim.now() < max_steps {
-            let t = sim.now();
-            let phase = t / phase_len;
-            let round = ((t / params.w as u64) % params.m as u64) as u32;
-            let round_start = t.is_multiple_of(params.w as u64);
-            let phase_start = t.is_multiple_of(phase_len);
-
-            if phase_start {
-                let obs = sim.observer_mut();
-                obs.on_phase_start(phase, t);
-                for set in 0..params.num_sets {
-                    if schedule.frame_in_network(set, phase) {
-                        obs.on_frontier(phase, set, schedule.frontier(set, phase));
-                    }
-                }
-            }
-            let section_start = if timing {
-                Some(std::time::Instant::now())
-            } else {
-                None
-            };
-
-            // Dispatch every node with arrivals. The per-packet state
-            // updates (round/phase demotions, excitation — §3) are folded
-            // into this loop: every active packet is visited exactly once
-            // per step, and both updates are per-packet decisions that
-            // only influence its own node's conflict resolution, so the
-            // fold is equivalent to separate passes while avoiding two
-            // O(N) status scans per step.
-            let mut excitations = 0u64;
-            sim.occupied_nodes_into(&mut nodes_buf);
-            for &v in &nodes_buf {
-                arrivals_buf.clear();
-                arrivals_buf.extend_from_slice(sim.arrivals(v));
-
-                for &p in &arrivals_buf {
-                    let meta = sim.meta_mut(p);
-                    // Excited packets demote at round ends, wait packets
-                    // at phase ends.
-                    if round_start {
-                        match meta.state {
-                            PacketState::Excited => meta.state = PacketState::Normal,
-                            PacketState::Wait { .. } if phase_start => {
-                                meta.state = PacketState::Normal;
-                            }
-                            _ => {}
-                        }
-                    }
-                    // Each normal packet turns excited with probability q,
-                    // every step.
-                    if params.q > 0.0 && meta.state == PacketState::Normal && rng.gen_bool(params.q)
-                    {
-                        meta.state = PacketState::Excited;
-                        excitations += 1;
-                    }
-                }
-
-                // I_d: packets of different frontier-sets must not meet.
-                if self.cfg.check_invariants && arrivals_buf.len() > 1 {
-                    let first = sim.packet(arrivals_buf[0]).meta.set;
-                    if arrivals_buf[1..]
-                        .iter()
-                        .any(|&p| sim.packet(p).meta.set != first)
-                    {
-                        invariants.cross_set_meetings += 1;
-                    }
-                }
-
-                contenders.clear();
-                for &p in &arrivals_buf {
-                    let meta = sim.packet(p).meta;
-                    let last = sim.packet(p).last_move;
-                    let (state, desired) = match meta.state {
-                        PacketState::Wait { edge } => {
-                            // Oscillate: back from the target (edge head),
-                            // forward from the rear node (edge tail).
-                            let e = net.edge(edge);
-                            let mv = if v == e.head {
-                                DirectedEdge::backward(edge)
-                            } else {
-                                debug_assert_eq!(v, e.tail);
-                                DirectedEdge::forward(edge)
-                            };
-                            (meta.state, mv)
-                        }
-                        PacketState::Normal | PacketState::Excited => {
-                            let target = schedule.target_level(meta.set, phase, round);
-                            let arrived_fwd = matches!(
-                                last,
-                                Some(mv) if mv.dir == Direction::Forward
-                            );
-                            if net.level(v) as i64 == target && arrived_fwd {
-                                // Reached the target node: enter the wait
-                                // state on the arrival edge (§3, "Wait
-                                // state").
-                                let edge = last.expect("checked above").edge;
-                                let st = PacketState::Wait { edge };
-                                sim.meta_mut(p).state = st;
-                                (st, DirectedEdge::backward(edge))
-                            } else {
-                                let mv = sim
-                                    .next_move_of(p)
-                                    .expect("active packets are not at their destination");
-                                (meta.state, mv)
-                            }
-                        }
-                    };
-                    contenders.push(Contender {
-                        pkt: p,
-                        desired,
-                        priority: state.priority(),
-                        arrival: last,
-                    });
-                }
-
-                // Fast path: a lone packet at a node cannot conflict — its
-                // desired slot originates here and nobody else wants it.
-                // This skips the resolver's allocations on the (dominant)
-                // uncontended case.
-                if let [c] = contenders[..] {
-                    let kind = match sim.packet(c.pkt).meta.state {
-                        PacketState::Wait { .. } => ExitKind::Oscillate,
-                        _ => ExitKind::Advance,
-                    };
-                    sim.stage_exit(c.pkt, c.desired, kind)
-                        .expect("lone desired slot is free");
-                    continue;
-                }
-
-                let rule = if self.cfg.arbitrary_deflections {
-                    DeflectRule::Arbitrary
-                } else {
-                    DeflectRule::SafeBackward {
-                        allow_fallback: self.cfg.allow_fallback,
-                    }
-                };
-                let exits =
-                    conflict::resolve_into(&sim, v, &contenders, rule, rng, &mut conflict_scratch)
-                        .expect("hot-potato assignment failed: arrival bound violated");
-                for &exit in exits {
-                    let kind = if exit.won {
-                        match sim.packet(exit.pkt).meta.state {
-                            PacketState::Wait { .. } => ExitKind::Oscillate,
-                            _ => ExitKind::Advance,
-                        }
-                    } else {
-                        // Losers demote (§3: deflected excited and wait
-                        // packets become normal).
-                        sim.meta_mut(exit.pkt).state = PacketState::Normal;
-                        if !exit.safe {
-                            invariants.unsafe_deflections += 1;
-                        }
-                        ExitKind::Deflect { safe: exit.safe }
-                    };
-                    sim.stage_exit(exit.pkt, exit.mv, kind)
-                        .expect("resolver produces feasible exits");
-                }
-            }
-
-            if excitations > 0 {
-                sim.stats_mut().bump_by("excitations", excitations);
-            }
-            let section_start = section_start.map(|start| {
-                let now = std::time::Instant::now();
-                sim.observer_mut()
-                    .on_section(Section::Conflict, (now - start).as_nanos() as u64);
-                now
-            });
-
-            // Injections: admit packets whose phase has begun; retry the
-            // blocked ones every subsequent step (§3, "Packet Injection").
-            while let Some(&(due, p)) = agenda.last() {
-                if due > t {
-                    break;
-                }
-                agenda.pop();
-                ready.push(p);
-            }
-            ready.retain(|&p| {
-                let src = sim.path_of(p).source();
-                let occupied_source = !sim.arrivals(src).is_empty();
-                match sim.try_inject(p).expect("pending packet") {
-                    InjectOutcome::Injected => {
-                        if occupied_source {
-                            invariants.isolation_violations += 1;
-                        }
-                        false
-                    }
-                    InjectOutcome::DeliveredTrivially => false,
-                    InjectOutcome::Blocked => {
-                        sim.stats_mut().bump("injection_retries");
-                        true
-                    }
-                }
-            });
-
-            let section_start = section_start.map(|start| {
-                let now = std::time::Instant::now();
-                sim.observer_mut()
-                    .on_section(Section::Injection, (now - start).as_nanos() as u64);
-                now
-            });
-
-            let report = sim.finish_step().expect("all arrivals staged");
-            total_moves += report.moved as u64;
-            let section_start = section_start.map(|start| {
-                let now = std::time::Instant::now();
-                sim.observer_mut()
-                    .on_section(Section::Kinematics, (now - start).as_nanos() as u64);
-                now
-            });
-
-            // Phase-end audits (the paper states I_a..I_f at phase ends).
-            if self.cfg.check_invariants && (t + 1).is_multiple_of(phase_len) {
-                // Wait packets count at their target node (the head of
-                // their oscillation edge), regardless of oscillation parity.
-                let effective =
-                    |idx: u32, actual: leveled_net::Level| match sim.packet(idx).meta.state {
-                        PacketState::Wait { edge } => net.level(net.edge(edge).head),
-                        _ => actual,
-                    };
-                let per_set_max = check_phase_end(
-                    &sim,
-                    &schedule,
-                    &sets,
-                    phase,
-                    &initial_per_set,
-                    effective,
-                    &mut audit_scratch,
-                    &mut invariants,
-                );
-                let obs = sim.observer_mut();
-                for (set, (&now_max, &init)) in per_set_max.iter().zip(&initial_per_set).enumerate()
-                {
-                    obs.on_set_congestion(phase, set as u32, now_max, init);
-                }
-                if let Some(start) = section_start {
-                    sim.observer_mut()
-                        .on_section(Section::Audit, start.elapsed().as_nanos() as u64);
-                }
-            }
-            if (t + 1).is_multiple_of(phase_len) {
-                sim.observer_mut().on_phase_end(phase, t + 1);
-            }
-        }
-
-        let phases_elapsed = sim.now() / phase_len;
-        let (mut stats, record) = sim.into_parts();
-        invariants.unsafe_deflections = invariants
-            .unsafe_deflections
-            .max(stats.counter("fallback_deflections"));
-        stats.counters.insert("phases", phases_elapsed);
-        stats.counters.insert("moves", total_moves);
-        BuschOutcome {
-            stats,
-            invariants,
-            set_assignment: sets,
-            schedule,
-            phases_elapsed,
-            params,
-            record,
-        }
     }
 }
 

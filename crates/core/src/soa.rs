@@ -1,18 +1,18 @@
-//! The data-oriented step driver for [`crate::BuschRouter`].
+//! The step driver for [`crate::BuschRouter`].
 //!
-//! Runs the same algorithm as the reference driver in `router.rs` — the
-//! paper's states/targets/conflicts/injection (§3) — on
-//! [`hotpotato_sim::SoaEngine`] instead of [`hotpotato_sim::Simulation`].
-//! The per-packet algorithm state (state tag, oscillation edge) lives in
-//! one flat array of packed words mirroring the engine's SoA layout.
+//! Runs the paper's states/targets/conflicts/injection (§3) on
+//! [`hotpotato_sim::SoaEngine`]. The per-packet algorithm state — the
+//! paper's *normal*, *excited* or *wait* state, plus the edge a wait
+//! packet oscillates on — lives in one flat array of packed words
+//! mirroring the engine's SoA layout.
 //!
 //! Each step dispatches every occupied node in ascending order into one
 //! [`StepStage`], and all randomness comes from the caller's rng, drawn
-//! in exactly the reference driver's order — which makes this driver
-//! *bit-identical* to [`crate::BuschRouter::route_reference`] (stats,
-//! records, observer streams), as the equivalence tests pin.
+//! in a fixed order (set assignment, then per step and node: excitation
+//! draws in arrival order, then conflict tie-breaks) that the golden
+//! runs pin.
 
-use crate::invariants::{check_phase_end_soa, InvariantReport, PhaseAuditScratch};
+use crate::invariants::{check_phase_end, InvariantReport, PhaseAuditScratch};
 use crate::router::{BuschConfig, BuschOutcome};
 use crate::schedule::{assign_sets, FrameSchedule};
 use hotpotato_sim::conflict::{self, ConflictScratch, Contender, DeflectRule};
@@ -35,8 +35,7 @@ const TAG_WAIT: u8 = 0;
 const TAG_NORMAL: u8 = 1;
 const TAG_EXCITED: u8 = 2;
 
-/// Packs a (state tag, wait edge) pair into a per-packet state word: the
-/// counterpart of `Meta.state` in the reference driver. The tag
+/// Packs a (state tag, wait edge) pair into a per-packet state word. The tag
 /// (`TAG_*`) sits in the top 2 bits and — for wait-state packets — the
 /// edge they oscillate on in the low 30; one word because every
 /// dispatch reads both halves together.
@@ -58,8 +57,7 @@ struct StepCtx {
     /// both sides of the float compare are exact, so precomputing the
     /// integer threshold removes the float conversion from the hottest
     /// rng call without perturbing the pinned stream. `0` means no draw
-    /// (matching the `q > 0` gate the scalar driver applies before
-    /// calling `gen_bool`).
+    /// (no draw is made when `q <= 0`).
     exc_threshold: u64,
     /// `q >= 1.0`: every normal arrival excites, and — matching
     /// `gen_bool`'s early return — *without* consuming a draw.
@@ -84,8 +82,7 @@ struct DispatchCtx {
 }
 
 /// Dispatches every occupied node, ascending: folds the round/phase
-/// demotions and excitation draws into the visit (exactly as the
-/// reference driver does), builds contenders, resolves conflicts against
+/// demotions and excitation draws into the visit, builds contenders, resolves conflicts against
 /// the stage's slot bitset, and stages one exit per arrival. Packet
 /// states are updated in `tagwe` as each node finishes; no other node
 /// reads them in the same step.
@@ -278,8 +275,8 @@ fn dispatch<R: Rng + ?Sized>(
     }
 }
 
-/// Routes `problem` on the data-oriented engine. Same contract and
-/// event stream as the reference driver.
+/// Routes `problem` on the bufferless engine: the body of
+/// [`crate::BuschRouter::route_observed`].
 // lint: telemetry
 // (the `Instant` reads feed `on_section` profiling only; no routing
 // decision depends on them)
@@ -296,8 +293,7 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
     let phase_len = params.phase_len();
     let max_steps = params.max_steps(depth).max(phase_len);
 
-    // Random uniform frontier-set assignment (§2.4) — same draw as the
-    // reference driver.
+    // Random uniform frontier-set assignment (§2.4).
     let sets = assign_sets(problem.num_packets(), params.num_sets, rng);
     observer.on_sets_assigned(&sets, params.num_sets);
 
@@ -492,7 +488,7 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
                     actual
                 }
             };
-            let per_set_max = check_phase_end_soa(
+            let per_set_max = check_phase_end(
                 &sim,
                 &schedule,
                 &sets,

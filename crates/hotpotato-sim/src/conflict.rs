@@ -28,37 +28,24 @@
 //! a priority closure such as [`StreamPriority::priority_of`], resolves with
 //! fallback allowed, and stages the exits.
 
-use crate::engine::{ExitKind, Simulation};
 use crate::observe::RouteObserver;
+use crate::soa::{
+    pack_move, unpack_move, SoaEngine, StepStage, KIND_ADVANCE, KIND_DEFLECT_FREE,
+    KIND_DEFLECT_SAFE, NO_MOVE,
+};
 use leveled_net::ids::{DirectedEdge, Direction};
 use leveled_net::{LeveledNetwork, NodeId};
 use rand::Rng;
 
 /// The minimal engine surface conflict resolution reads: the network and
-/// the per-step (edge, direction) slot occupancy. Both the scalar
-/// [`Simulation`] and the data-oriented [`crate::soa::SoaEngine`] implement
-/// it, so [`resolve_into`] — including its randomness consumption — is
-/// literally the same code on both engines. That shared body is what makes
-/// the SoA engine's golden equivalence (bit-identical stats and trace
-/// against the scalar oracle) hold by construction rather than by
-/// re-implementation.
+/// the per-step (edge, direction) slot occupancy. A step driver resolves
+/// against its [`StepStage`] (the slots claimed so far this step);
+/// [`SoaEngine`] implements it too, for claims that include injections.
 pub trait SlotView {
     /// The network topology.
     fn network(&self) -> &LeveledNetwork;
     /// Whether the (edge, direction) slot is still free this step.
     fn slot_free(&self, mv: DirectedEdge) -> bool;
-}
-
-impl<M, O: RouteObserver> SlotView for Simulation<M, O> {
-    #[inline]
-    fn network(&self) -> &LeveledNetwork {
-        Simulation::network(self)
-    }
-
-    #[inline]
-    fn slot_free(&self, mv: DirectedEdge) -> bool {
-        Simulation::slot_free(self, mv)
-    }
 }
 
 /// One packet competing for an exit at a node.
@@ -406,15 +393,18 @@ impl StreamPriority {
     }
 
     /// Packet `p`'s priority under this rule; higher wins.
+    // lint: panics-by-design(dense-index invariant surface: packet/node ids are
+    // validated at construction, so an OOB here is an engine bug caught by the
+    // golden suites, never a client-input path)
     #[inline]
-    pub fn priority_of<M, O: RouteObserver>(self, sim: &Simulation<M, O>, p: u32) -> u32 {
+    pub fn priority_of<O: RouteObserver>(self, sim: &SoaEngine<O>, p: u32) -> u32 {
         match self {
             StreamPriority::Uniform => 0,
             StreamPriority::FurthestToGo => {
-                let pkt = sim.packet(p);
-                (pkt.deviation_depth() + (sim.path_of(p).len() - pkt.base_idx())) as u32
+                let f = &sim.shared().flight[p as usize];
+                f.dev_depth + (f.path_end - f.path_next)
             }
-            StreamPriority::Aging => sim.packet(p).deflections(),
+            StreamPriority::Aging => sim.stats().deflections[p as usize],
         }
     }
 }
@@ -423,63 +413,63 @@ impl StreamPriority {
 /// between steps.
 #[derive(Default)]
 pub struct GreedyScratch {
-    nodes: Vec<NodeId>,
     contenders: Vec<Contender>,
     conflict: ConflictScratch,
 }
 
-/// The in-network half of one greedy-family step: stages an exit for
-/// every packet that arrived somewhere this step. At each occupied node
-/// the arrivals contend for their next current-path moves; `priority`
-/// ranks them (higher wins, ties uniformly at random). A lone packet
-/// takes its move without drawing randomness. Losers deflect backward and
-/// safely, or onto any free exit when no safe edge is left: greedy
-/// injection gives no isolation, so Lemma 2.1's precondition can fail.
+/// The in-network half of one greedy-family step: stages into `stage` an
+/// exit for every packet that arrived somewhere this step, visiting the
+/// occupied nodes in ascending order. At each node the arrivals contend
+/// for their next current-path moves; `priority` ranks them (higher wins,
+/// ties uniformly at random). A lone packet takes its move without
+/// drawing randomness. Losers deflect backward and safely, or onto any
+/// free exit when no safe edge is left: greedy injection gives no
+/// isolation, so Lemma 2.1's precondition can fail.
 ///
 /// Uniform, furthest-to-go and aging greedy, fixed-rank greedy and the
 /// streaming loop all step through this function; they differ only in
 /// `priority` and in how they inject.
 // lint: hot-path
-pub fn greedy_step<M, O, R, P>(
-    sim: &mut Simulation<M, O>,
+// lint: panics-by-design(dense-index invariant surface: packet/node ids are
+// validated at construction, and fallback resolution always succeeds within
+// the degree bound, so a panic here is an engine bug caught by the golden
+// suites, never a client-input path)
+pub fn greedy_step<O, R, P>(
+    sim: &SoaEngine<O>,
+    stage: &mut StepStage,
     priority: P,
     rng: &mut R,
     scratch: &mut GreedyScratch,
 ) where
     O: RouteObserver,
     R: Rng + ?Sized,
-    P: Fn(&Simulation<M, O>, u32) -> u32,
+    P: Fn(&SoaEngine<O>, u32) -> u32,
 {
     let GreedyScratch {
-        nodes,
         contenders,
         conflict,
     } = scratch;
-    sim.occupied_nodes_into(nodes);
-    for &v in nodes.iter() {
-        contenders.clear();
-        for &p in sim.arrivals(v) {
-            let desired = sim
-                .next_move_of(p)
-                // lint: allow-panic(engine invariant: an active packet is off-destination, so next_move_of is Some)
-                .expect("active packets are not at their destination");
-            contenders.push(Contender {
-                pkt: p,
-                desired,
-                priority: priority(&*sim, p),
-                arrival: sim.packet(p).last_move,
-            });
-        }
-        // lint: allow-panic(RangeFull slicing of a Vec cannot panic)
-        if let [c] = contenders[..] {
-            sim.stage_exit(c.pkt, c.desired, ExitKind::Advance)
-                // lint: allow-panic(engine invariant: a lone contender's desired slot is free by the bufferless law)
-                .expect("lone desired slot is free");
+    let sh = sim.shared();
+    for &v in &sh.occupied {
+        let arrivals = sh.arrivals(v);
+        if let [p] = *arrivals {
+            stage.stage(p, sh.next_move(p), KIND_ADVANCE);
             continue;
         }
+        contenders.clear();
+        for &p in arrivals {
+            let last = sh.flight[p as usize].last_move;
+            debug_assert_ne!(last, NO_MOVE, "arrivals have moved");
+            contenders.push(Contender {
+                pkt: p,
+                desired: unpack_move(sh.next_move(p)),
+                priority: priority(sim, p),
+                arrival: Some(unpack_move(last)),
+            });
+        }
         let exits = resolve_into(
-            &*sim,
-            v,
+            &*stage,
+            NodeId(v),
             contenders,
             DeflectRule::SafeBackward {
                 allow_fallback: true,
@@ -487,17 +477,14 @@ pub fn greedy_step<M, O, R, P>(
             rng,
             conflict,
         )
-        // lint: allow-panic(engine invariant: fallback resolution always succeeds within the degree bound)
         .expect("fallback resolution cannot fail within degree bound");
         for &e in exits {
-            let kind = if e.won {
-                ExitKind::Advance
-            } else {
-                ExitKind::Deflect { safe: e.safe }
+            let kind = match (e.won, e.safe) {
+                (true, _) => KIND_ADVANCE,
+                (false, true) => KIND_DEFLECT_SAFE,
+                (false, false) => KIND_DEFLECT_FREE,
             };
-            sim.stage_exit(e.pkt, e.mv, kind)
-                // lint: allow-panic(engine invariant: the resolver emits only feasible exits)
-                .expect("resolver produces feasible exits");
+            stage.stage(e.pkt, pack_move(e.mv), kind);
         }
     }
 }
@@ -505,6 +492,7 @@ pub fn greedy_step<M, O, R, P>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::NoopObserver;
     use leveled_net::{EdgeId, NetworkBuilder};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -535,26 +523,23 @@ mod tests {
     }
 
     /// Sets up the fan with both packets arrived at n2 (after one step).
-    fn fan_sim() -> Simulation<()> {
+    fn fan_sim() -> SoaEngine {
         let prob = fan();
-        let mut sim: Simulation<()> = Simulation::builder(prob, vec![(), ()]).build();
-        sim.try_inject(0).unwrap();
-        sim.try_inject(1).unwrap();
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        sim.try_inject(0);
+        sim.try_inject(1);
         sim.finish_step().unwrap();
-        assert_eq!(sim.arrivals(NodeId(2)).len(), 2);
+        assert_eq!(sim.shared().arrivals(2).len(), 2);
         sim
     }
 
-    fn contender<M, O: RouteObserver>(
-        sim: &Simulation<M, O>,
-        pkt: u32,
-        priority: u32,
-    ) -> Contender {
+    fn contender<O: RouteObserver>(sim: &SoaEngine<O>, pkt: u32, priority: u32) -> Contender {
+        let sh = sim.shared();
         Contender {
             pkt,
-            desired: sim.next_move_of(pkt).unwrap(),
+            desired: unpack_move(sh.next_move(pkt)),
             priority,
-            arrival: sim.packet(pkt).last_move,
+            arrival: Some(unpack_move(sh.flight[pkt as usize].last_move)),
         }
     }
 
@@ -618,7 +603,7 @@ mod tests {
                 pkt: 1,
                 desired: desired1,
                 priority: 1,
-                arrival: sim.packet(1).last_move,
+                arrival: contender(&sim, 1, 1).arrival,
             },
         ];
         let exits = resolve(&sim, NodeId(2), &cs, false, &mut rng).unwrap();
@@ -634,7 +619,7 @@ mod tests {
         // the safe-deflection pool is empty, so the loser fails without
         // fallback and takes an arbitrary free exit with it.
         let sim = fan_sim();
-        let desired = sim.next_move_of(0).unwrap(); // e2 forward
+        let desired = contender(&sim, 0, 0).desired; // e2 forward
         let cs = vec![
             Contender {
                 pkt: 0,
@@ -681,9 +666,9 @@ mod tests {
             Path::new(&net, s2, vec![e2, e3]).unwrap(),
         ];
         let prob = Arc::new(RoutingProblem::new(net, paths).unwrap());
-        let mut sim: Simulation<()> = Simulation::builder(prob, vec![(), (), ()]).build();
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
         for p in 0..3 {
-            sim.try_inject(p).unwrap();
+            sim.try_inject(p);
         }
         sim.finish_step().unwrap();
         let cs: Vec<Contender> = (0..3).map(|p| contender(&sim, p, 1)).collect();
@@ -701,18 +686,39 @@ mod tests {
     }
 
     #[test]
-    fn resolution_respects_engine_level_slot_state() {
+    fn resolution_respects_staged_slot_state() {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let mut sim = fan_sim();
-        // Claim e2-forward at the engine level using packet 0 itself, then
-        // resolve only packet 1: it must lose and deflect safely.
-        let mv = sim.next_move_of(0).unwrap();
-        sim.stage_exit(0, mv, crate::engine::ExitKind::Advance)
-            .unwrap();
+        let sim = fan_sim();
+        // Claim e2-forward in the step's stage using packet 0 itself,
+        // then resolve only packet 1: it must lose and deflect safely.
+        let mut stage = StepStage::new(sim.net().clone());
+        stage.stage(0, sim.shared().next_move(0), KIND_ADVANCE);
         let cs = vec![contender(&sim, 1, 3)];
-        let exits = resolve(&sim, NodeId(2), &cs, false, &mut rng).unwrap();
-        assert!(!exits[0].won, "engine-level slot already taken");
+        let exits = resolve(&stage, NodeId(2), &cs, false, &mut rng).unwrap();
+        assert!(!exits[0].won, "staged slot already taken");
         assert!(exits[0].safe);
         assert_eq!(exits[0].mv, DirectedEdge::backward(EdgeId(1)));
+    }
+
+    #[test]
+    fn greedy_step_stages_every_arrival() {
+        // Both fan packets stand at n2 wanting e2: the step advances one
+        // and deflects the other backward along its own arrival edge.
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut sim = fan_sim();
+        let mut stage = StepStage::new(sim.net().clone());
+        let mut scratch = GreedyScratch::default();
+        greedy_step(&sim, &mut stage, |_, p| p, &mut rng, &mut scratch);
+        assert_eq!(stage.len(), 2);
+        sim.commit_stage(&mut stage);
+        let report = sim.finish_step().unwrap();
+        assert_eq!(report.moved, 2);
+        assert_eq!(report.deflections, 1);
+        assert_eq!(report.fallback_deflections, 0);
+        // Priority = packet id: packet 1 wins and is absorbed at n3.
+        assert_eq!(sim.delivered_count(), 1);
+        assert_eq!(sim.shared().flight[0].node, 0);
+        assert_eq!(StreamPriority::Aging.priority_of(&sim, 0), 1);
+        assert_eq!(StreamPriority::FurthestToGo.priority_of(&sim, 0), 2);
     }
 }

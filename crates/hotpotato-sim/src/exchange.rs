@@ -1,7 +1,7 @@
 //! Double-buffered snapshot exchange between a simulation and readers.
 //!
 //! The engine's step loop is a hot path (`// lint: hot-path` in
-//! [`crate::engine`]): it must never block on, or allocate for, an
+//! [`crate::soa`]): it must never block on, or allocate for, an
 //! observer. Yet a monitoring service wants a *consistent* view of the
 //! live metrics mid-run. This module provides that handoff:
 //!

@@ -1,17 +1,15 @@
 //! Synchronous network simulators for leveled-network routing.
 //!
-//! Three engines share the packet/problem model of `routing-core`:
+//! Two engines share the packet/problem model of `routing-core`:
 //!
-//! * [`Simulation`] — the **bufferless (hot-potato) engine** (paper §2.3):
-//!   time is discrete; at each step every active packet *must* leave its
-//!   current node; at most one packet traverses each edge per direction per
-//!   step. Routing algorithms drive the engine by staging one exit per
-//!   arriving packet each step; the engine enforces the hot-potato
-//!   constraints, performs movement/absorption, and keeps statistics.
-//! * [`SoaEngine`] ([`soa`]) — the same bufferless semantics on flat
-//!   structure-of-arrays state. The Busch router runs on it; the
-//!   equivalence tests pin it bit for bit against the Busch reference
-//!   driver on [`Simulation`].
+//! * [`SoaEngine`] ([`soa`]) — the **bufferless (hot-potato) engine**
+//!   (paper §2.3), on flat structure-of-arrays state: time is discrete;
+//!   at each step every active packet *must* leave its current node; at
+//!   most one packet traverses each edge per direction per step. Routing
+//!   algorithms drive the engine by staging one exit per arriving packet
+//!   each step; the engine enforces the hot-potato constraints, performs
+//!   movement/absorption, and keeps statistics. The Busch router and the
+//!   whole greedy family run on it.
 //! * [`store_forward`] — the **buffered engine** used by the
 //!   store-and-forward baselines: per-edge output queues, one dequeue per
 //!   edge per direction per step.
@@ -39,9 +37,7 @@
 //!   without touching the step loop's latency.
 
 pub mod conflict;
-pub mod engine;
 pub mod exchange;
-pub mod kinematics;
 pub mod observe;
 pub mod pool_core;
 pub mod record;
@@ -53,17 +49,15 @@ pub mod streaming;
 pub mod summary;
 
 pub use conflict::{SlotView, StreamPriority};
-pub use engine::{
-    ExitKind, InjectOutcome, PacketStatus, SimError, Simulation, SimulationBuilder, StepReport,
-};
 pub use exchange::{snapshot_exchange, SnapshotPublisher, SnapshotReader};
-pub use kinematics::SimPacket;
 pub use observe::{
     JsonlTraceObserver, MetricsObserver, NoopObserver, RouteObserver, Section, SectionProfiler,
 };
 pub use record::{replay, MoveEvent, RunRecord, TrivialDelivery};
 pub use router_api::{RouteOutcome, Router};
-pub use soa::{SoaEngine, SoaShared, StepStage, NO_MOVE};
+pub use soa::{
+    ExitKind, InjectOutcome, SimError, SoaEngine, SoaShared, StepReport, StepStage, NO_MOVE,
+};
 pub use stats::{RouteStats, Time};
 pub use streaming::{
     route_streaming, route_streaming_observed, AdmissionControl, StreamingConfig, StreamingOutcome,

@@ -18,7 +18,7 @@
 //!
 //! # Zero cost when disabled
 //!
-//! [`Simulation`](crate::Simulation) takes the observer as a generic
+//! [`SoaEngine`](crate::SoaEngine) takes the observer as a generic
 //! parameter defaulting to [`NoopObserver`]. Every hook has an inline
 //! empty default body, so with `NoopObserver` the monomorphized engine
 //! contains no observer code at all — the golden-equivalence tests and
@@ -29,7 +29,7 @@
 //! The trait is object-safe: algorithm-agnostic drivers can take a
 //! `&mut dyn RouteObserver` (see [`crate::Router`]).
 
-use crate::engine::{ExitKind, StepReport};
+use crate::soa::{ExitKind, StepReport};
 use crate::stats::Time;
 use leveled_net::ids::DirectedEdge;
 use leveled_net::{Level, LeveledNetwork, NodeId};
@@ -43,7 +43,7 @@ pub enum Section {
     /// Building contenders and resolving edge conflicts.
     Conflict,
     /// Applying staged moves and rebuilding arrivals
-    /// ([`Simulation::finish_step`](crate::Simulation::finish_step)).
+    /// ([`SoaEngine::finish_step`](crate::SoaEngine::finish_step)).
     Kinematics,
     /// Phase-end invariant audits.
     Audit,
@@ -166,7 +166,7 @@ pub trait RouteObserver {
     fn on_section(&mut self, section: Section, nanos: u64) {}
 }
 
-/// The do-nothing observer: the default `Simulation` parameter. All hooks
+/// The do-nothing observer: the default `SoaEngine` parameter. All hooks
 /// inline to nothing, so an unobserved run compiles to exactly the code it
 /// had before the observability layer existed.
 #[derive(Clone, Copy, Default, Debug)]
@@ -1227,7 +1227,7 @@ impl RouteObserver for SectionProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::StepReport;
+    use crate::soa::StepReport;
     use leveled_net::builders;
     use leveled_net::ids::Direction;
     use routing_core::Path;

@@ -17,7 +17,7 @@
 //! This gives end-to-end audit coverage: a bug in the engine's staging or
 //! bookkeeping cannot hide, because the auditor shares no state with it.
 
-use crate::engine::ExitKind;
+use crate::soa::ExitKind;
 use crate::stats::{RouteStats, Time};
 use leveled_net::ids::DirectedEdge;
 use leveled_net::NodeId;

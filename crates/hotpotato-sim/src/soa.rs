@@ -1,39 +1,74 @@
-//! The data-oriented (structure-of-arrays) bufferless engine.
+//! The bufferless (hot-potato) engine, on structure-of-arrays state.
 //!
-//! [`SoaEngine`] is the cache-friendly twin of [`crate::Simulation`]: the
-//! same hot-potato semantics (bufferless law, per-(edge, direction) slot
-//! capacity, absorb-on-arrival), rebuilt around flat arrays so the
-//! per-step inner loops stream over memory instead of chasing pointers:
+//! [`SoaEngine`] enforces the hot-potato model of the paper (§1.1, §2.3):
+//!
+//! * time is discrete; at each step a node receives packets, a routing
+//!   decision is made, and the packets are forwarded;
+//! * **no buffering**: every packet that arrives at a node must be staged
+//!   an exit in the same step ([`SoaEngine::finish_step`] fails with
+//!   [`SimError::PacketRested`] otherwise);
+//! * **link capacity**: at most one packet traverses an edge per direction
+//!   per step (at most two packets per link, one per direction);
+//! * packets reaching their destination are absorbed on arrival.
+//!
+//! Every hot-potato router drives it: the Busch router and the whole
+//! greedy family (through [`crate::conflict::greedy_step`]). A step
+//! driver borrows the dispatch-read state ([`SoaShared`], via
+//! [`SoaEngine::shared`]) to read arrivals and positions while it stages
+//! one exit per arrival into its own [`StepStage`], hands the stage over
+//! with [`SoaEngine::commit_stage`], injects with
+//! [`SoaEngine::try_inject`], and calls [`SoaEngine::finish_step`]:
+//!
+//! ```text
+//! loop {
+//!     for &v in &sim.shared().occupied {         // nodes with arrivals
+//!         // decide one exit per packet, e.g. via conflict::resolve_into
+//!         stage.stage(pkt, mv, kind);
+//!     }
+//!     sim.commit_stage(&mut stage);
+//!     sim.try_inject(pkt);                       // source-side injections
+//!     sim.finish_step()?;                        // move, absorb, advance
+//! }
+//! ```
+//!
+//! Each packet's *current path* (paper §2.3: traversing the first edge
+//! pops it, a deflection prepends the deflection edge) is kept as
+//!
+//! ```text
+//! current path = deviation stack (top first) ++ preselected[path_next..]
+//! ```
+//!
+//! where the deviation stack holds, for every traversal that left the
+//! current path, the directed move that undoes it. The stack depth is the
+//! packet's distance from its preselected path (paper §1.2's
+//! polylogarithmic deviation claim), and the paper's *edge recycling*
+//! under safe deflections is O(1): the deflected packet pushes the edge
+//! the winning packet popped.
+//!
+//! The layout is built around flat arrays so the per-step inner loops
+//! stream over memory instead of chasing pointers:
 //!
 //! * **Packet state is SoA.** Position, last move, preselected-path
-//!   cursor and deviation depth live in parallel `Vec<u32>`s indexed by
-//!   packet id; the `Vec<DirectedEdge>` deviation stack of
-//!   [`crate::SimPacket`] becomes a free-list arena of `(move, next)`
-//!   pairs shared by all packets.
+//!   cursor and deviation depth live in one 32-byte [`Flight`] row per
+//!   packet; the deviation stacks share one free-list arena of
+//!   `(move, next)` pairs.
 //! * **Moves are packed.** A directed edge traversal is a single `u32`
 //!   (`edge << 1 | direction`), chosen so the packed value *is* the
 //!   [`DirectedEdge::slot_index`] and reversing a move is `mv ^ 1`.
 //! * **Slot occupancy is a bitset.** The per-step (edge, direction)
 //!   claims live in `2·num_edges` bits (one cache line per ~512 slots)
-//!   instead of a `u32` stamp array, and are cleared by iterating the
-//!   staged moves rather than touching the whole table.
+//!   and are cleared by iterating the staged moves rather than touching
+//!   the whole table.
 //! * **Preselected paths are CSR.** All paths are concatenated into one
 //!   `path_mv` array with per-packet offsets, so following a path is a
 //!   linear scan with no per-packet `Vec` indirection.
 //!
-//! The dispatch-read state is split into [`SoaShared`]: a step driver
-//! borrows it through [`SoaEngine::shared`] to read arrivals and
-//! positions while it stages exits into its own [`StepStage`], then
-//! hands the stage over with [`SoaEngine::commit_stage`] and calls
-//! [`SoaEngine::finish_step`].
-//!
-//! The scalar engine remains the oracle: driven with the same decision
-//! sequence, `SoaEngine` produces bit-identical [`RouteStats`], movement
-//! records and observer event streams (`tests/soa_equivalence.rs` at the
-//! workspace root asserts this end to end).
+//! Committed goldens (`tests/golden_equivalence.rs` at the workspace
+//! root) pin the engine's stats, movement records and observer streams
+//! bit for bit, and the offline trace verifier re-derives every
+//! bufferless law from the recorded events.
 
 use crate::conflict::SlotView;
-use crate::engine::{ExitKind, InjectOutcome, SimError, StepReport};
 use crate::observe::{NoopObserver, RouteObserver};
 use crate::record::{MoveEvent, RunRecord, TrivialDelivery};
 use crate::stats::{RouteStats, Time};
@@ -42,19 +77,87 @@ use leveled_net::{EdgeId, LeveledNetwork};
 use routing_core::{PacketId, RoutingProblem};
 use std::sync::Arc;
 
+/// How the caller classifies a staged exit; drives the statistics.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ExitKind {
+    /// The packet advances along its current path (won its conflict).
+    Advance,
+    /// The packet was deflected; `safe` records whether the deflection was
+    /// backward-and-safe in the sense of the paper's Lemma 2.1.
+    Deflect {
+        /// Backward along an edge another packet traversed forward this
+        /// step (edge recycling), versus an arbitrary free link.
+        safe: bool,
+    },
+    /// A wait-state oscillation move (not a deflection: the edge stays in
+    /// the packet's path list).
+    Oscillate,
+    /// The injection move out of the source node.
+    Inject,
+}
+
+/// Errors surfaced by [`SoaEngine::finish_step`]: step drivers treat
+/// them as bugs in their own dispatch logic.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum SimError {
+    /// `finish_step` found an active packet with no staged exit — a
+    /// violation of the hot-potato (bufferless) constraint by the caller.
+    PacketRested(PacketId),
+}
+
+impl std::fmt::Display for SimError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SimError::PacketRested(p) => {
+                write!(f, "hot-potato violation: packet {p} was left resting")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SimError {}
+
+/// Outcome of an injection attempt.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum InjectOutcome {
+    /// The packet departed its source along the first edge of its path.
+    Injected,
+    /// The packet's path is trivial (source == destination); it was
+    /// delivered without entering the network.
+    DeliveredTrivially,
+    /// The first edge's forward slot is occupied; try again next step.
+    Blocked,
+}
+
+/// Per-step movement summary returned by [`SoaEngine::finish_step`].
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct StepReport {
+    /// Packets that moved this step (including injections).
+    pub moved: usize,
+    /// Packets absorbed at their destination.
+    pub absorbed: usize,
+    /// Packets injected.
+    pub injected: usize,
+    /// Deflections (safe + fallback).
+    pub deflections: usize,
+    /// Unsafe (fallback) deflections.
+    pub fallback_deflections: usize,
+    /// Oscillation moves.
+    pub oscillations: usize,
+}
+
 /// Sentinel for "no move" / "empty list" in packed-move and arena-index
 /// fields.
 pub const NO_MOVE: u32 = u32::MAX;
 
-/// Packet lifecycle tags (the SoA counterpart of
-/// [`crate::PacketStatus`]).
+/// Packet lifecycle tag: waiting at its source, not yet injected.
 pub const STATUS_PENDING: u8 = 0;
 /// In flight.
 pub const STATUS_ACTIVE: u8 = 1;
 /// Absorbed at its destination.
 pub const STATUS_DELIVERED: u8 = 2;
 
-/// Staged-exit kind tags (the SoA counterpart of [`ExitKind`]).
+/// Staged-exit kind tags, one per [`ExitKind`] (see [`kind_of`]).
 pub const KIND_ADVANCE: u8 = 0;
 /// Safe backward deflection (Lemma 2.1 edge recycling).
 pub const KIND_DEFLECT_SAFE: u8 = 1;
@@ -270,8 +373,7 @@ impl SoaShared {
 
     /// The edges of packet `pkt`'s *current path*, in order from its
     /// current node to its destination: deviation stack top-down, then
-    /// the remainder of the preselected path (the same order as
-    /// [`crate::SimPacket::current_path_edges`]).
+    /// the remainder of the preselected path.
     pub fn current_path_edges(&self, pkt: u32) -> impl Iterator<Item = EdgeId> + '_ {
         let f = &self.flight[pkt as usize];
         let mut cur = f.dev_head;
@@ -291,8 +393,7 @@ impl SoaShared {
 
     /// Validates that packet `pkt`'s current path is a valid forward path
     /// starting at its current node (the conclusion of the paper's
-    /// Lemma 2.1) — the SoA counterpart of
-    /// [`crate::SimPacket::validate_current_path`].
+    /// Lemma 2.1). Used by auditors and tests.
     pub fn validate_current_path(&self, net: &LeveledNetwork, pkt: u32) -> bool {
         let f = &self.flight[pkt as usize];
         let mut at = f.node;
@@ -379,12 +480,12 @@ impl SlotView for StepStage {
     }
 }
 
-/// The structure-of-arrays bufferless engine. See the module docs for
-/// the layout; the step protocol matches [`crate::Simulation`]:
-/// dispatch exits for every arrival into a [`StepStage`] handed over
-/// with [`SoaEngine::commit_stage`], inject with
-/// [`SoaEngine::try_inject`], then commit with
-/// [`SoaEngine::finish_step`].
+/// The bufferless engine; `O` is the attached event sink (default:
+/// [`NoopObserver`], whose empty hooks compile to nothing). See the
+/// module docs for the layout and the step protocol: dispatch exits for
+/// every arrival into a [`StepStage`] handed over with
+/// [`SoaEngine::commit_stage`], inject with [`SoaEngine::try_inject`],
+/// then commit with [`SoaEngine::finish_step`].
 pub struct SoaEngine<O = NoopObserver> {
     problem: Arc<RoutingProblem>,
     net: Arc<LeveledNetwork>,
@@ -410,6 +511,9 @@ impl<O: RouteObserver> SoaEngine<O> {
     /// Builds the engine over `problem`. `trace` enables the per-step
     /// active-count trace, `recording` the full movement record for
     /// [`crate::replay::verify`].
+    // lint: panics-by-design(dense-index invariant surface: packet/node ids are
+    // validated at construction, so an OOB here is an engine bug caught by the
+    // golden suites, never a client-input path)
     pub fn new(problem: Arc<RoutingProblem>, trace: bool, recording: bool, observer: O) -> Self {
         let net = problem.network_arc();
         let n = problem.num_packets();
@@ -531,8 +635,9 @@ impl<O: RouteObserver> SoaEngine<O> {
         self.status[pkt as usize]
     }
 
-    /// The maintained active-packet list, unordered (see
-    /// [`crate::Simulation::active_slice`]).
+    /// The maintained active-packet list, in *unspecified* order and
+    /// without allocating — for order-insensitive consumers such as
+    /// auditors summing over the set.
     #[inline]
     pub fn active_slice(&self) -> &[u32] {
         &self.active_list
@@ -575,8 +680,13 @@ impl<O: RouteObserver> SoaEngine<O> {
         std::mem::swap(&mut self.staged, &mut stage.staged);
     }
 
-    /// Attempts to inject pending packet `pkt` — same semantics and
-    /// outcome set as [`crate::Simulation::try_inject`].
+    /// Attempts to inject pending packet `pkt`: it departs its source
+    /// along the first edge of its preselected path if that slot is free.
+    ///
+    /// Packets with trivial paths are delivered immediately. The engine
+    /// does not require *isolation* (no other packets at the source) —
+    /// the paper's algorithm arranges isolation by scheduling, and audits
+    /// it by checking [`SoaShared::arrivals`] at the source.
     // lint: hot-path
     // lint: panics-by-design(dense-index invariant surface: packet/node ids are
     // validated at construction, so an OOB here is an engine bug caught by the
@@ -641,8 +751,7 @@ impl<O: RouteObserver> SoaEngine<O> {
     /// Applies all staged exits: verifies the bufferless constraint,
     /// moves packets, absorbs arrivals at destinations, rebuilds the
     /// arrival arena, clears the slot bitset via the staged list, and
-    /// advances the clock. Mirrors [`crate::Simulation::finish_step`]
-    /// event for event.
+    /// advances the clock.
     // lint: hot-path
     // lint: panics-by-design(dense-index invariant surface: packet/node ids are
     // validated at construction, so an OOB here is an engine bug caught by the
@@ -1043,5 +1152,186 @@ mod tests {
         sim.finish_step().unwrap();
         let edges: Vec<EdgeId> = sim.shared().current_path_edges(0).collect();
         assert_eq!(edges, vec![EdgeId(1), EdgeId(2), EdgeId(3)]);
+    }
+
+    #[test]
+    fn oscillation_is_push_pop_neutral() {
+        // Moving back and forth across an edge (the wait-state
+        // oscillation) leaves the current path unchanged, matching the
+        // paper's footnote that the edge "remains in the path list".
+        let prob = line_problem(vec![vec![0, 1, 2, 3, 4]]);
+        let net = prob.network_arc();
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        sim.try_inject(0);
+        sim.finish_step().unwrap();
+        let mut stage = StepStage::new(net);
+        stage.stage(0, sim.shared().next_move(0), KIND_ADVANCE);
+        sim.commit_stage(&mut stage);
+        sim.finish_step().unwrap();
+        let before: Vec<EdgeId> = sim.shared().current_path_edges(0).collect();
+        for _ in 0..3 {
+            for mv in [
+                DirectedEdge::backward(EdgeId(1)),
+                DirectedEdge::forward(EdgeId(1)),
+            ] {
+                stage.stage(0, pack_move(mv), KIND_OSCILLATE);
+                sim.commit_stage(&mut stage);
+                let report = sim.finish_step().unwrap();
+                assert_eq!(report.oscillations, 1);
+            }
+        }
+        let after: Vec<EdgeId> = sim.shared().current_path_edges(0).collect();
+        assert_eq!(sim.shared().flight[0].node, 2);
+        assert_eq!(before, after);
+        assert_eq!(sim.shared().flight[0].dev_depth, 0);
+        assert_eq!(sim.stats().deflections[0], 0);
+    }
+
+    #[test]
+    fn both_directions_of_an_edge_usable_in_one_step() {
+        // At t=1, p1 traverses edge (1,2) forward while p0 traverses the
+        // same edge backward — the paper's "at most two packets per link,
+        // one per direction" rule.
+        let prob = line_problem(vec![vec![1, 2, 3], vec![0, 1, 2]]);
+        let net = prob.network_arc();
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        sim.try_inject(0); // p0: 1 -> 2 (forward on edge 1)
+        sim.try_inject(1); // p1: 0 -> 1 (forward on edge 0)
+        sim.finish_step().unwrap();
+        let fwd = sim.shared().next_move(1);
+        assert_eq!(fwd, pack_move(DirectedEdge::forward(EdgeId(1))));
+        let mut stage = StepStage::new(net);
+        stage.stage(1, fwd, KIND_ADVANCE);
+        let back = DirectedEdge::backward(EdgeId(1));
+        assert!(stage.slot_free(back), "the other direction stays free");
+        stage.stage(0, pack_move(back), KIND_DEFLECT_SAFE);
+        sim.commit_stage(&mut stage);
+        sim.finish_step().unwrap();
+        assert_eq!(sim.shared().flight[0].node, 1);
+        assert_eq!(sim.stats().deflections[0], 1);
+        // p1 was absorbed at its destination node 2.
+        assert_eq!(sim.status(1), STATUS_DELIVERED);
+    }
+
+    #[test]
+    fn step_report_accounts_every_move_kind() {
+        let prob = line_problem(vec![vec![0, 1, 2], vec![1, 2, 3]]);
+        let net = prob.network_arc();
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        sim.try_inject(0);
+        let r = sim.finish_step().unwrap();
+        assert_eq!((r.injected, r.moved), (1, 1));
+        // p0 at n1 oscillates backward over edge 0 while p1 injects from
+        // n1 over edge 1: the two slots don't clash.
+        let mut stage = StepStage::new(net);
+        stage.stage(
+            0,
+            pack_move(DirectedEdge::backward(EdgeId(0))),
+            KIND_OSCILLATE,
+        );
+        sim.commit_stage(&mut stage);
+        assert_eq!(sim.try_inject(1), InjectOutcome::Injected);
+        let r = sim.finish_step().unwrap();
+        assert_eq!(r.moved, 2);
+        assert_eq!(r.oscillations, 1);
+        assert_eq!(r.injected, 1);
+        assert_eq!(r.deflections, 0);
+        assert_eq!(r.absorbed, 0);
+    }
+
+    #[test]
+    fn occupied_nodes_are_sorted_and_deduped() {
+        let prob = line_problem(vec![vec![3, 4, 5], vec![1, 2, 3], vec![0, 1, 2]]);
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        for p in [2u32, 0, 1] {
+            sim.try_inject(p);
+        }
+        sim.finish_step().unwrap();
+        assert_eq!(sim.shared().occupied, vec![1, 2, 4]);
+        assert_eq!(sim.shared().arrivals(4), &[0]);
+    }
+
+    #[test]
+    fn slots_reset_every_step() {
+        let prob = line_problem(vec![vec![0, 1, 2, 3]]);
+        let net = prob.network_arc();
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        let e0 = DirectedEdge::forward(EdgeId(0));
+        assert!(sim.slot_free(e0));
+        sim.try_inject(0);
+        assert!(!sim.slot_free(e0), "injection claims the slot");
+        assert!(sim.slot_free(e0.reversed()), "other direction unaffected");
+        sim.finish_step().unwrap();
+        assert!(sim.slot_free(e0), "slots reset every step");
+
+        let e1 = DirectedEdge::forward(EdgeId(1));
+        let mut stage = StepStage::new(net);
+        stage.stage(0, sim.shared().next_move(0), KIND_ADVANCE);
+        assert!(!stage.slot_free(e1), "staging claims the slot");
+        sim.commit_stage(&mut stage);
+        assert!(stage.slot_free(e1), "commit hands back a clear stage");
+        assert!(!sim.slot_free(e1), "the engine adopts the claim");
+        sim.finish_step().unwrap();
+        assert!(sim.slot_free(e1), "slots reset every step");
+    }
+
+    #[test]
+    fn counts_track_lifecycle() {
+        let prob = line_problem(vec![vec![0, 1, 2], vec![1, 2, 3]]);
+        let net = prob.network_arc();
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        assert_eq!(sim.pending_slice().len(), 2);
+        assert!(sim.active_slice().is_empty());
+        sim.try_inject(0);
+        assert_eq!(sim.pending_slice(), &[1]);
+        assert_eq!(sim.active_slice(), &[0]);
+        sim.finish_step().unwrap();
+        // Drive packet 0 home.
+        let mut stage = StepStage::new(net);
+        while sim.status(0) == STATUS_ACTIVE {
+            stage.stage(0, sim.shared().next_move(0), KIND_ADVANCE);
+            sim.commit_stage(&mut stage);
+            sim.finish_step().unwrap();
+        }
+        assert_eq!(sim.delivered_count(), 1);
+        assert!(sim.active_slice().is_empty());
+        assert!(!sim.is_done());
+    }
+
+    #[test]
+    fn forward_deflection_off_the_path_invalidates_the_current_path() {
+        // s -e0-> a, then a branches: -e1-> b -e3-> d (the path) and
+        // -e2-> c -e4-> d. A forward deflection onto e2 (possible under
+        // unsafe baselines) leaves a backward undo move on the stack, so
+        // the current path is no longer a valid forward path.
+        let mut b = leveled_net::NetworkBuilder::new("branch");
+        let s = b.add_node(0);
+        let a = b.add_node(1);
+        let nb = b.add_node(2);
+        let c = b.add_node(2);
+        let d = b.add_node(3);
+        let e0 = b.add_edge(s, a).unwrap();
+        let e1 = b.add_edge(a, nb).unwrap();
+        let e2 = b.add_edge(a, c).unwrap();
+        let e3 = b.add_edge(nb, d).unwrap();
+        b.add_edge(c, d).unwrap();
+        let net = Arc::new(b.build().unwrap());
+        let path = Path::new(&net, s, vec![e0, e1, e3]).unwrap();
+        let prob = Arc::new(RoutingProblem::new(Arc::clone(&net), vec![path]).unwrap());
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        sim.try_inject(0);
+        sim.finish_step().unwrap();
+        let mut stage = StepStage::new(Arc::clone(&net));
+        stage.stage(0, pack_move(DirectedEdge::forward(e2)), KIND_DEFLECT_FREE);
+        sim.commit_stage(&mut stage);
+        sim.finish_step().unwrap();
+        assert_eq!(sim.shared().flight[0].node, c.0);
+        assert!(!sim.shared().validate_current_path(&net, 0));
+        // Undoing the deflection restores a valid path.
+        stage.stage(0, sim.shared().next_move(0), KIND_ADVANCE);
+        sim.commit_stage(&mut stage);
+        sim.finish_step().unwrap();
+        assert_eq!(sim.shared().flight[0].node, a.0);
+        assert!(sim.shared().validate_current_path(&net, 0));
     }
 }

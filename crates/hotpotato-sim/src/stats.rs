@@ -46,8 +46,8 @@ impl serde::Serialize for RouteStats {
 impl RouteStats {
     /// Empty statistics for `n` packets. The per-step active-count trace
     /// starts disabled; enable it by setting
-    /// [`RouteStats::active_trace`] to `Some` (the engine's builder does
-    /// this for `SimulationBuilder::trace(true)`).
+    /// [`RouteStats::active_trace`] to `Some` (the engine does this when
+    /// [`crate::SoaEngine::new`] is called with `trace = true`).
     pub fn new(n: usize) -> Self {
         RouteStats {
             injected_at: vec![None; n],

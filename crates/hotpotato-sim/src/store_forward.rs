@@ -9,8 +9,8 @@
 //! buffered baseline the experiments compare hot-potato routing against
 //! ("the benefit from using buffers is no more than polylogarithmic").
 
-use crate::engine::{ExitKind, StepReport};
 use crate::observe::{NoopObserver, RouteObserver};
+use crate::soa::{ExitKind, StepReport};
 use crate::stats::{RouteStats, Time};
 use leveled_net::ids::DirectedEdge;
 use leveled_net::EdgeId;

@@ -28,9 +28,9 @@
 //! work on open-ended runs through the existing observer path.
 
 use crate::conflict::{self, StreamPriority};
-use crate::engine::{InjectOutcome, Simulation};
 use crate::observe::{NoopObserver, RouteObserver};
 use crate::record::RunRecord;
+use crate::soa::{InjectOutcome, SoaEngine, StepStage};
 use crate::stats::{RouteStats, Time};
 use rand::Rng;
 use routing_core::RoutingProblem;
@@ -121,8 +121,6 @@ impl StreamingOutcome {
 /// step `schedule[i]` and flows through admission control. Deterministic
 /// given the rng state. `schedule.len()` must equal the problem's packet
 /// count.
-///
-/// The streaming loop executes on the scalar [`Simulation`] substrate.
 pub fn route_streaming<R: Rng + ?Sized>(
     problem: &Arc<RoutingProblem>,
     schedule: &[Time],
@@ -144,10 +142,8 @@ pub fn route_streaming_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
     let n = problem.num_packets();
     // lint: allow-panic(api precondition: the schedule/packet arity contract is the fn's one caller-facing assert)
     assert_eq!(schedule.len(), n, "arrival schedule must time every packet");
-    let mut sim = Simulation::builder(Arc::clone(problem), vec![(); n])
-        .recording(cfg.record)
-        .observer(observer)
-        .build();
+    let mut sim = SoaEngine::new(Arc::clone(problem), false, cfg.record, observer);
+    let mut stage = StepStage::new(problem.network_arc());
 
     // Arrival order: by step, ties by packet id (generators emit
     // non-decreasing schedules, but an explicit schedule need not be).
@@ -169,7 +165,7 @@ pub fn route_streaming_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
 
     loop {
         let all_arrived = next_arrival >= n;
-        if all_arrived && queue.is_empty() && sim.active_count() == 0 {
+        if all_arrived && queue.is_empty() && sim.active_slice().is_empty() {
             break;
         }
         if sim.now() >= cfg.max_steps {
@@ -179,11 +175,13 @@ pub fn route_streaming_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
 
         // 1. Every in-network packet must be staged an exit (no rest).
         conflict::greedy_step(
-            &mut sim,
+            &sim,
+            &mut stage,
             |sim, p| cfg.priority.priority_of(sim, p),
             rng,
             &mut scratch,
         );
+        sim.commit_stage(&mut stage);
 
         // 2. Arrival intake: packets whose step has come enter the
         // queue, or are dropped if the queue is at its bound.
@@ -211,13 +209,12 @@ pub fn route_streaming_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
         let mut budget = cfg
             .admission
             .max_in_flight
-            .saturating_sub(sim.active_count());
+            .saturating_sub(sim.active_slice().len());
         queue.retain(|&p| {
             if budget == 0 {
                 return true;
             }
-            // lint: allow-panic(admission invariant: the deferred queue holds only pending packets)
-            match sim.try_inject(p).expect("queued packets are pending") {
+            match sim.try_inject(p) {
                 InjectOutcome::Injected => {
                     budget -= 1;
                     admitted += 1;
@@ -233,10 +230,10 @@ pub fn route_streaming_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
 
         // lint: allow-panic(engine invariant: pass 1 staged an exit for every occupied node)
         sim.finish_step().expect("all arrivals staged");
-        peak_in_flight = peak_in_flight.max(sim.active_count());
+        peak_in_flight = peak_in_flight.max(sim.active_slice().len());
     }
 
-    let drained = next_arrival >= n && queue.is_empty() && sim.active_count() == 0;
+    let drained = next_arrival >= n && queue.is_empty() && sim.active_slice().is_empty();
     let (mut stats, record) = sim.into_parts();
     stats.bump_by("arrivals", arrivals);
     stats.bump_by("admitted", admitted);

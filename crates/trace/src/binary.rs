@@ -4,12 +4,12 @@
 //! JSONL stays the interchange format; the binary framing exists so
 //! multi-GB traces stay cheap to store and verify. The layout is pinned
 //! by a magic header plus [`SCHEMA_VERSION`], and the wire-layout items
-//! of this module ([`Tag`], [`encode_event`], [`decode_event`]) are
+//! of this module (`Tag`, `encode_event`, `decode_event`) are
 //! fingerprinted by `cargo xtask lint` alongside `schema.rs` — changing
 //! the byte layout without bumping the schema version fails lint.
 //!
 //! Layout: the file starts with [`MAGIC`] followed by the schema
-//! version as a varint. Each event is one tag byte ([`Tag`]) followed
+//! version as a varint. Each event is one tag byte (`Tag`) followed
 //! by its payload. Integers are LEB128 varints; signed values are
 //! zigzag-coded; step clocks (`t`) are zigzag deltas against the
 //! previous clock-carrying event; strings are a varint length plus

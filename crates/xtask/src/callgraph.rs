@@ -22,7 +22,7 @@
 //!   `crate`/`self`/`super` restricts to the caller's crate; a leading
 //!   first-party crate ident (`hotpotato_sim::...`) selects that crate;
 //!   `Self::name` uses the caller's impl owner; otherwise `q` is matched
-//!   as an impl/trait owner (`Simulation::builder`) or a module file stem
+//!   as an impl/trait owner (`SoaEngine::new`) or a module file stem
 //!   (`conflict::resolve_into`) — first in the caller's crate, then
 //!   workspace-wide. A qualifier matching nothing first-party (e.g.
 //!   `String::from`) stays **unresolved**: explicit foreign paths are

@@ -9,7 +9,8 @@
 
 use hotpotato_routing::prelude::*;
 use hotpotato_sim::replay::{self, ReplayError};
-use hotpotato_sim::{ExitKind, InjectOutcome, Simulation};
+use hotpotato_sim::soa::{pack_move, KIND_ADVANCE, KIND_DEFLECT_FREE};
+use hotpotato_sim::{InjectOutcome, SlotView, SoaEngine, StepStage};
 use leveled_net::ids::DirectedEdge;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -26,42 +27,34 @@ fn chaos_run(
 ) -> (hotpotato_sim::RouteStats, hotpotato_sim::RunRecord) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let n = problem.num_packets();
-    let mut sim = Simulation::builder(Arc::clone(problem), vec![(); n])
-        .recording(true)
-        .build();
+    let net = problem.network_arc();
+    let mut sim: SoaEngine = SoaEngine::new(Arc::clone(problem), false, true, NoopObserver);
+    let mut stage = StepStage::new(Arc::clone(&net));
     let mut pending: Vec<u32> = (0..n as u32).collect();
 
     while !sim.is_done() && sim.now() < max_steps {
-        for v in sim.occupied_nodes() {
-            let arrivals = sim.arrivals(v).to_vec();
+        let sh = sim.shared();
+        for &v in &sh.occupied {
             // Assign each arriving packet a random free exit: legal but
             // completely structure-free routing.
-            let mut exits: Vec<DirectedEdge> = sim
-                .network()
-                .exits(v)
-                .filter(|&mv| sim.slot_free(mv))
+            let mut exits: Vec<DirectedEdge> = net
+                .exits(NodeId(v))
+                .filter(|&mv| stage.slot_free(mv))
                 .collect();
             exits.shuffle(&mut rng);
-            for (pkt, mv) in arrivals.into_iter().zip(exits) {
-                let kind = if Some(mv) == sim.next_move_of(pkt) {
-                    ExitKind::Advance
+            for (&pkt, mv) in sh.arrivals(v).iter().zip(exits) {
+                let mv = pack_move(mv);
+                let kind = if mv == sh.next_move(pkt) {
+                    KIND_ADVANCE
                 } else {
-                    ExitKind::Deflect { safe: false }
+                    KIND_DEFLECT_FREE
                 };
-                sim.stage_exit(pkt, mv, kind).expect("free slot");
+                stage.stage(pkt, mv, kind);
             }
         }
+        sim.commit_stage(&mut stage);
         // Random-subset injection this step.
-        pending.retain(|&p| {
-            if rng.gen_bool(0.3) {
-                !matches!(
-                    sim.try_inject(p).expect("pending"),
-                    InjectOutcome::Injected | InjectOutcome::DeliveredTrivially
-                )
-            } else {
-                true
-            }
-        });
+        pending.retain(|&p| !rng.gen_bool(0.3) || sim.try_inject(p) == InjectOutcome::Blocked);
         sim.finish_step().expect("all arrivals staged");
     }
     let (stats, record) = sim.into_parts();
