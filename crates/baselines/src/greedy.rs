@@ -28,8 +28,6 @@ pub struct GreedyConfig {
     pub priority: StreamPriority,
     /// Safety cap on simulated steps.
     pub max_steps: u64,
-    /// Record every movement event for independent replay auditing.
-    pub record: bool,
 }
 
 impl Default for GreedyConfig {
@@ -37,7 +35,6 @@ impl Default for GreedyConfig {
         GreedyConfig {
             priority: StreamPriority::Uniform,
             max_steps: 5_000_000,
-            record: false,
         }
     }
 }
@@ -47,8 +44,6 @@ impl Default for GreedyConfig {
 pub struct GreedyOutcome {
     /// Standard routing statistics.
     pub stats: RouteStats,
-    /// The movement record, when [`GreedyConfig::record`] was set.
-    pub record: Option<hotpotato_sim::RunRecord>,
 }
 
 /// The greedy hot-potato router.
@@ -94,7 +89,6 @@ impl GreedyRouter {
             problem,
             |sim, p| rule.priority_of(sim, p),
             self.cfg.max_steps,
-            self.cfg.record,
             rng,
             observer,
         )
@@ -109,7 +103,6 @@ pub(crate) fn route_batch<R, O, P>(
     problem: &Arc<RoutingProblem>,
     priority: P,
     max_steps: u64,
-    record: bool,
     rng: &mut R,
     observer: &mut O,
 ) -> GreedyOutcome
@@ -118,7 +111,7 @@ where
     O: RouteObserver + ?Sized,
     P: Fn(&SoaEngine<&mut O>, u32) -> u32,
 {
-    let mut sim = SoaEngine::new(Arc::clone(problem), false, record, observer);
+    let mut sim = SoaEngine::new(Arc::clone(problem), false, observer);
     let mut stage = StepStage::new(problem.network_arc());
     let mut pending: Vec<u32> = (0..problem.num_packets() as u32).collect();
     let mut scratch = GreedyScratch::default();
@@ -128,8 +121,9 @@ where
         pending.retain(|&p| sim.try_inject(p) == InjectOutcome::Blocked);
         sim.finish_step().expect("all arrivals staged");
     }
-    let (stats, record) = sim.into_parts();
-    GreedyOutcome { stats, record }
+    GreedyOutcome {
+        stats: sim.into_parts(),
+    }
 }
 
 impl Router for GreedyRouter {
@@ -147,7 +141,6 @@ impl Router for GreedyRouter {
         RouteOutcome {
             algorithm: "greedy",
             stats: out.stats,
-            record: out.record,
         }
     }
 }

@@ -116,7 +116,6 @@ impl hotpotato_sim::Router for StoreForwardRouter {
         hotpotato_sim::RouteOutcome {
             algorithm: "sf",
             stats,
-            record: None,
         }
     }
 }

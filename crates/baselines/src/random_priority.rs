@@ -21,15 +21,12 @@ use std::sync::Arc;
 pub struct RandomPriorityRouter {
     /// Safety cap on simulated steps.
     pub max_steps: u64,
-    /// Record every movement event for independent replay auditing.
-    pub record: bool,
 }
 
 impl Default for RandomPriorityRouter {
     fn default() -> Self {
         RandomPriorityRouter {
             max_steps: 5_000_000,
-            record: false,
         }
     }
 }
@@ -65,7 +62,6 @@ impl RandomPriorityRouter {
             problem,
             |_, p| ranks[p as usize],
             self.max_steps,
-            self.record,
             rng,
             observer,
         )
@@ -87,7 +83,6 @@ impl Router for RandomPriorityRouter {
         RouteOutcome {
             algorithm: "rank",
             stats: out.stats,
-            record: out.record,
         }
     }
 }

@@ -26,7 +26,7 @@ fn converging_sim(width: usize) -> (SoaEngine, NodeId, Vec<Contender>) {
         .collect();
     let prob = Arc::new(RoutingProblem::new(Arc::clone(&net), paths).unwrap());
     let n = prob.num_packets();
-    let mut sim: SoaEngine = SoaEngine::new(prob, false, false, hotpotato_sim::NoopObserver);
+    let mut sim: SoaEngine = SoaEngine::new(prob, false, hotpotato_sim::NoopObserver);
     for p in 0..n as u32 {
         sim.try_inject(p);
     }
@@ -74,12 +74,8 @@ fn bench_engine_step(c: &mut Criterion) {
             b.iter_batched(
                 || {
                     let n = prob.num_packets();
-                    let mut sim: SoaEngine = SoaEngine::new(
-                        Arc::clone(&prob),
-                        false,
-                        false,
-                        hotpotato_sim::NoopObserver,
-                    );
+                    let mut sim: SoaEngine =
+                        SoaEngine::new(Arc::clone(&prob), false, hotpotato_sim::NoopObserver);
                     for p in 0..n as u32 {
                         sim.try_inject(p);
                     }
@@ -128,13 +124,9 @@ fn bench_replay(c: &mut Criterion) {
     let net = Arc::new(builders::butterfly(7));
     let coords = leveled_net::builders::ButterflyCoords { k: 7 };
     let prob = workloads::butterfly_bit_reversal(&net, &coords);
-    let cfg = baselines::GreedyConfig {
-        record: true,
-        ..Default::default()
-    };
     let mut rng = ChaCha8Rng::seed_from_u64(5);
-    let out = baselines::GreedyRouter::with_config(cfg).route(&prob, &mut rng);
-    let record = out.record.expect("recording enabled");
+    let mut record = hotpotato_sim::RunRecord::default();
+    let out = baselines::GreedyRouter::new().route_observed(&prob, &mut rng, &mut record);
     g.bench_function("greedy_bf7_bitrev", |b| {
         b.iter(|| {
             hotpotato_sim::replay::verify(&prob, &record, &out.stats)

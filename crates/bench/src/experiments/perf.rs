@@ -27,9 +27,11 @@
 //! regressions are machine-checkable.
 
 use crate::table::{f, Table};
-use baselines::{GreedyConfig, GreedyRouter, StoreForwardRouter};
+use baselines::{GreedyRouter, StoreForwardRouter};
 use busch_router::{BuschRouter, Params};
-use hotpotato_sim::{route_streaming, JsonlTraceObserver, StreamPriority, StreamingConfig};
+use hotpotato_sim::{
+    route_streaming, JsonlTraceObserver, RunRecord, StreamPriority, StreamingConfig,
+};
 use hotpotato_trace::{schema, ShardOptions, Trace};
 use leveled_net::builders::{self, ButterflyCoords};
 use rand::SeedableRng;
@@ -183,16 +185,13 @@ pub fn measure(quick: bool) -> PerfReport {
 
     // Greedy with recording, then the replay audit itself.
     {
-        let cfg = GreedyConfig {
-            record: true,
-            ..Default::default()
-        };
-        let (wall_s, repeats, out) = timed_best(quick, || {
+        let (wall_s, repeats, (out, record)) = timed_best(quick, || {
             let mut rng = ChaCha8Rng::seed_from_u64(2);
-            GreedyRouter::with_config(cfg).route(&prob, &mut rng)
+            let mut record = RunRecord::default();
+            let out = GreedyRouter::new().route_observed(&prob, &mut rng, &mut record);
+            (out, record)
         });
         assert!(out.stats.all_delivered());
-        let record = out.record.as_ref().expect("recording on");
         rows.push(PerfMeasurement {
             component: "greedy (recorded)",
             k,
@@ -207,7 +206,7 @@ pub fn measure(quick: bool) -> PerfReport {
         });
 
         let (wall_s, repeats, rep) = timed_best(quick, || {
-            hotpotato_sim::replay::verify(&prob, record, &out.stats).expect("clean")
+            hotpotato_sim::replay::verify(&prob, &record, &out.stats).expect("clean")
         });
         rows.push(PerfMeasurement {
             component: "replay audit",

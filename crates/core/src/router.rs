@@ -61,9 +61,6 @@ pub struct BuschConfig {
     pub eager_injection: bool,
     /// Record the per-step active-packet trace.
     pub trace: bool,
-    /// Record every movement event for independent replay auditing
-    /// ([`hotpotato_sim::replay::verify`]).
-    pub record: bool,
 }
 
 impl BuschConfig {
@@ -77,7 +74,6 @@ impl BuschConfig {
             arbitrary_deflections: false,
             eager_injection: false,
             trace: false,
-            record: false,
         }
     }
 }
@@ -98,8 +94,6 @@ pub struct BuschOutcome {
     pub phases_elapsed: u64,
     /// The parameters used.
     pub params: Params,
-    /// The movement record, when [`BuschConfig::record`] was set.
-    pub record: Option<hotpotato_sim::RunRecord>,
 }
 
 /// The paper's routing algorithm, ready to route problems.
@@ -180,7 +174,6 @@ impl Router for BuschRouter {
         RouteOutcome {
             algorithm: "busch",
             stats,
-            record: out.record,
         }
     }
 }

@@ -298,7 +298,7 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
     observer.on_sets_assigned(&sets, params.num_sets);
 
     let timing = observer.wants_timing();
-    let mut sim = SoaEngine::new(Arc::clone(problem), cfg.trace, cfg.record, observer);
+    let mut sim = SoaEngine::new(Arc::clone(problem), cfg.trace, observer);
     let mut invariants = InvariantReport::default();
     let initial_per_set = if cfg.check_invariants {
         problem.per_set_congestion(&sets, params.num_sets as usize)
@@ -513,7 +513,7 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
     }
 
     let phases_elapsed = sim.now() / phase_len;
-    let (mut stats, record) = sim.into_parts();
+    let mut stats = sim.into_parts();
     invariants.unsafe_deflections = invariants
         .unsafe_deflections
         .max(stats.counter("fallback_deflections"));
@@ -526,6 +526,5 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
         schedule,
         phases_elapsed,
         params,
-        record,
     }
 }

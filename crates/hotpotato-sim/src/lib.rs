@@ -28,7 +28,8 @@
 //!
 //! * [`observe`] — the [`RouteObserver`] event-sink trait (statically
 //!   zero-cost when disabled) plus concrete sinks: [`MetricsObserver`],
-//!   [`JsonlTraceObserver`], [`SectionProfiler`];
+//!   [`JsonlTraceObserver`], [`SectionProfiler`], and the [`RunRecord`]
+//!   movement log that [`replay::verify`] audits;
 //! * [`router_api`] — the object-safe [`Router`] trait and shared
 //!   [`RouteOutcome`] every routing algorithm implements;
 //! * [`exchange`] — the double-buffered, never-blocking

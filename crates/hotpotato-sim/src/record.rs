@@ -1,7 +1,8 @@
 //! Run recording and independent replay verification.
 //!
-//! With recording enabled, the engine logs every movement event of a run.
-//! [`replay::verify`] then re-checks the *entire run* against the
+//! A [`RunRecord`] is an observer: attach it to a run (alone, or beside
+//! other sinks as a tuple) and it logs every movement event the engine
+//! emits. [`replay::verify`] then re-checks the *entire run* against the
 //! hot-potato model from scratch — independently of the engine that
 //! produced it:
 //!
@@ -9,7 +10,8 @@
 //! * packets are injected exactly once, at their path's source, departing
 //!   along its first edge;
 //! * every move starts where the packet actually is (no teleports);
-//! * **no packet ever rests**: while active, a packet moves every step;
+//! * **no packet ever rests**: while active, a packet moves every step,
+//!   and never twice in one step;
 //! * packets are absorbed exactly on arrival at their destination, and
 //!   never move afterwards;
 //! * the final delivery set matches the run statistics.
@@ -17,6 +19,7 @@
 //! This gives end-to-end audit coverage: a bug in the engine's staging or
 //! bookkeeping cannot hide, because the auditor shares no state with it.
 
+use crate::observe::RouteObserver;
 use crate::soa::ExitKind;
 use crate::stats::{RouteStats, Time};
 use leveled_net::ids::DirectedEdge;
@@ -66,6 +69,28 @@ impl RunRecord {
     }
 }
 
+/// Logs the engine's move and trivial-delivery events in emission order,
+/// which is commit order.
+impl RouteObserver for RunRecord {
+    #[inline]
+    fn on_move(&mut self, t: Time, pkt: u32, mv: DirectedEdge, kind: ExitKind) {
+        self.moves.push(MoveEvent {
+            time: t,
+            pkt: PacketId(pkt),
+            mv,
+            kind,
+        });
+    }
+
+    #[inline]
+    fn on_trivial(&mut self, t: Time, pkt: u32) {
+        self.trivial.push(TrivialDelivery {
+            time: t,
+            pkt: PacketId(pkt),
+        });
+    }
+}
+
 /// Reconstructs per-step level occupancy from a record:
 /// `result[t][level]` counts the packets in flight at that level *after*
 /// the moves departing at step `t` have landed. Rows cover steps
@@ -108,6 +133,13 @@ pub mod replay {
         OutOfOrder {
             /// Index of the offending event.
             at: usize,
+        },
+        /// A packet moved more than once in one step.
+        MovedTwice {
+            /// The step.
+            time: Time,
+            /// The offending packet.
+            pkt: PacketId,
         },
         /// Two packets used the same (edge, direction) in one step.
         CapacityViolation {
@@ -165,6 +197,9 @@ pub mod replay {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
             match self {
                 ReplayError::OutOfOrder { at } => write!(f, "event #{at} out of time order"),
+                ReplayError::MovedTwice { time, pkt } => {
+                    write!(f, "t={time}: {pkt} moved twice in one step")
+                }
                 ReplayError::CapacityViolation { time, pkt } => {
                     write!(f, "t={time}: {pkt} reused an occupied edge-direction slot")
                 }
@@ -279,14 +314,13 @@ pub mod replay {
             for ev in step {
                 let i = ev.pkt.index();
                 if movers[i] {
-                    return Err(ReplayError::CapacityViolation {
+                    return Err(ReplayError::MovedTwice {
                         time: t,
                         pkt: ev.pkt,
                     });
                 }
                 movers[i] = true;
-                if let Some(prev) = slot_user.insert(ev.mv.slot_index(), ev.pkt) {
-                    let _ = prev;
+                if slot_user.insert(ev.mv.slot_index(), ev.pkt).is_some() {
                     return Err(ReplayError::CapacityViolation {
                         time: t,
                         pkt: ev.pkt,
@@ -522,6 +556,58 @@ mod tests {
         assert!(matches!(err, ReplayError::CapacityViolation { .. }));
         // ... even though packet 1's injection itself is invalid too; the
         // slot check fires first by construction.
+    }
+
+    #[test]
+    fn moving_twice_in_one_step_detected() {
+        // One packet on two different slots in the same step: no slot is
+        // reused, so this is a double move, not a capacity clash.
+        let prob = tiny_problem();
+        let mut rec = good_record();
+        rec.moves[1].time = 0;
+        let err = verify(&prob, &rec, &stats_delivered()).unwrap_err();
+        assert_eq!(
+            err,
+            ReplayError::MovedTwice {
+                time: 0,
+                pkt: PacketId(0)
+            }
+        );
+        assert_eq!(err.to_string(), "t=0: p0 moved twice in one step");
+    }
+
+    /// Routes every packet of `prob` from step 0 with a record riding
+    /// beside another observer; returns the record and the run's stats.
+    fn observed_run(prob: RoutingProblem) -> (Arc<RoutingProblem>, RunRecord, RouteStats) {
+        use rand::SeedableRng;
+        let prob = Arc::new(prob);
+        let schedule = vec![0; prob.num_packets()];
+        let cfg = crate::StreamingConfig::default();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
+        let mut observer = (RunRecord::default(), crate::NoopObserver);
+        let out = crate::route_streaming_observed(&prob, &schedule, &cfg, &mut rng, &mut observer);
+        (prob, observer.0, out.stats)
+    }
+
+    #[test]
+    fn record_observer_logs_moves_and_trivial_deliveries() {
+        let (prob, rec, stats) = observed_run(tiny_problem());
+        assert_eq!(rec.moves, good_record().moves);
+        assert!(rec.trivial.is_empty());
+        assert_eq!(verify(&prob, &rec, &stats).unwrap().moves, 2);
+
+        let net = Arc::new(builders::linear_array(2));
+        let trivial = RoutingProblem::new(net, vec![Path::trivial(NodeId(1))]).unwrap();
+        let (prob, rec, stats) = observed_run(trivial);
+        assert!(rec.moves.is_empty());
+        assert_eq!(
+            rec.trivial,
+            vec![TrivialDelivery {
+                time: 0,
+                pkt: PacketId(0)
+            }]
+        );
+        assert_eq!(verify(&prob, &rec, &stats).unwrap().delivered, 1);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! paths); the trait impls are thin shims over those.
 
 use crate::observe::{NoopObserver, RouteObserver};
-use crate::record::RunRecord;
 use crate::stats::RouteStats;
 use rand::RngCore;
 use routing_core::RoutingProblem;
@@ -26,16 +25,15 @@ use std::sync::Arc;
 /// [`RouteStats::counters`] under stable names — the Busch router adds
 /// `"phases"`, `"invariant_violations"` and the per-invariant `inv_*`
 /// counters; store-and-forward adds `"max_queue"`,
-/// `"total_queue_wait"` and `"backpressure_stalls"`.
+/// `"total_queue_wait"` and `"backpressure_stalls"`. The movement record
+/// for [`crate::replay::verify`] is not part of the outcome: pass a
+/// [`RunRecord`](crate::RunRecord) as (or beside) the observer.
 #[derive(Clone, Debug)]
 pub struct RouteOutcome {
     /// Stable algorithm name (same as [`Router::name`]).
     pub algorithm: &'static str,
     /// Routing statistics.
     pub stats: RouteStats,
-    /// Movement record, when the router was configured to keep one
-    /// (verifiable with [`crate::record::replay`]).
-    pub record: Option<RunRecord>,
 }
 
 /// An object-safe routing algorithm.

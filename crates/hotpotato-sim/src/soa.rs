@@ -70,7 +70,6 @@
 
 use crate::conflict::SlotView;
 use crate::observe::{NoopObserver, RouteObserver};
-use crate::record::{MoveEvent, RunRecord, TrivialDelivery};
 use crate::stats::{RouteStats, Time};
 use leveled_net::ids::{DirectedEdge, Direction};
 use leveled_net::{EdgeId, LeveledNetwork};
@@ -503,18 +502,18 @@ pub struct SoaEngine<O = NoopObserver> {
     delivered: usize,
     now: Time,
     stats: RouteStats,
-    record: Option<RunRecord>,
     observer: O,
 }
 
 impl<O: RouteObserver> SoaEngine<O> {
     /// Builds the engine over `problem`. `trace` enables the per-step
-    /// active-count trace, `recording` the full movement record for
-    /// [`crate::replay::verify`].
+    /// active-count trace. A movement record for
+    /// [`crate::replay::verify`] is an observer: pass a
+    /// [`RunRecord`](crate::RunRecord) as (or beside) `observer`.
     // lint: panics-by-design(dense-index invariant surface: packet/node ids are
     // validated at construction, so an OOB here is an engine bug caught by the
     // golden suites, never a client-input path)
-    pub fn new(problem: Arc<RoutingProblem>, trace: bool, recording: bool, observer: O) -> Self {
+    pub fn new(problem: Arc<RoutingProblem>, trace: bool, observer: O) -> Self {
         let net = problem.network_arc();
         let n = problem.num_packets();
         let nv = net.num_nodes();
@@ -583,11 +582,6 @@ impl<O: RouteObserver> SoaEngine<O> {
             delivered: 0,
             now: 0,
             stats,
-            record: if recording {
-                Some(RunRecord::default())
-            } else {
-                None
-            },
             observer,
         }
     }
@@ -703,12 +697,6 @@ impl<O: RouteObserver> SoaEngine<O> {
             list_remove(&mut self.pending_list, &mut self.list_pos, pkt);
             self.stats.injected_at[i] = Some(self.now);
             self.stats.delivered_at[i] = Some(self.now);
-            if let Some(rec) = self.record.as_mut() {
-                rec.trivial.push(TrivialDelivery {
-                    time: self.now,
-                    pkt: PacketId(pkt),
-                });
-            }
             self.observer.on_trivial(self.now, pkt);
             return InjectOutcome::DeliveredTrivially;
         }
@@ -791,14 +779,6 @@ impl<O: RouteObserver> SoaEngine<O> {
             let mv = staged_mv(entry);
             let kind = staged_kind(entry);
             let i = pkt as usize;
-            if let Some(rec) = self.record.as_mut() {
-                rec.moves.push(MoveEvent {
-                    time: step,
-                    pkt: PacketId(pkt),
-                    mv: unpack_move(mv),
-                    kind: kind_of(kind),
-                });
-            }
             self.observer
                 .on_move(step, pkt, unpack_move(mv), kind_of(kind));
 
@@ -972,11 +952,10 @@ impl<O: RouteObserver> SoaEngine<O> {
         }
     }
 
-    /// Consumes the engine and returns the statistics together with the
-    /// movement record (if recording was enabled).
-    pub fn into_parts(mut self) -> (RouteStats, Option<RunRecord>) {
+    /// Consumes the engine and returns the run statistics.
+    pub fn into_parts(mut self) -> RouteStats {
         self.stats.steps_run = self.now;
-        (self.stats, self.record)
+        self.stats
     }
 }
 
@@ -1029,7 +1008,7 @@ mod tests {
     fn single_packet_advances_to_destination() {
         let prob = line_problem(vec![vec![0, 1, 2, 3]]);
         let net = prob.network_arc();
-        let mut sim: SoaEngine = SoaEngine::new(prob, true, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, true, NoopObserver);
         assert_eq!(sim.try_inject(0), InjectOutcome::Injected);
         sim.finish_step().unwrap();
         assert_eq!(sim.status(0), STATUS_ACTIVE);
@@ -1045,7 +1024,7 @@ mod tests {
             sim.finish_step().unwrap();
         }
         assert!(sim.is_done());
-        let (stats, _) = sim.into_parts();
+        let stats = sim.into_parts();
         assert_eq!(stats.injected_at[0], Some(0));
         assert_eq!(stats.delivered_at[0], Some(3));
         assert_eq!(stats.deflections[0], 0);
@@ -1058,19 +1037,20 @@ mod tests {
         let prob = Arc::new(
             RoutingProblem::new(Arc::clone(&net), vec![Path::trivial(NodeId(1))]).unwrap(),
         );
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, true, NoopObserver);
+        let mut record = crate::RunRecord::default();
+        let mut sim = SoaEngine::new(prob, false, &mut record);
         assert_eq!(sim.try_inject(0), InjectOutcome::DeliveredTrivially);
         assert!(sim.is_done());
-        let (stats, record) = sim.into_parts();
+        let stats = sim.into_parts();
         assert_eq!(stats.injected_at[0], Some(0));
-        assert_eq!(record.unwrap().trivial.len(), 1);
+        assert_eq!(record.trivial.len(), 1);
     }
 
     #[test]
     fn deflection_updates_deviation_and_unwinds() {
         let prob = line_problem(vec![vec![0, 1, 2, 3]]);
         let net = prob.network_arc();
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
         sim.try_inject(0);
         sim.finish_step().unwrap();
         // Deflect backward along edge 0 (unsafe), then walk home.
@@ -1096,7 +1076,7 @@ mod tests {
             sim.commit_stage(&mut stage);
             sim.finish_step().unwrap();
         }
-        let (stats, _) = sim.into_parts();
+        let stats = sim.into_parts();
         assert_eq!(stats.deflections[0], 1);
         assert_eq!(stats.max_deviation[0], 1);
         assert_eq!(stats.counter("fallback_deflections"), 1);
@@ -1106,7 +1086,7 @@ mod tests {
     #[test]
     fn resting_packet_is_detected() {
         let prob = line_problem(vec![vec![0, 1, 2]]);
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
         sim.try_inject(0);
         sim.finish_step().unwrap();
         assert_eq!(
@@ -1119,7 +1099,7 @@ mod tests {
     fn injection_blocked_by_claimed_slot() {
         let prob = line_problem(vec![vec![0, 1, 2], vec![1, 2, 3]]);
         let net = prob.network_arc();
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
         sim.try_inject(0);
         sim.finish_step().unwrap();
         // p0 at node 1 advances over edge 1; p1's injection (edge 1 fwd)
@@ -1136,7 +1116,7 @@ mod tests {
     fn current_path_edges_lists_deviation_then_base() {
         let prob = line_problem(vec![vec![0, 1, 2, 3, 4]]);
         let net = prob.network_arc();
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
         sim.try_inject(0);
         sim.finish_step().unwrap();
         let mut stage = StepStage::new(net);
@@ -1161,7 +1141,7 @@ mod tests {
         // paper's footnote that the edge "remains in the path list".
         let prob = line_problem(vec![vec![0, 1, 2, 3, 4]]);
         let net = prob.network_arc();
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
         sim.try_inject(0);
         sim.finish_step().unwrap();
         let mut stage = StepStage::new(net);
@@ -1194,7 +1174,7 @@ mod tests {
         // one per direction" rule.
         let prob = line_problem(vec![vec![1, 2, 3], vec![0, 1, 2]]);
         let net = prob.network_arc();
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
         sim.try_inject(0); // p0: 1 -> 2 (forward on edge 1)
         sim.try_inject(1); // p1: 0 -> 1 (forward on edge 0)
         sim.finish_step().unwrap();
@@ -1217,7 +1197,7 @@ mod tests {
     fn step_report_accounts_every_move_kind() {
         let prob = line_problem(vec![vec![0, 1, 2], vec![1, 2, 3]]);
         let net = prob.network_arc();
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
         sim.try_inject(0);
         let r = sim.finish_step().unwrap();
         assert_eq!((r.injected, r.moved), (1, 1));
@@ -1242,7 +1222,7 @@ mod tests {
     #[test]
     fn occupied_nodes_are_sorted_and_deduped() {
         let prob = line_problem(vec![vec![3, 4, 5], vec![1, 2, 3], vec![0, 1, 2]]);
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
         for p in [2u32, 0, 1] {
             sim.try_inject(p);
         }
@@ -1255,7 +1235,7 @@ mod tests {
     fn slots_reset_every_step() {
         let prob = line_problem(vec![vec![0, 1, 2, 3]]);
         let net = prob.network_arc();
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
         let e0 = DirectedEdge::forward(EdgeId(0));
         assert!(sim.slot_free(e0));
         sim.try_inject(0);
@@ -1279,7 +1259,7 @@ mod tests {
     fn counts_track_lifecycle() {
         let prob = line_problem(vec![vec![0, 1, 2], vec![1, 2, 3]]);
         let net = prob.network_arc();
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
         assert_eq!(sim.pending_slice().len(), 2);
         assert!(sim.active_slice().is_empty());
         sim.try_inject(0);
@@ -1318,7 +1298,7 @@ mod tests {
         let net = Arc::new(b.build().unwrap());
         let path = Path::new(&net, s, vec![e0, e1, e3]).unwrap();
         let prob = Arc::new(RoutingProblem::new(Arc::clone(&net), vec![path]).unwrap());
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
         sim.try_inject(0);
         sim.finish_step().unwrap();
         let mut stage = StepStage::new(Arc::clone(&net));

@@ -29,7 +29,6 @@
 
 use crate::conflict::{self, StreamPriority};
 use crate::observe::{NoopObserver, RouteObserver};
-use crate::record::RunRecord;
 use crate::soa::{InjectOutcome, SoaEngine, StepStage};
 use crate::stats::{RouteStats, Time};
 use rand::Rng;
@@ -67,8 +66,6 @@ pub struct StreamingConfig {
     /// Safety cap on simulated steps (the loop is open-ended; a cap
     /// keeps adversarial schedules finite).
     pub max_steps: u64,
-    /// Record every movement event for independent replay auditing.
-    pub record: bool,
 }
 
 impl Default for StreamingConfig {
@@ -77,7 +74,6 @@ impl Default for StreamingConfig {
             admission: AdmissionControl::default(),
             priority: StreamPriority::default(),
             max_steps: 5_000_000,
-            record: false,
         }
     }
 }
@@ -90,8 +86,6 @@ pub struct StreamingOutcome {
     /// undelivered; delivered-vs-dropped accounting is exact:
     /// `delivered + dropped == arrivals` when the run drained.
     pub stats: RouteStats,
-    /// The movement record, when [`StreamingConfig::record`] was set.
-    pub record: Option<RunRecord>,
     /// Packets made available by the arrival schedule.
     pub arrivals: u64,
     /// Packets admitted into the network (injected or trivially
@@ -142,7 +136,7 @@ pub fn route_streaming_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
     let n = problem.num_packets();
     // lint: allow-panic(api precondition: the schedule/packet arity contract is the fn's one caller-facing assert)
     assert_eq!(schedule.len(), n, "arrival schedule must time every packet");
-    let mut sim = SoaEngine::new(Arc::clone(problem), false, cfg.record, observer);
+    let mut sim = SoaEngine::new(Arc::clone(problem), false, observer);
     let mut stage = StepStage::new(problem.network_arc());
 
     // Arrival order: by step, ties by packet id (generators emit
@@ -234,12 +228,11 @@ pub fn route_streaming_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
     }
 
     let drained = next_arrival >= n && queue.is_empty() && sim.active_slice().is_empty();
-    let (mut stats, record) = sim.into_parts();
+    let mut stats = sim.into_parts();
     stats.bump_by("arrivals", arrivals);
     stats.bump_by("admitted", admitted);
     StreamingOutcome {
         stats,
-        record,
         arrivals,
         admitted,
         dropped,
@@ -324,13 +317,10 @@ mod tests {
     #[test]
     fn streaming_record_passes_replay_audit() {
         let (prob, schedule, mut rng) = poisson_instance(18, 0.4, 7);
-        let cfg = StreamingConfig {
-            record: true,
-            ..Default::default()
-        };
-        let out = route_streaming(&prob, &schedule, &cfg, &mut rng);
-        let record = out.record.as_ref().expect("recording on");
-        let rep = crate::replay::verify(&prob, record, &out.stats).expect("clean replay");
+        let mut record = crate::RunRecord::default();
+        let cfg = StreamingConfig::default();
+        let out = route_streaming_observed(&prob, &schedule, &cfg, &mut rng, &mut record);
+        let rep = crate::replay::verify(&prob, &record, &out.stats).expect("clean replay");
         assert_eq!(rep.delivered, 18);
     }
 

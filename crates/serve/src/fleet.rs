@@ -138,7 +138,7 @@ pub fn run_fleet_spec(spec: &RunSpec, verify: bool) -> Result<FleetSample, Strin
             route_streaming_observed(&problem, &schedule, &cfg, &mut rng, &mut obs).stats
         }
         None => {
-            let router = build_router(&spec.algo, &problem, false)?;
+            let router = build_router(&spec.algo, &problem)?;
             router.route(&problem, &mut rng, &mut obs).stats
         }
     };

@@ -13,7 +13,7 @@ use crate::http::{Request, Response, EXPOSITION_CONTENT_TYPE};
 use crate::live::{LiveObserver, LiveSnapshot, DEFL_BUCKET_BOUNDS, LAT_BUCKET_BOUNDS};
 use crate::prom::{Kind, PromWriter};
 use baselines::{GreedyConfig, GreedyRouter, RandomPriorityRouter, StoreForwardRouter};
-use busch_router::{BuschConfig, BuschRouter, Params};
+use busch_router::{BuschRouter, Params};
 use hotpotato_sim::{
     route_streaming_observed, AdmissionControl, Router, SnapshotReader, StreamPriority,
     StreamingConfig,
@@ -56,29 +56,17 @@ impl RunConfig {
     }
 }
 
-/// Builds the batch router `algo` names, with default configurations and
-/// move recording as `record` says: the one table from algorithm names
-/// to batch routers (the CLI builds only Busch with explicit `--params`
-/// itself).
-pub fn build_router(
-    algo: &str,
-    problem: &RoutingProblem,
-    record: bool,
-) -> Result<Box<dyn Router>, String> {
+/// Builds the batch router `algo` names, with default configurations:
+/// the one table from algorithm names to batch routers (the CLI builds
+/// only Busch with explicit `--params` itself).
+pub fn build_router(algo: &str, problem: &RoutingProblem) -> Result<Box<dyn Router>, String> {
     Ok(match algo {
-        "busch" => Box::new(BuschRouter::with_config(BuschConfig {
-            record,
-            ..BuschConfig::new(Params::auto(problem))
-        })),
+        "busch" => Box::new(BuschRouter::new(Params::auto(problem))),
         "greedy" | "ftg" | "aging" => Box::new(GreedyRouter::with_config(GreedyConfig {
             priority: StreamPriority::for_algo(algo)?,
-            record,
             ..Default::default()
         })),
-        "rank" => Box::new(RandomPriorityRouter {
-            record,
-            ..Default::default()
-        }),
+        "rank" => Box::new(RandomPriorityRouter::new()),
         "sf" => Box::new(StoreForwardRouter::fifo()),
         "sfrank" => Box::new(StoreForwardRouter::random_rank(problem.congestion() as u64)),
         other => return Err(format!("unknown algorithm '{other}'")),
@@ -127,7 +115,7 @@ impl Service {
                     StreamPriority::for_algo(&spec.algo)?;
                 }
                 None => {
-                    build_router(&spec.algo, &problem, false)?;
+                    build_router(&spec.algo, &problem)?;
                 }
             }
             let name = spec.name();
@@ -168,8 +156,8 @@ impl Service {
                         observer.finish(&outcome.stats);
                     }
                     None => {
-                        let router = build_router(&spec.algo, &problem, false)
-                            .expect("algo validated at launch");
+                        let router =
+                            build_router(&spec.algo, &problem).expect("algo validated at launch");
                         let outcome = router.route(&problem, &mut rng, &mut observer);
                         observer.finish(&outcome.stats);
                     }
@@ -571,7 +559,7 @@ mod tests {
             .instantiate()
             .unwrap();
         for &algo in KNOWN_ALGOS {
-            let router = build_router(algo, &problem, true)
+            let router = build_router(algo, &problem)
                 .unwrap_or_else(|e| panic!("'{algo}' does not build: {e}"));
             // Variants of one router share its name.
             let want = match algo {
@@ -581,6 +569,6 @@ mod tests {
             };
             assert_eq!(router.name(), want);
         }
-        assert!(build_router("nosuch", &problem, false).is_err());
+        assert!(build_router("nosuch", &problem).is_err());
     }
 }

@@ -28,7 +28,7 @@ fn reference_run(spec: &str, cap: usize) -> (hotpotato_sim::RouteStats, Streamin
     let topo = parse_topo(&run.topo).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(run.seed);
     let problem = parse_workload(&run.workload, &topo, &mut rng).unwrap();
-    let router = build_router(&run.algo, &problem, false).unwrap();
+    let router = build_router(&run.algo, &problem).unwrap();
     let mut agg = StreamingAggregator::new(cap);
     let outcome = router.route(&problem, &mut rng, &mut agg);
     (outcome.stats, agg)

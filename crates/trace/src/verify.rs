@@ -32,10 +32,10 @@
 
 use crate::schema::{Meta, Snapshot, StatsLine, Trace, TraceEvent};
 use crate::timeline::{build_timelines, PacketTimeline};
-use hotpotato_sim::{replay, ExitKind, MoveEvent, RouteStats, RunRecord, Time, TrivialDelivery};
+use hotpotato_sim::{replay, ExitKind, RouteObserver, RouteStats, RunRecord, Time};
 use leveled_net::ids::DirectedEdge;
 use leveled_net::{Direction, LeveledNetwork, NodeId};
-use routing_core::{spec, PacketId, RoutingProblem};
+use routing_core::{spec, RoutingProblem};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -1117,21 +1117,13 @@ pub(crate) fn cross_check_replay(
                 if edge.index() >= edges {
                     return Err(bounds(i + 1, "edge id", edge.index(), edges));
                 }
-                record.moves.push(MoveEvent {
-                    time: t,
-                    pkt: PacketId(pkt),
-                    mv: DirectedEdge { edge, dir },
-                    kind,
-                });
+                record.on_move(t, pkt, DirectedEdge { edge, dir }, kind);
             }
             TraceEvent::Trivial { t, pkt } => {
                 if pkt as usize >= packets {
                     return Err(bounds(i + 1, "packet id", pkt as usize, packets));
                 }
-                record.trivial.push(TrivialDelivery {
-                    time: t,
-                    pkt: PacketId(pkt),
-                });
+                record.on_trivial(t, pkt);
             }
             _ => {}
         }

@@ -8,8 +8,8 @@
 //! cargo run --release --example time_space [seed]
 //! ```
 
-use baselines::{GreedyConfig, GreedyRouter};
-use busch_router::{BuschConfig, BuschRouter, Params};
+use baselines::GreedyRouter;
+use busch_router::{BuschRouter, Params};
 use hotpotato_routing::prelude::*;
 use hotpotato_sim::RunRecord;
 use rand::SeedableRng;
@@ -30,11 +30,8 @@ fn main() {
     println!("problem: {}\n", problem.describe());
 
     let params = Params::scaled(5, 15, 0.1, 3);
-    let cfg = BuschConfig {
-        record: true,
-        ..BuschConfig::new(params)
-    };
-    let out = BuschRouter::with_config(cfg).route(&problem, &mut rng);
+    let mut record = RunRecord::default();
+    let out = BuschRouter::new(params).route_observed(&problem, &mut rng, &mut record);
     assert!(out.stats.all_delivered());
     println!(
         "== busch (m={} w={} sets={}): {} steps ==",
@@ -43,25 +40,12 @@ fn main() {
         params.num_sets,
         out.stats.makespan().unwrap()
     );
-    render(
-        &problem,
-        out.record.as_ref().unwrap(),
-        out.stats.makespan().unwrap(),
-        60,
-    );
+    render(&problem, &record, out.stats.makespan().unwrap(), 60);
 
-    let gcfg = GreedyConfig {
-        record: true,
-        ..Default::default()
-    };
-    let gout = GreedyRouter::with_config(gcfg).route(&problem, &mut rng);
+    let mut record = RunRecord::default();
+    let gout = GreedyRouter::new().route_observed(&problem, &mut rng, &mut record);
     println!("\n== greedy: {} steps ==", gout.stats.makespan().unwrap());
-    render(
-        &problem,
-        gout.record.as_ref().unwrap(),
-        gout.stats.makespan().unwrap(),
-        60,
-    );
+    render(&problem, &record, gout.stats.makespan().unwrap(), 60);
 
     println!(
         "\nEach row is a (sampled) step; each column a level. Digits count\n\

@@ -57,12 +57,12 @@
 //! hotpotato params 64 32 1024
 //! ```
 
-use busch_router::{BuschConfig, BuschRouter, FrameSchedule, InvariantReport, PaperParams, Params};
+use busch_router::{BuschRouter, FrameSchedule, InvariantReport, PaperParams, Params};
 use hotpotato_sim::{
     route_streaming_observed, AdmissionControl, JsonlTraceObserver, MetricsObserver, Router,
-    StreamPriority, StreamingConfig,
+    RunRecord, StreamPriority, StreamingConfig,
 };
-use hotpotato_trace::{schema, StreamingAggregator, Trace};
+use hotpotato_trace::{schema, Model, StreamingAggregator, Trace};
 use leveled_net::render;
 use routing_core::spec::{expand_sweep, parse_run_spec, parse_topo, RunSpec};
 use routing_core::ArrivalProcess;
@@ -276,7 +276,6 @@ fn cmd_route(args: &[String]) -> i32 {
                     max_steps: flag_value(args, "--max-steps")
                         .and_then(|s| s.parse().ok())
                         .unwrap_or(5_000_000),
-                    record: verify,
                 };
                 Some((process, cfg))
             }
@@ -332,13 +331,9 @@ fn cmd_route(args: &[String]) -> i32 {
                 );
             }
             params = Some(p);
-            let cfg = BuschConfig {
-                record: verify,
-                ..BuschConfig::new(p)
-            };
-            Some(Box::new(BuschRouter::with_config(cfg)))
+            Some(Box::new(BuschRouter::new(p)))
         }
-        _ => match serve::service::build_router(algo, &problem, verify) {
+        _ => match serve::service::build_router(algo, &problem) {
             Ok(router) => Some(router),
             Err(e) => {
                 eprintln!("{e}");
@@ -372,11 +367,14 @@ fn cmd_route(args: &[String]) -> i32 {
         None => None,
     };
     let aggregate = aggregate_out.map(|_| StreamingAggregator::new(aggregate_cap));
-    let mut observer = ((metrics, trace), aggregate);
+    // `--verify` records the moves for the replay auditor, which checks
+    // the bufferless law: buffered (store-and-forward) runs get no record.
+    let record = (verify && Model::for_algo(algo) == Model::Bufferless).then(RunRecord::default);
+    let mut observer = (((metrics, trace), aggregate), record);
     // Drive the run: the open-ended injection loop in streaming mode,
     // the batch router otherwise. Both paths feed the same sinks and
-    // converge on (stats, record).
-    let (stats, record, stream) = match &streaming {
+    // converge on the run statistics.
+    let (stats, stream) = match &streaming {
         Some((process, cfg)) => {
             let schedule = process.schedule(problem.num_packets(), &mut rng);
             let out = route_streaming_observed(&problem, &schedule, cfg, &mut rng, &mut observer);
@@ -393,7 +391,7 @@ fn cmd_route(args: &[String]) -> i32 {
                 );
             }
             let drained = out.drained;
-            (out.stats, out.record, Some(drained))
+            (out.stats, Some(drained))
         }
         None => {
             let out = router.expect("batch mode always builds a router").route(
@@ -401,10 +399,10 @@ fn cmd_route(args: &[String]) -> i32 {
                 &mut rng,
                 &mut observer,
             );
-            (out.stats, out.record, None)
+            (out.stats, None)
         }
     };
-    let ((metrics, trace), aggregate) = observer;
+    let (((metrics, trace), aggregate), record) = observer;
 
     if let (Some(path), Some(metrics)) = (metrics_out, metrics) {
         let doc = serde_json::json!({

@@ -101,7 +101,8 @@
 //!   [`baselines::StoreForwardRouter`] (reference \[16\]-style with random ranks).
 //! * **Replay auditing** — [`hotpotato_sim::replay::verify`] re-checks
 //!   an entire recorded run against the hot-potato model, independently
-//!   of the engine (used by the chaos/fuzzing test-suites).
+//!   of the engine (used by the chaos/fuzzing test-suites). The record is
+//!   a [`hotpotato_sim::RunRecord`] attached to the run as an observer.
 //! * **Ablations** — experiments `A1`–`A5` measure each design choice:
 //!   excitation `q`, round length `w`, frame height `m`, set count, safe
 //!   deflections, and the injection discipline.

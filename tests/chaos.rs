@@ -19,7 +19,7 @@ use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
 /// Drives the engine with uniformly random legal exits until `max_steps`
-/// or delivery; returns the engine's outcome parts.
+/// or delivery; returns the run statistics and the recorded moves.
 fn chaos_run(
     problem: &Arc<routing_core::RoutingProblem>,
     seed: u64,
@@ -28,7 +28,8 @@ fn chaos_run(
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let n = problem.num_packets();
     let net = problem.network_arc();
-    let mut sim: SoaEngine = SoaEngine::new(Arc::clone(problem), false, true, NoopObserver);
+    let mut record = hotpotato_sim::RunRecord::default();
+    let mut sim = SoaEngine::new(Arc::clone(problem), false, &mut record);
     let mut stage = StepStage::new(Arc::clone(&net));
     let mut pending: Vec<u32> = (0..n as u32).collect();
 
@@ -57,8 +58,7 @@ fn chaos_run(
         pending.retain(|&p| !rng.gen_bool(0.3) || sim.try_inject(p) == InjectOutcome::Blocked);
         sim.finish_step().expect("all arrivals staged");
     }
-    let (stats, record) = sim.into_parts();
-    (stats, record.expect("recording enabled"))
+    (sim.into_parts(), record)
 }
 
 #[test]
@@ -115,13 +115,10 @@ fn valid_run() -> (
     let mut rng = ChaCha8Rng::seed_from_u64(42);
     let net = Arc::new(builders::butterfly(4));
     let prob = workloads::random_pairs(&net, 10, &mut rng).unwrap();
-    let cfg = baselines::GreedyConfig {
-        record: true,
-        ..Default::default()
-    };
-    let out = baselines::GreedyRouter::with_config(cfg).route(&prob, &mut rng);
+    let mut record = hotpotato_sim::RunRecord::default();
+    let out = baselines::GreedyRouter::new().route_observed(&prob, &mut rng, &mut record);
     assert!(out.stats.all_delivered());
-    (prob, out.stats, out.record.unwrap())
+    (prob, out.stats, record)
 }
 
 /// Deleting any single move from a valid record must be detected
@@ -140,7 +137,9 @@ fn deleting_any_move_is_detected() {
     }
 }
 
-/// Duplicating a move must be detected (double-move or slot clash).
+/// Duplicating a move must be detected as that packet moving twice in
+/// the move's step: the copy sits next to the original, so the double
+/// move is the first thing wrong with the step.
 #[test]
 fn duplicating_any_move_is_detected() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xB2);
@@ -149,9 +148,13 @@ fn duplicating_any_move_is_detected() {
         let idx = rng.gen_range(0..record.moves.len());
         let ev = record.moves[idx];
         record.moves.insert(idx, ev);
-        assert!(
-            replay::verify(&prob, &record, &stats).is_err(),
-            "case {case}: duplicated move {idx} went unnoticed"
+        assert_eq!(
+            replay::verify(&prob, &record, &stats),
+            Err(ReplayError::MovedTwice {
+                time: ev.time,
+                pkt: ev.pkt
+            }),
+            "case {case}: duplicated move {idx}"
         );
     }
 }

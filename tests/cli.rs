@@ -119,6 +119,36 @@ fn route_batch_aging_spec() {
 }
 
 #[test]
+fn route_verify_skips_buffered_runs() {
+    // Store-and-forward packets wait in queues, which the bufferless
+    // replay auditor would reject, so `--verify` reports the audit as
+    // unavailable and the run still succeeds.
+    let (out, err, code) = hotpotato(&["route", "--spec", "bf:4/bitrev/sf", "--verify"]);
+    assert_eq!(code, 0, "{err}");
+    assert!(
+        err.contains("replay:   unavailable (sf does not record moves)"),
+        "{err}"
+    );
+    assert!(
+        !out.contains("VERIFIED") && !err.contains("VERIFIED"),
+        "{out}"
+    );
+}
+
+#[test]
+fn route_verify_audits_streaming_runs() {
+    let (out, err, code) = hotpotato(&[
+        "route",
+        "--spec",
+        "bf:4/pairs:16/greedy/3/poisson:0.5",
+        "--verify",
+    ]);
+    assert_eq!(code, 0, "{err}");
+    assert!(out.contains("stream:"), "{out}");
+    assert!(out.contains("replay:   VERIFIED"), "{out}");
+}
+
+#[test]
 fn route_workload_topology_mismatch() {
     let (_, err, code) = hotpotato(&["route", "--topo", "linear:5", "--workload", "permutation"]);
     assert_eq!(code, 2);

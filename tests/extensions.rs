@@ -2,10 +2,10 @@
 //! setting: many-to-many (relaxed) problems, Beneš networks, and routing
 //! on levelized arbitrary DAGs.
 
-use baselines::{GreedyConfig, GreedyRouter, StoreForwardRouter};
-use busch_router::{BuschConfig, BuschRouter, Params};
+use baselines::{GreedyRouter, StoreForwardRouter};
+use busch_router::{BuschRouter, Params};
 use hotpotato_routing::prelude::*;
-use hotpotato_sim::replay;
+use hotpotato_sim::{replay, RunRecord};
 use leveled_net::levelize::Dag;
 use rand::Rng;
 use rand::SeedableRng;
@@ -39,13 +39,10 @@ fn many_to_many_busch_counts_isolation_but_keeps_physics() {
     let mut rng = ChaCha8Rng::seed_from_u64(2);
     let net = Arc::new(builders::butterfly(4));
     let prob = workloads::many_to_many(&net, 200, &mut rng).unwrap();
-    let cfg = BuschConfig {
-        record: true,
-        ..BuschConfig::new(Params::auto(&prob))
-    };
-    let out = BuschRouter::with_config(cfg).route(&prob, &mut rng);
+    let mut record = RunRecord::default();
+    let out = BuschRouter::new(Params::auto(&prob)).route_observed(&prob, &mut rng, &mut record);
     assert!(out.stats.all_delivered(), "{}", out.stats.summary());
-    replay::verify(&prob, out.record.as_ref().unwrap(), &out.stats)
+    replay::verify(&prob, &record, &out.stats)
         .expect("hot-potato physics hold in the relaxed model");
 }
 
@@ -113,13 +110,10 @@ fn dag_routing_with_recording_replays() {
     }
     let dagnet = DagNetwork::new(&dagg).unwrap();
     let prob = dag::random_dag_pairs(&dagnet, 8, &mut rng).unwrap();
-    let cfg = GreedyConfig {
-        record: true,
-        ..Default::default()
-    };
-    let out = GreedyRouter::with_config(cfg).route(&prob, &mut rng);
+    let mut record = RunRecord::default();
+    let out = GreedyRouter::new().route_observed(&prob, &mut rng, &mut record);
     assert!(out.stats.all_delivered());
-    replay::verify(&prob, out.record.as_ref().unwrap(), &out.stats).expect("clean replay");
+    replay::verify(&prob, &record, &out.stats).expect("clean replay");
 }
 
 #[test]

@@ -115,17 +115,11 @@ fn busch_butterfly_matches_golden() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xC0FFEE);
     let net = Arc::new(builders::butterfly(4));
     let prob = workloads::random_pairs(&net, 14, &mut rng).unwrap();
-    let cfg = BuschConfig {
-        record: true,
-        ..BuschConfig::new(Params::scaled(4, 16, 0.15, 2))
-    };
-    let out = BuschRouter::with_config(cfg).route(&prob, &mut rng);
+    let router = BuschRouter::new(Params::scaled(4, 16, 0.15, 2));
+    let mut record = RunRecord::default();
+    let out = router.route_observed(&prob, &mut rng, &mut record);
     assert!(out.stats.all_delivered(), "golden run must deliver");
-    check_golden(
-        "busch_butterfly4.txt",
-        &out.stats,
-        out.record.as_ref().expect("recording on"),
-    );
+    check_golden("busch_butterfly4.txt", &out.stats, &record);
 }
 
 /// Busch router on the §5 mesh-transpose instance (C = D = n - 1):
@@ -136,17 +130,11 @@ fn busch_mesh_matches_golden() {
     let (raw, coords) = builders::mesh(6, 6, MeshCorner::TopLeft);
     let net = Arc::new(raw);
     let prob = workloads::mesh_transpose(&net, &coords).unwrap();
-    let cfg = BuschConfig {
-        record: true,
-        ..BuschConfig::new(Params::auto(&prob))
-    };
-    let out = BuschRouter::with_config(cfg).route(&prob, &mut rng);
+    let router = BuschRouter::new(Params::auto(&prob));
+    let mut record = RunRecord::default();
+    let out = router.route_observed(&prob, &mut rng, &mut record);
     assert!(out.stats.all_delivered(), "golden run must deliver");
-    check_golden(
-        "busch_mesh6.txt",
-        &out.stats,
-        out.record.as_ref().expect("recording on"),
-    );
+    check_golden("busch_mesh6.txt", &out.stats, &record);
 }
 
 /// The bf(5) bit-reversal instance the batch greedy-family goldens share.
@@ -165,30 +153,38 @@ fn funnel8() -> Arc<routing_core::RoutingProblem> {
     workloads::funnel(&net, 16, &mut rng).unwrap()
 }
 
-/// Routes `prob` with a recording greedy-family batch router from a
-/// fixed seed and pins the run against the golden `name`.
+/// Routes `prob` with a greedy-family batch router from a fixed seed,
+/// recording its moves, and pins the run against the golden `name`.
 fn check_greedy(
     name: &str,
     prob: &Arc<routing_core::RoutingProblem>,
-    route: impl FnOnce(&Arc<routing_core::RoutingProblem>, &mut ChaCha8Rng) -> baselines::GreedyOutcome,
+    route: impl FnOnce(
+        &Arc<routing_core::RoutingProblem>,
+        &mut ChaCha8Rng,
+        &mut RunRecord,
+    ) -> baselines::GreedyOutcome,
 ) {
     let mut rng = ChaCha8Rng::seed_from_u64(0xFEED);
-    let out = route(prob, &mut rng);
+    let mut record = RunRecord::default();
+    let out = route(prob, &mut rng, &mut record);
     assert!(out.stats.all_delivered(), "golden run must deliver");
-    check_golden(name, &out.stats, out.record.as_ref().expect("recording on"));
+    check_golden(name, &out.stats, &record);
 }
 
-/// A recording greedy run under `priority`.
+/// A recorded greedy run under `priority`.
 fn greedy(
     priority: hotpotato_sim::StreamPriority,
-) -> impl FnOnce(&Arc<routing_core::RoutingProblem>, &mut ChaCha8Rng) -> baselines::GreedyOutcome {
-    move |prob, rng| {
+) -> impl FnOnce(
+    &Arc<routing_core::RoutingProblem>,
+    &mut ChaCha8Rng,
+    &mut RunRecord,
+) -> baselines::GreedyOutcome {
+    move |prob, rng, record| {
         let cfg = baselines::GreedyConfig {
             priority,
-            record: true,
             ..Default::default()
         };
-        baselines::GreedyRouter::with_config(cfg).route(prob, rng)
+        baselines::GreedyRouter::with_config(cfg).route_observed(prob, rng, record)
     }
 }
 
@@ -215,12 +211,8 @@ fn greedy_priorities_on_funnel_match_goldens() {
 /// rank priority.
 #[test]
 fn rank_bit_reversal_matches_golden() {
-    check_greedy("rank_bitrev5.txt", &bitrev5(), |prob, rng| {
-        let router = baselines::RandomPriorityRouter {
-            record: true,
-            ..Default::default()
-        };
-        router.route(prob, rng)
+    check_greedy("rank_bitrev5.txt", &bitrev5(), |prob, rng, record| {
+        baselines::RandomPriorityRouter::new().route_observed(prob, rng, record)
     });
 }
 
@@ -241,17 +233,14 @@ fn streaming_ftg_poisson_matches_golden() {
             max_deferred: 64,
         },
         priority: StreamPriority::FurthestToGo,
-        record: true,
         ..StreamingConfig::default()
     };
-    let out = hotpotato_sim::route_streaming(&prob, &schedule, &cfg, &mut rng);
+    let mut record = RunRecord::default();
+    let out =
+        hotpotato_sim::route_streaming_observed(&prob, &schedule, &cfg, &mut rng, &mut record);
     assert!(out.drained, "golden stream must drain");
     assert!(out.stats.all_delivered(), "golden stream must deliver");
-    check_golden(
-        "stream_ftg_poisson5.txt",
-        &out.stats,
-        out.record.as_ref().expect("recording on"),
-    );
+    check_golden("stream_ftg_poisson5.txt", &out.stats, &record);
 }
 
 /// Attaching observers must not change routing by a single bit: the same
@@ -264,24 +253,20 @@ fn observed_run_matches_unobserved_golden() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xC0FFEE);
     let net = Arc::new(builders::butterfly(4));
     let prob = workloads::random_pairs(&net, 14, &mut rng).unwrap();
-    let cfg = BuschConfig {
-        record: true,
-        ..BuschConfig::new(Params::scaled(4, 16, 0.15, 2))
-    };
+    let router = BuschRouter::new(Params::scaled(4, 16, 0.15, 2));
     let mut observer = (
-        MetricsObserver::new(&prob),
-        JsonlTraceObserver::new(Vec::new()),
+        (
+            MetricsObserver::new(&prob),
+            JsonlTraceObserver::new(Vec::new()),
+        ),
+        RunRecord::default(),
     );
-    let out = BuschRouter::with_config(cfg).route_observed(&prob, &mut rng, &mut observer);
+    let out = router.route_observed(&prob, &mut rng, &mut observer);
     assert!(out.stats.all_delivered(), "golden run must deliver");
-    check_golden(
-        "busch_butterfly4.txt",
-        &out.stats,
-        out.record.as_ref().expect("recording on"),
-    );
+    let ((metrics, trace), record) = observer;
+    check_golden("busch_butterfly4.txt", &out.stats, &record);
 
     // The sinks really observed the run they did not perturb.
-    let (metrics, trace) = observer;
     let hist: u64 = metrics
         .deflection_histogram()
         .iter()
@@ -378,13 +363,12 @@ fn encode_outcome(stats: &RouteStats, extra: &[String], trace: &[u8]) -> String 
     out
 }
 
-/// A Busch run with trace and recording on, observed by a JSONL sink.
+/// A Busch run with the active-count trace on, observed by a JSONL sink.
 fn busch_traced(
     problem: &Arc<routing_core::RoutingProblem>,
     seed: u64,
 ) -> (busch_router::BuschOutcome, Vec<u8>) {
     let router = BuschRouter::with_config(BuschConfig {
-        record: true,
         trace: true,
         ..BuschConfig::new(Params::auto(problem))
     });

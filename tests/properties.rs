@@ -8,7 +8,6 @@
 //! style without the shrinking machinery).
 
 use baselines::GreedyRouter;
-use busch_router::BuschConfig;
 use hotpotato_routing::prelude::*;
 use hotpotato_sim::replay;
 use rand::{Rng, SeedableRng};
@@ -192,13 +191,10 @@ fn busch_always_replays_cleanly() {
         let sets = rng.gen_range(1u32..4);
         let net = Arc::new(builders::butterfly(3));
         let prob = workloads::random_pairs(&net, 6, rng).unwrap();
-        let cfg = BuschConfig {
-            record: true,
-            ..BuschConfig::new(Params::scaled(m, w_mult * m, 0.1, sets))
-        };
-        let out = busch_router::BuschRouter::with_config(cfg).route(&prob, rng);
-        let record = out.record.as_ref().expect("recording on");
-        let report = replay::verify(&prob, record, &out.stats);
+        let router = busch_router::BuschRouter::new(Params::scaled(m, w_mult * m, 0.1, sets));
+        let mut record = hotpotato_sim::RunRecord::default();
+        let out = router.route_observed(&prob, rng, &mut record);
+        let report = replay::verify(&prob, &record, &out.stats);
         assert!(
             report.is_ok(),
             "case {case}: replay failed: {:?}",

@@ -3,10 +3,10 @@
 //! `hotpotato_sim::replay` — slot capacity, no-resting, no teleports,
 //! injection legality, absorption-on-arrival, and delivery consistency.
 
-use baselines::{GreedyConfig, GreedyRouter};
+use baselines::GreedyRouter;
 use busch_router::{BuschConfig, BuschRouter, Params};
 use hotpotato_routing::prelude::*;
-use hotpotato_sim::replay;
+use hotpotato_sim::{replay, RunRecord};
 use leveled_net::builders::{ButterflyCoords, MeshCorner};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -35,14 +35,10 @@ fn busch_runs_replay_cleanly_across_workloads() {
         },
     ];
     for prob in &cases {
-        let cfg = BuschConfig {
-            record: true,
-            ..BuschConfig::new(Params::auto(prob))
-        };
-        let out = BuschRouter::with_config(cfg).route(prob, &mut rng);
+        let mut record = RunRecord::default();
+        let out = BuschRouter::new(Params::auto(prob)).route_observed(prob, &mut rng, &mut record);
         assert!(out.stats.all_delivered(), "{}", prob.describe());
-        let record = out.record.as_ref().expect("recording enabled");
-        let report = replay::verify(prob, record, &out.stats)
+        let report = replay::verify(prob, &record, &out.stats)
             .unwrap_or_else(|e| panic!("{}: replay failed: {e}", prob.describe()));
         assert_eq!(report.delivered, prob.num_packets());
         assert_eq!(report.moves as usize, record.len());
@@ -60,14 +56,10 @@ fn greedy_runs_replay_cleanly() {
     let net = Arc::new(builders::butterfly(k));
     let coords = ButterflyCoords { k };
     let prob = workloads::butterfly_bit_reversal(&net, &coords);
-    let cfg = GreedyConfig {
-        record: true,
-        ..Default::default()
-    };
-    let out = GreedyRouter::with_config(cfg).route(&prob, &mut rng);
+    let mut record = RunRecord::default();
+    let out = GreedyRouter::new().route_observed(&prob, &mut rng, &mut record);
     assert!(out.stats.all_delivered());
-    let record = out.record.as_ref().expect("recording enabled");
-    let report = replay::verify(&prob, record, &out.stats).expect("replay clean");
+    let report = replay::verify(&prob, &record, &out.stats).expect("replay clean");
     assert_eq!(report.delivered, prob.num_packets());
 }
 
@@ -81,13 +73,12 @@ fn arbitrary_deflection_ablation_still_obeys_physics() {
     let coords = ButterflyCoords { k };
     let prob = workloads::butterfly_bit_reversal(&net, &coords);
     let cfg = BuschConfig {
-        record: true,
         arbitrary_deflections: true,
         ..BuschConfig::new(Params::scaled(6, 36, 0.1, 2))
     };
-    let out = BuschRouter::with_config(cfg).route(&prob, &mut rng);
-    let record = out.record.as_ref().expect("recording enabled");
-    replay::verify(&prob, record, &out.stats).expect("physics hold under ablation");
+    let mut record = RunRecord::default();
+    let out = BuschRouter::with_config(cfg).route_observed(&prob, &mut rng, &mut record);
+    replay::verify(&prob, &record, &out.stats).expect("physics hold under ablation");
 }
 
 #[test]
@@ -95,12 +86,8 @@ fn record_length_matches_move_accounting() {
     let mut rng = ChaCha8Rng::seed_from_u64(4);
     let net = Arc::new(builders::butterfly(4));
     let prob = workloads::random_pairs(&net, 8, &mut rng).unwrap();
-    let cfg = GreedyConfig {
-        record: true,
-        ..Default::default()
-    };
-    let out = GreedyRouter::with_config(cfg).route(&prob, &mut rng);
-    let record = out.record.unwrap();
+    let mut record = RunRecord::default();
+    let out = GreedyRouter::new().route_observed(&prob, &mut rng, &mut record);
     // Every packet contributes at least path-length moves.
     let min_moves: usize = prob.packets().iter().map(|p| p.path.len()).sum();
     assert!(record.len() >= min_moves);
