@@ -347,7 +347,7 @@ pub fn measure_streaming(quick: bool) -> PerfMeasurement {
 /// The trace-pipeline row: record a snapshot-bearing JSONL trace of the
 /// classic bf(10) quick / bf(12) bit-reversal Busch run in memory —
 /// meta/stats envelope and all, exactly as `route --trace-out` writes
-/// it — then time sharded replay verification over the worker pool.
+/// it — then time sharded replay verification over worker threads.
 /// `moves` carries the trace event count, so this row's moves/s in the
 /// committed baseline is verify throughput in events/s. Panics if the
 /// clean trace fails to verify: the row's presence is the claim that
@@ -396,8 +396,8 @@ pub fn measure_verify(quick: bool) -> PerfMeasurement {
 /// The fleet-throughput row: a fixed ladder of sweep specs (a seed
 /// range across butterfly sizes) collected through the same per-run
 /// trace envelope, replay verification, and [`FleetAggregator`] fold
-/// that `serve --fleet` and the `t1`/`t8` tables use, on the shared
-/// worker pool. `moves` carries the real summed per-run move counts
+/// that `serve --fleet` and the `t1`/`t8` tables use, on
+/// [`crate::parallel_map`] workers. `moves` carries the real summed per-run move counts
 /// (the adaptive gate's yardstick); `runs`/`runs_per_s` ride into the
 /// baseline document as the sweep-throughput figure. Panics on any
 /// failed run or invariant violation: the row's presence in the

@@ -4,7 +4,7 @@
 //! build their rows from the same [`FleetAggregator`] rollup the live
 //! `/fleet` endpoint serves, so a table cell and a fleet cell are the
 //! same artifact. Determinism at any worker count is structural:
-//! [`parallel_map`] writes results back by index (submission order), the
+//! [`parallel_map`] returns results in submission order, the
 //! fold below walks that order sequentially, and every statistic the
 //! aggregator reports is computed from *sorted* samples with a
 //! cell-keyed bootstrap seed — so `HOTPOTATO_THREADS=1` and `=32`
@@ -15,7 +15,7 @@ use hotpotato_trace::{FleetAggregator, FleetSample};
 use routing_core::spec::RunSpec;
 use serve::run_fleet_spec;
 
-/// Executes every spec on the worker pool and folds the samples into
+/// Executes every spec on [`parallel_map`] and folds the samples into
 /// one aggregation, in submission order.
 pub fn collect_specs(specs: Vec<RunSpec>, verify: bool) -> FleetAggregator {
     collect_with(specs, |spec| run_fleet_spec(&spec, verify))

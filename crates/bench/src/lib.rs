@@ -28,6 +28,5 @@ pub mod gate;
 pub mod runner;
 pub mod table;
 
-pub use hotpotato_sim::pool_core;
 pub use runner::{average, parallel_map, RunSummary};
 pub use table::Table;

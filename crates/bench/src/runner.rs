@@ -1,9 +1,9 @@
-//! Run helpers: condensed per-run summaries, seed averaging, and a
-//! persistent worker pool behind [`parallel_map`] for sweeps.
+//! Run helpers: condensed per-run summaries, seed averaging, and
+//! [`parallel_map`], the scoped-thread fan-out behind every sweep.
 
 use baselines::{GreedyRouter, RandomPriorityRouter, StoreForwardRouter};
 use busch_router::{BuschOutcome, BuschRouter, Params};
-use hotpotato_sim::{RouteStats, Router};
+use hotpotato_sim::{configured_threads, RouteStats, Router};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use routing_core::RoutingProblem;
@@ -128,57 +128,18 @@ pub fn run_store_forward_bounded(problem: &Arc<RoutingProblem>, seed: u64) -> Ru
     run_router(&StoreForwardRouter::bounded(2), problem, seed)
 }
 
-/// The sweep thread budget: the `HOTPOTATO_THREADS` environment variable
-/// when set to a positive integer, otherwise the machine's available
-/// parallelism. Read on every call, so tests and operators can retune a
-/// running process.
-pub fn configured_threads() -> usize {
-    crate::pool_core::configured_threads()
+thread_local! {
+    /// Set on sweep workers so nested sweeps run inline instead of
+    /// fanning out again from inside a fan-out.
+    static IS_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// The persistent worker pool: a process-wide [`PoolCore`] spawned at
-/// first use and reused by every sweep, so per-call cost is queue
-/// traffic rather than thread spawns. The schedule-sensitive mechanics
-/// live in [`crate::pool_core`], where the loom model verifies them.
-mod pool {
-    use crate::pool_core::{Job, PoolCore};
-    use std::sync::OnceLock;
-
-    static POOL: OnceLock<PoolCore> = OnceLock::new();
-
-    thread_local! {
-        /// Set on pool workers so nested sweeps run inline instead of
-        /// deadlocking the pool waiting on itself.
-        static IS_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-    }
-
-    /// Whether the current thread is one of the pool's workers.
-    pub(super) fn on_worker_thread() -> bool {
-        IS_WORKER.with(std::cell::Cell::get)
-    }
-
-    fn mark_worker() {
-        IS_WORKER.with(|w| w.set(true));
-    }
-
-    fn pool() -> &'static PoolCore {
-        POOL.get_or_init(|| {
-            let workers = std::thread::available_parallelism().map_or(4, std::num::NonZero::get);
-            PoolCore::new(workers, mark_worker)
-        })
-    }
-
-    /// Enqueues a job on the persistent pool.
-    pub(super) fn submit(job: Job) {
-        pool().submit(job).expect("worker pool alive");
-    }
-}
-
-/// Runs `f` over `items` on the persistent worker pool, preserving input
+/// Runs `f` over `items` on scoped worker threads, preserving input
 /// order in the output. Work is distributed as contiguous chunks, one per
-/// requested thread; results are written back by index, so the output is
-/// identical for every thread count (including 1). Thread budget comes
-/// from [`configured_threads`] (`HOTPOTATO_THREADS` override respected).
+/// requested thread, and results are concatenated in chunk order, so the
+/// output is identical for every thread count (including 1). Thread
+/// budget comes from [`configured_threads`] (`HOTPOTATO_THREADS` override
+/// respected).
 pub fn parallel_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
@@ -188,7 +149,8 @@ where
     parallel_map_with_threads(items, f, configured_threads())
 }
 
-/// [`parallel_map`] with an explicit thread budget.
+/// [`parallel_map`] with an explicit thread budget. A panic in `f` is
+/// resumed on the calling thread once every chunk has finished.
 pub fn parallel_map_with_threads<T, U, F>(items: Vec<T>, f: F, threads: usize) -> Vec<U>
 where
     T: Send,
@@ -197,76 +159,43 @@ where
 {
     let n = items.len();
     let threads = threads.max(1).min(n.max(1));
-    // Inline on trivial budgets and on pool workers themselves (a nested
-    // sweep waiting on the pool from inside the pool would deadlock).
-    if threads <= 1 || n <= 1 || pool::on_worker_thread() {
+    if threads == 1 || IS_WORKER.with(std::cell::Cell::get) {
         return items.into_iter().map(f).collect();
     }
 
     // Contiguous chunks, sized as evenly as possible.
     let per = n / threads;
     let extra = n % threads;
-    let mut chunks: Vec<(usize, Vec<T>)> = Vec::with_capacity(threads);
     let mut it = items.into_iter();
-    let mut start = 0;
-    for c in 0..threads {
-        let len = per + usize::from(c < extra);
-        if len == 0 {
-            continue;
+    let chunks: Vec<Vec<T>> = (0..threads)
+        .map(|c| it.by_ref().take(per + usize::from(c < extra)).collect())
+        .collect();
+
+    let f = &f;
+    let joined: Vec<std::thread::Result<Vec<U>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = chunks
+            .into_iter()
+            .map(|chunk| {
+                scope.spawn(move || {
+                    IS_WORKER.with(|w| w.set(true));
+                    chunk.into_iter().map(f).collect::<Vec<U>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(std::thread::ScopedJoinHandle::join)
+            .collect()
+    });
+
+    let mut out = Vec::with_capacity(n);
+    for chunk in joined {
+        match chunk {
+            Ok(mut results) => out.append(&mut results),
+            Err(payload) => std::panic::resume_unwind(payload),
         }
-        chunks.push((start, it.by_ref().take(len).collect()));
-        start += len;
     }
-
-    let slots: std::sync::Mutex<Vec<Option<U>>> =
-        std::sync::Mutex::new((0..n).map(|_| None).collect());
-    let panic_slot = crate::pool_core::PanicSlot::new();
-    let latch = crate::pool_core::CompletionLatch::new(chunks.len());
-
-    {
-        let f = &f;
-        let slots = &slots;
-        let panic_slot = &panic_slot;
-        let latch = &latch;
-        for (chunk_start, chunk) in chunks {
-            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let out: Vec<U> = chunk.into_iter().map(f).collect();
-                    let mut guard = slots.lock().expect("result slots");
-                    for (offset, u) in out.into_iter().enumerate() {
-                        guard[chunk_start + offset] = Some(u);
-                    }
-                }));
-                if let Err(payload) = result {
-                    panic_slot.record(payload);
-                }
-                latch.complete_one();
-            });
-            // SAFETY: the job borrows `f`, `slots`, `panic_slot` and
-            // `latch` from this stack frame. The wait below does not
-            // return until every submitted job has run to completion (the
-            // latch is hit even when the closure panics), so the borrows
-            // outlive every use. Erasing the lifetime is what lets the
-            // jobs ride a persistent pool.
-            #[allow(unsafe_code)]
-            let job: crate::pool_core::Job = unsafe {
-                std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, crate::pool_core::Job>(job)
-            };
-            pool::submit(job);
-        }
-
-        latch.wait();
-    }
-
-    if let Some(payload) = panic_slot.take() {
-        std::panic::resume_unwind(payload);
-    }
-    slots
-        .into_inner()
-        .expect("result slots")
-        .into_iter()
-        .map(|s| s.expect("all chunks ran"))
-        .collect()
+    out
 }
 
 #[cfg(test)]
@@ -325,16 +254,27 @@ mod tests {
 
     #[test]
     fn panics_propagate_after_sweep_completes() {
-        let result = std::panic::catch_unwind(|| {
-            parallel_map((0..32u64).collect(), |x| {
-                if x == 17 {
-                    panic!("boom");
-                }
-                x
-            })
-        });
-        assert!(result.is_err());
-        // The pool is still usable afterwards.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // Four chunks of eight; item 15 ends the second chunk, so every
+        // other item runs even though a chunk stops at its panic.
+        let ran = AtomicUsize::new(0);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parallel_map_with_threads(
+                (0..32u64).collect(),
+                |x| {
+                    if x == 15 {
+                        panic!("boom");
+                    }
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    x
+                },
+                4,
+            )
+        }));
+        let payload = result.expect_err("the panic resumes on the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+        assert_eq!(ran.load(Ordering::Relaxed), 31);
+        // Sweeps still work afterwards.
         let ok = parallel_map((0..8u64).collect(), |x| x);
         assert_eq!(ok.len(), 8);
     }

@@ -62,14 +62,14 @@ fn hotpotato_threads_env_override_is_respected_and_deterministic() {
     let seeds: Vec<u64> = (0..8).collect();
 
     std::env::set_var("HOTPOTATO_THREADS", "1");
-    assert_eq!(runner::configured_threads(), 1);
+    assert_eq!(hotpotato_sim::configured_threads(), 1);
     let single: Vec<String> = runner::parallel_map(seeds.clone(), |seed| {
         let s = runner::run_greedy(&problem, seed);
         format!("{seed}:{}:{}", s.makespan, s.deflections)
     });
 
     std::env::set_var("HOTPOTATO_THREADS", "3");
-    assert_eq!(runner::configured_threads(), 3);
+    assert_eq!(hotpotato_sim::configured_threads(), 3);
     let triple: Vec<String> = runner::parallel_map(seeds, |seed| {
         let s = runner::run_greedy(&problem, seed);
         format!("{seed}:{}:{}", s.makespan, s.deflections)

@@ -43,10 +43,10 @@
 //! monotone; it can step back by one around a flip. Readers that need
 //! monotone views keep the max of the sequence numbers they have seen.
 //!
-//! The core is `#[cfg(loom)]`-gated exactly like [`crate::observe`]'s
-//! sibling `bench::pool_core`, so `crates/serve/tests/loom_serve.rs` can
-//! model-check publish/read races, torn-snapshot impossibility, and
-//! shutdown under the vendored bounded-exhaustive scheduler.
+//! Its `Arc`/`Mutex` resolve to the vendored `loom` workalike under
+//! `--cfg loom`, so `crates/serve/tests/loom_serve.rs` can model-check
+//! publish/read races, torn-snapshot impossibility, and shutdown under
+//! the vendored bounded-exhaustive scheduler.
 
 #[cfg(loom)]
 use loom::sync::{Arc, Mutex};

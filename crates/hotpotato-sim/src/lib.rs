@@ -40,7 +40,6 @@
 pub mod conflict;
 pub mod exchange;
 pub mod observe;
-pub mod pool_core;
 pub mod record;
 pub mod router_api;
 pub mod soa;
@@ -64,3 +63,17 @@ pub use streaming::{
     route_streaming, route_streaming_observed, AdmissionControl, StreamingConfig, StreamingOutcome,
 };
 pub use summary::Summary;
+
+/// The worker-thread budget shared by every parallel fan-out in the
+/// workspace: the `HOTPOTATO_THREADS` environment variable when set to a
+/// positive integer, otherwise the machine's available parallelism. Read
+/// on every call, so tests and operators can retune a running process.
+pub fn configured_threads() -> usize {
+    match std::env::var("HOTPOTATO_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+    {
+        Some(n) if n >= 1 => n,
+        _ => std::thread::available_parallelism().map_or(4, std::num::NonZero::get),
+    }
+}

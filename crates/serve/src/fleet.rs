@@ -1,9 +1,10 @@
-//! Fleet mode: a sweep of run specs executed on the shared worker pool,
+//! Fleet mode: a sweep of run specs executed on scoped worker threads,
 //! with cross-run aggregation served live.
 //!
-//! `hotpotato serve --fleet` queues every spec a `--sweep` expression
-//! expands to, fans them out over [`hotpotato_sim::pool_core`] workers,
-//! and folds each completed run — executed fully in memory through the
+//! `hotpotato serve --fleet` takes every spec a `--sweep` expression
+//! expands to and fans them out over `--workers` scoped threads, each
+//! pulling the next spec index from a shared counter. The coordinator
+//! folds each completed run — executed fully in memory through the
 //! same meta/stats trace envelope the CLI writes with `--trace-out`,
 //! then parsed, analyzed, and replay-verified — into a
 //! [`FleetAggregator`]. The coordinator publishes the whole aggregation
@@ -26,10 +27,9 @@ use crate::http::{Request, Response, EXPOSITION_CONTENT_TYPE};
 use crate::live::DEFL_BUCKET_BOUNDS;
 use crate::prom::{Kind, PromWriter};
 use crate::service::build_router;
-use hotpotato_sim::pool_core::{configured_threads, PoolCore};
 use hotpotato_sim::{
-    route_streaming_observed, snapshot_exchange, JsonlTraceObserver, RouteStats, Router,
-    SnapshotPublisher, SnapshotReader, StreamPriority, StreamingConfig,
+    configured_threads, route_streaming_observed, snapshot_exchange, JsonlTraceObserver,
+    RouteStats, Router, SnapshotPublisher, SnapshotReader, StreamPriority, StreamingConfig,
 };
 use hotpotato_trace::fleet::{FleetAggregator, FleetSample, RATIO_BUCKET_BOUNDS};
 use hotpotato_trace::{analyze, schema, verify_trace, Trace};
@@ -39,6 +39,7 @@ use routing_core::spec::RunSpec;
 use routing_core::RoutingProblem;
 use serde_json::json;
 use std::io::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -91,7 +92,7 @@ pub struct FleetSnapshot {
     /// Coordinator wall-clock milliseconds since launch, stamped at
     /// publish time (telemetry only — never feeds results).
     pub elapsed_ms: u64,
-    /// True once every run completed and the pool quiesced.
+    /// True once every run completed and every worker joined.
     pub finished: bool,
 }
 
@@ -216,16 +217,6 @@ enum FleetMsg {
     },
 }
 
-/// The index baked into a pool worker's thread name, for per-worker
-/// utilization accounting.
-fn worker_index() -> usize {
-    std::thread::current()
-        .name()
-        .and_then(|n| n.strip_prefix("hotpotato-sweep-"))
-        .and_then(|i| i.parse().ok())
-        .unwrap_or(0)
-}
-
 /// The running fleet service: the coordinator's reader half plus enough
 /// identity to render endpoints.
 pub struct FleetService {
@@ -236,7 +227,7 @@ pub struct FleetService {
 }
 
 impl FleetService {
-    /// Spawns the coordinator (which owns the worker pool) and returns
+    /// Spawns the coordinator (which owns the worker threads) and returns
     /// immediately; endpoints serve the live aggregation from the first
     /// request on.
     pub fn launch(config: FleetConfig) -> Result<FleetService, String> {
@@ -510,7 +501,7 @@ impl FleetService {
 
         w.family(
             "hotpotato_fleet_worker_runs_total",
-            "Completed runs per pool worker.",
+            "Completed runs per fleet worker.",
             Kind::Counter,
         );
         for (i, &runs) in s.per_worker.iter().enumerate() {
@@ -525,10 +516,10 @@ impl FleetService {
     }
 }
 
-/// The coordinator body: owns the pool, folds results, publishes after
-/// every event, flushes the final snapshot after shutdown. Reads the
-/// wall clock only to stamp telemetry (elapsed/ETA) — results never
-/// depend on it.
+/// The coordinator body: runs the sweep on `workers` scoped threads,
+/// folds results, publishes after every event, and flushes the final
+/// snapshot once every worker has joined. Reads the wall clock only to
+/// stamp telemetry (elapsed/ETA) — results never depend on it.
 // lint: telemetry
 fn coordinate(
     config: FleetConfig,
@@ -537,75 +528,74 @@ fn coordinate(
 ) {
     let started = Instant::now();
     let total = config.specs.len() as u64;
-    let pool = PoolCore::new(workers, || {});
-    let (tx, rx) = mpsc::channel::<FleetMsg>();
-    for spec in config.specs {
-        let tx = tx.clone();
-        let verify = config.verify;
-        let throttle_ms = config.throttle_ms;
-        let submitted = pool.submit(Box::new(move || {
-            let worker = worker_index();
-            let _ = tx.send(FleetMsg::Started { worker });
-            if throttle_ms > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(throttle_ms));
-            }
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_fleet_spec(&spec, verify)
-            }))
-            .unwrap_or_else(|_| Err(format!("run '{}' panicked", spec.name())));
-            let _ = tx.send(FleetMsg::Done { worker, result });
-        }));
-        if submitted.is_err() {
-            break; // pool shut down under us; nothing more to queue
-        }
-    }
-    drop(tx);
+    let FleetConfig {
+        specs,
+        verify,
+        throttle_ms,
+        ..
+    } = config;
+    let next = AtomicUsize::new(0);
 
     let mut agg = FleetAggregator::new();
     let mut per_worker = vec![0u64; workers];
     let mut busy = vec![false; workers];
     let mut running = 0u64;
     let mut errors: Vec<String> = Vec::new();
-    for msg in &rx {
-        match msg {
-            FleetMsg::Started { worker } => {
-                running += 1;
-                if let Some(b) = busy.get_mut(worker) {
-                    *b = true;
+    std::thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel::<FleetMsg>();
+        for worker in 0..workers {
+            let tx = tx.clone();
+            let (specs, next) = (&specs, &next);
+            scope.spawn(move || {
+                while let Some(spec) = specs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let _ = tx.send(FleetMsg::Started { worker });
+                    if throttle_ms > 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(throttle_ms));
+                    }
+                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        run_fleet_spec(spec, verify)
+                    }))
+                    .unwrap_or_else(|_| Err(format!("run '{}' panicked", spec.name())));
+                    let _ = tx.send(FleetMsg::Done { worker, result });
                 }
-            }
-            FleetMsg::Done { worker, result } => {
-                running = running.saturating_sub(1);
-                if let Some(b) = busy.get_mut(worker) {
-                    *b = false;
+            });
+        }
+        drop(tx);
+
+        for msg in rx {
+            match msg {
+                FleetMsg::Started { worker } => {
+                    running += 1;
+                    busy[worker] = true;
                 }
-                if let Some(w) = per_worker.get_mut(worker) {
-                    *w += 1;
-                }
-                match result {
-                    Ok(sample) => agg.record(sample),
-                    Err(e) => {
-                        agg.record_failure();
-                        if errors.len() < 8 {
-                            errors.push(e);
+                FleetMsg::Done { worker, result } => {
+                    running = running.saturating_sub(1);
+                    busy[worker] = false;
+                    per_worker[worker] += 1;
+                    match result {
+                        Ok(sample) => agg.record(sample),
+                        Err(e) => {
+                            agg.record_failure();
+                            if errors.len() < 8 {
+                                errors.push(e);
+                            }
                         }
                     }
                 }
             }
+            let snap = FleetSnapshot {
+                agg: agg.clone(),
+                total,
+                running,
+                per_worker: per_worker.clone(),
+                busy: busy.clone(),
+                errors: errors.clone(),
+                elapsed_ms: started.elapsed().as_millis() as u64,
+                finished: false,
+            };
+            publisher.publish_with(|s| *s = snap);
         }
-        let snap = FleetSnapshot {
-            agg: agg.clone(),
-            total,
-            running,
-            per_worker: per_worker.clone(),
-            busy: busy.clone(),
-            errors: errors.clone(),
-            elapsed_ms: started.elapsed().as_millis() as u64,
-            finished: false,
-        };
-        publisher.publish_with(|s| *s = snap);
-    }
-    pool.shutdown();
+    });
     let elapsed_ms = started.elapsed().as_millis() as u64;
     publisher.flush_with(|s| {
         *s = FleetSnapshot {
@@ -681,7 +671,11 @@ mod tests {
         assert_eq!(pdoc["done"].as_u64(), Some(6));
         assert_eq!(pdoc["queued"].as_u64(), Some(0));
         assert_eq!(pdoc["finished"].as_bool(), Some(true));
-        assert_eq!(pdoc["workers"].as_array().unwrap().len(), 3);
+        let workers = pdoc["workers"].as_array().unwrap();
+        assert_eq!(workers.len(), 3);
+        let runs: u64 = workers.iter().map(|w| w["runs"].as_u64().unwrap()).sum();
+        assert_eq!(runs, 6, "per-worker runs must sum to total");
+        assert!(workers.iter().all(|w| w["busy"].as_bool() == Some(false)));
 
         let metrics = get(&service, "/metrics").body;
         for family in [
@@ -703,6 +697,13 @@ mod tests {
             );
         }
         assert!(metrics.contains("hotpotato_run_finished{run=\"fleet\"} 1"));
+        let worker_runs: Vec<f64> = metrics
+            .lines()
+            .filter(|l| l.starts_with("hotpotato_fleet_worker_runs_total{"))
+            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(worker_runs.len(), 3, "one sample per worker");
+        assert_eq!(worker_runs.iter().sum::<f64>(), 6.0);
 
         assert_eq!(get(&service, "/healthz").body, "ok\n");
         assert_eq!(get(&service, "/nope").status, 404);

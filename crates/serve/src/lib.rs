@@ -17,7 +17,7 @@
 //! * `GET /healthz` — liveness.
 //!
 //! [`fleet`] mode replaces the per-run host with a sweep executor: a
-//! queue of run specs fans out over the shared worker pool and every
+//! queue of run specs fans out over scoped worker threads and every
 //! completed run folds into a cross-run [`FleetAggregator`] served at
 //! `GET /fleet` (per-cell CIs plus the scaling fit) and
 //! `GET /fleet/progress` (queue state, ETA, per-worker utilization).

@@ -108,8 +108,8 @@ pub struct Analysis {
     pub instance: Option<(u32, u32, u32)>,
 }
 
-/// Latency percentile over delivered, non-trivially-routed packets.
-fn percentile(sorted: &[u64], p: f64) -> u64 {
+/// Nearest-rank percentile over a sorted slice (0 when empty).
+pub(crate) fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }

@@ -17,7 +17,7 @@
 //! so `tables t1`/`t8` rebuilt from fleet artifacts are byte-identical
 //! however the runs were scheduled.
 
-use crate::analyze::Analysis;
+use crate::analyze::{percentile, Analysis};
 use crate::schema::{Trace, TraceEvent};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -135,16 +135,6 @@ impl FleetSample {
             congestion_watermark: watermark,
         })
     }
-}
-
-/// Nearest-rank percentile over a sorted slice (0 when empty).
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    // lint: allow-panic(index is clamped to len-1 and the slice is non-empty)
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// The log-log regression of `ln steps` on `ln (C+L)` over every fleet

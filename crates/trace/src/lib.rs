@@ -30,9 +30,9 @@
 //!   losslessly to and from canonical JSONL.
 //! - [`shard`] — sharded parallel verification: `snapshot` checkpoints
 //!   split the stream into independently replayable segments fanned out
-//!   over a worker pool, with deterministic first-divergence reporting
-//!   and pipeline telemetry (events/s, bytes/s, peak RSS, shard
-//!   utilization).
+//!   over scoped worker threads, with deterministic first-divergence
+//!   reporting and pipeline telemetry (events/s, bytes/s, peak RSS,
+//!   shard utilization).
 //! - [`fleet`] — cross-run aggregation for the fleet observatory:
 //!   per-(topo, algo, size) ratio distributions with deterministic
 //!   bootstrap confidence intervals and the log-log scaling fit whose

@@ -7,7 +7,7 @@
 //! replays its event range, and finishes by checking snapshot `k+1`
 //! against the replayed state. Chaining the per-segment proofs
 //! reproduces exactly what the sequential pass proves, so the fan-out
-//! over [`hotpotato_sim::pool_core`] is free to complete in any order —
+//! over scoped worker threads is free to complete in any order —
 //! [`verify_trace_sharded`] still reports the **same first divergence**
 //! (same line, same message) the sequential [`crate::verify_trace`]
 //! would, at any job count:
@@ -21,7 +21,7 @@
 //!   `(line, segment)` over all shard errors is order-independent.
 //!
 //! The stats/timeline cross-checks and the independent in-memory replay
-//! auditor ride the same pool as auxiliary jobs, so the slowest single
+//! auditor ride the same workers as auxiliary jobs, so the slowest single
 //! job — not the sum — bounds wall-clock time.
 //!
 //! [`verify`]: crate::verify
@@ -33,12 +33,11 @@ use crate::verify::{
     VerifiedInstance, VerifyError, VerifyReport,
 };
 use crate::ParseError;
-use hotpotato_sim::pool_core::{configured_threads, BandResults, PanicSlot, PoolCore};
+use hotpotato_sim::configured_threads;
 use serde::{Serialize as _, Value};
 use std::ops::Range;
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Options for [`verify_trace_sharded`].
@@ -63,13 +62,12 @@ pub struct ShardRun {
     pub shards: usize,
     /// Worker threads actually used.
     pub jobs: usize,
-    /// Summed busy time across all pool jobs, for shard-utilization
+    /// Summed busy time across all band jobs, for shard-utilization
     /// telemetry (`busy / (wall × jobs)`).
     pub busy_s: f64,
 }
 
 /// One snapshot-delimited replay unit.
-#[derive(Clone)]
 struct Segment {
     /// Event index of the seeding snapshot (None = replay from line 1).
     seed: Option<usize>,
@@ -80,8 +78,8 @@ struct Segment {
     is_last: bool,
 }
 
-/// What a pool job posts back, band-indexed so collection order is
-/// deterministic regardless of completion order.
+/// What one band's job returns; collected in band order so the result
+/// is deterministic regardless of completion order.
 enum JobOut {
     Segment(Box<StreamState>),
     Timelines(Vec<PacketTimeline>),
@@ -192,14 +190,11 @@ fn run_segment(
 }
 
 /// Verifies a trace by fanning snapshot-delimited segments (plus the
-/// timeline and replay-auditor cross-checks) out over a worker pool.
-/// Equivalent to [`crate::verify_trace`] — same report on success, same
-/// first divergence on failure — but bounded by the slowest job instead
-/// of the sum.
-pub fn verify_trace_sharded(
-    trace: &Arc<Trace>,
-    opts: &ShardOptions,
-) -> Result<ShardRun, VerifyError> {
+/// timeline and replay-auditor cross-checks) out over scoped worker
+/// threads. Equivalent to [`crate::verify_trace`] — same report on
+/// success, same first divergence on failure — but bounded by the
+/// slowest job instead of the sum.
+pub fn verify_trace_sharded(trace: &Trace, opts: &ShardOptions) -> Result<ShardRun, VerifyError> {
     let Some(meta) = trace.meta() else {
         return Err(VerifyError {
             line: 1,
@@ -226,72 +221,62 @@ pub fn verify_trace_sharded(
         opts.jobs
     };
     let workers = jobs.min(bands);
-    let progress = Arc::new(Progress::new(opts.progress, last as u64, segs.len()));
+    let progress = Progress::new(opts.progress, last as u64, segs.len());
 
-    let pool = PoolCore::new(workers, || {});
-    let results: Arc<BandResults<JobResult>> = Arc::new(BandResults::new(bands));
-    let panics = Arc::new(PanicSlot::new());
-    let submit = |band: usize, job: Box<dyn FnOnce() -> Result<JobOut, VerifyError> + Send>| {
-        let results = Arc::clone(&results);
-        let panics = Arc::clone(&panics);
-        pool.submit(Box::new(move || {
-            let t0 = Instant::now();
-            let out = match std::panic::catch_unwind(AssertUnwindSafe(job)) {
-                Ok(out) => out,
-                Err(payload) => {
-                    panics.record(payload);
-                    Err(VerifyError {
-                        line: 0,
-                        msg: "verify worker panicked".into(),
-                    })
-                }
-            };
-            results.post(band, (out, t0.elapsed().as_secs_f64()));
-        }))
-        .expect("verify pool is live");
+    // Band `b < segs.len()` replays segment `b`; the next band builds
+    // the timelines and the last (bufferless only) runs the replay
+    // auditor. Workers pull band indices from a shared counter, so the
+    // fan-out may finish in any order; results are put back in band
+    // order after the join.
+    let run_band = |band: usize| -> Result<JobOut, VerifyError> {
+        if let Some(seg) = segs.get(band) {
+            let tick = |d: u64| progress.tick(d);
+            let out = run_segment(trace, &instance, model, streaming, seg, last, &tick)
+                .map(JobOut::Segment);
+            progress.shard_done();
+            out
+        } else if band == segs.len() {
+            Ok(JobOut::Timelines(build_timelines(
+                trace,
+                instance.problem.num_packets(),
+            )))
+        } else {
+            let stats = trace.stats().expect("stats presence checked above");
+            cross_check_replay(&instance.problem, trace, stats).map(|()| JobOut::CrossChecked)
+        }
     };
-
-    for (i, seg) in segs.iter().enumerate() {
-        let trace = Arc::clone(trace);
-        let instance = instance.clone();
-        let seg = seg.clone();
-        let progress = Arc::clone(&progress);
-        submit(
-            i,
-            Box::new(move || {
-                let tick = |d: u64| progress.tick(d);
-                let out = run_segment(&trace, &instance, model, streaming, &seg, last, &tick)
-                    .map(JobOut::Segment);
-                progress.shard_done();
-                out
-            }),
-        );
+    let next = AtomicUsize::new(0);
+    let joined: Vec<std::thread::Result<Vec<(usize, JobResult)>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let band = next.fetch_add(1, Ordering::Relaxed);
+                        if band >= bands {
+                            return done;
+                        }
+                        let t0 = Instant::now();
+                        let out = run_band(band);
+                        done.push((band, (out, t0.elapsed().as_secs_f64())));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(std::thread::ScopedJoinHandle::join)
+            .collect()
+    });
+    let mut outs: Vec<(usize, JobResult)> = Vec::with_capacity(bands);
+    for worker in joined {
+        match worker {
+            Ok(mut done) => outs.append(&mut done),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
     }
-    {
-        let trace = Arc::clone(trace);
-        let n = instance.problem.num_packets();
-        submit(
-            segs.len(),
-            Box::new(move || Ok(JobOut::Timelines(build_timelines(&trace, n)))),
-        );
-    }
-    if cross {
-        let trace = Arc::clone(trace);
-        let problem = Arc::clone(&instance.problem);
-        submit(
-            segs.len() + 1,
-            Box::new(move || {
-                let stats = trace.stats().expect("stats presence checked above");
-                cross_check_replay(&problem, &trace, stats).map(|()| JobOut::CrossChecked)
-            }),
-        );
-    }
-
-    let outs = results.wait_all();
-    pool.shutdown();
-    if let Some(payload) = panics.take() {
-        std::panic::resume_unwind(payload);
-    }
+    outs.sort_unstable_by_key(|&(band, _)| band);
+    let outs: Vec<JobResult> = outs.into_iter().map(|(_, out)| out).collect();
 
     // Deterministic first divergence: the smallest (line, segment) over
     // the segment errors is the sequential pass's first failure (see the
@@ -377,7 +362,9 @@ fn parse_chunked(text: &str, jobs: usize, min_bytes: usize) -> Result<Trace, Par
             continue;
         }
         // Cut just after the next newline so no line straddles chunks.
-        let Some(nl) = text[want..].find('\n') else {
+        // `want` may fall inside a multibyte character, so search bytes:
+        // a `\n` byte is always a char boundary.
+        let Some(nl) = text.as_bytes()[want..].iter().position(|&b| b == b'\n') else {
             break;
         };
         let cut = want + nl + 1;
@@ -444,7 +431,7 @@ pub struct PipelineTelemetry {
     pub jobs: usize,
     /// Segments the verify fan-out used (0 for analyze).
     pub shards: usize,
-    /// Summed busy seconds across pool jobs (0 when not sharded).
+    /// Summed busy seconds across band jobs (0 when not sharded).
     pub busy_s: f64,
     /// Peak RSS of the process, when the platform exposes it.
     pub peak_rss_bytes: Option<u64>,
@@ -532,6 +519,15 @@ mod tests {
         assert_eq!(seq.line, bad_line);
         for jobs in [2, 3, 5, 8] {
             let par = parse_chunked(&text, jobs, 0).expect_err("corrupt");
+            assert_eq!((par.line, &par.msg), (seq.line, &seq.msg), "jobs={jobs}");
+        }
+
+        // Split points are byte offsets; one that lands inside a
+        // multibyte character must not panic.
+        let text = format!("{}\n", "é".repeat(601));
+        let seq = Trace::parse(&text).expect_err("not JSON");
+        for jobs in 2..=4 {
+            let par = parse_chunked(&text, jobs, 0).expect_err("not JSON");
             assert_eq!((par.line, &par.msg), (seq.line, &seq.msg), "jobs={jobs}");
         }
     }

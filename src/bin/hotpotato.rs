@@ -663,7 +663,7 @@ fn cmd_serve(args: &[String]) -> i32 {
 }
 
 /// `serve --fleet`: expand every `--sweep` expression, execute the whole
-/// queue on the worker pool, and serve the cross-run aggregation live.
+/// queue on worker threads, and serve the cross-run aggregation live.
 /// Keeps serving the final rollup after the sweep completes.
 fn cmd_serve_fleet(args: &[String]) -> i32 {
     const VALUED: &[&str] = &["--sweep", "--addr", "--workers", "--throttle-ms"];
@@ -760,7 +760,7 @@ fn cmd_trace(args: &[String]) -> i32 {
                 },
             };
             let jobs = if jobs == 0 {
-                hotpotato_sim::pool_core::configured_threads()
+                hotpotato_sim::configured_threads()
             } else {
                 jobs
             };
@@ -862,7 +862,7 @@ fn cmd_trace(args: &[String]) -> i32 {
                 return usage();
             };
             let started = std::time::Instant::now();
-            let jobs = hotpotato_sim::pool_core::configured_threads();
+            let jobs = hotpotato_sim::configured_threads();
             let (trace, bytes) = match load_trace(path, jobs) {
                 Ok(t) => t,
                 Err(e) => {
@@ -969,7 +969,7 @@ fn cmd_trace(args: &[String]) -> i32 {
                 };
                 thresholds.push((metric, limit));
             }
-            let jobs = hotpotato_sim::pool_core::configured_threads();
+            let jobs = hotpotato_sim::configured_threads();
             let traces =
                 load_trace(a, jobs).and_then(|(ta, _)| load_trace(b, jobs).map(|(tb, _)| (ta, tb)));
             let (ta, tb) = match traces {
