@@ -393,14 +393,15 @@ pub fn measure_verify(quick: bool) -> PerfMeasurement {
     }
 }
 
-/// The fleet-throughput row: a fixed ladder of sweep specs (a seed
-/// range across butterfly sizes) collected through the same per-run
-/// trace envelope, replay verification, and [`FleetAggregator`] fold
-/// that `serve --fleet` and the `t1`/`t8` tables use, on
-/// [`crate::parallel_map`] workers. `moves` carries the real summed per-run move counts
-/// (the adaptive gate's yardstick); `runs`/`runs_per_s` ride into the
-/// baseline document as the sweep-throughput figure. Panics on any
-/// failed run or invariant violation: the row's presence in the
+/// The fleet-throughput row: a fixed ladder of Busch sweep specs (a
+/// seed range across butterfly sizes) collected on
+/// [`crate::parallel_map`] workers through `serve::run_fleet_spec`,
+/// the envelope `serve --fleet` and the `t1`/`t8` tables use: each
+/// run's events are recorded in memory, replay-verified, analyzed and
+/// folded into a [`FleetAggregator`]. `moves` sums every run's packet
+/// moves (the adaptive gate's yardstick); `runs`/`runs_per_s` ride
+/// into the baseline document as the sweep-throughput figure. Panics
+/// on any failed run or invariant violation: the row's presence in the
 /// baseline is the claim that the ladder completes cleanly.
 ///
 /// [`FleetAggregator`]: hotpotato_trace::FleetAggregator

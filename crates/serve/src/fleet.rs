@@ -3,13 +3,14 @@
 //!
 //! `hotpotato serve --fleet` takes every spec a `--sweep` expression
 //! expands to and fans them out over `--workers` scoped threads, each
-//! pulling the next spec index from a shared counter. The coordinator
-//! folds each completed run — executed fully in memory through the
-//! same meta/stats trace envelope the CLI writes with `--trace-out`,
-//! then parsed, analyzed, and replay-verified — into a
-//! [`FleetAggregator`]. The coordinator publishes the whole aggregation
-//! through the loom-checked snapshot exchange after every event, so HTTP
-//! threads serve untorn views mid-sweep:
+//! pulling the next spec index from a shared counter. Each run executes
+//! fully in memory: its events are recorded straight into a [`Trace`]
+//! between the same meta and stats envelope events the CLI writes with
+//! `--trace-out`, then analyzed and replay-verified with no text in
+//! between. The coordinator folds each completed run into a
+//! [`FleetAggregator`] and publishes the whole aggregation through the
+//! loom-checked snapshot exchange after every event, so HTTP threads
+//! serve untorn views mid-sweep:
 //!
 //! * `GET /fleet` — the schema-versioned cross-run rollup: per-(topo,
 //!   algo, size) `steps/(C+L)` distributions with bootstrap 95% CIs and
@@ -28,17 +29,16 @@ use crate::live::DEFL_BUCKET_BOUNDS;
 use crate::prom::{Kind, PromWriter};
 use crate::service::build_router;
 use hotpotato_sim::{
-    configured_threads, route_streaming_observed, snapshot_exchange, JsonlTraceObserver,
-    RouteStats, Router, SnapshotPublisher, SnapshotReader, StreamPriority, StreamingConfig,
+    configured_threads, route_streaming_observed, snapshot_exchange, RouteStats, Router,
+    SnapshotPublisher, SnapshotReader, StreamPriority, StreamingConfig,
 };
 use hotpotato_trace::fleet::{FleetAggregator, FleetSample, RATIO_BUCKET_BOUNDS};
-use hotpotato_trace::{analyze, schema, verify_trace, Trace};
+use hotpotato_trace::{analyze, verify_trace, Meta, Trace, TraceEvent};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use routing_core::spec::RunSpec;
 use routing_core::RoutingProblem;
 use serde_json::json;
-use std::io::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -51,8 +51,9 @@ pub struct FleetConfig {
     pub specs: Vec<RunSpec>,
     /// Worker threads (0 = `HOTPOTATO_THREADS` / available parallelism).
     pub workers: usize,
-    /// Replay-verify every run's trace (the zero-violations evidence;
-    /// roughly doubles per-run cost).
+    /// Replay-verify every run's trace (the zero-violations evidence).
+    /// Off, runs are still recorded and analyzed; only the replay is
+    /// skipped.
     pub verify: bool,
     /// Artificial delay in milliseconds before each run starts. Lets CI
     /// stretch a small sweep far enough to scrape it mid-flight.
@@ -117,18 +118,18 @@ impl FleetSnapshot {
 }
 
 /// Executes one sweep run fully in memory and distills it into a
-/// [`FleetSample`]: meta envelope + every recorded event + stats
-/// envelope, re-parsed through the strict schema, analyzed, and (when
-/// `verify`) replay-verified. Fleet analytics are therefore genuinely
-/// trace-derived — the same evidence chain `hotpotato trace verify`
-/// audits offline. The bench harness reuses this to build `t1`/`t8`
-/// from fleet artifacts.
+/// [`FleetSample`]: the run's events are recorded straight into a
+/// [`Trace`] between its meta and stats envelope events, then analyzed
+/// and (when `verify`) replay-verified. Fleet analytics are therefore
+/// genuinely trace-derived: the recorder yields the events
+/// `hotpotato trace verify` would parse from a `--trace-out` file of
+/// the same run, minus its `snapshot` checkpoints. The bench harness
+/// reuses this to build `t1`/`t8` from fleet artifacts.
 pub fn run_fleet_spec(spec: &RunSpec, verify: bool) -> Result<FleetSample, String> {
     let (_, problem, mut rng) = spec.instantiate()?;
-    let meta = schema::Meta::new(spec, &problem);
-    let mut buf: Vec<u8> = Vec::new();
-    writeln!(buf, "{}", schema::meta_line(&meta)).expect("vec sink");
-    let mut obs = JsonlTraceObserver::with_snapshots(buf, &problem);
+    let mut trace = Trace {
+        events: vec![TraceEvent::Meta(Meta::new(spec, &problem))],
+    };
     let stats = match spec.arrival_process()? {
         Some(process) => {
             let schedule = process.schedule(problem.num_packets(), &mut rng);
@@ -136,14 +137,14 @@ pub fn run_fleet_spec(spec: &RunSpec, verify: bool) -> Result<FleetSample, Strin
                 priority: StreamPriority::for_algo(&spec.algo)?,
                 ..StreamingConfig::default()
             };
-            route_streaming_observed(&problem, &schedule, &cfg, &mut rng, &mut obs).stats
+            route_streaming_observed(&problem, &schedule, &cfg, &mut rng, &mut trace).stats
         }
         None => {
             let router = build_router(&spec.algo, &problem)?;
-            router.route(&problem, &mut rng, &mut obs).stats
+            router.route(&problem, &mut rng, &mut trace).stats
         }
     };
-    seal_envelope(obs, &stats, verify)
+    seal_envelope(trace, &stats, verify)
 }
 
 /// Executes one run of an explicit router on a fixed instance through
@@ -160,48 +161,33 @@ pub fn run_fleet_router(
     seed: u64,
     verify: bool,
 ) -> Result<FleetSample, String> {
-    let meta = schema::Meta::new(
-        &RunSpec::batch(topo, workload, router.name(), seed),
-        problem,
-    );
+    let spec = RunSpec::batch(topo, workload, router.name(), seed);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut buf: Vec<u8> = Vec::new();
-    writeln!(buf, "{}", schema::meta_line(&meta)).expect("vec sink");
-    let mut obs = JsonlTraceObserver::with_snapshots(buf, problem);
-    let stats = router.route(problem, &mut rng, &mut obs).stats;
-    seal_envelope(obs, &stats, verify)
+    let mut trace = Trace {
+        events: vec![TraceEvent::Meta(Meta::new(&spec, problem))],
+    };
+    let stats = router.route(problem, &mut rng, &mut trace).stats;
+    seal_envelope(trace, &stats, verify)
 }
 
-/// The shared envelope tail: closes the trace sink, appends the stats
-/// line, re-parses through the strict schema, analyzes, and (when
-/// `verify`) replay-verifies. Two independent violation sources fold
-/// into one count: the router's own phase-end invariant audit (the
-/// `invariant_violations` counter; absent = zero for routers that do
-/// not audit) and the offline replay of the whole trace against the
-/// bufferless laws.
+/// The shared envelope tail: appends the stats envelope event, analyzes
+/// the recorded trace, and (when `verify`) replay-verifies it. Two
+/// independent violation sources fold into one count: the router's own
+/// phase-end invariant audit (the `invariant_violations` counter;
+/// absent = zero for routers that do not audit) and the replay of the
+/// whole trace against the bufferless laws.
 fn seal_envelope(
-    obs: JsonlTraceObserver<Vec<u8>>,
+    mut trace: Trace,
     stats: &RouteStats,
     verify: bool,
 ) -> Result<FleetSample, String> {
-    let mut buf = obs.finish().map_err(|e| format!("trace sink: {e}"))?;
-    writeln!(buf, "{}", schema::stats_line(stats)).expect("vec sink");
-    let text = String::from_utf8(buf).map_err(|_| "trace is not UTF-8".to_string())?;
-    let trace = Trace::parse(&text).map_err(|e| format!("trace parse: {e}"))?;
+    trace.events.push(TraceEvent::Stats(stats.into()));
     let audited = stats
         .counters
         .get("invariant_violations")
         .copied()
         .unwrap_or(0);
-    let violations = audited
-        + if verify {
-            match verify_trace(&trace) {
-                Ok(_) => 0,
-                Err(_) => 1,
-            }
-        } else {
-            0
-        };
+    let violations = audited + u64::from(verify && verify_trace(&trace).is_err());
     let analysis = analyze(&trace);
     FleetSample::from_trace(&trace, &analysis, violations)
 }

@@ -88,11 +88,11 @@ impl FleetSample {
         self.steps as f64 / (self.congestion + self.levels).max(1) as f64
     }
 
-    /// Builds a sample from a parsed trace and its analysis. The trace
-    /// must carry a `meta` line (fleet runs always do — the instance
-    /// parameters come from it verbatim, no reconstruction). Invariant
-    /// violations are not part of the trace stats, so the router's audit
-    /// count rides along explicitly.
+    /// Builds a sample from a trace (parsed or recorded) and its
+    /// analysis. The trace must carry a `meta` event (fleet runs always
+    /// do — the instance parameters come from it verbatim, no
+    /// reconstruction). Invariant violations are not part of the trace
+    /// stats, so the router's audit count rides along explicitly.
     pub fn from_trace(trace: &Trace, analysis: &Analysis, violations: u64) -> Result<Self, String> {
         let meta = trace
             .meta()
@@ -104,14 +104,9 @@ impl FleetSample {
             .collect();
         latencies.sort_unstable();
         let mut watermark = 0u64;
-        let mut moves = 0u64;
         for ev in &trace.events {
-            match ev {
-                TraceEvent::Congestion { congestion, .. } => {
-                    watermark = watermark.max(u64::from(*congestion));
-                }
-                TraceEvent::Move { .. } => moves += 1,
-                _ => {}
+            if let TraceEvent::Congestion { congestion, .. } = ev {
+                watermark = watermark.max(u64::from(*congestion));
             }
         }
         Ok(FleetSample {
@@ -123,7 +118,7 @@ impl FleetSample {
             dilation: meta.dilation,
             levels: meta.levels,
             steps: analysis.steps,
-            moves,
+            moves: analysis.moves,
             delivered: analysis.deliveries,
             deflections: analysis.deflections,
             violations,
@@ -185,7 +180,9 @@ impl FleetAggregator {
         self.runs
     }
 
-    /// Runs that failed to complete (errored, panicked, undelivered).
+    /// Runs that produced no sample (errored or panicked). A run that
+    /// completes with packets undelivered is recorded as a sample; its
+    /// `delivered` falls short of `packets`.
     pub fn failed(&self) -> u64 {
         self.failed
     }

@@ -10,6 +10,8 @@
 //!   variant, a `meta`/`stats` envelope making traces self-contained,
 //!   and a parser that rejects unknown events, unknown or missing
 //!   fields, and schema-version mismatches (the stability contract).
+//!   [`Trace`] is also a [`RouteObserver`] that records the same events
+//!   in memory, with no text in between (the fleet envelope).
 //! - [`timeline`] — per-packet latency anatomy (the exact hot-potato
 //!   identity `latency = advances + deflections + oscillations`),
 //!   home-run segments, and **causal deflection-chain attribution**

@@ -6,6 +6,11 @@
 //! to reconstruct the [`routing_core::RoutingProblem`] offline) and a
 //! `stats` line last (the run's final [`hotpotato_sim::RouteStats`]).
 //!
+//! A [`Trace`] is also a [`RouteObserver`]: routed straight into, it
+//! records the events [`Trace::parse`] would read back from the
+//! observer's lines, without the text in between (the fleet envelope
+//! records this way).
+//!
 //! Parsing is deliberately strict: an unknown `ev` discriminator, a
 //! missing field, an extra field, or a wrong `schema` version is an
 //! error, not a warning. The schema-stability test in
@@ -13,7 +18,8 @@
 //! observer can emit, so renaming a field in the emitter without bumping
 //! [`SCHEMA_VERSION`] fails CI.
 
-use hotpotato_sim::{ExitKind, RouteStats, Time};
+use hotpotato_sim::{ExitKind, RouteObserver, RouteStats, Section, StepReport, Time};
+use leveled_net::ids::DirectedEdge;
 use leveled_net::{Direction, EdgeId};
 use routing_core::spec::RunSpec;
 use routing_core::RoutingProblem;
@@ -94,6 +100,17 @@ pub struct StatsLine {
     pub delivered_at: Vec<Option<Time>>,
     /// Per-packet deflection count.
     pub deflections: Vec<u32>,
+}
+
+impl From<&RouteStats> for StatsLine {
+    fn from(stats: &RouteStats) -> StatsLine {
+        StatsLine {
+            steps: stats.steps_run,
+            injected_at: stats.injected_at.clone(),
+            delivered_at: stats.delivered_at.clone(),
+            deflections: stats.deflections.clone(),
+        }
+    }
 }
 
 /// The `/rollup/<run>` response document served by `hotpotato serve`: a
@@ -567,11 +584,13 @@ pub fn parse_line(line: &str) -> Result<TraceEvent, ParseError> {
     Ok(event)
 }
 
-/// A fully parsed trace: one event per line, in file order (so
-/// `events[i]` came from line `i + 1`).
+/// A trace as a list of events. A parsed trace holds one event per
+/// line, in file order (so `events[i]` came from line `i + 1`); a
+/// recorded one (see the [`RouteObserver`] impl) holds them in emission
+/// order, with whatever envelope events the caller pushed around them.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
-    /// The parsed lines.
+    /// The events, in line or emission order.
     pub events: Vec<TraceEvent>,
 }
 
@@ -610,6 +629,92 @@ impl Trace {
             Some(TraceEvent::Stats(s)) => Some(s),
             _ => None,
         }
+    }
+}
+
+/// Records every hook as the [`TraceEvent`] that [`parse_line`] builds
+/// from the line `JsonlTraceObserver` writes for it, so routing into a
+/// `Trace` equals recording JSONL and parsing it back. The observer's
+/// optional `snapshot` checkpoints are not recorded: they exist to seed
+/// sharded verification of a file. The meta and stats envelope events
+/// are the caller's to push.
+impl RouteObserver for Trace {
+    fn on_move(&mut self, t: Time, pkt: u32, mv: DirectedEdge, kind: ExitKind) {
+        self.events.push(TraceEvent::Move {
+            t,
+            pkt,
+            edge: mv.edge,
+            dir: mv.dir,
+            kind,
+        });
+    }
+
+    fn on_trivial(&mut self, t: Time, pkt: u32) {
+        self.events.push(TraceEvent::Trivial { t, pkt });
+    }
+
+    fn on_deliver(&mut self, t: Time, pkt: u32) {
+        self.events.push(TraceEvent::Deliver { t, pkt });
+    }
+
+    fn on_step_end(&mut self, t: Time, report: &StepReport, active: usize) {
+        self.events.push(TraceEvent::Step {
+            t,
+            moved: report.moved as u64,
+            absorbed: report.absorbed as u64,
+            injected: report.injected as u64,
+            deflections: report.deflections as u64,
+            fallback: report.fallback_deflections as u64,
+            oscillations: report.oscillations as u64,
+            active: active as u64,
+        });
+    }
+
+    fn on_arrival(&mut self, t: Time, pkt: u32) {
+        self.events.push(TraceEvent::Arrival { t, pkt });
+    }
+
+    fn on_drop(&mut self, t: Time, pkt: u32) {
+        self.events.push(TraceEvent::Drop { t, pkt });
+    }
+
+    fn on_sets_assigned(&mut self, sets: &[u32], num_sets: u32) {
+        self.events.push(TraceEvent::Sets {
+            num_sets,
+            sets: sets.to_vec(),
+        });
+    }
+
+    fn on_phase_start(&mut self, phase: u64, t: Time) {
+        self.events.push(TraceEvent::PhaseStart { phase, t });
+    }
+
+    fn on_phase_end(&mut self, phase: u64, t: Time) {
+        self.events.push(TraceEvent::PhaseEnd { phase, t });
+    }
+
+    fn on_frontier(&mut self, phase: u64, set: u32, frontier: i64) {
+        self.events.push(TraceEvent::Frontier {
+            phase,
+            set,
+            frontier,
+        });
+    }
+
+    fn on_set_congestion(&mut self, phase: u64, set: u32, congestion: u32, initial: u32) {
+        self.events.push(TraceEvent::Congestion {
+            phase,
+            set,
+            congestion,
+            initial,
+        });
+    }
+
+    fn on_section(&mut self, section: Section, nanos: u64) {
+        self.events.push(TraceEvent::Section {
+            section: section.name().to_string(),
+            nanos,
+        });
     }
 }
 
@@ -672,19 +777,11 @@ pub fn parse_rollup(text: &str) -> Result<Rollup, ParseError> {
 /// Renders the `stats` envelope line (without trailing newline) from the
 /// run's final statistics.
 pub fn stats_line(stats: &RouteStats) -> String {
-    use serde::Serialize as _;
-    Value::object([
-        ("ev", Value::String("stats".into())),
-        ("steps", stats.steps_run.to_json()),
-        ("injected_at", stats.injected_at.to_json()),
-        ("delivered_at", stats.delivered_at.to_json()),
-        ("deflections", stats.deflections.to_json()),
-    ])
-    .to_compact_string()
+    stats_line_of(&stats.into())
 }
 
 /// Renders the `stats` envelope line from an already-parsed
-/// [`StatsLine`] (byte-identical to [`stats_line`] on the same data).
+/// [`StatsLine`].
 pub fn stats_line_of(s: &StatsLine) -> String {
     use serde::Serialize as _;
     Value::object([
