@@ -33,7 +33,7 @@ use hotpotato_sim::{
     SnapshotPublisher, SnapshotReader, StreamPriority, StreamingConfig,
 };
 use hotpotato_trace::fleet::{FleetAggregator, FleetSample, RATIO_BUCKET_BOUNDS};
-use hotpotato_trace::{analyze, verify_trace, Meta, Trace, TraceEvent};
+use hotpotato_trace::{verify_trace, Analyzer, Meta, Trace, TraceEvent};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use routing_core::spec::RunSpec;
@@ -170,12 +170,13 @@ pub fn run_fleet_router(
     seal_envelope(trace, &stats, verify)
 }
 
-/// The shared envelope tail: appends the stats envelope event, analyzes
-/// the recorded trace, and (when `verify`) replay-verifies it. Two
-/// independent violation sources fold into one count: the router's own
-/// phase-end invariant audit (the `invariant_violations` counter;
-/// absent = zero for routers that do not audit) and the replay of the
-/// whole trace against the bufferless laws.
+/// The shared envelope tail: appends the stats envelope event, folds the
+/// recorded events through an [`Analyzer`] with no instance (only
+/// `verify_trace` rebuilds one), and (when `verify`) replay-verifies
+/// them. Two independent violation sources fold into one count: the
+/// router's own phase-end invariant audit (the `invariant_violations`
+/// counter; absent = zero for routers that do not audit) and the replay
+/// of the whole trace against the bufferless laws.
 fn seal_envelope(
     mut trace: Trace,
     stats: &RouteStats,
@@ -188,8 +189,11 @@ fn seal_envelope(
         .copied()
         .unwrap_or(0);
     let violations = audited + u64::from(verify && verify_trace(&trace).is_err());
-    let analysis = analyze(&trace);
-    FleetSample::from_trace(&trace, &analysis, violations)
+    let mut analyzer = Analyzer::new(None);
+    for ev in &trace.events {
+        analyzer.push(ev);
+    }
+    FleetSample::from_trace(&trace, &analyzer.finish(), violations)
 }
 
 /// What a worker reports back to the coordinator.

@@ -1,16 +1,17 @@
 //! Aggregate trace analytics: per-phase deflection heatmaps, frontier-lag
 //! distributions, latency anatomy, causal chains, and empirical C+L
 //! scaling ratios — everything a run leaves behind, condensed into one
-//! JSON report.
+//! JSON report by a single pass over the events ([`Analyzer`]).
 
 use crate::schema::{Trace, TraceEvent};
-use crate::timeline::{attribute_chains, build_timelines, ChainReport, PacketTimeline};
+use crate::timeline::{ChainFold, ChainReport, PacketTimeline, TimelineFold};
 use crate::verify::{reconstruct, VerifiedInstance};
 use hotpotato_sim::{ExitKind, Time};
 use leveled_net::ids::DirectedEdge;
 use leveled_net::Direction;
 use serde::Value;
 use serde_json::json;
+use std::collections::HashMap;
 
 /// Per-phase aggregates (phase 0 covers the whole run when the trace has
 /// no phase events).
@@ -39,6 +40,26 @@ pub struct PhaseRow {
     /// Deflections per level of the node the loser departed (heatmap
     /// row; empty when the instance could not be reconstructed).
     pub deflections_by_level: Vec<u64>,
+}
+
+impl PhaseRow {
+    /// Adds `other`'s counts into this row.
+    fn absorb(&mut self, other: &PhaseRow) {
+        self.moves += other.moves;
+        self.deflections += other.deflections;
+        self.safe += other.safe;
+        self.fallback += other.fallback;
+        self.oscillations += other.oscillations;
+        self.injections += other.injections;
+        self.deliveries += other.deliveries;
+        for (cell, n) in self
+            .deflections_by_level
+            .iter_mut()
+            .zip(&other.deflections_by_level)
+        {
+            *cell += n;
+        }
+    }
 }
 
 /// One frontier-lag observation: how far a set's slowest in-flight packet
@@ -97,6 +118,14 @@ pub struct Analysis {
     pub arrival_latencies: Vec<u64>,
     /// Per-packet timelines.
     pub timelines: Vec<PacketTimeline>,
+    /// Sorted in-flight latencies: delivery minus injection step of every
+    /// delivered packet, trivial deliveries excluded. The JSON report,
+    /// [`diff`] and the fleet's samples all read their latency figures
+    /// from this one vector.
+    pub latencies: Vec<u64>,
+    /// Largest per-set congestion of the phase-end audits (`congestion`
+    /// events; 0 when the router emits none).
+    pub congestion_watermark: u64,
     /// Per-phase aggregates.
     pub phases: Vec<PhaseRow>,
     /// Frontier-lag observations (busch traces with sets + frontiers).
@@ -117,82 +146,94 @@ pub(crate) fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted.get(idx.min(sorted.len() - 1)).copied().unwrap_or(0)
 }
 
-/// Analyzes a parsed trace. Reconstruction of the instance (for level
-/// heatmaps and frontier lags) is attempted from the meta line and
-/// silently skipped when impossible — everything derivable from the
-/// event stream alone is always present.
-pub fn analyze(trace: &Trace) -> Analysis {
-    let mut a = Analysis::default();
-    let instance: Option<VerifiedInstance> = trace.meta().and_then(|m| {
-        a.topo = Some(m.topo.clone());
-        a.workload = Some(m.workload.clone());
-        a.algo = Some(m.algo.clone());
-        a.seed = Some(m.seed);
-        reconstruct(m).ok()
-    });
+/// The analytics fold: [`Analyzer::push`] reads each event once and
+/// [`Analyzer::finish`] condenses them into an [`Analysis`].
+///
+/// Events must come in the chronological order the engine writes and
+/// [`crate::verify_trace`] enforces: every event of step `t` before any
+/// move of step `t + 1`, and each `phase_end` before the moves of the
+/// phase after it. Under that order each move lands in the same phase
+/// row, and each deflection resolves to the same cause, as with the
+/// whole trace in view. The fold keeps per-packet state, the open phase
+/// row and two steps of forward crossings; nothing grows with the
+/// number of moves. `Analyzer::default()` is `Analyzer::new(None)`.
+#[derive(Default)]
+pub struct Analyzer {
+    a: Analysis,
+    /// The reconstructed instance, for level heatmaps and frontier lags.
+    instance: Option<VerifiedInstance>,
+    num_levels: usize,
+    /// The first event has been pushed (only a first `meta` counts).
+    started: bool,
+    /// Rows closed by `phase_end` events, in order.
+    closed: Vec<PhaseRow>,
+    /// The row collecting events since the last `phase_end`.
+    open: PhaseRow,
+    /// One past the latest `step` line.
+    last_t: Time,
+    /// Steps of a `stats` event, while it is the latest event.
+    stats_steps: Option<u64>,
+    timelines: TimelineFold,
+    chains: ChainFold,
+    /// Level each packet's latest move landed on (with an instance).
+    level_of_pkt: Vec<Option<u32>>,
+    /// Streaming arrival step per packet.
+    arrival_at: HashMap<u32, Time>,
+    sets: Option<Vec<u32>>,
+}
 
-    // Packet universe: meta if present, otherwise max id seen + 1.
-    let mut n = trace.meta().map_or(0, |m| m.packets as usize);
-    for ev in &trace.events {
-        if let TraceEvent::Move { pkt, .. }
-        | TraceEvent::Trivial { pkt, .. }
-        | TraceEvent::Deliver { pkt, .. } = ev
-        {
-            n = n.max(*pkt as usize + 1);
+impl Analyzer {
+    /// An empty fold. With `instance`, phase rows get deflections-by-level
+    /// heatmaps and frontier announcements get lags; without it, every
+    /// other field of the [`Analysis`] is still filled.
+    pub fn new(instance: Option<VerifiedInstance>) -> Self {
+        let num_levels = instance.as_ref().map_or(0, |i| i.net.num_levels());
+        Analyzer {
+            instance,
+            num_levels,
+            open: PhaseRow {
+                deflections_by_level: vec![0; num_levels],
+                ..PhaseRow::default()
+            },
+            ..Analyzer::default()
         }
     }
-    a.packets = n;
 
-    // Phase boundaries: (phase id, first step after the phase).
-    let mut bounds: Vec<(u64, Time)> = Vec::new();
-    let mut last_t = 0;
-    for ev in &trace.events {
-        match *ev {
-            TraceEvent::PhaseEnd { phase, t } => bounds.push((phase, t)),
-            TraceEvent::Step { t, .. } => last_t = last_t.max(t + 1),
-            _ => {}
+    /// Widens the packet universe to `0..n`.
+    fn grow(&mut self, n: usize) {
+        if n > self.a.packets {
+            self.a.packets = n;
+            self.level_of_pkt.resize(n, None);
+            self.timelines.grow(n);
         }
     }
-    a.steps = trace.stats().map_or(last_t, |s| s.steps);
-    if bounds.is_empty() {
-        bounds.push((0, a.steps));
-    }
-    let num_levels = instance.as_ref().map_or(0, |i| i.net.num_levels());
-    let mut phases: Vec<PhaseRow> = Vec::with_capacity(bounds.len() + 1);
-    let mut start = 0;
-    for &(phase, end) in &bounds {
-        phases.push(PhaseRow {
-            phase,
-            start_t: start,
-            end_t: end,
-            deflections_by_level: vec![0; num_levels],
-            ..PhaseRow::default()
-        });
-        start = end;
-    }
-    if start < a.steps {
-        // Steps after the last recorded phase (e.g. a truncated run).
-        phases.push(PhaseRow {
-            phase: bounds.last().map_or(0, |&(p, _)| p + 1),
-            start_t: start,
-            end_t: a.steps,
-            deflections_by_level: vec![0; num_levels],
-            ..PhaseRow::default()
-        });
-    }
-    let ends: Vec<Time> = phases.iter().map(|row| row.end_t).collect();
-    let phase_of =
-        move |t: Time| -> usize { ends.partition_point(|&end| end <= t).min(ends.len() - 1) };
 
-    // Single pass: totals, per-phase rows, per-packet positions (for
-    // frontier lags, when the instance is known).
-    let mut level_of_pkt: Vec<Option<u32>> = vec![None; n];
-    let mut arrival_at: Vec<Option<Time>> = vec![None; n];
-    let mut delivered: Vec<bool> = vec![false; n];
-    let mut sets: Option<Vec<u32>> = None;
-    let mut phase_rows = phases;
-    for ev in &trace.events {
+    /// Reads one event.
+    pub fn push(&mut self, ev: &TraceEvent) {
+        let first = !self.started;
+        self.started = true;
+        self.stats_steps = None;
         match *ev {
+            TraceEvent::Meta(ref m) if first => {
+                self.a.topo = Some(m.topo.clone());
+                self.a.workload = Some(m.workload.clone());
+                self.a.algo = Some(m.algo.clone());
+                self.a.seed = Some(m.seed);
+                self.grow(m.packets as usize);
+            }
+            TraceEvent::Stats(ref s) => self.stats_steps = Some(s.steps),
+            TraceEvent::Step { t, .. } => self.last_t = self.last_t.max(t + 1),
+            TraceEvent::PhaseEnd { phase, t } => {
+                let next = PhaseRow {
+                    start_t: t,
+                    deflections_by_level: vec![0; self.num_levels],
+                    ..PhaseRow::default()
+                };
+                let mut row = std::mem::replace(&mut self.open, next);
+                row.phase = phase;
+                row.end_t = t;
+                self.closed.push(row);
+            }
             TraceEvent::Move {
                 t,
                 pkt,
@@ -200,35 +241,27 @@ pub fn analyze(trace: &Trace) -> Analysis {
                 dir,
                 kind,
             } => {
-                a.moves += 1;
-                let row = &mut phase_rows[phase_of(t)];
-                row.moves += 1;
+                self.grow(pkt as usize + 1);
                 match dir {
-                    Direction::Forward => a.forward += 1,
-                    Direction::Backward => a.backward += 1,
+                    Direction::Forward => self.a.forward += 1,
+                    Direction::Backward => self.a.backward += 1,
                 }
+                let row = row_at(&mut self.closed, &mut self.open, t);
+                row.moves += 1;
                 match kind {
-                    ExitKind::Inject => {
-                        a.injections += 1;
-                        row.injections += 1;
-                    }
+                    ExitKind::Inject => row.injections += 1,
                     ExitKind::Deflect { safe } => {
-                        a.deflections += 1;
                         row.deflections += 1;
                         if safe {
-                            a.safe_deflections += 1;
                             row.safe += 1;
                         } else {
                             row.fallback += 1;
                         }
                     }
-                    ExitKind::Oscillate => {
-                        a.oscillations += 1;
-                        row.oscillations += 1;
-                    }
+                    ExitKind::Oscillate => row.oscillations += 1,
                     ExitKind::Advance => {}
                 }
-                if let Some(inst) = &instance {
+                if let Some(inst) = &self.instance {
                     let mv = DirectedEdge { edge, dir };
                     if edge.index() < inst.net.num_edges() {
                         if matches!(kind, ExitKind::Deflect { .. }) {
@@ -237,86 +270,148 @@ pub fn analyze(trace: &Trace) -> Analysis {
                                 *cell += 1;
                             }
                         }
-                        if let Some(slot) = level_of_pkt.get_mut(pkt as usize) {
+                        if let Some(slot) = self.level_of_pkt.get_mut(pkt as usize) {
                             *slot = Some(inst.net.level(inst.net.move_target(mv)));
                         }
                     }
                 }
             }
             TraceEvent::Trivial { t, pkt } => {
-                a.deliveries += 1;
-                a.trivial += 1;
-                phase_rows[phase_of(t)].deliveries += 1;
-                if let Some(d) = delivered.get_mut(pkt as usize) {
-                    *d = true;
-                }
+                self.grow(pkt as usize + 1);
+                self.a.trivial += 1;
+                row_at(&mut self.closed, &mut self.open, t).deliveries += 1;
             }
             TraceEvent::Deliver { t, pkt } => {
-                a.deliveries += 1;
-                phase_rows[phase_of(t.saturating_sub(1))].deliveries += 1;
-                if let Some(d) = delivered.get_mut(pkt as usize) {
-                    *d = true;
-                }
-                if let Some(at) = arrival_at.get(pkt as usize).copied().flatten() {
-                    a.arrival_latencies.push(t.saturating_sub(at));
+                self.grow(pkt as usize + 1);
+                row_at(&mut self.closed, &mut self.open, t.saturating_sub(1)).deliveries += 1;
+                if let Some(&at) = self.arrival_at.get(&pkt) {
+                    self.a.arrival_latencies.push(t.saturating_sub(at));
                 }
             }
             TraceEvent::Arrival { t, pkt } => {
-                a.arrivals += 1;
-                if let Some(slot) = arrival_at.get_mut(pkt as usize) {
-                    *slot = Some(t);
-                }
+                self.a.arrivals += 1;
+                self.arrival_at.insert(pkt, t);
             }
-            TraceEvent::Drop { .. } => a.drops += 1,
-            TraceEvent::Sets { sets: ref s, .. } => sets = Some(s.clone()),
+            TraceEvent::Drop { .. } => self.a.drops += 1,
+            TraceEvent::Congestion { congestion, .. } => {
+                self.a.congestion_watermark =
+                    self.a.congestion_watermark.max(u64::from(congestion));
+            }
+            TraceEvent::Sets { ref sets, .. } => self.sets = Some(sets.clone()),
             TraceEvent::Frontier {
                 phase,
                 set,
                 frontier,
-            } => {
-                // Lag of the set's slowest undelivered packet behind the
-                // announced frontier, measurable once positions are known.
-                if let (Some(inst), Some(sets)) = (&instance, &sets) {
-                    let mut min_level: Option<i64> = None;
-                    for (p, &s) in sets.iter().enumerate() {
-                        if s != set || delivered.get(p).copied().unwrap_or(true) {
-                            continue;
-                        }
-                        let lvl = match level_of_pkt.get(p).copied().flatten() {
-                            Some(l) => i64::from(l),
-                            // Not yet injected: still at its source level.
-                            None => match inst.problem.packets().get(p) {
-                                Some(spec) => i64::from(inst.net.level(spec.path.source())),
-                                None => continue,
-                            },
-                        };
-                        min_level = Some(min_level.map_or(lvl, |m: i64| m.min(lvl)));
-                    }
-                    if let Some(m) = min_level {
-                        a.frontier_lags.push(FrontierLag {
-                            phase,
-                            set,
-                            frontier,
-                            lag: (frontier - m).max(0) as u64,
-                        });
-                    }
-                }
-            }
+            } => self.frontier_lag(phase, set, frontier),
             _ => {}
         }
+        self.timelines.push(ev);
+        self.chains.push(ev);
     }
-    a.phases = phase_rows;
-    a.arrival_latencies.sort_unstable();
-    a.timelines = build_timelines(trace, n);
-    a.chains = attribute_chains(trace);
-    a.instance = instance.as_ref().map(|i| {
-        (
-            i.problem.congestion(),
-            i.problem.dilation(),
-            i.net.num_levels() as u32,
-        )
-    });
-    a
+
+    /// Records how far the set's slowest undelivered packet trails the
+    /// announced frontier, measurable once positions are known.
+    fn frontier_lag(&mut self, phase: u64, set: u32, frontier: i64) {
+        let (Some(inst), Some(sets)) = (&self.instance, &self.sets) else {
+            return;
+        };
+        let timelines = &self.timelines.timelines;
+        let mut min_level: Option<i64> = None;
+        for (p, &s) in sets.iter().enumerate() {
+            if s != set || timelines.get(p).is_none_or(|tl| tl.delivered_at.is_some()) {
+                continue;
+            }
+            let lvl = match self.level_of_pkt.get(p).copied().flatten() {
+                Some(l) => i64::from(l),
+                // Not yet injected: still at its source level.
+                None => match inst.problem.packets().get(p) {
+                    Some(spec) => i64::from(inst.net.level(spec.path.source())),
+                    None => continue,
+                },
+            };
+            min_level = Some(min_level.map_or(lvl, |m: i64| m.min(lvl)));
+        }
+        if let Some(m) = min_level {
+            self.a.frontier_lags.push(FrontierLag {
+                phase,
+                set,
+                frontier,
+                lag: (frontier - m).max(0) as u64,
+            });
+        }
+    }
+
+    /// Closes the trailing phase row and condenses the fold.
+    pub fn finish(self) -> Analysis {
+        let mut a = self.a;
+        a.steps = self.stats_steps.unwrap_or(self.last_t);
+        let mut phases = self.closed;
+        let mut open = self.open;
+        open.end_t = a.steps;
+        match phases.last_mut() {
+            // No phase events: one row covers the whole run.
+            None => phases.push(open),
+            // Steps after the last recorded phase (e.g. a truncated run).
+            Some(last) if open.start_t < a.steps => {
+                open.phase = last.phase + 1;
+                phases.push(open);
+            }
+            // No steps after the last phase: stray later events count
+            // toward it.
+            Some(last) => last.absorb(&open),
+        }
+        // Every move and delivery counts toward exactly one row.
+        for row in &phases {
+            a.moves += row.moves;
+            a.injections += row.injections;
+            a.deflections += row.deflections;
+            a.safe_deflections += row.safe;
+            a.oscillations += row.oscillations;
+            a.deliveries += row.deliveries;
+        }
+        a.phases = phases;
+        a.timelines = self.timelines.timelines;
+        a.latencies = a
+            .timelines
+            .iter()
+            .filter(|t| !t.trivial)
+            .filter_map(PacketTimeline::latency)
+            .collect();
+        a.latencies.sort_unstable();
+        a.arrival_latencies.sort_unstable();
+        a.chains = self.chains.finish();
+        a.instance = self.instance.as_ref().map(|i| {
+            (
+                i.problem.congestion(),
+                i.problem.dilation(),
+                i.net.num_levels() as u32,
+            )
+        });
+        a
+    }
+}
+
+/// The phase row an event at step `t` counts toward: the open row from
+/// its first step on, otherwise the closed row spanning `t`.
+fn row_at<'r>(closed: &'r mut [PhaseRow], open: &'r mut PhaseRow, t: Time) -> &'r mut PhaseRow {
+    if t >= open.start_t {
+        return open;
+    }
+    let i = closed.partition_point(|row| row.end_t <= t);
+    closed.get_mut(i).unwrap_or(open)
+}
+
+/// Analyzes a parsed trace in one pass ([`Analyzer`], whose event-order
+/// precondition applies). Reconstruction of the instance (for level
+/// heatmaps and frontier lags) is attempted from the meta line and
+/// silently skipped when impossible — everything derivable from the
+/// event stream alone is always present.
+pub fn analyze(trace: &Trace) -> Analysis {
+    let mut analyzer = Analyzer::new(trace.meta().and_then(|m| reconstruct(m).ok()));
+    for ev in &trace.events {
+        analyzer.push(ev);
+    }
+    analyzer.finish()
 }
 
 impl Analysis {
@@ -339,21 +434,9 @@ impl Analysis {
         }
     }
 
-    /// Sorted latencies of delivered, non-trivial packets.
-    fn latencies(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self
-            .timelines
-            .iter()
-            .filter(|t| !t.trivial)
-            .filter_map(super::timeline::PacketTimeline::latency)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Renders the analysis as a JSON report.
     pub fn to_json(&self) -> Value {
-        let lat = self.latencies();
+        let lat = &self.latencies;
         let sum: u64 = lat.iter().sum();
         let mean = if lat.is_empty() {
             0.0
@@ -434,9 +517,9 @@ impl Analysis {
             "latency": json!({
                 "delivered": lat.len() as u64,
                 "mean": mean,
-                "p50": percentile(&lat, 0.50),
-                "p90": percentile(&lat, 0.90),
-                "p99": percentile(&lat, 0.99),
+                "p50": percentile(lat, 0.50),
+                "p90": percentile(lat, 0.90),
+                "p99": percentile(lat, 0.99),
                 "max": lat.last().copied().unwrap_or(0),
                 "home_run_max": home_runs.iter().copied().max().unwrap_or(0),
                 "home_run_mean": if home_runs.is_empty() { 0.0 } else {
@@ -517,8 +600,7 @@ pub fn diff(a: &Analysis, b: &Analysis) -> Value {
             x.steps as f64 / u64::from(c + l).max(1) as f64
         })
     }
-    let lat_a = a.latencies();
-    let lat_b = b.latencies();
+    let (lat_a, lat_b) = (&a.latencies, &b.latencies);
     let rows = vec![
         row("steps", a.steps, b.steps),
         row("moves", a.moves, b.moves),
@@ -533,8 +615,8 @@ pub fn diff(a: &Analysis, b: &Analysis) -> Value {
         ),
         row(
             "latency_p50",
-            percentile(&lat_a, 0.5),
-            percentile(&lat_b, 0.5),
+            percentile(lat_a, 0.5),
+            percentile(lat_b, 0.5),
         ),
         row(
             "chain_max_depth",

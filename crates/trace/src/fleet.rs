@@ -18,7 +18,7 @@
 //! however the runs were scheduled.
 
 use crate::analyze::{percentile, Analysis};
-use crate::schema::{Trace, TraceEvent};
+use crate::schema::Trace;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Value;
@@ -69,7 +69,8 @@ pub struct FleetSample {
     pub violations: u64,
     /// Streaming drops (0 in batch mode).
     pub drops: u64,
-    /// Median in-flight latency.
+    /// Median in-flight latency ([`Analysis::latencies`]: trivial
+    /// deliveries excluded).
     pub latency_p50: u64,
     /// 99th-percentile in-flight latency.
     pub latency_p99: u64,
@@ -91,24 +92,15 @@ impl FleetSample {
     /// Builds a sample from a trace (parsed or recorded) and its
     /// analysis. The trace must carry a `meta` event (fleet runs always
     /// do — the instance parameters come from it verbatim, no
-    /// reconstruction). Invariant violations are not part of the trace
-    /// stats, so the router's audit count rides along explicitly.
+    /// reconstruction); everything else comes from the analysis, whose
+    /// in-flight latencies exclude trivial deliveries. Invariant
+    /// violations are not part of the trace stats, so the router's audit
+    /// count rides along explicitly.
     pub fn from_trace(trace: &Trace, analysis: &Analysis, violations: u64) -> Result<Self, String> {
         let meta = trace
             .meta()
             .ok_or("fleet samples need a trace with a meta line")?;
-        let mut latencies: Vec<u64> = analysis
-            .timelines
-            .iter()
-            .filter_map(crate::timeline::PacketTimeline::latency)
-            .collect();
-        latencies.sort_unstable();
-        let mut watermark = 0u64;
-        for ev in &trace.events {
-            if let TraceEvent::Congestion { congestion, .. } = ev {
-                watermark = watermark.max(u64::from(*congestion));
-            }
-        }
+        let latencies = &analysis.latencies;
         Ok(FleetSample {
             topo: meta.topo.clone(),
             algo: meta.algo.clone(),
@@ -123,11 +115,11 @@ impl FleetSample {
             deflections: analysis.deflections,
             violations,
             drops: analysis.drops,
-            latency_p50: percentile(&latencies, 0.50),
-            latency_p99: percentile(&latencies, 0.99),
+            latency_p50: percentile(latencies, 0.50),
+            latency_p99: percentile(latencies, 0.99),
             latency_max: latencies.last().copied().unwrap_or(0),
             chain_max_depth: u64::from(analysis.chains.max_depth),
-            congestion_watermark: watermark,
+            congestion_watermark: analysis.congestion_watermark,
         })
     }
 }
@@ -520,6 +512,47 @@ mod tests {
             chain_max_depth: 3,
             congestion_watermark: 4,
         }
+    }
+
+    #[test]
+    fn sample_latencies_exclude_trivial_deliveries() {
+        use crate::schema::{Meta, TraceEvent, SCHEMA_VERSION};
+        use hotpotato_sim::ExitKind;
+        use leveled_net::{ids::EdgeId, Direction};
+        // Three of four packets are delivered trivially; the fourth is
+        // injected at 0 and delivered at 4. Every in-flight latency figure
+        // is that packet's 4, as in the analysis report.
+        let meta = Meta {
+            schema: SCHEMA_VERSION,
+            topo: "bf:2".into(),
+            workload: "hand".into(),
+            algo: "greedy".into(),
+            seed: 1,
+            arrival: String::new(),
+            packets: 4,
+            levels: 3,
+            congestion: 1,
+            dilation: 4,
+        };
+        let hop = |t: u64, kind| TraceEvent::Move {
+            t,
+            pkt: 3,
+            edge: EdgeId(t as u32),
+            dir: Direction::Forward,
+            kind,
+        };
+        let mut events = vec![TraceEvent::Meta(meta)];
+        events.extend((0..3).map(|pkt| TraceEvent::Trivial { t: 0, pkt }));
+        events.push(hop(0, ExitKind::Inject));
+        events.extend((1..4).map(|t| hop(t, ExitKind::Advance)));
+        events.push(TraceEvent::Deliver { t: 4, pkt: 3 });
+        let trace = Trace { events };
+        let analysis = crate::analyze(&trace);
+        assert_eq!(analysis.latencies, vec![4]);
+        assert_eq!(analysis.to_json()["latency"]["p50"].as_u64(), Some(4));
+        let s = FleetSample::from_trace(&trace, &analysis, 0).unwrap();
+        assert_eq!(s.delivered, 4);
+        assert_eq!((s.latency_p50, s.latency_p99, s.latency_max), (4, 4, 4));
     }
 
     #[test]

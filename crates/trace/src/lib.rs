@@ -24,7 +24,9 @@
 //!   is reported with the first divergent line.
 //! - [`analyze`](mod@analyze) — aggregate reports: per-phase deflection heatmaps,
 //!   frontier-lag distributions, latency percentiles, chain depths,
-//!   and empirical C+L scaling ratios, as JSON.
+//!   and empirical C+L scaling ratios, as JSON. [`Analyzer`] builds
+//!   them in one pass over events in engine (chronological) order;
+//!   [`FleetSample`] is a view of its result.
 //! - [`stream`] — [`stream::StreamingAggregator`], a [`RouteObserver`]
 //!   with a hard memory cap for runs too long to trace in full.
 //! - [`binary`] — the `.hpt` varint/delta binary framing: the same
@@ -51,7 +53,7 @@ pub mod stream;
 pub mod timeline;
 pub mod verify;
 
-pub use analyze::{analyze, diff, Analysis};
+pub use analyze::{analyze, diff, Analysis, Analyzer};
 pub use binary::{decode_trace, encode_trace, is_binary, BinaryError};
 pub use fleet::{
     parse_fleet, validate_fleet_doc, FleetAggregator, FleetFit, FleetSample, FLEET_SCHEMA_VERSION,

@@ -18,9 +18,14 @@
 //! trace does not record which winner beat them.) The chain report
 //! surfaces how deep those causal chains run — the empirical face of
 //! delay-sequence arguments.
+//!
+//! Both read the events once, and [`crate::analyze::Analyzer`] applies
+//! the same two per-event rules inside its own single pass.
 
 use crate::schema::{Trace, TraceEvent};
 use hotpotato_sim::{ExitKind, Time};
+use leveled_net::Direction;
+use std::collections::HashMap;
 
 /// Latency anatomy of one packet, reconstructed from the move stream.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -47,7 +52,9 @@ pub struct PacketTimeline {
 }
 
 impl PacketTimeline {
-    /// In-flight latency, when delivered after a real injection.
+    /// Delivery minus injection step, when the packet has both. A trivial
+    /// delivery reads `Some(0)`: in-flight latency statistics skip
+    /// packets with `trivial` set.
     pub fn latency(&self) -> Option<Time> {
         match (self.injected_at, self.delivered_at) {
             (Some(i), Some(d)) => Some(d - i),
@@ -56,59 +63,85 @@ impl PacketTimeline {
     }
 }
 
-/// Builds one [`PacketTimeline`] per packet (`n` from the caller, so the
-/// result covers packets the trace never mentions).
-pub fn build_timelines(trace: &Trace, n: usize) -> Vec<PacketTimeline> {
-    let mut tl = vec![PacketTimeline::default(); n];
-    // Trailing forward-run length per packet, reset by any disruption.
-    let mut run = vec![0u32; n];
-    for ev in &trace.events {
+/// The per-event timeline rule: folds events into one [`PacketTimeline`]
+/// per packet in `0..timelines.len()`. Events naming a packet outside
+/// that range are ignored; [`TimelineFold::grow`] widens it.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TimelineFold {
+    pub(crate) timelines: Vec<PacketTimeline>,
+    /// Trailing forward-run length per packet, reset by any disruption.
+    run: Vec<u32>,
+}
+
+impl TimelineFold {
+    /// Widens the fold to packets `0..n` (never narrows it).
+    pub(crate) fn grow(&mut self, n: usize) {
+        if n > self.timelines.len() {
+            self.timelines.resize(n, PacketTimeline::default());
+            self.run.resize(n, 0);
+        }
+    }
+
+    /// Applies one event.
+    pub(crate) fn push(&mut self, ev: &TraceEvent) {
         match *ev {
             TraceEvent::Move { t, pkt, kind, .. } => {
-                let Some(p) = tl.get_mut(pkt as usize) else {
-                    continue;
+                let i = pkt as usize;
+                let (Some(p), Some(run)) = (self.timelines.get_mut(i), self.run.get_mut(i)) else {
+                    return;
                 };
                 p.moves += 1;
                 match kind {
                     ExitKind::Inject => {
                         p.injected_at = Some(t);
                         p.advances += 1;
-                        run[pkt as usize] += 1;
+                        *run += 1;
                     }
                     ExitKind::Advance => {
                         p.advances += 1;
-                        run[pkt as usize] += 1;
+                        *run += 1;
                     }
                     ExitKind::Deflect { safe } => {
                         p.deflections += 1;
                         if safe {
                             p.safe_deflections += 1;
                         }
-                        run[pkt as usize] = 0;
+                        *run = 0;
                     }
                     ExitKind::Oscillate => {
                         p.oscillations += 1;
-                        run[pkt as usize] = 0;
+                        *run = 0;
                     }
                 }
             }
             TraceEvent::Trivial { t, pkt } => {
-                if let Some(p) = tl.get_mut(pkt as usize) {
+                if let Some(p) = self.timelines.get_mut(pkt as usize) {
                     p.trivial = true;
                     p.injected_at = Some(t);
                     p.delivered_at = Some(t);
                 }
             }
             TraceEvent::Deliver { t, pkt } => {
-                if let Some(p) = tl.get_mut(pkt as usize) {
+                let i = pkt as usize;
+                if let (Some(p), Some(&run)) = (self.timelines.get_mut(i), self.run.get(i)) {
                     p.delivered_at = Some(t);
-                    p.home_run = run[pkt as usize];
+                    p.home_run = run;
                 }
             }
             _ => {}
         }
     }
-    tl
+}
+
+/// Builds one [`PacketTimeline`] per packet (`n` from the caller, so the
+/// result covers packets the trace never mentions), in one pass.
+pub fn build_timelines(trace: &Trace, n: usize) -> Vec<PacketTimeline> {
+    let mut fold = TimelineFold::default();
+    fold.grow(n);
+    for ev in &trace.events {
+        fold.push(ev);
+    }
+    fold.timelines
 }
 
 /// One attributed deflection.
@@ -142,95 +175,149 @@ pub struct ChainReport {
     pub longest_chain: Vec<(u32, Time)>,
 }
 
-/// Attributes every deflection in the trace to its proximate cause and
-/// computes causal chain depths (see the module docs).
-pub fn attribute_chains(trace: &Trace) -> ChainReport {
-    use std::collections::HashMap;
-    // (t, edge) -> packet that crossed it forward at t.
-    let mut forward: HashMap<(Time, u32), u32> = HashMap::new();
-    for ev in &trace.events {
-        if let TraceEvent::Move {
-            t,
-            pkt,
-            edge,
-            dir: leveled_net::Direction::Forward,
-            ..
-        } = *ev
-        {
-            forward.insert((t, edge.0), pkt);
+/// The chain attribution rule, one event at a time. It relies on the
+/// chronological order the engine writes (every move of step `t − 1`
+/// before any move of step `t`): a deflection at `t` then needs only the
+/// forward crossings of step `t − 1` and its causer's latest deflection
+/// before `t`. So the fold keeps the crossings of the current and the
+/// previous step, and each packet's last two deflections (a causer may
+/// already have been deflected at `t` itself).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ChainFold {
+    /// Deflections in trace (= chronological) order.
+    links: Vec<ChainLink>,
+    /// Parent link index per link (for witness extraction).
+    parent: Vec<Option<usize>>,
+    /// Per packet: its two latest deflections, newest first, as indices
+    /// into `links`.
+    recent: Vec<[Option<usize>; 2]>,
+    /// The step `crossed` holds.
+    now: Time,
+    /// Edge -> packet that crossed it forward at `now` (the last one, when
+    /// two share a step and edge).
+    crossed: HashMap<u32, u32>,
+    /// The same for step `now − 1`.
+    crossed_before: HashMap<u32, u32>,
+}
+
+impl ChainFold {
+    /// The packet that crossed `edge` forward at step `t`, if the fold
+    /// still holds that step.
+    fn crosser(&self, t: Time, edge: u32) -> Option<u32> {
+        if t == self.now {
+            self.crossed.get(&edge).copied()
+        } else if Some(t) == self.now.checked_sub(1) {
+            self.crossed_before.get(&edge).copied()
+        } else {
+            None
         }
     }
 
-    // Deflections in trace (= chronological) order.
-    let mut links: Vec<ChainLink> = Vec::new();
-    // Per packet: indices into `links` of its own deflections (ascending t).
-    let mut own: HashMap<u32, Vec<usize>> = HashMap::new();
-    // Parent link index per link (for witness extraction).
-    let mut parent: Vec<Option<usize>> = Vec::new();
-    for ev in &trace.events {
+    /// Applies one event.
+    pub(crate) fn push(&mut self, ev: &TraceEvent) {
         let TraceEvent::Move {
             t,
             pkt,
             edge,
             dir,
-            kind: ExitKind::Deflect { safe },
+            kind,
         } = *ev
         else {
-            continue;
+            return;
         };
-        // Safe deflections recycle an arrival edge: whoever crossed it
-        // forward in the previous step (if not the loser itself, going
-        // back where it came from) is the attributable cause.
-        let caused_by = if safe && dir == leveled_net::Direction::Backward && t > 0 {
-            forward.get(&(t - 1, edge.0)).copied().filter(|&c| c != pkt)
-        } else {
-            None
-        };
-        let par = caused_by.and_then(|c| {
-            own.get(&c).and_then(|idxs| {
-                // Latest deflection of the causer strictly before t.
-                idxs.iter().rev().copied().find(|&i| links[i].t < t)
-            })
-        });
-        let depth = par.map_or(1, |i| links[i].depth + 1);
-        let idx = links.len();
-        links.push(ChainLink {
-            pkt,
-            t,
-            caused_by,
-            depth,
-        });
-        parent.push(par);
-        own.entry(pkt).or_default().push(idx);
+        if let ExitKind::Deflect { safe } = kind {
+            // Safe deflections recycle an arrival edge: whoever crossed
+            // it forward in the previous step (if not the loser itself,
+            // going back where it came from) is the attributable cause.
+            let caused_by = if safe && dir == Direction::Backward && t > 0 {
+                self.crosser(t - 1, edge.0).filter(|&c| c != pkt)
+            } else {
+                None
+            };
+            // Latest deflection of the causer strictly before t.
+            let par = caused_by
+                .and_then(|c| self.recent.get(c as usize))
+                .and_then(|own| {
+                    own.iter()
+                        .flatten()
+                        .copied()
+                        .find(|&i| self.links.get(i).is_some_and(|l| l.t < t))
+                });
+            let depth = par
+                .and_then(|i| self.links.get(i))
+                .map_or(1, |l| l.depth + 1);
+            let idx = self.links.len();
+            self.links.push(ChainLink {
+                pkt,
+                t,
+                caused_by,
+                depth,
+            });
+            self.parent.push(par);
+            let i = pkt as usize;
+            if i >= self.recent.len() {
+                self.recent.resize(i + 1, [None; 2]);
+            }
+            if let Some([newest, older]) = self.recent.get_mut(i) {
+                *older = newest.replace(idx);
+            }
+        }
+        if dir == Direction::Forward {
+            if t != self.now {
+                // A new step: the current crossings become the previous
+                // step's, unless a step without forward moves came between.
+                if t.checked_sub(1) == Some(self.now) {
+                    std::mem::swap(&mut self.crossed, &mut self.crossed_before);
+                } else {
+                    self.crossed_before.clear();
+                }
+                self.crossed.clear();
+                self.now = t;
+            }
+            self.crossed.insert(edge.0, pkt);
+        }
     }
 
-    let mut report = ChainReport::default();
-    let mut hist: HashMap<u32, u64> = HashMap::new();
-    let mut deepest: Option<usize> = None;
-    for (i, link) in links.iter().enumerate() {
-        if link.depth == 1 {
-            report.roots += 1;
+    /// Depth histogram, roots and the longest-chain witness.
+    pub(crate) fn finish(self) -> ChainReport {
+        let mut report = ChainReport::default();
+        let mut hist: HashMap<u32, u64> = HashMap::new();
+        let mut deepest: Option<usize> = None;
+        for (i, link) in self.links.iter().enumerate() {
+            if link.depth == 1 {
+                report.roots += 1;
+            }
+            *hist.entry(link.depth).or_insert(0) += 1;
+            if link.depth > report.max_depth {
+                report.max_depth = link.depth;
+                deepest = Some(i);
+            }
         }
-        *hist.entry(link.depth).or_insert(0) += 1;
-        if link.depth > report.max_depth {
-            report.max_depth = link.depth;
-            deepest = Some(i);
+        let mut depth_histogram: Vec<(u32, u64)> = hist.into_iter().collect();
+        depth_histogram.sort_unstable();
+        report.depth_histogram = depth_histogram;
+        // Witness: walk parents from the deepest link back to its root.
+        let mut chain = Vec::new();
+        let mut cursor = deepest;
+        while let Some(i) = cursor {
+            chain.push((self.links[i].pkt, self.links[i].t));
+            cursor = self.parent[i];
         }
+        chain.reverse();
+        report.longest_chain = chain;
+        report.links = self.links;
+        report
     }
-    let mut depth_histogram: Vec<(u32, u64)> = hist.into_iter().collect();
-    depth_histogram.sort_unstable();
-    report.depth_histogram = depth_histogram;
-    // Witness: walk parents from the deepest link back to its root.
-    let mut chain = Vec::new();
-    let mut cursor = deepest;
-    while let Some(i) = cursor {
-        chain.push((links[i].pkt, links[i].t));
-        cursor = parent[i];
+}
+
+/// Attributes every deflection in the trace to its proximate cause and
+/// computes causal chain depths (see the module docs), in one pass.
+pub fn attribute_chains(trace: &Trace) -> ChainReport {
+    let mut fold = ChainFold::default();
+    for ev in &trace.events {
+        fold.push(ev);
     }
-    chain.reverse();
-    report.longest_chain = chain;
-    report.links = links;
-    report
+    fold.finish()
 }
 
 #[cfg(test)]

@@ -10,9 +10,9 @@
 //!    packet per (edge, direction) slot per step, no teleports, exactly
 //!    one injection per packet departing its path's first edge, no
 //!    resting while active (bufferless model only), safe deflections
-//!    really recycle an edge crossed forward the same step, absorption
-//!    exactly on arrival — and every `step` line's counts must equal the
-//!    batch it closes;
+//!    really recycle an edge some packet crossed forward in the previous
+//!    step, absorption exactly on arrival — and every `step` line's
+//!    counts must equal the batch it closes;
 //! 3. every `snapshot` checkpoint must equal the replayed state at its
 //!    position in the stream (the snapshot-consistency law) — which is
 //!    also what makes checkpoints trustworthy *seeds*: the sharded
