@@ -111,7 +111,7 @@ where
     O: RouteObserver + ?Sized,
     P: Fn(&SoaEngine<&mut O>, u32) -> u32,
 {
-    let mut sim = SoaEngine::new(Arc::clone(problem), false, observer);
+    let mut sim = SoaEngine::new(Arc::clone(problem), observer);
     let mut stage = StepStage::new(problem.network_arc());
     let mut pending: Vec<u32> = (0..problem.num_packets() as u32).collect();
     let mut scratch = GreedyScratch::default();

@@ -26,7 +26,7 @@ fn converging_sim(width: usize) -> (SoaEngine, NodeId, Vec<Contender>) {
         .collect();
     let prob = Arc::new(RoutingProblem::new(Arc::clone(&net), paths).unwrap());
     let n = prob.num_packets();
-    let mut sim: SoaEngine = SoaEngine::new(prob, false, hotpotato_sim::NoopObserver);
+    let mut sim: SoaEngine = SoaEngine::new(prob, hotpotato_sim::NoopObserver);
     for p in 0..n as u32 {
         sim.try_inject(p);
     }
@@ -75,7 +75,7 @@ fn bench_engine_step(c: &mut Criterion) {
                 || {
                     let n = prob.num_packets();
                     let mut sim: SoaEngine =
-                        SoaEngine::new(Arc::clone(&prob), false, hotpotato_sim::NoopObserver);
+                        SoaEngine::new(Arc::clone(&prob), hotpotato_sim::NoopObserver);
                     for p in 0..n as u32 {
                         sim.try_inject(p);
                     }

@@ -8,15 +8,14 @@
 //! cargo run -p bench --release --bin tables -- perfjson       # BENCH_PR1.json
 //! cargo run -p bench --release --bin tables -- metricsjson    # METRICS_PR2.json
 //! cargo run -p bench --release --bin tables -- gate --quick   # telemetry gate
-//!     [--baselines F1,F2,..] [--perf-baseline F] [--metrics-baseline F]
-//!     [--min-ratio R] [--perf-out F] [--metrics-out F]
+//!     [--baselines F1,F2,..] [--metrics-baseline F]
+//!     [--perf-out F] [--metrics-out F]
 //!     [--scrape ADDR] [--scrape-only]
 //! ```
 //!
-//! Gate perf modes: `--baselines` (adaptive, per-component floors from
-//! the spread of the listed committed baselines — see
-//! [`bench::gate::adaptive_perf_gate`]) or the legacy single
-//! `--perf-baseline` + global `--min-ratio`. `--scrape ADDR` adds
+//! The perf gate derives per-component floors from the spread of the
+//! `--baselines` list (default `BENCH_PR1.json`; see
+//! [`bench::gate::adaptive_perf_gate`]). `--scrape ADDR` adds
 //! liveness/exposition checks against a running `hotpotato serve`
 //! (`--scrape-only` skips the measurement checks entirely — what the CI
 //! smoke job uses).
@@ -148,25 +147,11 @@ fn gate_mode(quick: bool, args: &[String]) -> ! {
             .unwrap_or_else(|e| panic!("writing {out}: {e}"));
         }
 
-        match flag("--baselines") {
-            Some(list) => {
-                // Adaptive mode: per-component floors from the spread of
-                // the listed baselines (oldest first).
-                let baselines: Vec<serde_json::Value> = list.split(',').map(read_doc).collect();
-                findings.extend(bench::gate::adaptive_perf_gate(&baselines, &perf_cur));
-            }
-            None => {
-                let perf_base_path = flag("--perf-baseline").unwrap_or("BENCH_PR1.json");
-                let min_ratio: f64 = flag("--min-ratio")
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(bench::gate::GLOBAL_MIN_RATIO);
-                findings.extend(bench::gate::perf_gate(
-                    &read_doc(perf_base_path),
-                    &perf_cur,
-                    min_ratio,
-                ));
-            }
-        }
+        // Per-component floors from the spread of the listed baselines
+        // (oldest first); a lone baseline gates at the global ratio.
+        let list = flag("--baselines").unwrap_or("BENCH_PR1.json");
+        let baselines: Vec<serde_json::Value> = list.split(',').map(read_doc).collect();
+        findings.extend(bench::gate::adaptive_perf_gate(&baselines, &perf_cur));
         findings.extend(bench::gate::metrics_gate(&metrics_base, &metrics_cur));
     }
     if let Some(addr) = scrape_addr {

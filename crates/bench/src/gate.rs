@@ -3,20 +3,17 @@
 //!
 //! Three kinds of checks:
 //!
-//! * **Perf** ([`perf_gate`]) — every component of the committed perf
-//!   baseline (`BENCH_PR1.json`) must still exist and its `moves_per_s`
-//!   throughput must be at least `min_ratio` × the baseline value.
+//! * **Perf** ([`adaptive_perf_gate`]) — every component of the newest
+//!   committed perf baseline must still exist and its `moves_per_s`
+//!   throughput must clear a per-component floor derived from the
+//!   *spread* between the committed baselines (`BENCH_PR1.json` vs
+//!   `BENCH_PR3.json`): components whose history agrees tightly gate
+//!   tightly, noisy ones stay forgiving, and nothing is ever stricter
+//!   than the history justifies (see [`adaptive_ratio`]). A component
+//!   with a single committed measurement gates at [`GLOBAL_MIN_RATIO`].
 //!   `moves_per_s` is the yardstick because it is roughly scale-free:
 //!   quick CI runs use a smaller butterfly than the committed full
 //!   baseline, and per-move cost is what a regression actually changes.
-//!   The ratio is deliberately generous (CI machines differ); it exists
-//!   to catch order-of-magnitude cliffs, not single-digit noise.
-//!   [`adaptive_perf_gate`] replaces the single global ratio with
-//!   per-component floors derived from the *spread* between several
-//!   committed baselines (`BENCH_PR1.json` vs `BENCH_PR3.json`):
-//!   components whose history agrees tightly gate tightly, noisy ones
-//!   stay forgiving, and nothing is ever stricter than the history
-//!   justifies (see [`adaptive_ratio`]).
 //! * **Scrape** ([`scrape_gate`]) — well-formedness of a live
 //!   `hotpotato serve` endpoint: `/healthz` liveness and a `/metrics`
 //!   exposition whose lines parse, whose required families are declared
@@ -76,67 +73,9 @@ fn f64_at(doc: &Value, path: &[&str]) -> Option<f64> {
     v.as_f64()
 }
 
-/// Compares a fresh perf document against the committed baseline.
-///
-/// Both documents use the `perfjson` shape (`rows[]` with `component`
-/// and `moves_per_s`). Every baseline component must be present and no
-/// slower than `min_ratio` × baseline throughput.
-pub fn perf_gate(baseline: &Value, current: &Value, min_ratio: f64) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let empty = Vec::new();
-    let base_rows = baseline
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .unwrap_or(&empty);
-    let cur_rows = current
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .unwrap_or(&empty);
-    if base_rows.is_empty() {
-        out.push(Finding::fail("perf/baseline", "baseline has no rows"));
-        return out;
-    }
-    for base in base_rows {
-        let name = base
-            .get("component")
-            .and_then(|c| c.as_str())
-            .unwrap_or("?");
-        let check = format!("perf/{name}");
-        let Some(base_mps) = f64_at(base, &["moves_per_s"]) else {
-            out.push(Finding::fail(check, "baseline row has no moves_per_s"));
-            continue;
-        };
-        let cur = cur_rows
-            .iter()
-            .find(|r| r.get("component").and_then(|c| c.as_str()) == Some(name));
-        let Some(cur) = cur else {
-            out.push(Finding::fail(
-                check,
-                format!("component '{name}' missing from the fresh measurement"),
-            ));
-            continue;
-        };
-        let Some(cur_mps) = f64_at(cur, &["moves_per_s"]) else {
-            out.push(Finding::fail(check, "fresh row has no moves_per_s"));
-            continue;
-        };
-        let floor = base_mps * min_ratio;
-        let detail = format!(
-            "{cur_mps:.0} moves/s vs baseline {base_mps:.0} (floor {min_ratio:.2}× = {floor:.0})"
-        );
-        if cur_mps >= floor {
-            out.push(Finding::pass(check, detail));
-        } else {
-            out.push(Finding::fail(check, detail));
-        }
-    }
-    out
-}
-
 /// The cross-machine floor ratio: the most lenient bound any check may
 /// use. A component with no spread evidence (a single committed
-/// baseline) falls back to exactly this — the historical `--min-ratio`
-/// default.
+/// baseline) falls back to exactly this.
 pub const GLOBAL_MIN_RATIO: f64 = 0.25;
 
 /// Derives a per-component floor ratio from the spread of that
@@ -455,27 +394,6 @@ pub fn metrics_gate(baseline: &Value, current: &Value) -> Vec<Finding> {
 mod tests {
     use super::*;
     use serde_json::json;
-
-    fn perf_doc(mps: f64) -> Value {
-        json!({
-            "k": 12,
-            "rows": [
-                json!({ "component": "busch (audited)", "moves_per_s": mps }),
-            ],
-        })
-    }
-
-    #[test]
-    fn perf_gate_applies_min_ratio_floor() {
-        let base = perf_doc(1_000_000.0);
-        let ok = perf_gate(&base, &perf_doc(600_000.0), 0.5);
-        assert!(passed(&ok), "{ok:?}");
-        let slow = perf_gate(&base, &perf_doc(400_000.0), 0.5);
-        assert!(!passed(&slow), "{slow:?}");
-        // A missing component is a failure, not a silent skip.
-        let missing = perf_gate(&base, &json!({ "rows": Value::Array(Vec::new()) }), 0.5);
-        assert!(!passed(&missing), "{missing:?}");
-    }
 
     fn perf_doc_named(rows: &[(&str, f64)]) -> Value {
         let rows: Vec<Value> = rows

@@ -59,13 +59,11 @@ pub struct BuschConfig {
     /// (`I_d`) — exists to *measure* what the paper's injection discipline
     /// buys.
     pub eager_injection: bool,
-    /// Record the per-step active-packet trace.
-    pub trace: bool,
 }
 
 impl BuschConfig {
     /// Default configuration for the given parameters: fallback allowed,
-    /// invariants checked, no trace.
+    /// invariants checked.
     pub fn new(params: Params) -> Self {
         BuschConfig {
             params,
@@ -73,7 +71,6 @@ impl BuschConfig {
             allow_fallback: true,
             arbitrary_deflections: false,
             eager_injection: false,
-            trace: false,
         }
     }
 }

@@ -298,7 +298,7 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
     observer.on_sets_assigned(&sets, params.num_sets);
 
     let timing = observer.wants_timing();
-    let mut sim = SoaEngine::new(Arc::clone(problem), cfg.trace, observer);
+    let mut sim = SoaEngine::new(Arc::clone(problem), observer);
     let mut invariants = InvariantReport::default();
     let initial_per_set = if cfg.check_invariants {
         problem.per_set_congestion(&sets, params.num_sets as usize)

@@ -525,7 +525,7 @@ mod tests {
     /// Sets up the fan with both packets arrived at n2 (after one step).
     fn fan_sim() -> SoaEngine {
         let prob = fan();
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, NoopObserver);
         sim.try_inject(0);
         sim.try_inject(1);
         sim.finish_step().unwrap();
@@ -666,7 +666,7 @@ mod tests {
             Path::new(&net, s2, vec![e2, e3]).unwrap(),
         ];
         let prob = Arc::new(RoutingProblem::new(net, paths).unwrap());
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, NoopObserver);
         for p in 0..3 {
             sim.try_inject(p);
         }

@@ -30,6 +30,9 @@
 //!   zero-cost when disabled) plus concrete sinks: [`MetricsObserver`],
 //!   [`JsonlTraceObserver`], [`SectionProfiler`], and the [`RunRecord`]
 //!   movement log that [`replay::verify`] audits;
+//! * [`jsonl`] — the one renderer of every JSONL trace line shape (bar
+//!   the trace crate's `meta`/`stats` envelope), shared by
+//!   [`JsonlTraceObserver`] and `hotpotato trace convert`;
 //! * [`router_api`] — the object-safe [`Router`] trait and shared
 //!   [`RouteOutcome`] every routing algorithm implements;
 //! * [`exchange`] — the double-buffered, never-blocking
@@ -39,6 +42,7 @@
 
 pub mod conflict;
 pub mod exchange;
+pub mod jsonl;
 pub mod observe;
 pub mod record;
 pub mod router_api;
@@ -62,7 +66,7 @@ pub use stats::{RouteStats, Time};
 pub use streaming::{
     route_streaming, route_streaming_observed, AdmissionControl, StreamingConfig, StreamingOutcome,
 };
-pub use summary::Summary;
+pub use summary::{nearest_rank, Summary};
 
 /// The worker-thread budget shared by every parallel fan-out in the
 /// workspace: the `HOTPOTATO_THREADS` environment variable when set to a

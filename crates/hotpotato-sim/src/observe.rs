@@ -29,6 +29,7 @@
 //! The trait is object-safe: algorithm-agnostic drivers can take a
 //! `&mut dyn RouteObserver` (see [`crate::Router`]).
 
+use crate::jsonl::{self, SnapshotCounts};
 use crate::soa::{ExitKind, StepReport};
 use crate::stats::Time;
 use leveled_net::ids::DirectedEdge;
@@ -806,16 +807,6 @@ impl RouteObserver for MetricsObserver {
     }
 }
 
-fn kind_str(kind: ExitKind) -> &'static str {
-    match kind {
-        ExitKind::Advance => "adv",
-        ExitKind::Deflect { safe: true } => "def-safe",
-        ExitKind::Deflect { safe: false } => "def-free",
-        ExitKind::Oscillate => "osc",
-        ExitKind::Inject => "inj",
-    }
-}
-
 /// Per-packet lifecycle bookkeeping for phase-entry `snapshot` events
 /// (opt-in via [`JsonlTraceObserver::with_snapshots`]). Mirrors exactly
 /// what the trace verifier replays, so every emitted checkpoint is
@@ -828,18 +819,12 @@ struct SnapshotTracker {
     state: Vec<u8>,
     /// Current node per packet; meaningful only while `state == 3`.
     node: Vec<u32>,
-    moves: u64,
-    forward: u64,
-    backward: u64,
-    deflections: u64,
-    oscillations: u64,
-    trivial: u64,
+    counts: SnapshotCounts,
     /// Edges crossed forward in the step being built.
     cur_forward: Vec<u32>,
     /// Edges crossed forward in the last completed step (the
     /// safe-deflection recycling pool a seeded verifier needs).
     prev_forward: Vec<u32>,
-    num_sets: u32,
 }
 
 impl SnapshotTracker {
@@ -849,15 +834,9 @@ impl SnapshotTracker {
             net: problem.network_arc(),
             state: vec![0; n],
             node: vec![0; n],
-            moves: 0,
-            forward: 0,
-            backward: 0,
-            deflections: 0,
-            oscillations: 0,
-            trivial: 0,
+            counts: SnapshotCounts::default(),
             cur_forward: Vec::new(),
             prev_forward: Vec::new(),
-            num_sets: 0,
         }
     }
 
@@ -866,70 +845,42 @@ impl SnapshotTracker {
         let p = pkt as usize;
         self.state[p] = 3;
         self.node[p] = self.net.move_target(mv).0;
-        self.moves += 1;
+        self.counts.moves += 1;
         match mv.dir {
             leveled_net::Direction::Forward => {
-                self.forward += 1;
+                self.counts.forward += 1;
                 self.cur_forward.push(mv.edge.0);
             }
-            leveled_net::Direction::Backward => self.backward += 1,
+            leveled_net::Direction::Backward => self.counts.backward += 1,
         }
         match kind {
-            ExitKind::Deflect { .. } => self.deflections += 1,
-            ExitKind::Oscillate => self.oscillations += 1,
+            ExitKind::Deflect { .. } => self.counts.deflections += 1,
+            ExitKind::Oscillate => self.counts.oscillations += 1,
             _ => {}
         }
     }
 
-    /// Renders the checkpoint line, byte-identical to the trace crate's
-    /// canonical `snapshot` rendering.
-    fn snapshot_line(&self, phase: u64, t: Time) -> String {
-        use std::fmt::Write as _;
-        let mut line = format!("{{\"ev\":\"snapshot\",\"phase\":{phase},\"t\":{t},\"state\":[");
-        for (i, s) in self.state.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            let _ = write!(line, "{s}");
-        }
-        line.push_str("],\"nodes\":[");
-        let mut first = true;
-        for p in 0..self.state.len() {
-            if self.state[p] == 3 {
-                if !first {
-                    line.push(',');
-                }
-                first = false;
-                let _ = write!(line, "{}", self.node[p]);
-            }
-        }
-        line.push_str("],\"prev_forward\":[");
-        for (i, e) in self.prev_forward.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            let _ = write!(line, "{e}");
-        }
-        let _ = write!(
-            line,
-            "],\"moves\":{},\"forward\":{},\"backward\":{},\"deflections\":{},\"oscillations\":{},\"trivial\":{},\"num_sets\":{}}}",
-            self.moves,
-            self.forward,
-            self.backward,
-            self.deflections,
-            self.oscillations,
-            self.trivial,
-            self.num_sets,
+    /// Appends the checkpoint line for the entry of `phase` at step `t`.
+    fn push_line(&self, out: &mut String, phase: u64, t: Time) {
+        let in_flight = self.state.iter().zip(&self.node).filter(|(&s, _)| s == 3);
+        jsonl::push_snapshot(
+            out,
+            phase,
+            t,
+            self.state.iter().map(|&s| u32::from(s)),
+            in_flight.map(|(_, &node)| node),
+            &self.prev_forward,
+            &self.counts,
         );
-        line
     }
 }
 
 /// Streams every event as one JSON object per line (JSON Lines) to a
 /// writer. Events carry an `"ev"` discriminator (`move`, `trivial`,
-/// `deliver`, `step`, `sets`, `phase_start`, `phase_end`, `frontier`,
-/// `congestion`, `section`, and — with
-/// [`JsonlTraceObserver::with_snapshots`] — `snapshot`).
+/// `deliver`, `arrival`, `drop`, `step`, `sets`, `phase_start`,
+/// `phase_end`, `frontier`, `congestion`, `section`, and — with
+/// [`JsonlTraceObserver::with_snapshots`] — `snapshot`); every line is
+/// rendered by [`crate::jsonl`].
 ///
 /// Lines accumulate in an internal sized buffer that drains to the
 /// writer only when full and at phase/quiesce boundaries
@@ -940,7 +891,7 @@ impl SnapshotTracker {
 /// surfaced by [`JsonlTraceObserver::finish`].
 pub struct JsonlTraceObserver<W: Write> {
     out: W,
-    buf: Vec<u8>,
+    buf: String,
     err: Option<std::io::Error>,
     snap: Option<SnapshotTracker>,
 }
@@ -955,7 +906,7 @@ impl<W: Write> JsonlTraceObserver<W> {
     pub fn new(out: W) -> Self {
         JsonlTraceObserver {
             out,
-            buf: Vec::with_capacity(TRACE_BUF_CAP),
+            buf: String::with_capacity(TRACE_BUF_CAP),
             err: None,
             snap: None,
         }
@@ -983,29 +934,21 @@ impl<W: Write> JsonlTraceObserver<W> {
         Ok(self.out)
     }
 
-    /// Drains the internal buffer to the writer.
+    /// Drains the internal buffer to the writer (after a write error,
+    /// discards it).
     fn flush_buf(&mut self) {
-        if self.err.is_some() {
-            self.buf.clear();
-            return;
-        }
-        if self.buf.is_empty() {
-            return;
-        }
-        if let Err(e) = self.out.write_all(&self.buf) {
-            self.err = Some(e);
+        if self.err.is_none() && !self.buf.is_empty() {
+            if let Err(e) = self.out.write_all(self.buf.as_bytes()) {
+                self.err = Some(e);
+            }
         }
         self.buf.clear();
     }
 
+    /// Terminates the line just rendered into the buffer.
     // lint: hot-path
-    fn line(&mut self, args: std::fmt::Arguments<'_>) {
-        if self.err.is_some() {
-            return;
-        }
-        // Formatting into a Vec is infallible; I/O errors can only
-        // surface when the buffer drains.
-        let _ = self.buf.write_fmt(args);
+    fn end_line(&mut self) {
+        self.buf.push('\n');
         if self.buf.len() >= TRACE_BUF_CAP {
             self.flush_buf();
         }
@@ -1017,34 +960,25 @@ impl<W: Write> RouteObserver for JsonlTraceObserver<W> {
         if let Some(tr) = &mut self.snap {
             tr.on_move(pkt, mv, kind);
         }
-        let dir = match mv.dir {
-            leveled_net::Direction::Forward => "F",
-            leveled_net::Direction::Backward => "B",
-        };
-        self.line(format_args!(
-            "{{\"ev\":\"move\",\"t\":{t},\"pkt\":{pkt},\"edge\":{},\"dir\":\"{dir}\",\"kind\":\"{}\"}}\n",
-            mv.edge.0,
-            kind_str(kind),
-        ));
+        jsonl::push_move(&mut self.buf, t, pkt, mv, kind);
+        self.end_line();
     }
 
     fn on_trivial(&mut self, t: Time, pkt: u32) {
         if let Some(tr) = &mut self.snap {
             tr.state[pkt as usize] = 4;
-            tr.trivial += 1;
+            tr.counts.trivial += 1;
         }
-        self.line(format_args!(
-            "{{\"ev\":\"trivial\",\"t\":{t},\"pkt\":{pkt}}}\n"
-        ));
+        jsonl::push_trivial(&mut self.buf, t, pkt);
+        self.end_line();
     }
 
     fn on_deliver(&mut self, t: Time, pkt: u32) {
         if let Some(tr) = &mut self.snap {
             tr.state[pkt as usize] = 4;
         }
-        self.line(format_args!(
-            "{{\"ev\":\"deliver\",\"t\":{t},\"pkt\":{pkt}}}\n"
-        ));
+        jsonl::push_deliver(&mut self.buf, t, pkt);
+        self.end_line();
     }
 
     fn on_step_end(&mut self, t: Time, report: &StepReport, active: usize) {
@@ -1052,15 +986,8 @@ impl<W: Write> RouteObserver for JsonlTraceObserver<W> {
             std::mem::swap(&mut tr.prev_forward, &mut tr.cur_forward);
             tr.cur_forward.clear();
         }
-        self.line(format_args!(
-            "{{\"ev\":\"step\",\"t\":{t},\"moved\":{},\"absorbed\":{},\"injected\":{},\"deflections\":{},\"fallback\":{},\"oscillations\":{},\"active\":{active}}}\n",
-            report.moved,
-            report.absorbed,
-            report.injected,
-            report.deflections,
-            report.fallback_deflections,
-            report.oscillations,
-        ));
+        jsonl::push_step(&mut self.buf, t, report, active as u64);
+        self.end_line();
     }
 
     // lint: panics-by-design(dense-index invariant surface: packet/node ids are
@@ -1070,9 +997,8 @@ impl<W: Write> RouteObserver for JsonlTraceObserver<W> {
         if let Some(tr) = &mut self.snap {
             tr.state[pkt as usize] = 1;
         }
-        self.line(format_args!(
-            "{{\"ev\":\"arrival\",\"t\":{t},\"pkt\":{pkt}}}\n"
-        ));
+        jsonl::push_arrival(&mut self.buf, t, pkt);
+        self.end_line();
     }
 
     // lint: panics-by-design(dense-index invariant surface: packet/node ids are
@@ -1082,65 +1008,48 @@ impl<W: Write> RouteObserver for JsonlTraceObserver<W> {
         if let Some(tr) = &mut self.snap {
             tr.state[pkt as usize] = 2;
         }
-        self.line(format_args!(
-            "{{\"ev\":\"drop\",\"t\":{t},\"pkt\":{pkt}}}\n"
-        ));
+        jsonl::push_drop(&mut self.buf, t, pkt);
+        self.end_line();
     }
 
     fn on_sets_assigned(&mut self, sets: &[u32], num_sets: u32) {
         if let Some(tr) = &mut self.snap {
-            tr.num_sets = num_sets;
+            tr.counts.num_sets = num_sets;
         }
-        if self.err.is_some() {
-            return;
-        }
-        let mut line = format!("{{\"ev\":\"sets\",\"num_sets\":{num_sets},\"sets\":[");
-        for (i, s) in sets.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            line.push_str(&s.to_string());
-        }
-        line.push_str("]}\n");
-        self.line(format_args!("{line}"));
+        jsonl::push_sets(&mut self.buf, num_sets, sets);
+        self.end_line();
     }
 
     fn on_phase_start(&mut self, phase: u64, t: Time) {
-        self.line(format_args!(
-            "{{\"ev\":\"phase_start\",\"phase\":{phase},\"t\":{t}}}\n"
-        ));
+        jsonl::push_phase_start(&mut self.buf, phase, t);
+        self.end_line();
         if let Some(tr) = &self.snap {
-            let snap_line = tr.snapshot_line(phase, t);
-            self.line(format_args!("{snap_line}\n"));
+            tr.push_line(&mut self.buf, phase, t);
+            self.end_line();
         }
     }
 
     fn on_phase_end(&mut self, phase: u64, t: Time) {
-        self.line(format_args!(
-            "{{\"ev\":\"phase_end\",\"phase\":{phase},\"t\":{t}}}\n"
-        ));
+        jsonl::push_phase_end(&mut self.buf, phase, t);
+        self.end_line();
         // Phase boundary: drain the buffer so a crashed or killed run
         // leaves at most one phase of events unwritten.
         self.flush_buf();
     }
 
     fn on_frontier(&mut self, phase: u64, set: u32, frontier: i64) {
-        self.line(format_args!(
-            "{{\"ev\":\"frontier\",\"phase\":{phase},\"set\":{set},\"frontier\":{frontier}}}\n"
-        ));
+        jsonl::push_frontier(&mut self.buf, phase, set, frontier);
+        self.end_line();
     }
 
     fn on_set_congestion(&mut self, phase: u64, set: u32, congestion: u32, initial: u32) {
-        self.line(format_args!(
-            "{{\"ev\":\"congestion\",\"phase\":{phase},\"set\":{set},\"congestion\":{congestion},\"initial\":{initial}}}\n"
-        ));
+        jsonl::push_congestion(&mut self.buf, phase, set, congestion, initial);
+        self.end_line();
     }
 
     fn on_section(&mut self, section: Section, nanos: u64) {
-        self.line(format_args!(
-            "{{\"ev\":\"section\",\"section\":\"{}\",\"nanos\":{nanos}}}\n",
-            section.name(),
-        ));
+        jsonl::push_section(&mut self.buf, section.name(), nanos);
+        self.end_line();
     }
 }
 

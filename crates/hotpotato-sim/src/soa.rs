@@ -506,14 +506,13 @@ pub struct SoaEngine<O = NoopObserver> {
 }
 
 impl<O: RouteObserver> SoaEngine<O> {
-    /// Builds the engine over `problem`. `trace` enables the per-step
-    /// active-count trace. A movement record for
+    /// Builds the engine over `problem`. A movement record for
     /// [`crate::replay::verify`] is an observer: pass a
     /// [`RunRecord`](crate::RunRecord) as (or beside) `observer`.
     // lint: panics-by-design(dense-index invariant surface: packet/node ids are
     // validated at construction, so an OOB here is an engine bug caught by the
     // golden suites, never a client-input path)
-    pub fn new(problem: Arc<RoutingProblem>, trace: bool, observer: O) -> Self {
+    pub fn new(problem: Arc<RoutingProblem>, observer: O) -> Self {
         let net = problem.network_arc();
         let n = problem.num_packets();
         let nv = net.num_nodes();
@@ -549,10 +548,7 @@ impl<O: RouteObserver> SoaEngine<O> {
             });
         }
 
-        let mut stats = RouteStats::new(n);
-        if trace {
-            stats.active_trace = Some(Vec::new());
-        }
+        let stats = RouteStats::new(n);
         SoaEngine {
             problem,
             net,
@@ -919,9 +915,6 @@ impl<O: RouteObserver> SoaEngine<O> {
         sh.arrivals_count = arrivals_count;
 
         self.now += 1;
-        if let Some(trace) = self.stats.active_trace.as_mut() {
-            trace.push(self.active_list.len() as u32);
-        }
         self.observer
             .on_step_end(step, &report, self.active_list.len());
         Ok(report)
@@ -929,8 +922,8 @@ impl<O: RouteObserver> SoaEngine<O> {
 
     /// Advances the clock across `n` steps known to be idle: no arrivals
     /// in flight and nothing staged. Emits exactly what `n` calls of
-    /// [`SoaEngine::finish_step`] would on an idle engine — one
-    /// active-trace sample and one observer step call per step — so a
+    /// [`SoaEngine::finish_step`] would on an idle engine — one observer
+    /// step call per step — so a
     /// run that fast-forwards its idle stretches is indistinguishable
     /// from one that grinds them (hot-potato phases leave long gaps
     /// where nothing is in flight and nothing is due for injection).
@@ -944,9 +937,6 @@ impl<O: RouteObserver> SoaEngine<O> {
         let report = StepReport::default();
         let active = self.active_list.len();
         for _ in 0..n {
-            if let Some(trace) = self.stats.active_trace.as_mut() {
-                trace.push(active as u32);
-            }
             self.observer.on_step_end(self.now, &report, active);
             self.now += 1;
         }
@@ -1008,7 +998,7 @@ mod tests {
     fn single_packet_advances_to_destination() {
         let prob = line_problem(vec![vec![0, 1, 2, 3]]);
         let net = prob.network_arc();
-        let mut sim: SoaEngine = SoaEngine::new(prob, true, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, NoopObserver);
         assert_eq!(sim.try_inject(0), InjectOutcome::Injected);
         sim.finish_step().unwrap();
         assert_eq!(sim.status(0), STATUS_ACTIVE);
@@ -1028,7 +1018,6 @@ mod tests {
         assert_eq!(stats.injected_at[0], Some(0));
         assert_eq!(stats.delivered_at[0], Some(3));
         assert_eq!(stats.deflections[0], 0);
-        assert_eq!(stats.active_trace.unwrap(), vec![1, 1, 0]);
     }
 
     #[test]
@@ -1038,7 +1027,7 @@ mod tests {
             RoutingProblem::new(Arc::clone(&net), vec![Path::trivial(NodeId(1))]).unwrap(),
         );
         let mut record = crate::RunRecord::default();
-        let mut sim = SoaEngine::new(prob, false, &mut record);
+        let mut sim = SoaEngine::new(prob, &mut record);
         assert_eq!(sim.try_inject(0), InjectOutcome::DeliveredTrivially);
         assert!(sim.is_done());
         let stats = sim.into_parts();
@@ -1050,7 +1039,7 @@ mod tests {
     fn deflection_updates_deviation_and_unwinds() {
         let prob = line_problem(vec![vec![0, 1, 2, 3]]);
         let net = prob.network_arc();
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, NoopObserver);
         sim.try_inject(0);
         sim.finish_step().unwrap();
         // Deflect backward along edge 0 (unsafe), then walk home.
@@ -1086,7 +1075,7 @@ mod tests {
     #[test]
     fn resting_packet_is_detected() {
         let prob = line_problem(vec![vec![0, 1, 2]]);
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, NoopObserver);
         sim.try_inject(0);
         sim.finish_step().unwrap();
         assert_eq!(
@@ -1099,7 +1088,7 @@ mod tests {
     fn injection_blocked_by_claimed_slot() {
         let prob = line_problem(vec![vec![0, 1, 2], vec![1, 2, 3]]);
         let net = prob.network_arc();
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, NoopObserver);
         sim.try_inject(0);
         sim.finish_step().unwrap();
         // p0 at node 1 advances over edge 1; p1's injection (edge 1 fwd)
@@ -1116,7 +1105,7 @@ mod tests {
     fn current_path_edges_lists_deviation_then_base() {
         let prob = line_problem(vec![vec![0, 1, 2, 3, 4]]);
         let net = prob.network_arc();
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, NoopObserver);
         sim.try_inject(0);
         sim.finish_step().unwrap();
         let mut stage = StepStage::new(net);
@@ -1141,7 +1130,7 @@ mod tests {
         // paper's footnote that the edge "remains in the path list".
         let prob = line_problem(vec![vec![0, 1, 2, 3, 4]]);
         let net = prob.network_arc();
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, NoopObserver);
         sim.try_inject(0);
         sim.finish_step().unwrap();
         let mut stage = StepStage::new(net);
@@ -1174,7 +1163,7 @@ mod tests {
         // one per direction" rule.
         let prob = line_problem(vec![vec![1, 2, 3], vec![0, 1, 2]]);
         let net = prob.network_arc();
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, NoopObserver);
         sim.try_inject(0); // p0: 1 -> 2 (forward on edge 1)
         sim.try_inject(1); // p1: 0 -> 1 (forward on edge 0)
         sim.finish_step().unwrap();
@@ -1197,7 +1186,7 @@ mod tests {
     fn step_report_accounts_every_move_kind() {
         let prob = line_problem(vec![vec![0, 1, 2], vec![1, 2, 3]]);
         let net = prob.network_arc();
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, NoopObserver);
         sim.try_inject(0);
         let r = sim.finish_step().unwrap();
         assert_eq!((r.injected, r.moved), (1, 1));
@@ -1222,7 +1211,7 @@ mod tests {
     #[test]
     fn occupied_nodes_are_sorted_and_deduped() {
         let prob = line_problem(vec![vec![3, 4, 5], vec![1, 2, 3], vec![0, 1, 2]]);
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, NoopObserver);
         for p in [2u32, 0, 1] {
             sim.try_inject(p);
         }
@@ -1235,7 +1224,7 @@ mod tests {
     fn slots_reset_every_step() {
         let prob = line_problem(vec![vec![0, 1, 2, 3]]);
         let net = prob.network_arc();
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, NoopObserver);
         let e0 = DirectedEdge::forward(EdgeId(0));
         assert!(sim.slot_free(e0));
         sim.try_inject(0);
@@ -1259,7 +1248,7 @@ mod tests {
     fn counts_track_lifecycle() {
         let prob = line_problem(vec![vec![0, 1, 2], vec![1, 2, 3]]);
         let net = prob.network_arc();
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, NoopObserver);
         assert_eq!(sim.pending_slice().len(), 2);
         assert!(sim.active_slice().is_empty());
         sim.try_inject(0);
@@ -1298,7 +1287,7 @@ mod tests {
         let net = Arc::new(b.build().unwrap());
         let path = Path::new(&net, s, vec![e0, e1, e3]).unwrap();
         let prob = Arc::new(RoutingProblem::new(Arc::clone(&net), vec![path]).unwrap());
-        let mut sim: SoaEngine = SoaEngine::new(prob, false, NoopObserver);
+        let mut sim: SoaEngine = SoaEngine::new(prob, NoopObserver);
         sim.try_inject(0);
         sim.finish_step().unwrap();
         let mut stage = StepStage::new(Arc::clone(&net));

@@ -25,8 +25,6 @@ pub struct RouteStats {
     /// Named counters (algorithm-specific: fallback deflections, invariant
     /// violations, excitations, ...).
     pub counters: BTreeMap<&'static str, u64>,
-    /// Optional per-step trace of the number of in-flight packets.
-    pub active_trace: Option<Vec<u32>>,
 }
 
 impl serde::Serialize for RouteStats {
@@ -38,16 +36,12 @@ impl serde::Serialize for RouteStats {
             ("max_deviation", self.max_deviation.to_json()),
             ("steps_run", self.steps_run.to_json()),
             ("counters", self.counters.to_json()),
-            ("active_trace", self.active_trace.to_json()),
         ])
     }
 }
 
 impl RouteStats {
-    /// Empty statistics for `n` packets. The per-step active-count trace
-    /// starts disabled; enable it by setting
-    /// [`RouteStats::active_trace`] to `Some` (the engine does this when
-    /// [`crate::SoaEngine::new`] is called with `trace = true`).
+    /// Empty statistics for `n` packets.
     pub fn new(n: usize) -> Self {
         RouteStats {
             injected_at: vec![None; n],
@@ -56,7 +50,6 @@ impl RouteStats {
             max_deviation: vec![0; n],
             steps_run: 0,
             counters: BTreeMap::new(),
-            active_trace: None,
         }
     }
 
@@ -163,7 +156,6 @@ mod tests {
         assert_eq!(s.makespan(), None);
         assert_eq!(s.mean_latency(), 0.0);
         assert_eq!(s.total_deflections(), 0);
-        assert!(s.active_trace.is_none());
         assert_eq!(s.undelivered().len(), 3);
     }
 

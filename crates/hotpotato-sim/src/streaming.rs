@@ -136,7 +136,7 @@ pub fn route_streaming_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
     let n = problem.num_packets();
     // lint: allow-panic(api precondition: the schedule/packet arity contract is the fn's one caller-facing assert)
     assert_eq!(schedule.len(), n, "arrival schedule must time every packet");
-    let mut sim = SoaEngine::new(Arc::clone(problem), false, observer);
+    let mut sim = SoaEngine::new(Arc::clone(problem), observer);
     let mut stage = StepStage::new(problem.network_arc());
 
     // Arrival order: by step, ties by packet id (generators emit

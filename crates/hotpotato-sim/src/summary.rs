@@ -1,5 +1,24 @@
 //! Distribution summaries (mean/std/percentiles) for run metrics.
 
+/// Nearest-rank `q`-quantile of an ascending-sorted sample: the element
+/// at 1-based rank `ceil(q·n)`, clamped into `1..=n` (`None` when the
+/// sample is empty). Every percentile the workspace reports — route
+/// summaries, trace analytics, fleet samples, `/metrics` windows — uses
+/// this one definition.
+///
+/// ```
+/// use hotpotato_sim::nearest_rank;
+///
+/// assert_eq!(nearest_rank(&[1, 2, 3, 4], 0.5), Some(2));
+/// assert_eq!(nearest_rank(&[1, 2, 3, 4], 0.99), Some(4));
+/// assert_eq!(nearest_rank::<u64>(&[], 0.5), None);
+/// ```
+pub fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
+    let n = sorted.len();
+    let rank = ((q * n as f64).ceil() as usize).clamp(1, n.max(1));
+    sorted.get(rank - 1).copied()
+}
+
 /// A five-number-plus summary of a sample: count, mean, standard
 /// deviation, min/max, and the 50th/90th/99th percentiles
 /// (nearest-rank on the sorted sample).
@@ -59,10 +78,7 @@ impl Summary {
         let n = sorted.len();
         let mean = sorted.iter().sum::<f64>() / n as f64;
         let var = sorted.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        let pct = |q: f64| -> f64 {
-            let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-            sorted[rank - 1]
-        };
+        let pct = |q: f64| nearest_rank(&sorted, q).unwrap_or(0.0);
         Summary {
             count: n,
             mean,

@@ -15,8 +15,8 @@ use crate::prom::{Kind, PromWriter};
 use baselines::{GreedyConfig, GreedyRouter, RandomPriorityRouter, StoreForwardRouter};
 use busch_router::{BuschRouter, Params};
 use hotpotato_sim::{
-    route_streaming_observed, AdmissionControl, Router, SnapshotReader, StreamPriority,
-    StreamingConfig,
+    nearest_rank, route_streaming_observed, AdmissionControl, Router, SnapshotReader,
+    StreamPriority, StreamingConfig,
 };
 use hotpotato_trace::{report_json, rollup_doc, Rollup};
 use rand_chacha::ChaCha8Rng;
@@ -372,7 +372,7 @@ impl Service {
                 w.sample(
                     "hotpotato_delivery_latency_window_steps",
                     &[("run", run), ("quantile", label)],
-                    percentile(&window, q),
+                    nearest_rank(&window, q).map_or(f64::NAN, |v| v as f64),
                 );
             }
         }
@@ -470,16 +470,6 @@ impl Service {
         }
         w.finish()
     }
-}
-
-/// Nearest-rank percentile of an ascending-sorted window (`NaN` when
-/// the window is empty — no deliveries yet).
-fn percentile(sorted: &[u64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted.get(rank - 1).map_or(f64::NAN, |&v| v as f64)
 }
 
 /// Indexed gauge samples with a `level` label.

@@ -6,7 +6,7 @@
 use crate::schema::{Trace, TraceEvent};
 use crate::timeline::{ChainFold, ChainReport, PacketTimeline, TimelineFold};
 use crate::verify::{reconstruct, VerifiedInstance};
-use hotpotato_sim::{ExitKind, Time};
+use hotpotato_sim::{nearest_rank, ExitKind, Time};
 use leveled_net::ids::DirectedEdge;
 use leveled_net::Direction;
 use serde::Value;
@@ -135,15 +135,6 @@ pub struct Analysis {
     /// Instance parameters for scaling, when reconstructable:
     /// `(congestion, dilation, levels)`.
     pub instance: Option<(u32, u32, u32)>,
-}
-
-/// Nearest-rank percentile over a sorted slice (0 when empty).
-pub(crate) fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted.get(idx.min(sorted.len() - 1)).copied().unwrap_or(0)
 }
 
 /// The analytics fold: [`Analyzer::push`] reads each event once and
@@ -517,9 +508,9 @@ impl Analysis {
             "latency": json!({
                 "delivered": lat.len() as u64,
                 "mean": mean,
-                "p50": percentile(lat, 0.50),
-                "p90": percentile(lat, 0.90),
-                "p99": percentile(lat, 0.99),
+                "p50": nearest_rank(lat, 0.50).unwrap_or(0),
+                "p90": nearest_rank(lat, 0.90).unwrap_or(0),
+                "p99": nearest_rank(lat, 0.99).unwrap_or(0),
                 "max": lat.last().copied().unwrap_or(0),
                 "home_run_max": home_runs.iter().copied().max().unwrap_or(0),
                 "home_run_mean": if home_runs.is_empty() { 0.0 } else {
@@ -532,7 +523,7 @@ impl Analysis {
                 "drops": self.drops,
                 "drop_rate": self.drop_rate(),
                 "arrival_latency_mean": self.arrival_latency_mean(),
-                "arrival_latency_p50": percentile(&self.arrival_latencies, 0.50),
+                "arrival_latency_p50": nearest_rank(&self.arrival_latencies, 0.50).unwrap_or(0),
                 "arrival_latency_max": self.arrival_latencies.last().copied().unwrap_or(0),
             }),
             "phases": Value::Array(phases),
@@ -615,8 +606,8 @@ pub fn diff(a: &Analysis, b: &Analysis) -> Value {
         ),
         row(
             "latency_p50",
-            percentile(lat_a, 0.5),
-            percentile(lat_b, 0.5),
+            nearest_rank(lat_a, 0.5).unwrap_or(0),
+            nearest_rank(lat_b, 0.5).unwrap_or(0),
         ),
         row(
             "chain_max_depth",
@@ -635,8 +626,8 @@ pub fn diff(a: &Analysis, b: &Analysis) -> Value {
         ),
         row(
             "arrival_latency_p50",
-            percentile(&a.arrival_latencies, 0.5),
-            percentile(&b.arrival_latencies, 0.5),
+            nearest_rank(&a.arrival_latencies, 0.5).unwrap_or(0),
+            nearest_rank(&b.arrival_latencies, 0.5).unwrap_or(0),
         ),
     ];
     json!({
@@ -671,6 +662,36 @@ mod tests {
         assert_eq!(report["totals"]["moves"].as_u64(), Some(2));
         assert_eq!(report["latency"]["max"].as_u64(), Some(2));
         assert!(report["scaling"].is_null());
+    }
+
+    #[test]
+    fn latency_percentiles_are_nearest_rank() {
+        // Four packets injected at step 0 and delivered at steps 1..=4:
+        // in-flight latencies [1, 2, 3, 4], whose nearest-rank median
+        // (rank ceil(0.5 * 4) = 2) is 2, as `route --json` reports it.
+        let mut lines = Vec::new();
+        for p in 0..4 {
+            lines.push(format!(
+                r#"{{"ev":"move","t":0,"pkt":{p},"edge":{p},"dir":"F","kind":"inj"}}"#
+            ));
+        }
+        for p in 0..4 {
+            lines.push(format!(r#"{{"ev":"deliver","t":{},"pkt":{p}}}"#, p + 1));
+        }
+        let trace = Trace::parse(&(lines.join("\n") + "\n")).unwrap();
+        let a = analyze(&trace);
+        assert_eq!(a.latencies, vec![1, 2, 3, 4]);
+        let report = a.to_json();
+        assert_eq!(report["latency"]["p50"].as_u64(), Some(2));
+        assert_eq!(report["latency"]["p90"].as_u64(), Some(4));
+        let rows = diff(&a, &a);
+        let p50 = rows["rows"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .find(|r| r["metric"] == "latency_p50")
+            .unwrap();
+        assert_eq!(p50["a"].as_u64(), Some(2));
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! so `tables t1`/`t8` rebuilt from fleet artifacts are byte-identical
 //! however the runs were scheduled.
 
-use crate::analyze::{percentile, Analysis};
+use crate::analyze::Analysis;
 use crate::schema::Trace;
+use hotpotato_sim::nearest_rank;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Value;
@@ -115,8 +116,8 @@ impl FleetSample {
             deflections: analysis.deflections,
             violations,
             drops: analysis.drops,
-            latency_p50: percentile(latencies, 0.50),
-            latency_p99: percentile(latencies, 0.99),
+            latency_p50: nearest_rank(latencies, 0.50).unwrap_or(0),
+            latency_p99: nearest_rank(latencies, 0.99).unwrap_or(0),
             latency_max: latencies.last().copied().unwrap_or(0),
             chain_max_depth: u64::from(analysis.chains.max_depth),
             congestion_watermark: analysis.congestion_watermark,

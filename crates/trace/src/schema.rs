@@ -18,6 +18,7 @@
 //! observer can emit, so renaming a field in the emitter without bumping
 //! [`SCHEMA_VERSION`] fails CI.
 
+use hotpotato_sim::jsonl::{self, SnapshotCounts};
 use hotpotato_sim::{ExitKind, RouteObserver, RouteStats, Section, StepReport, Time};
 use leveled_net::ids::DirectedEdge;
 use leveled_net::{Direction, EdgeId};
@@ -444,6 +445,8 @@ impl<'a> Fields<'a> {
     }
 }
 
+pub use hotpotato_sim::jsonl::kind_name;
+
 fn parse_kind(s: &str) -> Result<ExitKind, ParseError> {
     Ok(match s {
         "adv" => ExitKind::Advance,
@@ -453,17 +456,6 @@ fn parse_kind(s: &str) -> Result<ExitKind, ParseError> {
         "inj" => ExitKind::Inject,
         other => return Err(err(format!("unknown move kind '{other}'"))),
     })
-}
-
-/// Stable name of an [`ExitKind`] (the `kind` field of `move` lines).
-pub fn kind_name(kind: ExitKind) -> &'static str {
-    match kind {
-        ExitKind::Advance => "adv",
-        ExitKind::Deflect { safe: true } => "def-safe",
-        ExitKind::Deflect { safe: false } => "def-free",
-        ExitKind::Oscillate => "osc",
-        ExitKind::Inject => "inj",
-    }
 }
 
 /// Parses one trace line, strictly (see the module docs).
@@ -794,78 +786,30 @@ pub fn stats_line_of(s: &StatsLine) -> String {
     .to_compact_string()
 }
 
-fn push_u32_array(out: &mut String, arr: &[u32]) {
-    use std::fmt::Write as _;
-    out.push('[');
-    for (i, v) in arr.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-}
-
-/// Renders a `snapshot` checkpoint line (without trailing newline).
-/// The recorder (`JsonlTraceObserver::with_snapshots`) emits exactly
-/// this shape, pinned by the canonical-line test in
-/// `tests/schema_roundtrip.rs`.
-pub fn snapshot_line(s: &Snapshot) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(64 + 4 * s.state.len());
-    let _ = write!(
-        out,
-        "{{\"ev\":\"snapshot\",\"phase\":{},\"t\":{},\"state\":",
-        s.phase, s.t
-    );
-    push_u32_array(&mut out, &s.state);
-    out.push_str(",\"nodes\":");
-    push_u32_array(&mut out, &s.nodes);
-    out.push_str(",\"prev_forward\":");
-    push_u32_array(&mut out, &s.prev_forward);
-    let _ = write!(
-        out,
-        ",\"moves\":{},\"forward\":{},\"backward\":{},\"deflections\":{},\"oscillations\":{},\"trivial\":{},\"num_sets\":{}}}",
-        s.moves, s.forward, s.backward, s.deflections, s.oscillations, s.trivial, s.num_sets
-    );
-    out
-}
-
-/// Direction letter used by `move` lines.
-fn dir_name(dir: Direction) -> &'static str {
-    match dir {
-        Direction::Forward => "F",
-        Direction::Backward => "B",
-    }
-}
-
 /// Renders any [`TraceEvent`] exactly as the recording pipeline writes
 /// it (no trailing newline): envelope lines via [`meta_line`] /
-/// [`stats_line_of`], movement lines byte-identical to
-/// `hotpotato_sim::JsonlTraceObserver`'s emission. This canonical
-/// rendering is what makes binary → JSONL transcoding lossless down to
-/// the byte for any trace the pipeline recorded.
+/// [`stats_line_of`], every other line through the same
+/// [`hotpotato_sim::jsonl`] renderer `hotpotato_sim::JsonlTraceObserver`
+/// writes with. This canonical rendering is what makes binary → JSONL
+/// transcoding lossless down to the byte for any trace the pipeline
+/// recorded.
 pub fn event_line(ev: &TraceEvent) -> String {
-    use std::fmt::Write as _;
+    let mut out = String::new();
     match ev {
-        TraceEvent::Meta(m) => meta_line(m),
-        TraceEvent::Move {
+        TraceEvent::Meta(m) => return meta_line(m),
+        TraceEvent::Stats(s) => return stats_line_of(s),
+        &TraceEvent::Move {
             t,
             pkt,
             edge,
             dir,
             kind,
-        } => format!(
-            "{{\"ev\":\"move\",\"t\":{t},\"pkt\":{pkt},\"edge\":{},\"dir\":\"{}\",\"kind\":\"{}\"}}",
-            edge.0,
-            dir_name(*dir),
-            kind_name(*kind),
-        ),
-        TraceEvent::Trivial { t, pkt } => format!("{{\"ev\":\"trivial\",\"t\":{t},\"pkt\":{pkt}}}"),
-        TraceEvent::Deliver { t, pkt } => format!("{{\"ev\":\"deliver\",\"t\":{t},\"pkt\":{pkt}}}"),
-        TraceEvent::Arrival { t, pkt } => format!("{{\"ev\":\"arrival\",\"t\":{t},\"pkt\":{pkt}}}"),
-        TraceEvent::Drop { t, pkt } => format!("{{\"ev\":\"drop\",\"t\":{t},\"pkt\":{pkt}}}"),
-        TraceEvent::Step {
+        } => jsonl::push_move(&mut out, t, pkt, DirectedEdge { edge, dir }, kind),
+        &TraceEvent::Trivial { t, pkt } => jsonl::push_trivial(&mut out, t, pkt),
+        &TraceEvent::Deliver { t, pkt } => jsonl::push_deliver(&mut out, t, pkt),
+        &TraceEvent::Arrival { t, pkt } => jsonl::push_arrival(&mut out, t, pkt),
+        &TraceEvent::Drop { t, pkt } => jsonl::push_drop(&mut out, t, pkt),
+        &TraceEvent::Step {
             t,
             moved,
             absorbed,
@@ -874,41 +818,51 @@ pub fn event_line(ev: &TraceEvent) -> String {
             fallback,
             oscillations,
             active,
-        } => format!(
-            "{{\"ev\":\"step\",\"t\":{t},\"moved\":{moved},\"absorbed\":{absorbed},\"injected\":{injected},\"deflections\":{deflections},\"fallback\":{fallback},\"oscillations\":{oscillations},\"active\":{active}}}"
-        ),
-        TraceEvent::Sets { num_sets, sets } => {
-            let mut out = String::with_capacity(32 + 2 * sets.len());
-            let _ = write!(out, "{{\"ev\":\"sets\",\"num_sets\":{num_sets},\"sets\":");
-            push_u32_array(&mut out, sets);
-            out.push('}');
-            out
+        } => {
+            let report = StepReport {
+                moved: moved as usize,
+                absorbed: absorbed as usize,
+                injected: injected as usize,
+                deflections: deflections as usize,
+                fallback_deflections: fallback as usize,
+                oscillations: oscillations as usize,
+            };
+            jsonl::push_step(&mut out, t, &report, active);
         }
-        TraceEvent::PhaseStart { phase, t } => {
-            format!("{{\"ev\":\"phase_start\",\"phase\":{phase},\"t\":{t}}}")
-        }
-        TraceEvent::PhaseEnd { phase, t } => {
-            format!("{{\"ev\":\"phase_end\",\"phase\":{phase},\"t\":{t}}}")
-        }
-        TraceEvent::Frontier {
+        TraceEvent::Sets { num_sets, sets } => jsonl::push_sets(&mut out, *num_sets, sets),
+        &TraceEvent::PhaseStart { phase, t } => jsonl::push_phase_start(&mut out, phase, t),
+        &TraceEvent::PhaseEnd { phase, t } => jsonl::push_phase_end(&mut out, phase, t),
+        &TraceEvent::Frontier {
             phase,
             set,
             frontier,
-        } => format!("{{\"ev\":\"frontier\",\"phase\":{phase},\"set\":{set},\"frontier\":{frontier}}}"),
-        TraceEvent::Congestion {
+        } => jsonl::push_frontier(&mut out, phase, set, frontier),
+        &TraceEvent::Congestion {
             phase,
             set,
             congestion,
             initial,
-        } => format!(
-            "{{\"ev\":\"congestion\",\"phase\":{phase},\"set\":{set},\"congestion\":{congestion},\"initial\":{initial}}}"
+        } => jsonl::push_congestion(&mut out, phase, set, congestion, initial),
+        TraceEvent::Section { section, nanos } => jsonl::push_section(&mut out, section, *nanos),
+        TraceEvent::Snapshot(s) => jsonl::push_snapshot(
+            &mut out,
+            s.phase,
+            s.t,
+            s.state.iter().copied(),
+            s.nodes.iter().copied(),
+            &s.prev_forward,
+            &SnapshotCounts {
+                moves: s.moves,
+                forward: s.forward,
+                backward: s.backward,
+                deflections: s.deflections,
+                oscillations: s.oscillations,
+                trivial: s.trivial,
+                num_sets: s.num_sets,
+            },
         ),
-        TraceEvent::Section { section, nanos } => {
-            format!("{{\"ev\":\"section\",\"section\":\"{section}\",\"nanos\":{nanos}}}")
-        }
-        TraceEvent::Snapshot(s) => snapshot_line(s),
-        TraceEvent::Stats(s) => stats_line_of(s),
     }
+    out
 }
 
 #[cfg(test)]
@@ -1012,12 +966,11 @@ mod tests {
             trivial: 1,
             num_sets: 2,
         };
-        let line = snapshot_line(&snap);
+        let line = event_line(&TraceEvent::Snapshot(snap.clone()));
         match parse_line(&line).unwrap() {
             TraceEvent::Snapshot(s) => assert_eq!(s, snap),
             other => panic!("wrong event: {other:?}"),
         }
-        assert_eq!(event_line(&TraceEvent::Snapshot(snap)), line);
     }
 
     #[test]

@@ -90,6 +90,58 @@ fn canonical_lines() -> Vec<(&'static str, &'static str)> {
 }
 
 #[test]
+fn the_recorder_writes_the_canonical_lines() {
+    // Every `JsonlTraceObserver` hook, driven once with the canonical
+    // lines' values, writes exactly those lines: the recorder and
+    // `schema::event_line` render through the same code.
+    use hotpotato_sim::{JsonlTraceObserver, RouteObserver, Section, StepReport};
+    use leveled_net::ids::DirectedEdge;
+    use leveled_net::EdgeId;
+
+    let mut obs = JsonlTraceObserver::new(Vec::new());
+    for (dir, kind) in [
+        (Direction::Forward, ExitKind::Advance),
+        (Direction::Backward, ExitKind::Deflect { safe: true }),
+        (Direction::Backward, ExitKind::Deflect { safe: false }),
+        (Direction::Forward, ExitKind::Oscillate),
+        (Direction::Forward, ExitKind::Inject),
+    ] {
+        let mv = DirectedEdge {
+            edge: EdgeId(9),
+            dir,
+        };
+        obs.on_move(4, 2, mv, kind);
+    }
+    obs.on_trivial(0, 5);
+    obs.on_deliver(6, 2);
+    obs.on_arrival(6, 2);
+    obs.on_drop(6, 2);
+    let report = StepReport {
+        moved: 3,
+        absorbed: 1,
+        injected: 0,
+        deflections: 1,
+        fallback_deflections: 0,
+        oscillations: 1,
+    };
+    obs.on_step_end(4, &report, 2);
+    obs.on_sets_assigned(&[0, 1, 0], 2);
+    obs.on_phase_start(3, 36);
+    obs.on_phase_end(3, 48);
+    obs.on_frontier(3, 1, -2);
+    obs.on_set_congestion(3, 1, 4, 5);
+    obs.on_section(Section::Conflict, 1234);
+    let text = String::from_utf8(obs.finish().unwrap()).unwrap();
+
+    let want: Vec<&str> = canonical_lines()
+        .into_iter()
+        .filter(|(ev, _)| !matches!(*ev, "meta" | "snapshot" | "stats"))
+        .map(|(_, line)| line)
+        .collect();
+    assert_eq!(text.lines().collect::<Vec<_>>(), want);
+}
+
+#[test]
 fn every_variant_round_trips() {
     for (ev, line) in canonical_lines() {
         let event = parse_line(line).unwrap_or_else(|e| panic!("{ev}: {e}"));

@@ -156,6 +156,22 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(std::string::String::as_str)
 }
 
+/// Parses `value`, the argument of `flag`. A malformed value ends the
+/// process with exit code 2 and an error naming the flag and the value,
+/// so a typo never silently runs with a default.
+fn parse_arg<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("error: {flag} wants a number (got '{value}')");
+        exit(2)
+    })
+}
+
+/// The value of the numeric `flag`, or `default` when the flag is
+/// absent (see [`parse_arg`] for malformed values).
+fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
+    flag_value(args, flag).map_or(default, |s| parse_arg(flag, s))
+}
+
 fn cmd_topo(args: &[String]) -> i32 {
     let Some(spec) = args.first() else {
         eprintln!("usage: hotpotato topo <SPEC> [--dot]");
@@ -198,6 +214,45 @@ fn cmd_route(args: &[String]) -> i32 {
         eprintln!("error: {e}");
         return 2;
     }
+    // Every numeric flag is parsed before any work, whether or not the
+    // run ends up reading it.
+    let seed: u64 = numeric_flag(args, "--seed", 42);
+    let aggregate_cap: usize = numeric_flag(args, "--aggregate-cap", 64);
+    let stream_defaults = StreamingConfig::default();
+    let admission = AdmissionControl {
+        max_in_flight: numeric_flag(
+            args,
+            "--max-in-flight",
+            stream_defaults.admission.max_in_flight,
+        ),
+        max_deferred: numeric_flag(
+            args,
+            "--max-deferred",
+            stream_defaults.admission.max_deferred,
+        ),
+    };
+    let max_steps = numeric_flag(args, "--max-steps", stream_defaults.max_steps);
+    let explicit_params = match flag_value(args, "--params") {
+        None => None,
+        Some(spec) => {
+            let v: Vec<&str> = spec.split(',').collect();
+            if v.len() != 4 {
+                eprintln!("--params wants m,w,q,sets (e.g. 6,48,0.1,4)");
+                return 2;
+            }
+            let (m, w, q, sets): (u32, u32, f64, u32) = (
+                parse_arg("--params", v[0]),
+                parse_arg("--params", v[1]),
+                parse_arg("--params", v[2]),
+                parse_arg("--params", v[3]),
+            );
+            if m < 3 || w < 1 || !(0.0..=1.0).contains(&q) || sets < 1 {
+                eprintln!("--params out of range: need m ≥ 3, w ≥ 1, 0 ≤ q ≤ 1, sets ≥ 1");
+                return 2;
+            }
+            Some(Params::scaled(m, w, q, sets))
+        }
+    };
     // One typed surface: either a full run spec (`--spec TOPO/WL[/ALGO
     // [/SEED[/ARRIVAL]]]`, the same grammar `serve --run` and the bench
     // gate accept) or the individual flags; both produce a `RunSpec`.
@@ -219,9 +274,6 @@ fn cmd_route(args: &[String]) -> i32 {
                 return 2;
             };
             let algo = flag_value(args, "--algo").unwrap_or("busch");
-            let seed: u64 = flag_value(args, "--seed")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(42);
             RunSpec::batch(topo_spec, wl_spec, algo, seed)
         }
     };
@@ -237,9 +289,6 @@ fn cmd_route(args: &[String]) -> i32 {
     let metrics_out = flag_value(args, "--metrics-out");
     let trace_out = flag_value(args, "--trace-out");
     let aggregate_out = flag_value(args, "--aggregate-out");
-    let aggregate_cap: usize = flag_value(args, "--aggregate-cap")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64);
 
     let (topo, problem, mut rng) = match run.instantiate() {
         Ok(parts) => parts,
@@ -264,18 +313,9 @@ fn cmd_route(args: &[String]) -> i32 {
         Ok(Some(process)) => match StreamPriority::for_algo(algo) {
             Ok(priority) => {
                 let cfg = StreamingConfig {
-                    admission: AdmissionControl {
-                        max_in_flight: flag_value(args, "--max-in-flight")
-                            .and_then(|s| s.parse().ok())
-                            .unwrap_or(256),
-                        max_deferred: flag_value(args, "--max-deferred")
-                            .and_then(|s| s.parse().ok())
-                            .unwrap_or(1024),
-                    },
+                    admission,
                     priority,
-                    max_steps: flag_value(args, "--max-steps")
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(5_000_000),
+                    max_steps,
                 };
                 Some((process, cfg))
             }
@@ -299,27 +339,7 @@ fn cmd_route(args: &[String]) -> i32 {
     let router: Option<Box<dyn Router>> = match algo {
         _ if streaming.is_some() => None,
         "busch" => {
-            let p = match flag_value(args, "--params") {
-                Some(spec) => {
-                    let v: Vec<&str> = spec.split(',').collect();
-                    if v.len() != 4 {
-                        eprintln!("--params wants m,w,q,sets (e.g. 6,48,0.1,4)");
-                        return 2;
-                    }
-                    let (m, w, q, sets): (u32, u32, f64, u32) = (
-                        v[0].parse().unwrap_or(6),
-                        v[1].parse().unwrap_or(48),
-                        v[2].parse().unwrap_or(0.1),
-                        v[3].parse().unwrap_or(1),
-                    );
-                    if m < 3 || w < 1 || !(0.0..=1.0).contains(&q) || sets < 1 {
-                        eprintln!("--params out of range: need m ≥ 3, w ≥ 1, 0 ≤ q ≤ 1, sets ≥ 1");
-                        return 2;
-                    }
-                    Params::scaled(m, w, q, sets)
-                }
-                None => Params::auto(&problem),
-            };
+            let p = explicit_params.unwrap_or_else(|| Params::auto(&problem));
             if !json {
                 println!(
                     "params:   m={} w={} q={:.3} sets={} (scheduled {} steps)",
@@ -599,22 +619,13 @@ fn cmd_serve(args: &[String]) -> i32 {
         return 2;
     }
     let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:9898");
-    let publish_every: u64 = flag_value(args, "--publish-every")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64);
-    let rollup_cap: usize = flag_value(args, "--rollup-cap")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64);
-    let throttle_us: u64 = flag_value(args, "--throttle-us")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let publish_every: u64 = numeric_flag(args, "--publish-every", 64);
+    let rollup_cap: usize = numeric_flag(args, "--rollup-cap", 64);
+    let throttle_us: u64 = numeric_flag(args, "--throttle-us", 0);
+    let defaults = AdmissionControl::default();
     let admission = AdmissionControl {
-        max_in_flight: flag_value(args, "--max-in-flight")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(256),
-        max_deferred: flag_value(args, "--max-deferred")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1024),
+        max_in_flight: numeric_flag(args, "--max-in-flight", defaults.max_in_flight),
+        max_deferred: numeric_flag(args, "--max-deferred", defaults.max_deferred),
     };
 
     let mut configs = Vec::with_capacity(specs.len());
@@ -685,12 +696,8 @@ fn cmd_serve_fleet(args: &[String]) -> i32 {
         return 2;
     }
     let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:9898");
-    let workers: usize = flag_value(args, "--workers")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let throttle_ms: u64 = flag_value(args, "--throttle-ms")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let workers: usize = numeric_flag(args, "--workers", 0);
+    let throttle_ms: u64 = numeric_flag(args, "--throttle-ms", 0);
     let verify = !args.iter().any(|a| a == "--no-verify");
     let mut specs = Vec::new();
     for sweep in sweeps {
@@ -749,16 +756,7 @@ fn cmd_trace(args: &[String]) -> i32 {
             let Some(path) = args.get(1) else {
                 return usage();
             };
-            let jobs = match flag_value(args, "--jobs") {
-                None => 0,
-                Some(s) => match s.parse::<usize>() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        eprintln!("--jobs wants a number (got '{s}')");
-                        return 2;
-                    }
-                },
-            };
+            let jobs: usize = numeric_flag(args, "--jobs", 0);
             let jobs = if jobs == 0 {
                 hotpotato_sim::configured_threads()
             } else {

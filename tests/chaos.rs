@@ -29,7 +29,7 @@ fn chaos_run(
     let n = problem.num_packets();
     let net = problem.network_arc();
     let mut record = hotpotato_sim::RunRecord::default();
-    let mut sim = SoaEngine::new(Arc::clone(problem), false, &mut record);
+    let mut sim = SoaEngine::new(Arc::clone(problem), &mut record);
     let mut stage = StepStage::new(Arc::clone(&net));
     let mut pending: Vec<u32> = (0..n as u32).collect();
 

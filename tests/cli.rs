@@ -270,3 +270,79 @@ fn unknown_flags_are_rejected_before_any_work() {
         );
     }
 }
+
+#[test]
+fn malformed_numeric_flags_fail_instead_of_defaulting() {
+    // `--addr` names a port that cannot exist: a `serve` that ignored
+    // the malformed flag would fail to bind (exit 1) rather than hang.
+    let cases: &[(&[&str], &str, &str)] = &[
+        (
+            &[
+                "route",
+                "--topo",
+                "bf:4",
+                "--workload",
+                "bitrev",
+                "--seed",
+                "1O",
+            ],
+            "--seed",
+            "1O",
+        ),
+        (
+            &[
+                "route",
+                "--spec",
+                "bf:4/bitrev/greedy/1/poisson:0.5",
+                "--max-in-flight",
+                "many",
+            ],
+            "--max-in-flight",
+            "many",
+        ),
+        (
+            &["route", "--spec", "bf:4/bitrev", "--params", "6,48,0.1,x"],
+            "--params",
+            "x",
+        ),
+        (
+            &[
+                "serve",
+                "--run",
+                "bf:4/bitrev",
+                "--addr",
+                "127.0.0.1:99999",
+                "--rollup-cap",
+                "-3",
+            ],
+            "--rollup-cap",
+            "-3",
+        ),
+        (
+            &[
+                "serve",
+                "--fleet",
+                "--sweep",
+                "bf:4/bitrev/busch/1..2",
+                "--addr",
+                "127.0.0.1:99999",
+                "--workers",
+                "two",
+            ],
+            "--workers",
+            "two",
+        ),
+    ];
+    for &(args, flag, value) in cases {
+        let (out, err, code) = hotpotato(args);
+        assert_eq!(code, 2, "args {args:?}: {err}");
+        assert!(
+            err.contains(flag) && err.contains(&format!("'{value}'")),
+            "args {args:?}: the error must name the flag and value: {err}"
+        );
+        assert!(
+            out.is_empty(),
+            "args {args:?} did work before failing: {out}"
+        );
+    }
+}

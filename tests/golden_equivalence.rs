@@ -17,7 +17,7 @@
 //! ```
 
 use busch_router::{BuschConfig, BuschRouter, Params};
-use hotpotato_sim::{ExitKind, RouteStats, RunRecord};
+use hotpotato_sim::{ExitKind, RouteObserver, RouteStats, RunRecord, StepReport};
 use leveled_net::builders::{self, ButterflyCoords, MeshCorner};
 use leveled_net::Direction;
 use rand::SeedableRng;
@@ -311,9 +311,14 @@ fn write_array(out: &mut String, key: &str, values: impl IntoIterator<Item = Str
 /// Canonical text encoding of an outcome: every `RouteStats` array and
 /// counter, the driver-specific `extra` lines, and the length and
 /// FNV-1a-64 digest of the run's JSONL trace stream. The active-count
-/// trace is run-length encoded (`value*count`): Busch runs idle for long
-/// stretches between phases.
-fn encode_outcome(stats: &RouteStats, extra: &[String], trace: &[u8]) -> String {
+/// series, when given, is run-length encoded (`value*count`): Busch runs
+/// idle for long stretches between phases.
+fn encode_outcome(
+    stats: &RouteStats,
+    active: Option<&[u32]>,
+    extra: &[String],
+    trace: &[u8],
+) -> String {
     let opt = |t: &Option<u64>| t.map_or_else(|| "-".to_string(), |t| t.to_string());
     let mut out = String::new();
     writeln!(out, "# golden outcome v2").unwrap();
@@ -336,7 +341,7 @@ fn encode_outcome(stats: &RouteStats, extra: &[String], trace: &[u8]) -> String 
         "max_deviation",
         stats.max_deviation.iter().map(u32::to_string),
     );
-    match &stats.active_trace {
+    match active {
         None => writeln!(out, "active_trace: none").unwrap(),
         Some(trace) => {
             let mut runs: Vec<(u32, usize)> = Vec::new();
@@ -363,25 +368,36 @@ fn encode_outcome(stats: &RouteStats, extra: &[String], trace: &[u8]) -> String 
     out
 }
 
-/// A Busch run with the active-count trace on, observed by a JSONL sink.
+/// The in-flight count after every step, as `on_step_end` reports it.
+#[derive(Default)]
+struct ActiveSeries(Vec<u32>);
+
+impl RouteObserver for ActiveSeries {
+    fn on_step_end(&mut self, _t: u64, _report: &StepReport, active: usize) {
+        self.0.push(active as u32);
+    }
+}
+
+/// A Busch run observed by a JSONL sink and an active-count series.
 fn busch_traced(
     problem: &Arc<routing_core::RoutingProblem>,
     seed: u64,
-) -> (busch_router::BuschOutcome, Vec<u8>) {
-    let router = BuschRouter::with_config(BuschConfig {
-        trace: true,
-        ..BuschConfig::new(Params::auto(problem))
-    });
+) -> (busch_router::BuschOutcome, Vec<u8>, Vec<u32>) {
+    let router = BuschRouter::with_config(BuschConfig::new(Params::auto(problem)));
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut sink = hotpotato_sim::JsonlTraceObserver::new(Vec::new());
-    let out = router.route_observed(problem, &mut rng, &mut sink);
-    (out, sink.finish().expect("no io errors"))
+    let mut sinks = (
+        hotpotato_sim::JsonlTraceObserver::new(Vec::new()),
+        ActiveSeries::default(),
+    );
+    let out = router.route_observed(problem, &mut rng, &mut sinks);
+    let (jsonl, active) = sinks;
+    (out, jsonl.finish().expect("no io errors"), active.0)
 }
 
 /// Pins a traced Busch run's full outcome against golden `name`.
 fn check_busch_outcome(name: &str, topo: &str, workload: &str, seed: u64) {
     let (_, problem) = routing_core::spec::reconstruct_problem(topo, workload, 42).unwrap();
-    let (out, trace) = busch_traced(&problem, seed);
+    let (out, trace, active) = busch_traced(&problem, seed);
     assert!(out.stats.all_delivered(), "golden run must deliver");
     let inv = &out.invariants;
     let extra = vec![
@@ -407,7 +423,10 @@ fn check_busch_outcome(name: &str, topo: &str, workload: &str, seed: u64) {
                 .join(" ")
         ),
     ];
-    check_encoded(name, &encode_outcome(&out.stats, &extra, &trace));
+    check_encoded(
+        name,
+        &encode_outcome(&out.stats, Some(&active), &extra, &trace),
+    );
 }
 
 /// Busch on butterfly(10) bit reversal: ~1k packets, heavy conflicts,
@@ -436,7 +455,7 @@ fn busch_butterfly10_trace_verifies_offline() {
     use hotpotato_trace::schema::{self, Trace};
     let (topo, problem) =
         routing_core::spec::reconstruct_problem("butterfly:10", "bitrev", 42).unwrap();
-    let (out, events) = busch_traced(&problem, 7);
+    let (out, events, _) = busch_traced(&problem, 7);
     let meta = schema::Meta {
         schema: schema::SCHEMA_VERSION,
         topo: "butterfly:10".into(),
@@ -475,7 +494,7 @@ fn check_greedy_outcome(
     let out = route(&prob, &mut rng, &mut sink);
     assert!(out.stats.all_delivered(), "golden run must deliver");
     let trace = sink.finish().expect("no io errors");
-    check_encoded(name, &encode_outcome(&out.stats, &[], &trace));
+    check_encoded(name, &encode_outcome(&out.stats, None, &[], &trace));
 }
 
 /// Uniform, furthest-to-go, aging and fixed-rank greedy on bf(5) bit
@@ -520,7 +539,7 @@ fn check_stream_outcome(
         "stream arrivals={} admitted={} dropped={} peak_deferred={} peak_in_flight={}",
         out.arrivals, out.admitted, out.dropped, out.peak_deferred, out.peak_in_flight
     )];
-    check_encoded(name, &encode_outcome(&out.stats, &extra, &trace));
+    check_encoded(name, &encode_outcome(&out.stats, None, &extra, &trace));
     out
 }
 
