@@ -47,6 +47,7 @@
 pub mod analyze;
 pub mod binary;
 pub mod fleet;
+mod scan;
 pub mod schema;
 pub mod shard;
 pub mod stream;

@@ -18,6 +18,7 @@
 //! observer can emit, so renaming a field in the emitter without bumping
 //! [`SCHEMA_VERSION`] fails CI.
 
+use crate::scan::{Fields, ScanBuf};
 use hotpotato_sim::jsonl::{self, SnapshotCounts};
 use hotpotato_sim::{ExitKind, RouteObserver, RouteStats, Section, StepReport, Time};
 use leveled_net::ids::DirectedEdge;
@@ -338,110 +339,10 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn err(msg: impl Into<String>) -> ParseError {
+pub(crate) fn err(msg: impl Into<String>) -> ParseError {
     ParseError {
         line: 0,
         msg: msg.into(),
-    }
-}
-
-/// Field cursor over a parsed JSON object that *consumes* keys, so
-/// leftovers (unknown fields) can be rejected after extraction.
-struct Fields<'a> {
-    pairs: &'a [(String, Value)],
-    used: Vec<bool>,
-}
-
-impl<'a> Fields<'a> {
-    fn new(v: &'a Value) -> Result<Self, ParseError> {
-        let pairs = v.as_object().ok_or_else(|| err("not a JSON object"))?;
-        Ok(Fields {
-            pairs,
-            used: vec![false; pairs.len()],
-        })
-    }
-
-    fn take(&mut self, key: &str) -> Result<&'a Value, ParseError> {
-        for (i, (k, v)) in self.pairs.iter().enumerate() {
-            if k == key {
-                if self.used[i] {
-                    return Err(err(format!("duplicate field '{key}'")));
-                }
-                self.used[i] = true;
-                return Ok(v);
-            }
-        }
-        Err(err(format!("missing field '{key}'")))
-    }
-
-    fn u64(&mut self, key: &str) -> Result<u64, ParseError> {
-        self.take(key)?
-            .as_u64()
-            .ok_or_else(|| err(format!("field '{key}' is not an unsigned integer")))
-    }
-
-    fn u32(&mut self, key: &str) -> Result<u32, ParseError> {
-        u32::try_from(self.u64(key)?).map_err(|_| err(format!("field '{key}' overflows u32")))
-    }
-
-    fn i64(&mut self, key: &str) -> Result<i64, ParseError> {
-        self.take(key)?
-            .as_i64()
-            .ok_or_else(|| err(format!("field '{key}' is not an integer")))
-    }
-
-    fn str(&mut self, key: &str) -> Result<&'a str, ParseError> {
-        self.take(key)?
-            .as_str()
-            .ok_or_else(|| err(format!("field '{key}' is not a string")))
-    }
-
-    fn bool(&mut self, key: &str) -> Result<bool, ParseError> {
-        self.take(key)?
-            .as_bool()
-            .ok_or_else(|| err(format!("field '{key}' is not a boolean")))
-    }
-
-    fn u32_array(&mut self, key: &str) -> Result<Vec<u32>, ParseError> {
-        let arr = self
-            .take(key)?
-            .as_array()
-            .ok_or_else(|| err(format!("field '{key}' is not an array")))?;
-        arr.iter()
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| err(format!("field '{key}' has a non-u32 element")))
-            })
-            .collect()
-    }
-
-    fn opt_u64_array(&mut self, key: &str) -> Result<Vec<Option<u64>>, ParseError> {
-        let arr = self
-            .take(key)?
-            .as_array()
-            .ok_or_else(|| err(format!("field '{key}' is not an array")))?;
-        arr.iter()
-            .map(|v| {
-                if v.is_null() {
-                    Ok(None)
-                } else {
-                    v.as_u64()
-                        .map(Some)
-                        .ok_or_else(|| err(format!("field '{key}' has a non-u64 element")))
-                }
-            })
-            .collect()
-    }
-
-    /// Rejects any field that was never consumed (schema strictness).
-    fn finish(self) -> Result<(), ParseError> {
-        for (i, (k, _)) in self.pairs.iter().enumerate() {
-            if !self.used[i] {
-                return Err(err(format!("unknown field '{k}'")));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -459,11 +360,16 @@ fn parse_kind(s: &str) -> Result<ExitKind, ParseError> {
 }
 
 /// Parses one trace line, strictly (see the module docs).
+// lint: no-panic
 pub fn parse_line(line: &str) -> Result<TraceEvent, ParseError> {
-    let value = serde_json::from_str(line).map_err(|e| err(e.to_string()))?;
-    let mut f = Fields::new(&value)?;
-    let ev = f.str("ev")?.to_string();
-    let event = match ev.as_str() {
+    parse_line_with(line, &mut ScanBuf::default())
+}
+
+/// [`parse_line`] with the scan buffers a caller reuses across lines.
+fn parse_line_with<'a>(line: &'a str, buf: &mut ScanBuf<'a>) -> Result<TraceEvent, ParseError> {
+    let mut f = Fields::scan(line, buf)?;
+    let ev = f.str("ev")?;
+    let event = match &*ev {
         "meta" => {
             // Check the version before the field set: an old trace
             // should report its version, not a missing v3 field.
@@ -475,11 +381,11 @@ pub fn parse_line(line: &str) -> Result<TraceEvent, ParseError> {
             }
             TraceEvent::Meta(Meta {
                 schema,
-                topo: f.str("topo")?.to_string(),
-                workload: f.str("workload")?.to_string(),
-                algo: f.str("algo")?.to_string(),
+                topo: f.str("topo")?.into_owned(),
+                workload: f.str("workload")?.into_owned(),
+                algo: f.str("algo")?.into_owned(),
                 seed: f.u64("seed")?,
-                arrival: f.str("arrival")?.to_string(),
+                arrival: f.str("arrival")?.into_owned(),
                 packets: f.u64("packets")?,
                 levels: f.u64("levels")?,
                 congestion: f.u64("congestion")?,
@@ -490,12 +396,12 @@ pub fn parse_line(line: &str) -> Result<TraceEvent, ParseError> {
             t: f.u64("t")?,
             pkt: f.u32("pkt")?,
             edge: EdgeId(f.u32("edge")?),
-            dir: match f.str("dir")? {
+            dir: match &*f.str("dir")? {
                 "F" => Direction::Forward,
                 "B" => Direction::Backward,
                 other => return Err(err(format!("unknown direction '{other}'"))),
             },
-            kind: parse_kind(f.str("kind")?)?,
+            kind: parse_kind(&f.str("kind")?)?,
         },
         "trivial" => TraceEvent::Trivial {
             t: f.u64("t")?,
@@ -547,7 +453,7 @@ pub fn parse_line(line: &str) -> Result<TraceEvent, ParseError> {
             initial: f.u32("initial")?,
         },
         "section" => TraceEvent::Section {
-            section: f.str("section")?.to_string(),
+            section: f.str("section")?.into_owned(),
             nanos: f.u64("nanos")?,
         },
         "snapshot" => TraceEvent::Snapshot(Snapshot {
@@ -572,7 +478,7 @@ pub fn parse_line(line: &str) -> Result<TraceEvent, ParseError> {
         }),
         other => return Err(err(format!("unknown event '{other}'"))),
     };
-    f.finish()?;
+    f.end()?;
     Ok(event)
 }
 
@@ -589,8 +495,10 @@ pub struct Trace {
 impl Trace {
     /// Parses a whole trace text; blank lines are rejected (they would
     /// desynchronize line attribution in diagnostics).
+    // lint: no-panic
     pub fn parse(text: &str) -> Result<Trace, ParseError> {
         let mut events = Vec::new();
+        let mut buf = ScanBuf::default();
         for (i, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 return Err(ParseError {
@@ -598,7 +506,7 @@ impl Trace {
                     msg: "blank line in trace".into(),
                 });
             }
-            let ev = parse_line(line).map_err(|mut e| {
+            let ev = parse_line_with(line, &mut buf).map_err(|mut e| {
                 e.line = i + 1;
                 e
             })?;
@@ -747,14 +655,14 @@ pub fn rollup_doc(r: &Rollup) -> Value {
 /// report is carried opaquely (its shape is owned by
 /// `StreamingAggregator::to_json`).
 pub fn parse_rollup(text: &str) -> Result<Rollup, ParseError> {
-    let value = serde_json::from_str(text).map_err(|e| err(e.to_string()))?;
-    let mut f = Fields::new(&value)?;
+    let mut buf = ScanBuf::default();
+    let mut f = Fields::scan(text, &mut buf)?;
     let rollup = Rollup {
         schema: f.u64("schema")?,
-        run: f.str("run")?.to_string(),
+        run: f.str("run")?.into_owned(),
         seq: f.u64("seq")?,
         finished: f.bool("finished")?,
-        rollup: f.take("rollup")?.clone(),
+        rollup: serde_json::from_str(f.raw("rollup")?).map_err(|e| err(e.to_string()))?,
     };
     if rollup.schema != SCHEMA_VERSION {
         return Err(err(format!(
@@ -762,7 +670,7 @@ pub fn parse_rollup(text: &str) -> Result<Rollup, ParseError> {
             rollup.schema
         )));
     }
-    f.finish()?;
+    f.end()?;
     Ok(rollup)
 }
 

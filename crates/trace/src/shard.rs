@@ -390,9 +390,12 @@ fn parse_chunked(text: &str, jobs: usize, min_bytes: usize) -> Result<Trace, Par
             .collect()
     });
 
+    // The first chunk's events become the output; the others are
+    // appended to it, so the first chunk is never copied.
     let mut events = Vec::new();
     for res in chunk_results {
         match res {
+            Ok(t) if events.is_empty() => events = t.events,
             Ok(mut t) => events.append(&mut t.events),
             Err(mut e) => {
                 // Chunks before the first failing one parsed fully, so

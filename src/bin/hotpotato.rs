@@ -62,7 +62,7 @@ use hotpotato_sim::{
     route_streaming_observed, AdmissionControl, JsonlTraceObserver, MetricsObserver, Router,
     RunRecord, StreamPriority, StreamingConfig,
 };
-use hotpotato_trace::{schema, Model, StreamingAggregator, Trace};
+use hotpotato_trace::{schema, Model, StreamingAggregator, Trace, TraceEvent};
 use leveled_net::render;
 use routing_core::spec::{expand_sweep, parse_run_spec, parse_topo, RunSpec};
 use routing_core::ArrivalProcess;
@@ -576,16 +576,42 @@ fn cmd_route(args: &[String]) -> i32 {
 /// Reads a trace file, sniffing the `.hpt` magic: binary traces are
 /// decoded, everything else is strictly parsed as JSONL (across `jobs`
 /// threads when > 1). Returns the trace and its on-disk size in bytes.
+///
+/// Every packet id must lie inside the trace's packet universe: the
+/// meta line's `packets`, or without a meta line the number of events.
+/// The analytics size per-packet state by the largest id, so the bound
+/// keeps their memory proportional to the input.
 fn load_trace(path: &str, jobs: usize) -> Result<(Trace, u64), String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let size = bytes.len() as u64;
-    let trace = if hotpotato_trace::is_binary(&bytes) {
+    let binary = hotpotato_trace::is_binary(&bytes);
+    let trace = if binary {
         hotpotato_trace::decode_trace(&bytes).map_err(|e| format!("{path}: {e}"))?
     } else {
         let text =
             String::from_utf8(bytes).map_err(|e| format!("{path}: trace is not UTF-8 ({e})"))?;
         hotpotato_trace::parse_jsonl_parallel(&text, jobs).map_err(|e| format!("{path}: {e}"))?
     };
+    let universe = trace
+        .meta()
+        .map_or(trace.events.len() as u64, |m| m.packets);
+    for (i, ev) in trace.events.iter().enumerate() {
+        let pkt = match *ev {
+            TraceEvent::Move { pkt, .. }
+            | TraceEvent::Trivial { pkt, .. }
+            | TraceEvent::Deliver { pkt, .. }
+            | TraceEvent::Arrival { pkt, .. }
+            | TraceEvent::Drop { pkt, .. } => u64::from(pkt),
+            _ => continue,
+        };
+        if pkt >= universe {
+            let unit = if binary { "event" } else { "line" };
+            return Err(format!(
+                "{path}: {unit} {}: packet {pkt} outside a universe of {universe} packets",
+                i + 1
+            ));
+        }
+    }
     Ok((trace, size))
 }
 

@@ -346,3 +346,50 @@ fn malformed_numeric_flags_fail_instead_of_defaulting() {
         );
     }
 }
+
+#[test]
+fn trace_packet_ids_outside_the_universe_are_rejected() {
+    // The analytics size per-packet state by packet id, so an id far past
+    // the trace's packet universe used to abort on a 32 GB allocation.
+    // The address-space cap makes such an allocation fail fast rather than
+    // exhaust the host.
+    let meta = r#"{"ev":"meta","schema":4,"topo":"bf:3","workload":"bitrev","algo":"busch","seed":7,"arrival":"","packets":8,"levels":4,"congestion":2,"dilation":3}"#;
+    let cases = [
+        (
+            "lone",
+            "{\"ev\":\"deliver\",\"t\":1,\"pkt\":4000000000}\n".to_string(),
+            2,
+            "line 1: packet 4000000000 outside a universe of 1 packets",
+        ),
+        (
+            "meta",
+            format!("{meta}\n{{\"ev\":\"deliver\",\"t\":1,\"pkt\":8}}\n"),
+            2,
+            "line 2: packet 8 outside a universe of 8 packets",
+        ),
+        (
+            "inside",
+            format!("{meta}\n{{\"ev\":\"deliver\",\"t\":1,\"pkt\":7}}\n"),
+            0,
+            "",
+        ),
+    ];
+    for (name, text, want, msg) in cases {
+        let path = std::env::temp_dir().join(format!(
+            "hotpotato-cli-universe-{}-{name}.jsonl",
+            std::process::id()
+        ));
+        std::fs::write(&path, text).expect("temp file");
+        let out = Command::new("sh")
+            .arg("-c")
+            .arg("ulimit -v 4000000; exec \"$0\" trace analyze \"$1\"")
+            .arg(env!("CARGO_BIN_EXE_hotpotato"))
+            .arg(&path)
+            .output()
+            .expect("sh runs");
+        let _ = std::fs::remove_file(&path);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(want), "{name}: {err}");
+        assert!(err.contains(msg), "{name}: {err}");
+    }
+}
