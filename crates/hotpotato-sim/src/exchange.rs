@@ -1,4 +1,4 @@
-//! Double-buffered snapshot exchange between a simulation and readers.
+//! Single-mutex snapshot exchange between a simulation and readers.
 //!
 //! The engine's step loop is a hot path (`// lint: hot-path` in
 //! [`crate::soa`]): it must never block on, or allocate for, an
@@ -6,96 +6,52 @@
 //! live metrics mid-run. This module provides that handoff:
 //!
 //! * [`SnapshotPublisher`] — the writer half, owned by the simulation
-//!   thread. [`SnapshotPublisher::publish_with`] refreshes a snapshot
-//!   using only `try_lock`: if a reader momentarily holds a buffer the
-//!   publish is *skipped* (and counted), never waited on. The step loop
-//!   therefore runs at full speed whether or not anyone is scraping.
+//!   thread. [`SnapshotPublisher::publish_with`] refreshes the snapshot
+//!   in place using only `try_lock`: if a reader holds the lock the
+//!   publish is *skipped*, never waited on. The step loop therefore runs
+//!   at full speed whether or not anyone is scraping.
 //! * [`SnapshotReader`] — the (clonable) reader half, handed to HTTP
-//!   handler threads. [`SnapshotReader::acquire`] always observes an
-//!   *untorn* snapshot: the value passed to the closure was written in
-//!   full under the same lock the reader now holds.
+//!   handler threads. [`SnapshotReader::acquire`] runs the reader's
+//!   closure under the same lock.
 //!
 //! # Protocol
 //!
-//! Two buffer slots plus a front index:
-//!
-//! ```text
-//! slots[0]: Mutex<(seq, T)>   ┐ one is "front" (readers), the other
-//! slots[1]: Mutex<(seq, T)>   ┘ "back" (writer fills it)
-//! front:    Mutex<usize>      which slot readers should take
-//! ```
-//!
-//! The writer fills the back slot (`try_lock`; skip on contention),
-//! stamps a sequence number, releases it, then flips `front` to the
-//! freshly filled slot (`try_lock` again; on contention the flip is
-//! retried on the next publish — the data is already in place). The
-//! reader locks `front`, reads the index, *drops* the front guard, then
-//! locks the indicated slot. No thread ever holds two locks at once, so
-//! no lock ordering exists to violate and deadlock is impossible by
-//! construction. Torn reads are impossible because every read of a
-//! buffer happens under the same mutex every write of it happens under.
-//!
-//! One documented relaxation: a reader that races the flip may lock the
-//! slot *after* the writer has started refilling it — the `try_lock`
-//! writer then skips, so the reader still sees a complete (possibly
-//! one-publish-stale) snapshot. Consequently the sequence number a
-//! single reader observes across consecutive acquires is not strictly
-//! monotone; it can step back by one around a flip. Readers that need
-//! monotone views keep the max of the sequence numbers they have seen.
-//!
-//! Its `Arc`/`Mutex` resolve to the vendored `loom` workalike under
-//! `--cfg loom`, so `crates/serve/tests/loom_serve.rs` can model-check
-//! publish/read races, torn-snapshot impossibility, and shutdown under
-//! the vendored bounded-exhaustive scheduler.
+//! One `Mutex<(seq, T)>`. Every write of the snapshot and of its
+//! sequence number happens under it, and so does every read, so a torn
+//! read is impossible by construction. The sequence number counts the
+//! fills that landed (0 is the seed), and a reader's consecutive
+//! acquires see it only go up. The price of the single buffer is that a
+//! reader holding the lock makes a concurrent publish skip; the next
+//! publish after it carries every change, so a skip only delays the
+//! reader's view by one publish interval.
 
-#[cfg(loom)]
-use loom::sync::{Arc, Mutex};
-#[cfg(not(loom))]
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, LockResult, Mutex, PoisonError};
 
-use std::sync::{LockResult, PoisonError};
-
-/// One buffered snapshot: a sequence number and the payload.
-struct Slot<T> {
-    /// 0 while the slot still holds its seed value; then the publish
-    /// counter at the time the slot was last filled.
+/// The shared snapshot: the number of fills that landed, and the value.
+struct Stamped<T> {
+    /// 0 while the value is still the seed.
     seq: u64,
     value: T,
 }
 
-/// State shared between the publisher and every reader.
-struct Shared<T> {
-    slots: [Mutex<Slot<T>>; 2],
-    /// Index of the slot readers should acquire.
-    front: Mutex<usize>,
-}
-
-/// Ignore lock poisoning: a panicked writer leaves a complete snapshot
-/// (it is only ever mutated inside `fill`, and a panicking `fill` aborts
-/// the publish), and the vendored loom never poisons at all.
+/// Ignore lock poisoning: a reader closure never writes, and the fills
+/// are plain copies that do not panic, so the value under a poisoned lock
+/// is still one some fill wrote in full; serving it beats killing every
+/// reader.
 fn relax<G>(result: LockResult<G>) -> G {
     result.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Writer half of the exchange; owned by the simulation thread.
 ///
-/// Not clonable: exactly one writer exists per exchange, which is what
-/// makes the skip-on-contention protocol race-free.
+/// Not clonable: exactly one writer exists per exchange.
 pub struct SnapshotPublisher<T> {
-    shared: Arc<Shared<T>>,
-    /// The slot the writer fills next (always `1 - front` once steady).
-    back: usize,
-    /// Publish counter; the next successful fill stamps `next_seq + 1`.
-    next_seq: u64,
-    /// Back slot holds a filled snapshot the front flip hasn't shown yet.
-    pending_flip: bool,
-    skipped_fills: u64,
-    skipped_flips: u64,
+    shared: Arc<Mutex<Stamped<T>>>,
 }
 
 /// Reader half of the exchange; clonable, one per consumer thread.
 pub struct SnapshotReader<T> {
-    shared: Arc<Shared<T>>,
+    shared: Arc<Mutex<Stamped<T>>>,
 }
 
 impl<T> Clone for SnapshotReader<T> {
@@ -106,180 +62,275 @@ impl<T> Clone for SnapshotReader<T> {
     }
 }
 
-/// Creates an exchange seeded with two buffers (sequence number 0).
-///
-/// The two seeds should be indistinguishable "empty" snapshots: until
-/// the first publish lands, readers observe `seed_front` under sequence
-/// number 0.
-pub fn snapshot_exchange<T>(
-    seed_front: T,
-    seed_back: T,
-) -> (SnapshotPublisher<T>, SnapshotReader<T>) {
-    let shared = Arc::new(Shared {
-        slots: [
-            Mutex::new(Slot {
-                seq: 0,
-                value: seed_front,
-            }),
-            Mutex::new(Slot {
-                seq: 0,
-                value: seed_back,
-            }),
-        ],
-        front: Mutex::new(0),
-    });
+/// Creates an exchange whose readers observe `seed` under sequence
+/// number 0 until the first publish lands.
+pub fn snapshot_exchange<T>(seed: T) -> (SnapshotPublisher<T>, SnapshotReader<T>) {
+    let shared = Arc::new(Mutex::new(Stamped {
+        seq: 0,
+        value: seed,
+    }));
     (
         SnapshotPublisher {
             shared: Arc::clone(&shared),
-            back: 1,
-            next_seq: 0,
-            pending_flip: false,
-            skipped_fills: 0,
-            skipped_flips: 0,
         },
         SnapshotReader { shared },
     )
 }
 
 impl<T> SnapshotPublisher<T> {
-    /// Refreshes the back buffer via `fill` and flips it to the front —
-    /// without ever blocking. Returns `true` if readers can now see a
-    /// newer snapshot than before the call.
-    ///
-    /// On contention (a reader holds the back slot, or the front index)
-    /// the corresponding half is skipped and counted; a skipped flip is
-    /// retried automatically on the next publish, a skipped fill simply
-    /// means this snapshot is dropped and the next one will be fresher.
+    /// Refreshes the snapshot in place via `fill` without ever blocking.
+    /// Returns `true` if the fill landed, `false` if a reader held the
+    /// lock and this publish was skipped.
     // lint: hot-path
     // lint: no-panic
     pub fn publish_with(&mut self, fill: impl FnOnce(&mut T)) -> bool {
-        // lint: allow-panic(slots has fixed arity 2; back is always 0 or 1)
-        match self.shared.slots[self.back].try_lock() {
-            Ok(mut slot) => {
-                fill(&mut slot.value);
-                self.next_seq += 1;
-                slot.seq = self.next_seq;
-                self.pending_flip = true;
+        match self.shared.try_lock() {
+            Ok(mut stamped) => {
+                fill(&mut stamped.value);
+                stamped.seq += 1;
+                true
             }
-            Err(_) => self.skipped_fills += 1,
+            Err(_) => false,
         }
-        if self.pending_flip {
-            match self.shared.front.try_lock() {
-                Ok(mut front) => {
-                    *front = self.back;
-                    self.back = 1 - self.back;
-                    self.pending_flip = false;
-                    return true;
-                }
-                Err(_) => self.skipped_flips += 1,
-            }
-        }
-        false
     }
 
     /// Final, *blocking* publish for quiesce/shutdown: waits for any
-    /// in-flight reader, fills the back buffer, and flips it front.
-    /// After `flush_with` returns, every subsequent acquire observes the
-    /// flushed snapshot (or a newer one). Never called from the step
+    /// in-flight reader, then fills. After `flush_with` returns, every
+    /// acquire observes the flushed snapshot. Never called from the step
     /// loop — only once, after the run completes.
     // lint: no-panic
     pub fn flush_with(&mut self, fill: impl FnOnce(&mut T)) {
-        {
-            // lint: allow-panic(slots has fixed arity 2; back is always 0 or 1)
-            let mut slot = relax(self.shared.slots[self.back].lock());
-            fill(&mut slot.value);
-            self.next_seq += 1;
-            slot.seq = self.next_seq;
-        }
-        let mut front = relax(self.shared.front.lock());
-        *front = self.back;
-        drop(front);
-        self.back = 1 - self.back;
-        self.pending_flip = false;
-    }
-
-    /// Sequence number of the most recently *filled* snapshot (0 if no
-    /// publish has succeeded yet). Readers may still be one behind if
-    /// the latest flip was skipped.
-    pub fn seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// `(skipped_fills, skipped_flips)` — publishes dropped because a
-    /// reader momentarily held the back slot or the front index.
-    pub fn skipped(&self) -> (u64, u64) {
-        (self.skipped_fills, self.skipped_flips)
+        let mut stamped = relax(self.shared.lock());
+        fill(&mut stamped.value);
+        stamped.seq += 1;
     }
 }
 
 impl<T> SnapshotReader<T> {
-    /// Runs `f` over the current front snapshot (sequence number first).
-    /// The snapshot is untorn: `f` observes exactly what one
-    /// `publish_with`/`flush_with` fill wrote. Sequence number 0 means
-    /// the seed value — nothing has been published yet.
+    /// Runs `f` over the current snapshot (sequence number first), under
+    /// the lock every fill takes, so `f` observes exactly what one fill
+    /// wrote. Sequence number 0 means the seed value — nothing has been
+    /// published yet.
     ///
-    /// Holding the slot only for the duration of `f` keeps writer skips
-    /// rare; `f` should copy what it needs and return.
+    /// A publish that meets a reader inside `f` is skipped, so `f`
+    /// should copy what it needs and return.
     // lint: no-panic
     pub fn acquire<R>(&self, f: impl FnOnce(u64, &T) -> R) -> R {
-        let front = *relax(self.shared.front.lock());
-        // Front guard dropped here: never hold two locks at once.
-        // lint: allow-panic(slots has fixed arity 2; front is always 0 or 1)
-        let slot = relax(self.shared.slots[front].lock());
-        f(slot.seq, &slot.value)
-    }
-
-    /// Convenience: the sequence number currently visible to readers.
-    pub fn seq(&self) -> u64 {
-        self.acquire(|seq, _| seq)
+        let stamped = relax(self.shared.lock());
+        f(stamped.seq, &stamped.value)
     }
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{mpsc, Barrier};
+    use std::time::Duration;
+
+    /// Calls `publish` (which reports whether its fill landed) until at
+    /// least `min` fills landed and 100 publishes were skipped, so fills
+    /// and skips interleave; gives up after 1000 × `min` calls, when no
+    /// reader is left to race.
+    fn publish_racing(min: u64, mut publish: impl FnMut() -> bool) {
+        let (mut calls, mut fills, mut skips) = (0, 0, 0);
+        while (fills < min || skips < 100) && calls < 1000 * min {
+            calls += 1;
+            if publish() {
+                fills += 1;
+            } else {
+                skips += 1;
+            }
+        }
+    }
+
+    /// Keeps a reader inside the lock a little while, as a renderer does,
+    /// so the writer meets contention.
+    fn linger() {
+        for _ in 0..50 {
+            std::hint::spin_loop();
+        }
+    }
 
     #[test]
     fn seed_is_visible_at_seq_zero() {
-        let (_pub, reader) = snapshot_exchange(7u32, 7u32);
+        let (_pub, reader) = snapshot_exchange(7u32);
         assert_eq!(reader.acquire(|seq, v| (seq, *v)), (0, 7));
     }
 
     #[test]
     fn publish_makes_value_visible_with_monotone_seq() {
-        let (mut publisher, reader) = snapshot_exchange(0u32, 0u32);
+        let (mut publisher, reader) = snapshot_exchange(0u32);
         for i in 1..=5u32 {
             assert!(publisher.publish_with(|v| *v = i * 10));
             assert_eq!(reader.acquire(|seq, v| (seq, *v)), (u64::from(i), i * 10));
         }
-        assert_eq!(publisher.skipped(), (0, 0));
     }
 
     #[test]
-    fn flush_is_final_and_readers_see_it() {
-        let (mut publisher, reader) = snapshot_exchange(0u32, 0u32);
-        publisher.publish_with(|v| *v = 1);
-        publisher.flush_with(|v| *v = 99);
-        assert_eq!(reader.acquire(|seq, v| (seq, *v)), (2, 99));
-        let other = reader.clone();
-        assert_eq!(other.acquire(|_, v| *v), 99);
+    fn publish_skips_while_a_reader_holds_the_lock() {
+        let (mut publisher, reader) = snapshot_exchange(0u32);
+        reader.acquire(|_, _| assert!(!publisher.publish_with(|v| *v = 1)));
+        assert_eq!(reader.acquire(|seq, v| (seq, *v)), (0, 0));
     }
 
+    /// A writer that keeps the pair equal to its fill count, published
+    /// at least 10k times against 4 readers: every read shows equal
+    /// halves that also equal the sequence number the read came with.
     #[test]
     fn concurrent_reader_never_sees_torn_pair() {
-        // The payload is a pair the writer always keeps equal; a torn
-        // read would observe unequal halves.
-        let (mut publisher, reader) = snapshot_exchange((0u64, 0u64), (0u64, 0u64));
-        let t = std::thread::spawn(move || {
-            for _ in 0..200 {
-                let (seq, ok) = reader.acquire(|seq, &(a, b)| (seq, a == b));
-                assert!(ok, "torn snapshot at seq {seq}");
+        const DONE: u64 = u64::MAX;
+        let (mut publisher, reader) = snapshot_exchange((0u64, 0u64));
+        let start = Barrier::new(5);
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..4)
+                .map(|_| {
+                    let (reader, start) = (reader.clone(), &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        loop {
+                            let (seq, a, b) = reader.acquire(|seq, &(a, b)| {
+                                linger();
+                                (seq, a, b)
+                            });
+                            assert_eq!(a, b, "torn pair at seq {seq}");
+                            if a == DONE {
+                                break;
+                            }
+                            assert_eq!(a, seq, "pair from another fill than its seq");
+                        }
+                    })
+                })
+                .collect();
+            start.wait();
+            let mut fills = 0u64;
+            publish_racing(10_000, || {
+                let next = fills + 1;
+                let landed = publisher.publish_with(|v| *v = (next, next));
+                if landed {
+                    fills = next;
+                }
+                landed
+            });
+            publisher.flush_with(|v| *v = (DONE, DONE));
+            for handle in readers {
+                handle.join().unwrap();
             }
         });
-        for i in 1..=200u64 {
-            publisher.publish_with(|v| *v = (i, i));
+    }
+
+    /// `flush_with` waits out a reader that holds the lock, and once it
+    /// returns every reader clone sees the flushed value.
+    #[test]
+    fn flush_is_final_and_readers_see_it() {
+        let (mut publisher, reader) = snapshot_exchange(0u32);
+        publisher.publish_with(|v| *v = 10);
+        let (holding_tx, holding_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (flushed_tx, flushed_rx) = mpsc::channel();
+        let racer = reader.clone();
+        let holder = std::thread::spawn(move || {
+            racer.acquire(|_, v| {
+                holding_tx.send(*v).unwrap();
+                release_rx.recv().unwrap();
+            });
+        });
+        assert_eq!(holding_rx.recv().unwrap(), 10);
+        let flusher = std::thread::spawn(move || {
+            publisher.flush_with(|v| *v = 99);
+            flushed_tx.send(()).unwrap();
+        });
+        assert!(
+            flushed_rx.recv_timeout(Duration::from_millis(100)).is_err(),
+            "flush returned while a reader held the lock"
+        );
+        release_tx.send(()).unwrap();
+        flushed_rx.recv().unwrap();
+        let clones: Vec<_> = (0..8).map(|_| reader.clone()).collect();
+        for clone in clones.iter().chain([&reader]) {
+            assert_eq!(clone.acquire(|seq, v| (seq, *v)), (2, 99));
         }
-        publisher.flush_with(|v| *v = (9999, 9999));
-        t.join().unwrap();
+        holder.join().unwrap();
+        flusher.join().unwrap();
+    }
+
+    /// The sequence number one reader sees across consecutive acquires
+    /// never drops, through at least 100k racing publishes and the final
+    /// flush. (A two-buffer exchange, whose reader can lock a slot filled
+    /// ahead of the index it read, fails this.)
+    #[test]
+    fn a_readers_seq_never_drops() {
+        const DONE: u64 = u64::MAX;
+        let (mut publisher, reader) = snapshot_exchange(0u64);
+        let start = Barrier::new(5);
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..4)
+                .map(|_| {
+                    let (reader, start) = (reader.clone(), &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut last = 0;
+                        loop {
+                            let (seq, v) = reader.acquire(|seq, &v| {
+                                linger();
+                                (seq, v)
+                            });
+                            assert!(seq >= last, "seq dropped from {last} to {seq}");
+                            last = seq;
+                            if v == DONE {
+                                break;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            start.wait();
+            let mut i = 0;
+            publish_racing(100_000, || {
+                i += 1;
+                publisher.publish_with(|v| *v = i)
+            });
+            publisher.flush_with(|v| *v = DONE);
+            for handle in readers {
+                handle.join().unwrap();
+            }
+        });
+    }
+
+    /// 8 readers, a writer and the final flush all run to completion: no
+    /// interleaving leaves a thread waiting on a lock forever.
+    #[test]
+    fn many_readers_writer_and_flush_run_to_completion() {
+        const DONE: u64 = u64::MAX;
+        let (finished_tx, finished_rx) = mpsc::channel();
+        let scenario = std::thread::spawn(move || {
+            let (mut publisher, reader) = snapshot_exchange(0u64);
+            let start = Arc::new(Barrier::new(9));
+            let readers: Vec<_> = (0..8)
+                .map(|_| {
+                    let (reader, start) = (reader.clone(), Arc::clone(&start));
+                    std::thread::spawn(move || {
+                        start.wait();
+                        while reader.acquire(|_, &v| {
+                            linger();
+                            v
+                        }) != DONE
+                        {}
+                    })
+                })
+                .collect();
+            start.wait();
+            let mut i = 0;
+            publish_racing(10_000, || {
+                i += 1;
+                publisher.publish_with(|v| *v = i)
+            });
+            publisher.flush_with(|v| *v = DONE);
+            let all_joined = readers.into_iter().all(|handle| handle.join().is_ok());
+            finished_tx.send(all_joined).unwrap();
+        });
+        // A deadlocked scenario is left running: joining it would hang.
+        let finished = finished_rx.recv_timeout(Duration::from_secs(60));
+        assert_eq!(finished, Ok(true), "a thread never finished");
+        scenario.join().unwrap();
     }
 }

@@ -35,7 +35,7 @@
 //!   [`JsonlTraceObserver`] and `hotpotato trace convert`;
 //! * [`router_api`] — the object-safe [`Router`] trait and shared
 //!   [`RouteOutcome`] every routing algorithm implements;
-//! * [`exchange`] — the double-buffered, never-blocking
+//! * [`exchange`] — the single-mutex, never-blocking
 //!   [`SnapshotPublisher`]/[`SnapshotReader`] handoff that live
 //!   monitoring (the `serve` crate) uses to read mid-run metrics
 //!   without touching the step loop's latency.

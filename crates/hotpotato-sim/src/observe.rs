@@ -445,6 +445,12 @@ pub struct MetricsObserver {
     sample_every: u64,
     occupancy_series: Vec<(Time, Vec<u32>)>,
     steps: u64,
+    /// Moves staged (injections included).
+    moves: u64,
+    /// Packets injected into the network.
+    injected: u64,
+    /// Oscillation moves.
+    oscillations: u64,
     delivered: u64,
     trivial: u64,
     /// Streaming mode: packets made available by the arrival process.
@@ -487,6 +493,9 @@ impl MetricsObserver {
             sample_every: 0,
             occupancy_series: Vec::new(),
             steps: 0,
+            moves: 0,
+            injected: 0,
+            oscillations: 0,
             delivered: 0,
             trivial: 0,
             arrivals: 0,
@@ -513,6 +522,11 @@ impl MetricsObserver {
     /// ascending.
     pub fn deflection_histogram(&self) -> Vec<(u32, u32)> {
         histogram(&self.deflections)
+    }
+
+    /// Deflections packet `pkt` has taken so far.
+    pub fn packet_deflections(&self, pkt: u32) -> u32 {
+        self.deflections.get(pkt as usize).copied().unwrap_or(0)
     }
 
     /// Deflections grouped by the level they happened at.
@@ -561,6 +575,41 @@ impl MetricsObserver {
     /// the router ran without audits).
     pub fn congestion_watermarks(&self) -> &[u32] {
         &self.congestion_watermark
+    }
+
+    /// Steps completed.
+    pub fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// Moves staged (injections included).
+    pub fn moves(&self) -> u64 {
+        self.moves
+    }
+
+    /// Packets injected into the network.
+    pub fn injected(&self) -> u64 {
+        self.injected
+    }
+
+    /// Oscillation moves.
+    pub fn oscillations(&self) -> u64 {
+        self.oscillations
+    }
+
+    /// Packets delivered (trivial deliveries included).
+    pub fn delivered(&self) -> u64 {
+        self.delivered
+    }
+
+    /// Trivial (source == destination) deliveries.
+    pub fn trivial(&self) -> u64 {
+        self.trivial
+    }
+
+    /// Phases seen so far (0 for phase-less routers).
+    pub fn phases(&self) -> u64 {
+        self.phases_seen
     }
 
     /// Streaming mode: packets made available by the arrival process so
@@ -684,25 +733,31 @@ impl RouteObserver for MetricsObserver {
         let i = pkt as usize;
         let origin = self.net.move_origin(mv);
         let target = self.net.move_target(mv);
+        self.moves += 1;
         match kind {
             ExitKind::Inject => {
+                self.injected += 1;
                 self.in_network[i] = true;
                 self.occupancy[self.net.level(target) as usize] += 1;
             }
             other => {
                 self.occupancy[self.net.level(origin) as usize] -= 1;
                 self.occupancy[self.net.level(target) as usize] += 1;
-                if let ExitKind::Deflect { safe } = other {
-                    self.deflections[i] += 1;
-                    self.defl_by_level[self.net.level(origin) as usize] += 1;
-                    let phase = self.current_phase;
-                    self.grow_phase(phase);
-                    self.defl_by_phase[phase as usize] += 1;
-                    if safe {
-                        self.safe_deflections += 1;
-                    } else {
-                        self.unsafe_deflections += 1;
+                match other {
+                    ExitKind::Deflect { safe } => {
+                        self.deflections[i] += 1;
+                        self.defl_by_level[self.net.level(origin) as usize] += 1;
+                        let phase = self.current_phase;
+                        self.grow_phase(phase);
+                        self.defl_by_phase[phase as usize] += 1;
+                        if safe {
+                            self.safe_deflections += 1;
+                        } else {
+                            self.unsafe_deflections += 1;
+                        }
                     }
+                    ExitKind::Oscillate => self.oscillations += 1,
+                    ExitKind::Inject | ExitKind::Advance => {}
                 }
             }
         }

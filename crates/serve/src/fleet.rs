@@ -9,8 +9,8 @@
 //! `--trace-out`, then analyzed and replay-verified with no text in
 //! between. The coordinator folds each completed run into a
 //! [`FleetAggregator`] and publishes the whole aggregation through the
-//! loom-checked snapshot exchange after every event, so HTTP threads
-//! serve untorn views mid-sweep:
+//! snapshot exchange after every event, so HTTP threads serve untorn
+//! views mid-sweep:
 //!
 //! * `GET /fleet` — the schema-versioned cross-run rollup: per-(topo,
 //!   algo, size) `steps/(C+L)` distributions with bootstrap 95% CIs and
@@ -230,10 +230,7 @@ impl FleetService {
             config.workers
         };
         let total = config.specs.len() as u64;
-        let (publisher, reader) = snapshot_exchange(
-            FleetSnapshot::empty(total, workers),
-            FleetSnapshot::empty(total, workers),
-        );
+        let (publisher, reader) = snapshot_exchange(FleetSnapshot::empty(total, workers));
         let join = std::thread::Builder::new()
             .name("hotpotato-fleet".into())
             .spawn(move || coordinate(config, workers, publisher))

@@ -24,13 +24,12 @@
 //!
 //! [`FleetAggregator`]: hotpotato_trace::FleetAggregator
 //!
-//! The engine→service handoff is the double-buffered
+//! The engine→service handoff is the single-mutex
 //! [`hotpotato_sim::SnapshotPublisher`] exchange: the simulation thread
 //! publishes a [`LiveSnapshot`] every `publish_every` steps without ever
 //! blocking (contended publishes are skipped, not waited on), and HTTP
 //! handler threads [`acquire`](hotpotato_sim::SnapshotReader::acquire)
-//! untorn snapshots. The exchange core is model-checked under the
-//! vendored loom scheduler in `tests/loom_serve.rs`.
+//! untorn snapshots whose sequence number only goes up.
 //!
 //! [`StreamingAggregator`]: hotpotato_trace::StreamingAggregator
 

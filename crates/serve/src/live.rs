@@ -182,22 +182,6 @@ impl LiveSnapshot {
     }
 }
 
-/// Scalar counters the observer maintains itself (the vectors live in
-/// the composed [`MetricsObserver`]).
-#[derive(Clone, Copy, Default)]
-struct Counts {
-    steps: u64,
-    moves: u64,
-    delivered: u64,
-    trivial: u64,
-    injected: u64,
-    oscillations: u64,
-    active: u64,
-    phases: u64,
-    arrivals: u64,
-    drops: u64,
-}
-
 /// Incremental delivery-latency aggregates: the histogram, the running
 /// sum/count, and the fixed-capacity ring of recent latencies.
 struct Latency {
@@ -233,6 +217,19 @@ impl Latency {
     }
 }
 
+/// What the live view needs beyond the two sinks: the last `active`
+/// count, the fixed-bucket deflection histogram, each packet's
+/// injection step and the latency aggregates.
+struct Tail {
+    /// In-flight packets after the last completed step.
+    active: u64,
+    defl_hist: [u64; DEFL_BUCKETS],
+    /// Injection step per packet (`u64::MAX` = not injected yet);
+    /// delivery latency is absorb time minus this.
+    injected_step: Vec<Time>,
+    latency: Latency,
+}
+
 /// Copies the current aggregates into `snap`. Split out so the same
 /// fill drives both the non-blocking periodic publish and the final
 /// blocking flush; everything here is a scalar store or a copy into a
@@ -240,31 +237,28 @@ impl Latency {
 // lint: hot-path
 fn fill_snapshot(
     snap: &mut LiveSnapshot,
-    counts: &Counts,
-    defl_hist: &[u64; DEFL_BUCKETS],
-    latency: &Latency,
-    metrics: &MetricsObserver,
-    agg: &StreamingAggregator,
+    (metrics, agg): &(MetricsObserver, StreamingAggregator),
+    tail: &Tail,
     finished: bool,
 ) {
-    snap.steps = counts.steps;
-    snap.moves = counts.moves;
-    snap.delivered = counts.delivered;
-    snap.trivial = counts.trivial;
-    snap.injected = counts.injected;
-    snap.oscillations = counts.oscillations;
-    snap.active = counts.active;
-    snap.phases = counts.phases;
-    snap.arrivals = counts.arrivals;
-    snap.drops = counts.drops;
-    snap.lat_count = latency.count;
-    snap.lat_sum = latency.sum;
-    snap.lat_hist = latency.hist;
+    snap.steps = metrics.steps();
+    snap.moves = metrics.moves();
+    snap.delivered = metrics.delivered();
+    snap.trivial = metrics.trivial();
+    snap.injected = metrics.injected();
+    snap.oscillations = metrics.oscillations();
+    snap.active = tail.active;
+    snap.phases = metrics.phases();
+    snap.arrivals = metrics.arrivals();
+    snap.drops = metrics.drops();
+    snap.lat_count = tail.latency.count;
+    snap.lat_sum = tail.latency.sum;
+    snap.lat_hist = tail.latency.hist;
     snap.lat_window.clear();
-    snap.lat_window.extend_from_slice(&latency.ring);
+    snap.lat_window.extend_from_slice(&tail.latency.ring);
     snap.safe_deflections = metrics.safe_deflections();
     snap.unsafe_deflections = metrics.unsafe_deflections();
-    snap.defl_hist = *defl_hist;
+    snap.defl_hist = tail.defl_hist;
     snap.occupancy.clear();
     snap.occupancy.extend_from_slice(metrics.occupancy());
     snap.level_watermark.clear();
@@ -288,25 +282,17 @@ fn fill_snapshot(
 }
 
 /// The serving observer: forwards every event to a [`MetricsObserver`]
-/// and a [`StreamingAggregator`], maintains the fixed-bucket deflection
-/// histogram incrementally, and publishes a [`LiveSnapshot`] every
-/// `publish_every` steps through the exchange.
+/// and a [`StreamingAggregator`], keeps the little neither of them
+/// counts, and publishes a [`LiveSnapshot`] every `publish_every` steps
+/// through the exchange.
 pub struct LiveObserver {
-    metrics: MetricsObserver,
-    agg: StreamingAggregator,
+    sinks: (MetricsObserver, StreamingAggregator),
+    tail: Tail,
     publisher: SnapshotPublisher<LiveSnapshot>,
     publish_every: u64,
     /// Optional per-step sleep (microseconds) — stretches short runs so
     /// CI can scrape them mid-flight deterministically.
     throttle_us: u64,
-    counts: Counts,
-    /// Deflections per packet (drives the incremental histogram).
-    defl_counts: Vec<u32>,
-    defl_hist: [u64; DEFL_BUCKETS],
-    /// Injection step per packet (`u64::MAX` = not injected yet);
-    /// delivery latency is absorb time minus this.
-    injected_step: Vec<Time>,
-    latency: Latency,
 }
 
 impl LiveObserver {
@@ -320,25 +306,26 @@ impl LiveObserver {
     ) -> (Self, SnapshotReader<LiveSnapshot>) {
         let levels = problem.network_arc().num_levels();
         let packets = problem.num_packets() as u64;
-        let n = problem.num_packets();
-        let seed_a = LiveSnapshot::seed(levels, packets, rollup_cap.max(2));
-        let seed_b = seed_a.clone();
-        let (publisher, reader) = snapshot_exchange(seed_a, seed_b);
+        let (publisher, reader) =
+            snapshot_exchange(LiveSnapshot::seed(levels, packets, rollup_cap.max(2)));
         let mut defl_hist = [0u64; DEFL_BUCKETS];
         // Every packet starts with zero deflections.
         defl_hist[0] = packets;
         (
             LiveObserver {
-                metrics: MetricsObserver::new(problem),
-                agg: StreamingAggregator::new(rollup_cap),
+                sinks: (
+                    MetricsObserver::new(problem),
+                    StreamingAggregator::new(rollup_cap),
+                ),
+                tail: Tail {
+                    active: 0,
+                    defl_hist,
+                    injected_step: vec![u64::MAX; problem.num_packets()],
+                    latency: Latency::new(),
+                },
                 publisher,
                 publish_every: publish_every.max(1),
                 throttle_us: 0,
-                counts: Counts::default(),
-                defl_counts: vec![0; n],
-                defl_hist,
-                injected_step: vec![u64::MAX; n],
-                latency: Latency::new(),
             },
             reader,
         )
@@ -351,120 +338,82 @@ impl LiveObserver {
         self
     }
 
-    /// `(skipped_fills, skipped_flips)` of the underlying publisher.
-    pub fn skipped_publishes(&self) -> (u64, u64) {
-        self.publisher.skipped()
-    }
-
-    /// Read access to the composed aggregator (the quiesce-consistency
-    /// tests compare the served rollup against exactly this state).
-    pub fn aggregator(&self) -> &StreamingAggregator {
-        &self.agg
-    }
-
     /// Final blocking flush: overwrites the headline counters with the
     /// authoritative [`RouteStats`] and marks the snapshot finished.
     /// After this returns, every acquire observes the final state.
-    pub fn finish(mut self, stats: &RouteStats) -> StreamingAggregator {
-        self.counts.steps = stats.steps_run;
-        self.counts.delivered = stats.delivered_count() as u64;
-        self.counts.active = 0;
+    pub fn finish(mut self, stats: &RouteStats) {
+        self.tail.active = 0;
         let Self {
-            metrics,
-            agg,
+            sinks,
+            tail,
             publisher,
-            counts,
-            defl_hist,
-            latency,
             ..
         } = &mut self;
         publisher.flush_with(|snap| {
-            fill_snapshot(snap, counts, defl_hist, latency, metrics, agg, true);
+            fill_snapshot(snap, sinks, tail, true);
+            snap.steps = stats.steps_run;
+            snap.delivered = stats.delivered_count() as u64;
         });
-        self.agg
     }
 
-    /// Periodic non-blocking publish (and optional throttle sleep).
+    /// Periodic non-blocking publish.
     // lint: hot-path
     fn publish_if_due(&mut self) {
-        if self.counts.steps.is_multiple_of(self.publish_every) {
+        if self.sinks.0.steps().is_multiple_of(self.publish_every) {
             let Self {
-                metrics,
-                agg,
+                sinks,
+                tail,
                 publisher,
-                counts,
-                defl_hist,
-                latency,
                 ..
             } = self;
-            publisher.publish_with(|snap| {
-                fill_snapshot(snap, counts, defl_hist, latency, metrics, agg, false);
-            });
+            publisher.publish_with(|snap| fill_snapshot(snap, sinks, tail, false));
         }
     }
 }
 
 impl RouteObserver for LiveObserver {
     fn on_move(&mut self, t: Time, pkt: u32, mv: DirectedEdge, kind: ExitKind) {
-        self.counts.moves += 1;
+        self.sinks.on_move(t, pkt, mv, kind);
         match kind {
-            ExitKind::Inject => {
-                self.counts.injected += 1;
-                self.injected_step[pkt as usize] = t;
-            }
-            ExitKind::Oscillate => self.counts.oscillations += 1,
+            ExitKind::Inject => self.tail.injected_step[pkt as usize] = t,
             ExitKind::Deflect { .. } => {
-                let d = &mut self.defl_counts[pkt as usize];
-                let from = defl_bucket(*d);
-                *d += 1;
-                let to = defl_bucket(*d);
+                // The metrics sink has just counted this deflection.
+                let now = self.sinks.0.packet_deflections(pkt);
+                let (from, to) = (defl_bucket(now - 1), defl_bucket(now));
                 if from != to {
-                    self.defl_hist[from] -= 1;
-                    self.defl_hist[to] += 1;
+                    self.tail.defl_hist[from] -= 1;
+                    self.tail.defl_hist[to] += 1;
                 }
             }
-            ExitKind::Advance => {}
+            ExitKind::Oscillate | ExitKind::Advance => {}
         }
-        self.metrics.on_move(t, pkt, mv, kind);
-        self.agg.on_move(t, pkt, mv, kind);
     }
 
     fn on_trivial(&mut self, t: Time, pkt: u32) {
-        self.counts.trivial += 1;
-        self.counts.delivered += 1;
+        self.sinks.on_trivial(t, pkt);
         // Source == destination: delivered the step it was admitted.
-        self.latency.record(0);
-        self.metrics.on_trivial(t, pkt);
-        self.agg.on_trivial(t, pkt);
+        self.tail.latency.record(0);
     }
 
     fn on_deliver(&mut self, t: Time, pkt: u32) {
-        self.counts.delivered += 1;
-        let injected = self.injected_step[pkt as usize];
+        self.sinks.on_deliver(t, pkt);
+        let injected = self.tail.injected_step[pkt as usize];
         if injected != u64::MAX {
-            self.latency.record(t.saturating_sub(injected));
+            self.tail.latency.record(t.saturating_sub(injected));
         }
-        self.metrics.on_deliver(t, pkt);
-        self.agg.on_deliver(t, pkt);
     }
 
     fn on_arrival(&mut self, t: Time, pkt: u32) {
-        self.counts.arrivals += 1;
-        self.metrics.on_arrival(t, pkt);
-        self.agg.on_arrival(t, pkt);
+        self.sinks.on_arrival(t, pkt);
     }
 
     fn on_drop(&mut self, t: Time, pkt: u32) {
-        self.counts.drops += 1;
-        self.metrics.on_drop(t, pkt);
-        self.agg.on_drop(t, pkt);
+        self.sinks.on_drop(t, pkt);
     }
 
     fn on_step_end(&mut self, t: Time, report: &StepReport, active: usize) {
-        self.counts.steps += 1;
-        self.counts.active = active as u64;
-        self.metrics.on_step_end(t, report, active);
-        self.agg.on_step_end(t, report, active);
+        self.sinks.on_step_end(t, report, active);
+        self.tail.active = active as u64;
         self.publish_if_due();
         if self.throttle_us > 0 {
             std::thread::sleep(std::time::Duration::from_micros(self.throttle_us));
@@ -472,35 +421,28 @@ impl RouteObserver for LiveObserver {
     }
 
     fn on_sets_assigned(&mut self, sets: &[u32], num_sets: u32) {
-        self.metrics.on_sets_assigned(sets, num_sets);
-        self.agg.on_sets_assigned(sets, num_sets);
+        self.sinks.on_sets_assigned(sets, num_sets);
     }
 
     fn on_phase_start(&mut self, phase: u64, t: Time) {
-        self.counts.phases = self.counts.phases.max(phase + 1);
-        self.metrics.on_phase_start(phase, t);
-        self.agg.on_phase_start(phase, t);
+        self.sinks.on_phase_start(phase, t);
     }
 
     fn on_phase_end(&mut self, phase: u64, t: Time) {
-        self.metrics.on_phase_end(phase, t);
-        self.agg.on_phase_end(phase, t);
+        self.sinks.on_phase_end(phase, t);
     }
 
     fn on_frontier(&mut self, phase: u64, set: u32, frontier: i64) {
-        self.metrics.on_frontier(phase, set, frontier);
-        self.agg.on_frontier(phase, set, frontier);
+        self.sinks.on_frontier(phase, set, frontier);
     }
 
     fn on_set_congestion(&mut self, phase: u64, set: u32, congestion: u32, initial: u32) {
-        self.metrics
+        self.sinks
             .on_set_congestion(phase, set, congestion, initial);
-        self.agg.on_set_congestion(phase, set, congestion, initial);
     }
 
     fn on_section(&mut self, section: Section, nanos: u64) {
-        self.metrics.on_section(section, nanos);
-        self.agg.on_section(section, nanos);
+        self.sinks.on_section(section, nanos);
     }
 }
 

@@ -30,7 +30,7 @@
 //! A second, fn-level valve exists for the engine substrate:
 //! `// lint: panics-by-design(reason)` marks a fn whose panics *are*
 //! invariant assertions (dense-array indexing in the step engine,
-//! exercised by the golden and loom suites). The no-panic closure
+//! exercised by the golden suites). The no-panic closure
 //! neither scans such a fn nor descends into it — but unlike
 //! `// lint: trusted(reason)`, the marker is invisible to the other
 //! closures, so the hot-path allocation sweep still covers the engine.

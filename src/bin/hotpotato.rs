@@ -592,9 +592,23 @@ fn load_trace(path: &str, jobs: usize) -> Result<(Trace, u64), String> {
             String::from_utf8(bytes).map_err(|e| format!("{path}: trace is not UTF-8 ({e})"))?;
         hotpotato_trace::parse_jsonl_parallel(&text, jobs).map_err(|e| format!("{path}: {e}"))?
     };
-    let universe = trace
-        .meta()
-        .map_or(trace.events.len() as u64, |m| m.packets);
+    // A meta's packet claim sizes the analytics, so it must match the
+    // instance the meta names; a meta that does not rebuild bounds ids by
+    // the event count, as a trace without one does.
+    let rebuilt = trace.meta().and_then(|m| {
+        routing_core::spec::reconstruct_problem(&m.topo, &m.workload, m.seed)
+            .ok()
+            .map(|(_, problem)| (m.packets, problem.num_packets() as u64))
+    });
+    let universe = match rebuilt {
+        Some((claimed, built)) if claimed != built => {
+            return Err(format!(
+                "{path}: meta says {claimed} packets but reconstruction yields {built}"
+            ));
+        }
+        Some((claimed, _)) => claimed,
+        None => trace.events.len() as u64,
+    };
     for (i, ev) in trace.events.iter().enumerate() {
         let pkt = match *ev {
             TraceEvent::Move { pkt, .. }

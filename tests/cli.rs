@@ -350,7 +350,8 @@ fn malformed_numeric_flags_fail_instead_of_defaulting() {
 #[test]
 fn trace_packet_ids_outside_the_universe_are_rejected() {
     // The analytics size per-packet state by packet id, so an id far past
-    // the trace's packet universe used to abort on a 32 GB allocation.
+    // the trace's packet universe used to abort on a 32 GB allocation, and
+    // so did a meta line claiming more packets than its instance has.
     // The address-space cap makes such an allocation fail fast rather than
     // exhaust the host.
     let meta = r#"{"ev":"meta","schema":4,"topo":"bf:3","workload":"bitrev","algo":"busch","seed":7,"arrival":"","packets":8,"levels":4,"congestion":2,"dilation":3}"#;
@@ -366,6 +367,16 @@ fn trace_packet_ids_outside_the_universe_are_rejected() {
             format!("{meta}\n{{\"ev\":\"deliver\",\"t\":1,\"pkt\":8}}\n"),
             2,
             "line 2: packet 8 outside a universe of 8 packets",
+        ),
+        (
+            "claim",
+            format!(
+                "{}\n{{\"ev\":\"deliver\",\"t\":1,\"pkt\":3}}\n",
+                meta.replace("\"seed\":7", "\"seed\":1")
+                    .replace("\"packets\":8", "\"packets\":4000000000")
+            ),
+            2,
+            "meta says 4000000000 packets but reconstruction yields 8",
         ),
         (
             "inside",
