@@ -188,6 +188,19 @@ pub fn parse_workload<R: Rng + ?Sized>(
     }
 }
 
+/// The packet count a workload spec states: the first argument of
+/// `pairs:N`, `m2m:N`, `hotspot:N:D` and `funnel:N`. `None` for the
+/// other workloads, whose count follows from the network, and for an
+/// argument that does not parse. A caller can check a claimed count
+/// against it before building anything.
+pub fn stated_packets(spec: &str) -> Option<usize> {
+    let mut parts = spec.split(':');
+    match parts.next()? {
+        "pairs" | "m2m" | "hotspot" | "funnel" => parts.next()?.parse().ok(),
+        _ => None,
+    }
+}
+
 /// Rebuilds the exact problem identified by `(topo, workload, seed)` — the
 /// triple a trace file's `meta` line records. Returns the parsed topology
 /// alongside the problem so callers can reuse the network.
@@ -532,6 +545,23 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         assert!(parse_workload("bitrev", &t, &mut rng).is_err());
         assert!(parse_workload("nosuch", &t, &mut rng).is_err());
+        assert!(parse_workload("hotspot:2:0", &t, &mut rng).is_err());
+    }
+
+    #[test]
+    fn stated_packets_are_the_built_counts() {
+        for (topo, wl) in [
+            ("butterfly:4", "pairs:6"),
+            ("butterfly:4", "m2m:9"),
+            ("butterfly:4", "hotspot:5:2"),
+            ("complete:10x4", "funnel:12"),
+        ] {
+            let (_, problem) = reconstruct_problem(topo, wl, 42).unwrap();
+            assert_eq!(stated_packets(wl), Some(problem.num_packets()), "{wl}");
+        }
+        for wl in ["bitrev", "transpose", "level:0:2", "m2m:x", "m2m"] {
+            assert_eq!(stated_packets(wl), None, "{wl}");
+        }
     }
 
     #[test]

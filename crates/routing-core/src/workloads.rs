@@ -182,7 +182,11 @@ pub fn hotspot<R: Rng + ?Sized>(
     num_dests: usize,
     rng: &mut R,
 ) -> Result<Arc<RoutingProblem>, WorkloadError> {
-    assert!(num_dests >= 1);
+    if num_dests == 0 {
+        return Err(WorkloadError::Unsupported(
+            "hotspot needs at least one destination",
+        ));
+    }
     // Destinations: prefer nodes in the upper half of the network so they
     // have many potential sources.
     let mid = net.depth() / 2;
@@ -432,7 +436,9 @@ pub fn many_to_many<R: Rng + ?Sized>(
             available: 0,
         });
     }
-    let mut paths_out = Vec::with_capacity(total);
+    // `total` is caller-supplied and may exceed anything the network
+    // could route, so the paths grow as they are built.
+    let mut paths_out = Vec::new();
     for _ in 0..total {
         let src = *candidates.choose(rng).expect("non-empty");
         let mask = net.reachable_mask(src);

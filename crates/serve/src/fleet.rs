@@ -128,7 +128,7 @@ impl FleetSnapshot {
 pub fn run_fleet_spec(spec: &RunSpec, verify: bool) -> Result<FleetSample, String> {
     let (_, problem, mut rng) = spec.instantiate()?;
     let mut trace = Trace {
-        events: vec![TraceEvent::Meta(Meta::new(spec, &problem))],
+        events: vec![TraceEvent::Meta(Box::new(Meta::new(spec, &problem)))],
     };
     let stats = match spec.arrival_process()? {
         Some(process) => {
@@ -164,7 +164,7 @@ pub fn run_fleet_router(
     let spec = RunSpec::batch(topo, workload, router.name(), seed);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut trace = Trace {
-        events: vec![TraceEvent::Meta(Meta::new(&spec, problem))],
+        events: vec![TraceEvent::Meta(Box::new(Meta::new(&spec, problem)))],
     };
     let stats = router.route(problem, &mut rng, &mut trace).stats;
     seal_envelope(trace, &stats, verify)
@@ -182,7 +182,7 @@ fn seal_envelope(
     stats: &RouteStats,
     verify: bool,
 ) -> Result<FleetSample, String> {
-    trace.events.push(TraceEvent::Stats(stats.into()));
+    trace.events.push(TraceEvent::Stats(Box::new(stats.into())));
     let audited = stats
         .counters
         .get("invariant_violations")

@@ -18,7 +18,7 @@ use serve::service::build_router;
 fn record(spec: &RunSpec) -> (Trace, u64) {
     let (_, problem, mut rng) = spec.instantiate().unwrap();
     let mut trace = Trace {
-        events: vec![TraceEvent::Meta(Meta::new(spec, &problem))],
+        events: vec![TraceEvent::Meta(Box::new(Meta::new(spec, &problem)))],
     };
     let stats = match spec.arrival_process().unwrap() {
         Some(process) => {
@@ -34,7 +34,9 @@ fn record(spec: &RunSpec) -> (Trace, u64) {
             router.route(&problem, &mut rng, &mut trace).stats
         }
     };
-    trace.events.push(TraceEvent::Stats((&stats).into()));
+    trace
+        .events
+        .push(TraceEvent::Stats(Box::new((&stats).into())));
     let audited = stats
         .counters
         .get("invariant_violations")

@@ -398,7 +398,13 @@ fn row_at<'r>(closed: &'r mut [PhaseRow], open: &'r mut PhaseRow, t: Time) -> &'
 /// silently skipped when impossible — everything derivable from the
 /// event stream alone is always present.
 pub fn analyze(trace: &Trace) -> Analysis {
-    let mut analyzer = Analyzer::new(trace.meta().and_then(|m| reconstruct(m).ok()));
+    analyze_with(trace, trace.meta().and_then(|m| reconstruct(m).ok()))
+}
+
+/// [`analyze`] against an instance the caller has already rebuilt, or
+/// none.
+pub fn analyze_with(trace: &Trace, instance: Option<VerifiedInstance>) -> Analysis {
+    let mut analyzer = Analyzer::new(instance);
     for ev in &trace.events {
         analyzer.push(ev);
     }

@@ -229,13 +229,13 @@ fn encode_event(enc: &mut Enc, ev: &TraceEvent) {
         } => {
             enc.buf.push(Tag::Step as u8);
             enc.dt(*t);
-            enc.vu(*moved);
-            enc.vu(*absorbed);
-            enc.vu(*injected);
-            enc.vu(*deflections);
-            enc.vu(*fallback);
-            enc.vu(*oscillations);
-            enc.vu(*active);
+            enc.vu(u64::from(*moved));
+            enc.vu(u64::from(*absorbed));
+            enc.vu(u64::from(*injected));
+            enc.vu(u64::from(*deflections));
+            enc.vu(u64::from(*fallback));
+            enc.vu(u64::from(*oscillations));
+            enc.vu(u64::from(*active));
         }
         TraceEvent::Sets { num_sets, sets } => {
             enc.buf.push(Tag::Sets as u8);
@@ -436,7 +436,7 @@ fn decode_event(dec: &mut Dec<'_>) -> Result<TraceEvent, BinaryError> {
     let tag_at = dec.pos;
     let tag = dec.byte()?;
     let ev = match tag {
-        0 => TraceEvent::Meta(Meta {
+        0 => TraceEvent::Meta(Box::new(Meta {
             schema: SCHEMA_VERSION,
             topo: dec.string()?,
             workload: dec.string()?,
@@ -447,7 +447,7 @@ fn decode_event(dec: &mut Dec<'_>) -> Result<TraceEvent, BinaryError> {
             levels: dec.vu()?,
             congestion: dec.vu()?,
             dilation: dec.vu()?,
-        }),
+        })),
         1 => {
             let packed = dec.byte()?;
             let dir = if packed & 1 == 0 {
@@ -495,13 +495,13 @@ fn decode_event(dec: &mut Dec<'_>) -> Result<TraceEvent, BinaryError> {
         },
         6 => TraceEvent::Step {
             t: dec.dt()?,
-            moved: dec.vu()?,
-            absorbed: dec.vu()?,
-            injected: dec.vu()?,
-            deflections: dec.vu()?,
-            fallback: dec.vu()?,
-            oscillations: dec.vu()?,
-            active: dec.vu()?,
+            moved: dec.vu32()?,
+            absorbed: dec.vu32()?,
+            injected: dec.vu32()?,
+            deflections: dec.vu32()?,
+            fallback: dec.vu32()?,
+            oscillations: dec.vu32()?,
+            active: dec.vu32()?,
         },
         7 => TraceEvent::Sets {
             num_sets: dec.vu32()?,
@@ -530,13 +530,13 @@ fn decode_event(dec: &mut Dec<'_>) -> Result<TraceEvent, BinaryError> {
             section: dec.string()?,
             nanos: dec.vu()?,
         },
-        13 => TraceEvent::Stats(StatsLine {
+        13 => TraceEvent::Stats(Box::new(StatsLine {
             steps: dec.vu()?,
             injected_at: dec.arr_opt_u64()?,
             delivered_at: dec.arr_opt_u64()?,
             deflections: dec.arr_u32()?,
-        }),
-        14 => TraceEvent::Snapshot(Snapshot {
+        })),
+        14 => TraceEvent::Snapshot(Box::new(Snapshot {
             phase: dec.vu()?,
             t: dec.dt()?,
             state: dec.arr_u32()?,
@@ -549,7 +549,7 @@ fn decode_event(dec: &mut Dec<'_>) -> Result<TraceEvent, BinaryError> {
             oscillations: dec.vu()?,
             trivial: dec.vu()?,
             num_sets: dec.vu32()?,
-        }),
+        })),
         other => {
             return Err(BinaryError {
                 offset: tag_at,

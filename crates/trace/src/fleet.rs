@@ -542,7 +542,7 @@ mod tests {
             dir: Direction::Forward,
             kind,
         };
-        let mut events = vec![TraceEvent::Meta(meta)];
+        let mut events = vec![TraceEvent::Meta(Box::new(meta))];
         events.extend((0..3).map(|pkt| TraceEvent::Trivial { t: 0, pkt }));
         events.push(hop(0, ExitKind::Inject));
         events.extend((1..4).map(|t| hop(t, ExitKind::Advance)));

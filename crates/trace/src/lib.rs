@@ -54,7 +54,7 @@ pub mod stream;
 pub mod timeline;
 pub mod verify;
 
-pub use analyze::{analyze, diff, Analysis, Analyzer};
+pub use analyze::{analyze, analyze_with, diff, Analysis, Analyzer};
 pub use binary::{decode_trace, encode_trace, is_binary, BinaryError};
 pub use fleet::{
     parse_fleet, validate_fleet_doc, FleetAggregator, FleetFit, FleetSample, FLEET_SCHEMA_VERSION,

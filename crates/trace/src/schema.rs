@@ -39,8 +39,12 @@ use serde::Value;
 /// `snapshot` phase-entry checkpoint event is added and the binary
 /// `.hpt` framing (see [`crate::binary`]) is pinned to the same
 /// version — its wire layout is fingerprinted alongside this file by
-/// `cargo xtask lint`.
-pub const SCHEMA_VERSION: u64 = 4;
+/// `cargo xtask lint`; 5 = the in-memory layout shrinks (the `meta`,
+/// `snapshot` and `stats` variants are boxed and the `step` counters
+/// become `u32`, so a `step` counter past `u32::MAX` is now an error):
+/// the JSONL and `.hpt` bytes are those of version 4 apart from the
+/// version number.
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// The `meta` envelope line: everything needed to rebuild the instance.
 #[derive(Clone, Debug, PartialEq)]
@@ -175,10 +179,15 @@ pub struct Snapshot {
 }
 
 /// One parsed trace line.
+///
+/// Moves are over 90% of a trace, so the variant size is the trace's
+/// memory: the three envelope variants, which occur once per trace or
+/// once per phase, are boxed, and the `step` counters are `u32` (each is
+/// bounded by the packet count, and packet ids are `u32` already).
 #[derive(Clone, Debug, PartialEq)]
 pub enum TraceEvent {
     /// Envelope: instance identification (first line).
-    Meta(Meta),
+    Meta(Box<Meta>),
     /// A packet crossed an edge.
     Move {
         /// Staging step.
@@ -227,19 +236,19 @@ pub enum TraceEvent {
         /// The step.
         t: Time,
         /// Packets that moved (including injections).
-        moved: u64,
+        moved: u32,
         /// Packets absorbed.
-        absorbed: u64,
+        absorbed: u32,
         /// Packets injected.
-        injected: u64,
+        injected: u32,
         /// Deflections (safe + fallback).
-        deflections: u64,
+        deflections: u32,
         /// Fallback (unsafe) deflections.
-        fallback: u64,
+        fallback: u32,
         /// Oscillation moves.
-        oscillations: u64,
+        oscillations: u32,
         /// In-flight count after absorption.
-        active: u64,
+        active: u32,
     },
     /// Frontier-set assignment.
     Sets {
@@ -290,10 +299,12 @@ pub enum TraceEvent {
         nanos: u64,
     },
     /// Phase-entry state checkpoint (see [`Snapshot`]).
-    Snapshot(Snapshot),
+    Snapshot(Box<Snapshot>),
     /// Envelope: final run statistics (last line).
-    Stats(StatsLine),
+    Stats(Box<StatsLine>),
 }
+
+const _: () = assert!(std::mem::size_of::<TraceEvent>() <= 40);
 
 impl TraceEvent {
     /// The `ev` discriminator this event serializes under.
@@ -379,7 +390,7 @@ fn parse_line_with<'a>(line: &'a str, buf: &mut ScanBuf<'a>) -> Result<TraceEven
                     "unsupported trace schema {schema} (this build reads {SCHEMA_VERSION})"
                 )));
             }
-            TraceEvent::Meta(Meta {
+            TraceEvent::Meta(Box::new(Meta {
                 schema,
                 topo: f.str("topo")?.into_owned(),
                 workload: f.str("workload")?.into_owned(),
@@ -390,7 +401,7 @@ fn parse_line_with<'a>(line: &'a str, buf: &mut ScanBuf<'a>) -> Result<TraceEven
                 levels: f.u64("levels")?,
                 congestion: f.u64("congestion")?,
                 dilation: f.u64("dilation")?,
-            })
+            }))
         }
         "move" => TraceEvent::Move {
             t: f.u64("t")?,
@@ -421,13 +432,13 @@ fn parse_line_with<'a>(line: &'a str, buf: &mut ScanBuf<'a>) -> Result<TraceEven
         },
         "step" => TraceEvent::Step {
             t: f.u64("t")?,
-            moved: f.u64("moved")?,
-            absorbed: f.u64("absorbed")?,
-            injected: f.u64("injected")?,
-            deflections: f.u64("deflections")?,
-            fallback: f.u64("fallback")?,
-            oscillations: f.u64("oscillations")?,
-            active: f.u64("active")?,
+            moved: f.u32("moved")?,
+            absorbed: f.u32("absorbed")?,
+            injected: f.u32("injected")?,
+            deflections: f.u32("deflections")?,
+            fallback: f.u32("fallback")?,
+            oscillations: f.u32("oscillations")?,
+            active: f.u32("active")?,
         },
         "sets" => TraceEvent::Sets {
             num_sets: f.u32("num_sets")?,
@@ -456,7 +467,7 @@ fn parse_line_with<'a>(line: &'a str, buf: &mut ScanBuf<'a>) -> Result<TraceEven
             section: f.str("section")?.into_owned(),
             nanos: f.u64("nanos")?,
         },
-        "snapshot" => TraceEvent::Snapshot(Snapshot {
+        "snapshot" => TraceEvent::Snapshot(Box::new(Snapshot {
             phase: f.u64("phase")?,
             t: f.u64("t")?,
             state: f.u32_array("state")?,
@@ -469,13 +480,13 @@ fn parse_line_with<'a>(line: &'a str, buf: &mut ScanBuf<'a>) -> Result<TraceEven
             oscillations: f.u64("oscillations")?,
             trivial: f.u64("trivial")?,
             num_sets: f.u32("num_sets")?,
-        }),
-        "stats" => TraceEvent::Stats(StatsLine {
+        })),
+        "stats" => TraceEvent::Stats(Box::new(StatsLine {
             steps: f.u64("steps")?,
             injected_at: f.opt_u64_array("injected_at")?,
             delivered_at: f.opt_u64_array("delivered_at")?,
             deflections: f.u32_array("deflections")?,
-        }),
+        })),
         other => return Err(err(format!("unknown event '{other}'"))),
     };
     f.end()?;
@@ -560,13 +571,13 @@ impl RouteObserver for Trace {
     fn on_step_end(&mut self, t: Time, report: &StepReport, active: usize) {
         self.events.push(TraceEvent::Step {
             t,
-            moved: report.moved as u64,
-            absorbed: report.absorbed as u64,
-            injected: report.injected as u64,
-            deflections: report.deflections as u64,
-            fallback: report.fallback_deflections as u64,
-            oscillations: report.oscillations as u64,
-            active: active as u64,
+            moved: report.moved as u32,
+            absorbed: report.absorbed as u32,
+            injected: report.injected as u32,
+            deflections: report.deflections as u32,
+            fallback: report.fallback_deflections as u32,
+            oscillations: report.oscillations as u32,
+            active: active as u32,
         });
     }
 
@@ -735,7 +746,7 @@ pub fn event_line(ev: &TraceEvent) -> String {
                 fallback_deflections: fallback as usize,
                 oscillations: oscillations as usize,
             };
-            jsonl::push_step(&mut out, t, &report, active);
+            jsonl::push_step(&mut out, t, &report, u64::from(active));
         }
         TraceEvent::Sets { num_sets, sets } => jsonl::push_sets(&mut out, *num_sets, sets),
         &TraceEvent::PhaseStart { phase, t } => jsonl::push_phase_start(&mut out, phase, t),
@@ -809,7 +820,7 @@ mod tests {
             dilation: 3,
         };
         match parse_line(&meta_line(&meta)).unwrap() {
-            TraceEvent::Meta(m) => assert_eq!(m, meta),
+            TraceEvent::Meta(m) => assert_eq!(*m, meta),
             other => panic!("wrong event: {other:?}"),
         }
 
@@ -851,7 +862,7 @@ mod tests {
             .msg
             .contains("unknown field 'zz'"));
         assert!(
-            parse_rollup(r#"{"schema":4,"run":"x","seq":0,"finished":false}"#)
+            parse_rollup(r#"{"schema":5,"run":"x","seq":0,"finished":false}"#)
                 .unwrap_err()
                 .msg
                 .contains("missing field 'rollup'")
@@ -874,9 +885,9 @@ mod tests {
             trivial: 1,
             num_sets: 2,
         };
-        let line = event_line(&TraceEvent::Snapshot(snap.clone()));
+        let line = event_line(&TraceEvent::Snapshot(Box::new(snap.clone())));
         match parse_line(&line).unwrap() {
-            TraceEvent::Snapshot(s) => assert_eq!(s, snap),
+            TraceEvent::Snapshot(s) => assert_eq!(*s, snap),
             other => panic!("wrong event: {other:?}"),
         }
     }

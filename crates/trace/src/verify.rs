@@ -128,9 +128,32 @@ pub struct VerifiedInstance {
 
 /// Rebuilds and cross-checks the instance named by a trace's meta line.
 pub fn reconstruct(meta: &Meta) -> Result<VerifiedInstance, VerifyError> {
-    let (topo, problem) = spec::reconstruct_problem(&meta.topo, &meta.workload, meta.seed)
-        .map_err(|e| VerifyError { line: 1, msg: e })?;
-    let net = Arc::clone(&topo.net);
+    let instance = rebuild(meta)?.map_err(|msg| VerifyError { line: 1, msg })?;
+    check_shape(meta, &instance)?;
+    Ok(instance)
+}
+
+/// The first half of [`reconstruct`], for loaders that accept a meta
+/// naming no instance this build can construct: the inner `Err` is that
+/// spec error, the outer one a packet claim the instance contradicts. A
+/// workload spec that states its packet count is checked against the
+/// claim before anything is built, so a hostile count cannot allocate.
+pub fn rebuild(meta: &Meta) -> Result<Result<VerifiedInstance, String>, VerifyError> {
+    if let Some(stated) = spec::stated_packets(&meta.workload) {
+        if stated as u64 != meta.packets {
+            return fail(
+                1,
+                format!(
+                    "meta says {} packets but workload '{}' states {stated}",
+                    meta.packets, meta.workload
+                ),
+            );
+        }
+    }
+    let (topo, problem) = match spec::reconstruct_problem(&meta.topo, &meta.workload, meta.seed) {
+        Ok(built) => built,
+        Err(e) => return Ok(Err(e)),
+    };
     if problem.num_packets() as u64 != meta.packets {
         return fail(
             1,
@@ -141,6 +164,14 @@ pub fn reconstruct(meta: &Meta) -> Result<VerifiedInstance, VerifyError> {
             ),
         );
     }
+    let net = Arc::clone(&topo.net);
+    Ok(Ok(VerifiedInstance { net, problem }))
+}
+
+/// The second half of [`reconstruct`]: the meta's level count, `C` and
+/// `D` must be the rebuilt instance's.
+pub fn check_shape(meta: &Meta, instance: &VerifiedInstance) -> Result<(), VerifyError> {
+    let (net, problem) = (&instance.net, &instance.problem);
     if net.num_levels() as u64 != meta.levels {
         return fail(
             1,
@@ -165,7 +196,7 @@ pub fn reconstruct(meta: &Meta) -> Result<VerifiedInstance, VerifyError> {
             ),
         );
     }
-    Ok(VerifiedInstance { net, problem })
+    Ok(())
 }
 
 /// Verifies a parsed trace end to end (see the module docs).
@@ -856,12 +887,20 @@ impl StreamState {
                 // check: step-counter-consistency — the step line's
                 // claimed counters must equal the batch it closes.
                 let report = [
-                    ("moved", *moved, self.batch.moves),
-                    ("absorbed", *absorbed, self.batch.delivers),
-                    ("injected", *injected, self.batch.injections),
-                    ("deflections", *deflections, self.batch.deflections),
-                    ("fallback", *fallback, self.batch.fallback),
-                    ("oscillations", *oscillations, self.batch.oscillations),
+                    ("moved", u64::from(*moved), self.batch.moves),
+                    ("absorbed", u64::from(*absorbed), self.batch.delivers),
+                    ("injected", u64::from(*injected), self.batch.injections),
+                    (
+                        "deflections",
+                        u64::from(*deflections),
+                        self.batch.deflections,
+                    ),
+                    ("fallback", u64::from(*fallback), self.batch.fallback),
+                    (
+                        "oscillations",
+                        u64::from(*oscillations),
+                        self.batch.oscillations,
+                    ),
                 ];
                 for (name, claimed, counted) in report {
                     if claimed != counted {
@@ -875,7 +914,7 @@ impl StreamState {
                     }
                 }
                 if model == Model::Bufferless {
-                    if *active != self.active as u64 {
+                    if u64::from(*active) != self.active as u64 {
                         return fail(
                             line,
                             format!(

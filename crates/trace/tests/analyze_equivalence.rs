@@ -385,7 +385,9 @@ fn record(spec: &str, admission: AdmissionControl) -> Trace {
     let spec = parse_run_spec(spec).unwrap();
     let (_, problem, mut rng) = spec.instantiate().unwrap();
     let mut trace = Trace {
-        events: vec![TraceEvent::Meta(schema::Meta::new(&spec, &problem))],
+        events: vec![TraceEvent::Meta(Box::new(schema::Meta::new(
+            &spec, &problem,
+        )))],
     };
     let stats = match spec.arrival_process().unwrap() {
         Some(process) => {
@@ -403,7 +405,9 @@ fn record(spec: &str, admission: AdmissionControl) -> Trace {
                 .stats
         }
     };
-    trace.events.push(TraceEvent::Stats((&stats).into()));
+    trace
+        .events
+        .push(TraceEvent::Stats(Box::new((&stats).into())));
     trace
 }
 

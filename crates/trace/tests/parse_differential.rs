@@ -18,8 +18,9 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde_json::Value;
 
-/// The previous `Value`-tree parser, unchanged apart from imports and
-/// comments.
+/// The previous `Value`-tree parser, unchanged apart from imports,
+/// comments, the boxed envelope variants, and the `step` counters, which
+/// it reads as `u32` like `parse_line` does since schema 5.
 mod oracle {
     use hotpotato_sim::ExitKind;
     use hotpotato_trace::SCHEMA_VERSION;
@@ -154,7 +155,7 @@ mod oracle {
                         "unsupported trace schema {schema} (this build reads {SCHEMA_VERSION})"
                     )));
                 }
-                TraceEvent::Meta(Meta {
+                TraceEvent::Meta(Box::new(Meta {
                     schema,
                     topo: f.str("topo")?.to_string(),
                     workload: f.str("workload")?.to_string(),
@@ -165,7 +166,7 @@ mod oracle {
                     levels: f.u64("levels")?,
                     congestion: f.u64("congestion")?,
                     dilation: f.u64("dilation")?,
-                })
+                }))
             }
             "move" => TraceEvent::Move {
                 t: f.u64("t")?,
@@ -196,13 +197,13 @@ mod oracle {
             },
             "step" => TraceEvent::Step {
                 t: f.u64("t")?,
-                moved: f.u64("moved")?,
-                absorbed: f.u64("absorbed")?,
-                injected: f.u64("injected")?,
-                deflections: f.u64("deflections")?,
-                fallback: f.u64("fallback")?,
-                oscillations: f.u64("oscillations")?,
-                active: f.u64("active")?,
+                moved: f.u32("moved")?,
+                absorbed: f.u32("absorbed")?,
+                injected: f.u32("injected")?,
+                deflections: f.u32("deflections")?,
+                fallback: f.u32("fallback")?,
+                oscillations: f.u32("oscillations")?,
+                active: f.u32("active")?,
             },
             "sets" => TraceEvent::Sets {
                 num_sets: f.u32("num_sets")?,
@@ -231,7 +232,7 @@ mod oracle {
                 section: f.str("section")?.to_string(),
                 nanos: f.u64("nanos")?,
             },
-            "snapshot" => TraceEvent::Snapshot(Snapshot {
+            "snapshot" => TraceEvent::Snapshot(Box::new(Snapshot {
                 phase: f.u64("phase")?,
                 t: f.u64("t")?,
                 state: f.u32_array("state")?,
@@ -244,13 +245,13 @@ mod oracle {
                 oscillations: f.u64("oscillations")?,
                 trivial: f.u64("trivial")?,
                 num_sets: f.u32("num_sets")?,
-            }),
-            "stats" => TraceEvent::Stats(StatsLine {
+            })),
+            "stats" => TraceEvent::Stats(Box::new(StatsLine {
                 steps: f.u64("steps")?,
                 injected_at: f.opt_u64_array("injected_at")?,
                 delivered_at: f.opt_u64_array("delivered_at")?,
                 deflections: f.u32_array("deflections")?,
-            }),
+            })),
             other => return Err(err(format!("unknown event '{other}'"))),
         };
         f.finish()?;
@@ -280,7 +281,7 @@ mod oracle {
 
 /// One line per event variant and move kind, as the emitters write them.
 const CANONICAL: &[&str] = &[
-    r#"{"ev":"meta","schema":4,"topo":"bf:3","workload":"bitrev","algo":"busch","seed":7,"arrival":"","packets":8,"levels":4,"congestion":2,"dilation":3}"#,
+    r#"{"ev":"meta","schema":5,"topo":"bf:3","workload":"bitrev","algo":"busch","seed":7,"arrival":"","packets":8,"levels":4,"congestion":2,"dilation":3}"#,
     r#"{"ev":"move","t":4,"pkt":2,"edge":9,"dir":"F","kind":"adv"}"#,
     r#"{"ev":"move","t":4,"pkt":2,"edge":9,"dir":"B","kind":"def-safe"}"#,
     r#"{"ev":"move","t":4,"pkt":2,"edge":9,"dir":"B","kind":"def-free"}"#,
@@ -718,7 +719,7 @@ fn field_errors_keep_their_messages() {
         (r#"[1,2]"#, "not a JSON object"),
         (
             r#"{"ev":"meta","schema":3}"#,
-            "unsupported trace schema 3 (this build reads 4)",
+            "unsupported trace schema 3 (this build reads 5)",
         ),
     ];
     for (line, msg) in cases {
@@ -741,8 +742,8 @@ fn field_errors_keep_their_messages() {
 #[test]
 fn rollup_mutations_parse_identically() {
     let bases = [
-        r#"{"schema":4,"run":"bf10-bitrev","seq":17,"finished":true,"rollup":{"cap":64,"xs":[1,-2,2.5e3,null,"s\n"],"o":{}}}"#.to_string(),
-        r#"{"schema":4,"run":"r","seq":0,"finished":false,"rollup":[]}"#.to_string(),
+        r#"{"schema":5,"run":"bf10-bitrev","seq":17,"finished":true,"rollup":{"cap":64,"xs":[1,-2,2.5e3,null,"s\n"],"o":{}}}"#.to_string(),
+        r#"{"schema":5,"run":"r","seq":0,"finished":false,"rollup":[]}"#.to_string(),
     ];
     let mut rng = ChaCha8Rng::seed_from_u64(3);
     let mut tally = Tally::default();

@@ -85,9 +85,11 @@ fn check(spec: &str, admission: AdmissionControl) -> Trace {
     let parsed = Trace::parse(&text).unwrap();
 
     let (_, mut recorded, stats) = run(spec, admission, |_| Trace {
-        events: vec![TraceEvent::Meta(meta)],
+        events: vec![TraceEvent::Meta(Box::new(meta))],
     });
-    recorded.events.push(TraceEvent::Stats((&stats).into()));
+    recorded
+        .events
+        .push(TraceEvent::Stats(Box::new((&stats).into())));
 
     let without_snapshots: Vec<&TraceEvent> = parsed
         .events

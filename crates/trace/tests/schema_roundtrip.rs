@@ -21,10 +21,10 @@ use std::collections::BTreeSet;
 #[test]
 fn schema_version_is_pinned() {
     // Changing any event's field set requires bumping the version; this
-    // assertion forces that edit to be deliberate. (4 = trace pipeline:
-    // `snapshot` phase-entry checkpoints added, plus the binary `.hpt`
-    // framing carrying the same event set.)
-    assert_eq!(SCHEMA_VERSION, 4);
+    // assertion forces that edit to be deliberate. (5 = `step` counters
+    // read as `u32`; the wire bytes are version 4's apart from the
+    // version number.)
+    assert_eq!(SCHEMA_VERSION, 5);
 }
 
 /// One canonical line per event variant (and per move kind), exactly as
@@ -33,7 +33,7 @@ fn canonical_lines() -> Vec<(&'static str, &'static str)> {
     vec![
         (
             "meta",
-            r#"{"ev":"meta","schema":4,"topo":"bf:3","workload":"bitrev","algo":"busch","seed":7,"arrival":"","packets":8,"levels":4,"congestion":2,"dilation":3}"#,
+            r#"{"ev":"meta","schema":5,"topo":"bf:3","workload":"bitrev","algo":"busch","seed":7,"arrival":"","packets":8,"levels":4,"congestion":2,"dilation":3}"#,
         ),
         (
             "move",
@@ -204,6 +204,28 @@ fn wrong_schema_version_is_rejected() {
     let line = r#"{"ev":"meta","schema":1,"topo":"bf:3","workload":"bitrev","algo":"busch","seed":7,"arrival":"","packets":8,"levels":4,"congestion":2,"dilation":3}"#;
     let err = parse_line(line).unwrap_err();
     assert!(err.msg.contains("unsupported trace schema"), "{err}");
+}
+
+#[test]
+fn step_counters_past_u32_are_rejected() {
+    // Each `step` counter is bounded by the packet count, so it is read
+    // as `u32` like a packet id; a larger value is a field-level error in
+    // JSONL and an attributed one in `.hpt`.
+    let line = r#"{"ev":"step","t":4,"moved":4294967296,"absorbed":1,"injected":0,"deflections":1,"fallback":0,"oscillations":1,"active":2}"#;
+    let err = parse_line(line).unwrap_err();
+    assert_eq!(err.msg, "field 'moved' overflows u32");
+
+    // magic (4) + version (1) + step tag (1) + t delta (1), then the
+    // `moved` varint at byte 7, rewritten from 3 to 2^32.
+    let step = r#"{"ev":"step","t":4,"moved":3,"absorbed":1,"injected":0,"deflections":1,"fallback":0,"oscillations":1,"active":2}"#;
+    let mut bytes = encode_trace(&Trace {
+        events: vec![parse_line(step).unwrap()],
+    });
+    assert_eq!(bytes[7], 3, "wire layout of the one-step trace");
+    bytes.splice(7..8, [0x80, 0x80, 0x80, 0x80, 0x10]);
+    let err = decode_trace(&bytes).expect_err("a u64 step counter must fail");
+    assert_eq!((err.offset, err.event), (7, 0));
+    assert!(err.msg.contains("overflows u32"), "{err}");
 }
 
 #[test]

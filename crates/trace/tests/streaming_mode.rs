@@ -125,13 +125,13 @@ fn mid_stream_snapshot_matches_full_trace_prefix() {
             }
             for b in sinks {
                 b.steps += 1;
-                b.moved += moved;
-                b.absorbed += absorbed;
-                b.injected += injected;
-                b.deflections += deflections;
-                b.fallback += fallback;
-                b.oscillations += oscillations;
-                b.max_active = b.max_active.max(*active);
+                b.moved += u64::from(*moved);
+                b.absorbed += u64::from(*absorbed);
+                b.injected += u64::from(*injected);
+                b.deflections += u64::from(*deflections);
+                b.fallback += u64::from(*fallback);
+                b.oscillations += u64::from(*oscillations);
+                b.max_active = b.max_active.max(u64::from(*active));
             }
         }
     }

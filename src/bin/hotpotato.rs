@@ -62,6 +62,7 @@ use hotpotato_sim::{
     route_streaming_observed, AdmissionControl, JsonlTraceObserver, MetricsObserver, Router,
     RunRecord, StreamPriority, StreamingConfig,
 };
+use hotpotato_trace::verify::{self, VerifiedInstance};
 use hotpotato_trace::{schema, Model, StreamingAggregator, Trace, TraceEvent};
 use leveled_net::render;
 use routing_core::spec::{expand_sweep, parse_run_spec, parse_topo, RunSpec};
@@ -573,15 +574,25 @@ fn cmd_route(args: &[String]) -> i32 {
     i32::from(failed)
 }
 
+/// A trace file read by [`load_trace`].
+struct Loaded {
+    trace: Trace,
+    /// On-disk size in bytes.
+    bytes: u64,
+    /// The instance the meta line names, when it rebuilds and matches
+    /// every claim of the meta.
+    instance: Option<VerifiedInstance>,
+}
+
 /// Reads a trace file, sniffing the `.hpt` magic: binary traces are
 /// decoded, everything else is strictly parsed as JSONL (across `jobs`
-/// threads when > 1). Returns the trace and its on-disk size in bytes.
+/// threads when > 1). The meta line's instance is rebuilt once, here.
 ///
 /// Every packet id must lie inside the trace's packet universe: the
 /// meta line's `packets`, or without a meta line the number of events.
 /// The analytics size per-packet state by the largest id, so the bound
 /// keeps their memory proportional to the input.
-fn load_trace(path: &str, jobs: usize) -> Result<(Trace, u64), String> {
+fn load_trace(path: &str, jobs: usize) -> Result<Loaded, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let size = bytes.len() as u64;
     let binary = hotpotato_trace::is_binary(&bytes);
@@ -595,19 +606,15 @@ fn load_trace(path: &str, jobs: usize) -> Result<(Trace, u64), String> {
     // A meta's packet claim sizes the analytics, so it must match the
     // instance the meta names; a meta that does not rebuild bounds ids by
     // the event count, as a trace without one does.
-    let rebuilt = trace.meta().and_then(|m| {
-        routing_core::spec::reconstruct_problem(&m.topo, &m.workload, m.seed)
-            .ok()
-            .map(|(_, problem)| (m.packets, problem.num_packets() as u64))
-    });
-    let universe = match rebuilt {
-        Some((claimed, built)) if claimed != built => {
-            return Err(format!(
-                "{path}: meta says {claimed} packets but reconstruction yields {built}"
-            ));
-        }
-        Some((claimed, _)) => claimed,
-        None => trace.events.len() as u64,
+    let (universe, instance) = match trace.meta() {
+        Some(m) => match verify::rebuild(m).map_err(|e| format!("{path}: {}", e.msg))? {
+            Ok(instance) => {
+                let matches = verify::check_shape(m, &instance).is_ok();
+                (m.packets, matches.then_some(instance))
+            }
+            Err(_) => (trace.events.len() as u64, None),
+        },
+        None => (trace.events.len() as u64, None),
     };
     for (i, ev) in trace.events.iter().enumerate() {
         let pkt = match *ev {
@@ -626,7 +633,11 @@ fn load_trace(path: &str, jobs: usize) -> Result<(Trace, u64), String> {
             ));
         }
     }
-    Ok((trace, size))
+    Ok(Loaded {
+        trace,
+        bytes: size,
+        instance,
+    })
 }
 
 fn cmd_serve(args: &[String]) -> i32 {
@@ -805,7 +816,7 @@ fn cmd_trace(args: &[String]) -> i32 {
             let progress = args.iter().any(|a| a == "--progress");
             let json = args.iter().any(|a| a == "--json");
             let started = std::time::Instant::now();
-            let (trace, bytes) = match load_trace(path, jobs) {
+            let Loaded { trace, bytes, .. } = match load_trace(path, jobs) {
                 Ok(t) => t,
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -901,14 +912,18 @@ fn cmd_trace(args: &[String]) -> i32 {
             };
             let started = std::time::Instant::now();
             let jobs = hotpotato_sim::configured_threads();
-            let (trace, bytes) = match load_trace(path, jobs) {
+            let Loaded {
+                trace,
+                bytes,
+                instance,
+            } = match load_trace(path, jobs) {
                 Ok(t) => t,
                 Err(e) => {
                     eprintln!("error: {e}");
                     return 2;
                 }
             };
-            let mut report = hotpotato_trace::analyze(&trace).to_json();
+            let mut report = hotpotato_trace::analyze_with(&trace, instance).to_json();
             let pipeline = hotpotato_trace::PipelineTelemetry {
                 events: trace.events.len() as u64,
                 bytes,
@@ -1008,8 +1023,7 @@ fn cmd_trace(args: &[String]) -> i32 {
                 thresholds.push((metric, limit));
             }
             let jobs = hotpotato_sim::configured_threads();
-            let traces =
-                load_trace(a, jobs).and_then(|(ta, _)| load_trace(b, jobs).map(|(tb, _)| (ta, tb)));
+            let traces = load_trace(a, jobs).and_then(|ta| load_trace(b, jobs).map(|tb| (ta, tb)));
             let (ta, tb) = match traces {
                 Ok(t) => t,
                 Err(e) => {
@@ -1018,8 +1032,8 @@ fn cmd_trace(args: &[String]) -> i32 {
                 }
             };
             let doc = hotpotato_trace::diff(
-                &hotpotato_trace::analyze(&ta),
-                &hotpotato_trace::analyze(&tb),
+                &hotpotato_trace::analyze_with(&ta.trace, ta.instance),
+                &hotpotato_trace::analyze_with(&tb.trace, tb.instance),
             );
             println!("{}", serde_json::to_string_pretty(&doc).expect("serialize"));
             let rows = doc["rows"].as_array().cloned().unwrap_or_default();

@@ -351,10 +351,12 @@ fn malformed_numeric_flags_fail_instead_of_defaulting() {
 fn trace_packet_ids_outside_the_universe_are_rejected() {
     // The analytics size per-packet state by packet id, so an id far past
     // the trace's packet universe used to abort on a 32 GB allocation, and
-    // so did a meta line claiming more packets than its instance has.
+    // so did a meta line claiming more packets than its instance has, and
+    // one naming a workload that states more packets than the meta claims
+    // (a 128 GB reservation while rebuilding the instance).
     // The address-space cap makes such an allocation fail fast rather than
     // exhaust the host.
-    let meta = r#"{"ev":"meta","schema":4,"topo":"bf:3","workload":"bitrev","algo":"busch","seed":7,"arrival":"","packets":8,"levels":4,"congestion":2,"dilation":3}"#;
+    let meta = r#"{"ev":"meta","schema":5,"topo":"bf:3","workload":"bitrev","algo":"busch","seed":7,"arrival":"","packets":8,"levels":4,"congestion":2,"dilation":3}"#;
     let cases = [
         (
             "lone",
@@ -377,6 +379,15 @@ fn trace_packet_ids_outside_the_universe_are_rejected() {
             ),
             2,
             "meta says 4000000000 packets but reconstruction yields 8",
+        ),
+        (
+            "workload",
+            format!(
+                "{}\n{{\"ev\":\"deliver\",\"t\":1,\"pkt\":3}}\n",
+                meta.replace("\"bitrev\"", "\"m2m:4000000000\"")
+            ),
+            2,
+            "meta says 8 packets but workload 'm2m:4000000000' states 4000000000",
         ),
         (
             "inside",
