@@ -29,15 +29,14 @@
 use crate::table::{f, Table};
 use baselines::{GreedyRouter, StoreForwardRouter};
 use busch_router::{BuschRouter, Params};
-use hotpotato_sim::{
-    route_streaming, JsonlTraceObserver, RunRecord, StreamPriority, StreamingConfig,
-};
+use hotpotato_sim::{JsonlTraceObserver, NoopObserver, RunRecord, StreamingConfig};
 use hotpotato_trace::{schema, ShardOptions, Trace};
 use leveled_net::builders::{self, ButterflyCoords};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use routing_core::spec::{parse_run_spec, RunSpec};
 use routing_core::workloads;
+use serve::service::{RunOutcome, RunPlan};
 use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -298,8 +297,9 @@ pub fn measure_large(quick: bool) -> PerfMeasurement {
 /// The steady-state streaming row: a continuous Poisson injection
 /// stream on a bf(10) (quick) / bf(12) random-pairs instance at the
 /// default admission cap, defined through the same
-/// `TOPO/WL/ALGO/SEED/ARRIVAL` run-spec grammar the CLI and the service
-/// consume. The reported packets/s is the sustained rate — arrivals
+/// `TOPO/WL/ALGO/SEED/ARRIVAL` run-spec grammar and run plan the CLI and
+/// the service consume (each timed run draws its arrival schedule, then
+/// routes). The reported packets/s is the sustained rate — arrivals
 /// keep the network loaded for the whole run, so the figure reflects
 /// throughput under continuous load rather than a drain from a full
 /// initial population. Panics if the stream fails to drain before the
@@ -310,21 +310,14 @@ pub fn measure_streaming(quick: bool) -> PerfMeasurement {
     let pairs = if quick { 2048 } else { 8192 };
     let spec = format!("bf:{k}/pairs:{pairs}/greedy/7/poisson:2");
     let run = parse_run_spec(&spec).expect("canonical streaming spec");
-    let (_topo, problem, mut rng) = run.instantiate().expect("spec instantiates");
-    let process = run
-        .arrival_process()
-        .expect("arrival grammar")
-        .expect("spec carries an arrival segment");
-    // Same discipline as the CLI: the schedule is drawn from the
-    // post-workload rng and routing continues from that stream.
-    let schedule = process.schedule(problem.num_packets(), &mut rng);
-    let cfg = StreamingConfig {
-        priority: StreamPriority::for_algo(&run.algo).expect("greedy streams"),
-        ..StreamingConfig::default()
-    };
+    let (_topo, problem, rng) = run.instantiate().expect("spec instantiates");
+    let cfg = StreamingConfig::default();
+    let plan = RunPlan::new(&run, &problem, cfg.admission, cfg.max_steps).expect("greedy streams");
     let (wall_s, repeats, out) = timed_best(quick, || {
-        let mut r = rng.clone();
-        route_streaming(&problem, &schedule, &cfg, &mut r)
+        match plan.route(&problem, &mut rng.clone(), &mut NoopObserver) {
+            RunOutcome::Stream(out) => out,
+            RunOutcome::Batch(_) => unreachable!("the spec has an arrival segment"),
+        }
     });
     assert!(
         out.drained,

@@ -13,7 +13,6 @@
 
 use crate::runner::{self, average, parallel_map, RunSummary};
 use crate::table::{f, Table};
-use busch_router::Params;
 use leveled_net::builders::{self, ButterflyCoords, MeshCorner};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -22,16 +21,12 @@ use std::sync::Arc;
 
 type Algo = (&'static str, fn(&Arc<RoutingProblem>, u64) -> RunSummary);
 
-fn busch_auto(prob: &Arc<RoutingProblem>, seed: u64) -> RunSummary {
-    runner::run_busch(prob, Params::auto(prob), seed)
-}
-
 const ALGOS: &[Algo] = &[
-    ("busch (paper)", busch_auto),
-    ("greedy", runner::run_greedy),
-    ("random-priority", runner::run_random_priority),
-    ("store-fwd FIFO", runner::run_store_forward),
-    ("store-fwd ranked", runner::run_store_forward_ranked),
+    ("busch (paper)", |p, s| runner::run_algo("busch", p, s)),
+    ("greedy", |p, s| runner::run_algo("greedy", p, s)),
+    ("random-priority", |p, s| runner::run_algo("rank", p, s)),
+    ("store-fwd FIFO", |p, s| runner::run_algo("sf", p, s)),
+    ("store-fwd ranked", |p, s| runner::run_algo("sfrank", p, s)),
     ("store-fwd buf=2", runner::run_store_forward_bounded),
 ];
 

@@ -45,8 +45,8 @@ pub fn run(quick: bool) {
         let busch = average(&parallel_map((0..seeds).collect::<Vec<u64>>(), |s| {
             runner::run_busch(&prob, params, 4000 + s)
         }));
-        let greedy = runner::run_greedy(&prob, 4100);
-        let sf = runner::run_store_forward(&prob, 4200);
+        let greedy = runner::run_algo("greedy", &prob, 4100);
+        let sf = runner::run_algo("sf", &prob, 4200);
         let factor = busch.makespan as f64 / lower as f64;
         factors.push(factor);
         t.row(vec![

@@ -47,7 +47,7 @@ pub fn run(quick: bool) {
             runner::run_busch(&prob, params, 5000 + s)
         }));
         let greedy = average(&parallel_map((0..seeds).collect::<Vec<u64>>(), |s| {
-            runner::run_greedy(&prob, 5100 + s)
+            runner::run_algo("greedy", &prob, 5100 + s)
         }));
         let n = prob.num_packets();
         t.row(vec![
@@ -73,7 +73,7 @@ pub fn run(quick: bool) {
             runner::run_busch(&prob, params, 5200 + s)
         }));
         let greedy = average(&parallel_map((0..seeds).collect::<Vec<u64>>(), |s| {
-            runner::run_greedy(&prob, 5300 + s)
+            runner::run_algo("greedy", &prob, 5300 + s)
         }));
         let n = prob.num_packets();
         t.row(vec![

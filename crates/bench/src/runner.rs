@@ -1,12 +1,13 @@
 //! Run helpers: condensed per-run summaries, seed averaging, and
 //! [`parallel_map`], the scoped-thread fan-out behind every sweep.
 
-use baselines::{GreedyRouter, RandomPriorityRouter, StoreForwardRouter};
+use baselines::StoreForwardRouter;
 use busch_router::{BuschOutcome, BuschRouter, Params};
 use hotpotato_sim::{configured_threads, RouteStats, Router};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use routing_core::RoutingProblem;
+use serve::service::build_router;
 use std::sync::Arc;
 
 /// A condensed view of one routing run, sufficient for every table.
@@ -98,28 +99,11 @@ pub fn run_busch(problem: &Arc<RoutingProblem>, params: Params, seed: u64) -> Ru
     run_router(&BuschRouter::new(params), problem, seed)
 }
 
-/// Routes with the greedy hot-potato baseline; one seed.
-pub fn run_greedy(problem: &Arc<RoutingProblem>, seed: u64) -> RunSummary {
-    run_router(&GreedyRouter::new(), problem, seed)
-}
-
-/// Routes with the random-priority greedy baseline; one seed.
-pub fn run_random_priority(problem: &Arc<RoutingProblem>, seed: u64) -> RunSummary {
-    run_router(&RandomPriorityRouter::new(), problem, seed)
-}
-
-/// Routes with buffered FIFO store-and-forward; one seed.
-pub fn run_store_forward(problem: &Arc<RoutingProblem>, seed: u64) -> RunSummary {
-    run_router(&StoreForwardRouter::fifo(), problem, seed)
-}
-
-/// Routes with buffered random-rank store-and-forward (`Θ(C)` delays).
-pub fn run_store_forward_ranked(problem: &Arc<RoutingProblem>, seed: u64) -> RunSummary {
-    run_router(
-        &StoreForwardRouter::random_rank(problem.congestion() as u64),
-        problem,
-        seed,
-    )
+/// Routes with the router `algo` names in [`build_router`], the one
+/// table from algorithm names to routers; one seed.
+pub fn run_algo(algo: &str, problem: &Arc<RoutingProblem>, seed: u64) -> RunSummary {
+    let router = build_router(algo, problem).expect("a known algorithm");
+    run_router(router.as_ref(), problem, seed)
 }
 
 /// Routes with store-and-forward under constant (size-2) buffers — the
@@ -201,6 +185,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use baselines::GreedyRouter;
     use leveled_net::builders;
     use routing_core::workloads;
     use std::sync::Arc;
@@ -286,14 +271,9 @@ mod tests {
         let prob = workloads::random_pairs(&net, 10, &mut rng).unwrap();
         let b = run_busch(&prob, Params::auto(&prob), 1);
         assert!(b.complete());
-        let g = run_greedy(&prob, 1);
-        assert!(g.complete());
-        let r = run_random_priority(&prob, 1);
-        assert!(r.complete());
-        let s = run_store_forward(&prob, 1);
-        assert!(s.complete());
-        let sr = run_store_forward_ranked(&prob, 1);
-        assert!(sr.complete());
+        for algo in ["greedy", "rank", "sf", "sfrank"] {
+            assert!(run_algo(algo, &prob, 1).complete(), "{algo}");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ fn sweep(problem: &Arc<RoutingProblem>, seeds: Vec<u64>, threads: usize) -> Stri
         seeds,
         |seed| {
             let b = runner::run_busch(problem, params, seed);
-            let g = runner::run_greedy(problem, seed);
+            let g = runner::run_algo("greedy", problem, seed);
             format!(
                 "seed={seed} busch(mk={} defl={} moves={} viol={}) greedy(mk={} defl={})",
                 b.makespan,
@@ -64,14 +64,14 @@ fn hotpotato_threads_env_override_is_respected_and_deterministic() {
     std::env::set_var("HOTPOTATO_THREADS", "1");
     assert_eq!(hotpotato_sim::configured_threads(), 1);
     let single: Vec<String> = runner::parallel_map(seeds.clone(), |seed| {
-        let s = runner::run_greedy(&problem, seed);
+        let s = runner::run_algo("greedy", &problem, seed);
         format!("{seed}:{}:{}", s.makespan, s.deflections)
     });
 
     std::env::set_var("HOTPOTATO_THREADS", "3");
     assert_eq!(hotpotato_sim::configured_threads(), 3);
     let triple: Vec<String> = runner::parallel_map(seeds, |seed| {
-        let s = runner::run_greedy(&problem, seed);
+        let s = runner::run_algo("greedy", &problem, seed);
         format!("{seed}:{}:{}", s.makespan, s.deflections)
     });
 

@@ -42,7 +42,15 @@ pub struct ParsedTopo {
     pub mesh: Option<MeshCoords>,
 }
 
-/// Parses a topology spec (see the module docs for the grammar).
+/// The largest topology [`parse_topo`] builds, counted in nodes plus
+/// edges: about 20× the 3,211,264 of bf(16), the largest instance any
+/// benchmark or test builds. A spec over it fails before anything is
+/// allocated.
+pub const MAX_TOPO_SIZE: u64 = 1 << 26;
+
+/// Parses a topology spec (see the module docs for the grammar). Each
+/// kind's size follows from the spec's numbers alone, so a spec larger
+/// than [`MAX_TOPO_SIZE`] fails before anything is built.
 pub fn parse_topo(spec: &str) -> Result<ParsedTopo, String> {
     let parts: Vec<&str> = spec.split(':').collect();
     let kind = parts[0];
@@ -55,6 +63,23 @@ pub fn parse_topo(spec: &str) -> Result<ParsedTopo, String> {
     let num = |s: &str| -> Result<u32, String> {
         s.parse::<u32>().map_err(|_| format!("bad number '{s}'"))
     };
+    // Sizes are u128 and powers of two stop at 2^100, so no sum or
+    // product of the spec's u32 numbers below can overflow.
+    let pow2 = |e: u32| 1u128 << e.min(100);
+    let fits = |size: u128| {
+        if size <= u128::from(MAX_TOPO_SIZE) {
+            Ok(())
+        } else {
+            Err(format!(
+                "topology '{spec}' exceeds {MAX_TOPO_SIZE} nodes plus edges"
+            ))
+        }
+    };
+    let pos = |n: u32| match n {
+        0 => Err(format!("topology '{spec}' needs sizes of at least 1")),
+        n => Ok(n),
+    };
+    let opt = |i: usize, default: u32| parts.get(i).map_or(Ok(default), |s| num(s));
     let plain = |net: LeveledNetwork| ParsedTopo {
         net: Arc::new(net),
         butterfly: None,
@@ -66,6 +91,7 @@ pub fn parse_topo(spec: &str) -> Result<ParsedTopo, String> {
             if !(1..28).contains(&k) {
                 return Err(format!("butterfly dimension {k} out of range (1..=27)"));
             }
+            fits(u128::from(3 * k + 1) * pow2(k))?;
             Ok(ParsedTopo {
                 net: Arc::new(builders::butterfly(k)),
                 butterfly: Some(ButterflyCoords { k }),
@@ -77,7 +103,7 @@ pub fn parse_topo(spec: &str) -> Result<ParsedTopo, String> {
             if dims.len() != 2 {
                 return Err("mesh needs RxC, e.g. mesh:8x8".into());
             }
-            let (r, c) = (num(dims[0])? as usize, num(dims[1])? as usize);
+            let (r, c) = (pos(num(dims[0])?)?, pos(num(dims[1])?)?);
             let corner = match parts.get(2).copied().unwrap_or("tl") {
                 "tl" => MeshCorner::TopLeft,
                 "tr" => MeshCorner::TopRight,
@@ -85,30 +111,54 @@ pub fn parse_topo(spec: &str) -> Result<ParsedTopo, String> {
                 "br" => MeshCorner::BottomRight,
                 other => return Err(format!("unknown mesh corner '{other}'")),
             };
-            let (net, coords) = builders::mesh(r, c, corner);
+            fits(3 * u128::from(r) * u128::from(c))?;
+            let (net, coords) = builders::mesh(r as usize, c as usize, corner);
             Ok(ParsedTopo {
                 net: Arc::new(net),
                 butterfly: None,
                 mesh: Some(coords),
             })
         }
-        "linear" => Ok(plain(builders::linear_array(num(arg(1)?)? as usize))),
+        "linear" => {
+            let n = pos(num(arg(1)?)?)?;
+            fits(2 * u128::from(n))?;
+            Ok(plain(builders::linear_array(n as usize)))
+        }
         "complete" => {
             let dims: Vec<&str> = arg(1)?.split('x').collect();
             if dims.len() != 2 {
                 return Err("complete needs LxW, e.g. complete:10x4".into());
             }
-            Ok(plain(builders::complete_leveled(
-                num(dims[0])?,
-                num(dims[1])? as usize,
-            )))
+            let depth = num(dims[0])?;
+            let width = pos(num(dims[1])?)?;
+            let (l, w) = (u128::from(depth), u128::from(width));
+            fits((l + 1) * w + l * w * w)?;
+            Ok(plain(builders::complete_leveled(depth, width as usize)))
         }
-        "hypercube" => Ok(plain(builders::hypercube(num(arg(1)?)?).0)),
-        "tree" => Ok(plain(builders::binary_tree(num(arg(1)?)?))),
+        "hypercube" => {
+            let d = num(arg(1)?)?;
+            if !(1..26).contains(&d) {
+                return Err(format!("hypercube dimension {d} out of range (1..=25)"));
+            }
+            fits(pow2(d) + u128::from(d) * pow2(d - 1))?;
+            Ok(plain(builders::hypercube(d).0))
+        }
+        "tree" => {
+            let h = num(arg(1)?)?;
+            fits(2 * pow2(h.saturating_add(1)))?;
+            Ok(plain(builders::binary_tree(h)))
+        }
         "fattree" => {
             let h = num(arg(1)?)?;
-            let cap = parts.get(2).map(|s| num(s)).transpose()?.unwrap_or(4) as usize;
-            Ok(plain(builders::fat_tree(h, cap)))
+            let cap = pos(opt(2, 4)?)?;
+            let nodes = pow2(h.saturating_add(1));
+            fits(nodes)?;
+            // The links into depth d + 1 carry min(2^(h-1-d), cap) copies.
+            let edges: u128 = (0..h)
+                .map(|d| pow2(d + 1) * pow2(h - 1 - d).min(cap.into()))
+                .sum();
+            fits(nodes + edges)?;
+            Ok(plain(builders::fat_tree(h, cap as usize)))
         }
         "shuffle" => {
             let k = num(arg(1)?)?;
@@ -117,6 +167,7 @@ pub fn parse_topo(spec: &str) -> Result<ParsedTopo, String> {
                     "shuffle-exchange dimension {k} out of range (1..=27)"
                 ));
             }
+            fits(u128::from(3 * k + 1) * pow2(k))?;
             Ok(plain(builders::shuffle_exchange_unrolled(k)))
         }
         "benes" => {
@@ -124,11 +175,12 @@ pub fn parse_topo(spec: &str) -> Result<ParsedTopo, String> {
             if !(1..27).contains(&k) {
                 return Err(format!("Beneš dimension {k} out of range (1..=26)"));
             }
+            fits(u128::from(6 * k + 1) * pow2(k))?;
             Ok(plain(builders::benes(k).0))
         }
         "random" => {
             let l = num(arg(1)?)?;
-            let wmax = parts.get(2).map(|s| num(s)).transpose()?.unwrap_or(4) as usize;
+            let wmax = pos(opt(2, 4)?)?;
             let prob = parts
                 .get(3)
                 .map(|s| {
@@ -137,9 +189,21 @@ pub fn parse_topo(spec: &str) -> Result<ParsedTopo, String> {
                 })
                 .transpose()?
                 .unwrap_or(0.3);
-            let seed = parts.get(4).map(|s| num(s)).transpose()?.unwrap_or(1) as u64;
+            if !(0.0..=1.0).contains(&prob) {
+                return Err(format!("probability {prob} out of range (0..=1)"));
+            }
+            let seed = u64::from(opt(4, 1)?);
+            // An upper bound: each level pair gets at most a complete
+            // bipartite graph plus one spine edge per node.
+            let (depth, w) = (u128::from(l), u128::from(wmax));
+            fits((depth + 1) * w + depth * (w * w + 2 * w))?;
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            Ok(plain(builders::random_leveled(l, 1..=wmax, prob, &mut rng)))
+            Ok(plain(builders::random_leveled(
+                l,
+                1..=wmax as usize,
+                prob,
+                &mut rng,
+            )))
         }
         other => Err(format!("unknown topology '{other}'")),
     }
@@ -297,6 +361,19 @@ impl RunSpec {
 /// parse time with the valid set in the message, not deep in a driver.
 pub const KNOWN_ALGOS: &[&str] = &["busch", "greedy", "ftg", "rank", "sf", "sfrank", "aging"];
 
+/// Fails on an algorithm name outside [`KNOWN_ALGOS`], listing the
+/// known ones: the check every way of naming a run makes.
+pub fn check_algo(algo: &str) -> Result<(), String> {
+    if KNOWN_ALGOS.contains(&algo) {
+        Ok(())
+    } else {
+        Err(format!(
+            "unknown algorithm '{algo}' (known: {})",
+            KNOWN_ALGOS.join("|")
+        ))
+    }
+}
+
 /// Parses a [`RunSpec`] from `TOPO/WL[/ALGO[/SEED[/ARRIVAL]]]`. The
 /// algorithm defaults to `busch`, the seed to 1, and the arrival process
 /// to none (batch mode). The algorithm, seed and arrival segments are
@@ -320,12 +397,7 @@ pub fn parse_run_spec(spec: &str) -> Result<RunSpec, String> {
         }
     }
     if let Some(algo) = parts.get(2) {
-        if !KNOWN_ALGOS.contains(algo) {
-            return Err(format!(
-                "unknown algorithm '{algo}' (known: {})",
-                KNOWN_ALGOS.join("|")
-            ));
-        }
+        check_algo(algo)?;
     }
     let seed = match parts.get(3) {
         Some(s) => s
@@ -541,6 +613,18 @@ mod tests {
         assert!(parse_topo("mesh:8").is_err());
         assert!(parse_topo("mesh:8x8:xx").is_err());
         assert!(parse_topo("nosuch:1").is_err());
+        // Degenerate sizes the builders assert on fail as spec errors.
+        for bad in [
+            "linear:0",
+            "mesh:0x4",
+            "complete:3x0",
+            "hypercube:0",
+            "fattree:3:0",
+            "random:3:0",
+            "random:3:4:1.5",
+        ] {
+            assert!(parse_topo(bad).is_err(), "{bad}");
+        }
         let t = parse_topo("linear:4").unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         assert!(parse_workload("bitrev", &t, &mut rng).is_err());

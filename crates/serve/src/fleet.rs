@@ -27,10 +27,10 @@
 use crate::http::{Request, Response, EXPOSITION_CONTENT_TYPE};
 use crate::live::DEFL_BUCKET_BOUNDS;
 use crate::prom::{Kind, PromWriter};
-use crate::service::build_router;
+use crate::service::RunPlan;
 use hotpotato_sim::{
-    configured_threads, route_streaming_observed, snapshot_exchange, RouteStats, Router,
-    SnapshotPublisher, SnapshotReader, StreamPriority, StreamingConfig,
+    configured_threads, snapshot_exchange, AdmissionControl, RouteStats, Router, SnapshotPublisher,
+    SnapshotReader, StreamingConfig,
 };
 use hotpotato_trace::fleet::{FleetAggregator, FleetSample, RATIO_BUCKET_BOUNDS};
 use hotpotato_trace::{verify_trace, Analyzer, Meta, Trace, TraceEvent};
@@ -118,32 +118,26 @@ impl FleetSnapshot {
 }
 
 /// Executes one sweep run fully in memory and distills it into a
-/// [`FleetSample`]: the run's events are recorded straight into a
-/// [`Trace`] between its meta and stats envelope events, then analyzed
-/// and (when `verify`) replay-verified. Fleet analytics are therefore
-/// genuinely trace-derived: the recorder yields the events
-/// `hotpotato trace verify` would parse from a `--trace-out` file of
-/// the same run, minus its `snapshot` checkpoints. The bench harness
-/// reuses this to build `t1`/`t8` from fleet artifacts.
+/// [`FleetSample`]: the spec's [`RunPlan`], the dispatch `hotpotato
+/// route` and the service also run, records the run's events straight
+/// into a [`Trace`] between its meta and stats envelope events; the
+/// trace is then analyzed and (when `verify`) replay-verified. Fleet
+/// analytics are therefore genuinely trace-derived: the recorder yields
+/// the events `hotpotato trace verify` would parse from a `--trace-out`
+/// file of the same run, minus its `snapshot` checkpoints. The bench
+/// harness reuses this to build `t1`/`t8` from fleet artifacts.
 pub fn run_fleet_spec(spec: &RunSpec, verify: bool) -> Result<FleetSample, String> {
     let (_, problem, mut rng) = spec.instantiate()?;
+    let plan = RunPlan::new(
+        spec,
+        &problem,
+        AdmissionControl::default(),
+        StreamingConfig::default().max_steps,
+    )?;
     let mut trace = Trace {
         events: vec![TraceEvent::Meta(Box::new(Meta::new(spec, &problem)))],
     };
-    let stats = match spec.arrival_process()? {
-        Some(process) => {
-            let schedule = process.schedule(problem.num_packets(), &mut rng);
-            let cfg = StreamingConfig {
-                priority: StreamPriority::for_algo(&spec.algo)?,
-                ..StreamingConfig::default()
-            };
-            route_streaming_observed(&problem, &schedule, &cfg, &mut rng, &mut trace).stats
-        }
-        None => {
-            let router = build_router(&spec.algo, &problem)?;
-            router.route(&problem, &mut rng, &mut trace).stats
-        }
-    };
+    let stats = plan.route(&problem, &mut rng, &mut trace).into_stats();
     seal_envelope(trace, &stats, verify)
 }
 

@@ -1,10 +1,10 @@
 //! The monitoring service: hosts simulation runs and renders endpoints.
 //!
-//! [`Service::launch`] validates every [`RunConfig`] up front (topology,
-//! workload, and algorithm all parse before any thread starts), then
-//! spawns one simulation thread per run. Each thread drives its router
-//! with a [`LiveObserver`] and finishes with a blocking flush, so after
-//! [`Service::wait`] the served state is the exact final [`RouteStats`](hotpotato_sim::RouteStats).
+//! [`Service::launch`] validates every [`RunConfig`] up front: it builds
+//! each run's instance and [`RunPlan`] before any thread starts, then
+//! moves each plan into its own simulation thread. Each thread routes
+//! into a [`LiveObserver`] and finishes with a blocking flush, so after
+//! [`Service::wait`] the served state is the exact final [`RouteStats`].
 //!
 //! Endpoint rendering is pure: `handle` only reads snapshots through the
 //! exchange, so it can be called from any number of HTTP threads.
@@ -15,13 +15,13 @@ use crate::prom::{Kind, PromWriter};
 use baselines::{GreedyConfig, GreedyRouter, RandomPriorityRouter, StoreForwardRouter};
 use busch_router::{BuschRouter, Params};
 use hotpotato_sim::{
-    nearest_rank, route_streaming_observed, AdmissionControl, Router, SnapshotReader,
-    StreamPriority, StreamingConfig,
+    nearest_rank, route_streaming_observed, AdmissionControl, RouteObserver, RouteStats, Router,
+    SnapshotReader, StreamPriority, StreamingConfig, StreamingOutcome,
 };
 use hotpotato_trace::{report_json, rollup_doc, Rollup};
 use rand_chacha::ChaCha8Rng;
 use routing_core::spec::RunSpec;
-use routing_core::RoutingProblem;
+use routing_core::{ArrivalProcess, RoutingProblem};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -59,7 +59,10 @@ impl RunConfig {
 /// Builds the batch router `algo` names, with default configurations:
 /// the one table from algorithm names to batch routers (the CLI builds
 /// only Busch with explicit `--params` itself).
-pub fn build_router(algo: &str, problem: &RoutingProblem) -> Result<Box<dyn Router>, String> {
+pub fn build_router(
+    algo: &str,
+    problem: &RoutingProblem,
+) -> Result<Box<dyn Router + Send>, String> {
     Ok(match algo {
         "busch" => Box::new(BuschRouter::new(Params::auto(problem))),
         "greedy" | "ftg" | "aging" => Box::new(GreedyRouter::with_config(GreedyConfig {
@@ -71,6 +74,90 @@ pub fn build_router(algo: &str, problem: &RoutingProblem) -> Result<Box<dyn Rout
         "sfrank" => Box::new(StoreForwardRouter::random_rank(problem.congestion() as u64)),
         other => return Err(format!("unknown algorithm '{other}'")),
     })
+}
+
+/// How one [`RunSpec`] runs: the single stream-or-batch dispatch that
+/// `hotpotato route`, [`Service`] and the fleet share.
+///
+/// A batch run is the paper's setting: every packet exists at step 0
+/// and one router routes them all. A streaming run (a spec with an
+/// arrival segment) injects packets as its arrival process surfaces
+/// them, under admission control.
+pub enum RunPlan {
+    /// Batch mode: the router [`build_router`] names.
+    Batch(Box<dyn Router + Send>),
+    /// Streaming mode: the open-ended injection loop.
+    Stream {
+        /// When each packet arrives.
+        process: ArrivalProcess,
+        /// Admission bounds, the algorithm's priority rule, step cap.
+        cfg: StreamingConfig,
+    },
+}
+
+/// What [`RunPlan::route`] returns, by mode.
+pub enum RunOutcome {
+    /// A batch run's statistics.
+    Batch(RouteStats),
+    /// A streaming run's statistics plus its admission accounting.
+    Stream(StreamingOutcome),
+}
+
+impl RunOutcome {
+    /// The run statistics, whatever the mode.
+    pub fn into_stats(self) -> RouteStats {
+        match self {
+            RunOutcome::Batch(stats) => stats,
+            RunOutcome::Stream(out) => out.stats,
+        }
+    }
+}
+
+impl RunPlan {
+    /// Resolves `spec` against its instance `problem`: a streaming plan
+    /// under `admission` and `max_steps` when the spec names an arrival
+    /// process, the spec's batch router otherwise. Fails on an algorithm
+    /// with no router or, for a streaming spec, no priority rule.
+    pub fn new(
+        spec: &RunSpec,
+        problem: &RoutingProblem,
+        admission: AdmissionControl,
+        max_steps: u64,
+    ) -> Result<RunPlan, String> {
+        Ok(match spec.arrival_process()? {
+            Some(process) => RunPlan::Stream {
+                process,
+                cfg: StreamingConfig {
+                    admission,
+                    priority: StreamPriority::for_algo(&spec.algo)?,
+                    max_steps,
+                },
+            },
+            None => RunPlan::Batch(build_router(&spec.algo, problem)?),
+        })
+    }
+
+    /// Routes `problem` into `observer`. `rng` must be the stream
+    /// [`RunSpec::instantiate`] returned, in its post-workload state: a
+    /// streaming run draws its arrival schedule from it first, and
+    /// routing continues from the same stream, so a run is reproducible
+    /// from its spec alone.
+    pub fn route<O: RouteObserver>(
+        &self,
+        problem: &Arc<RoutingProblem>,
+        rng: &mut ChaCha8Rng,
+        observer: &mut O,
+    ) -> RunOutcome {
+        match self {
+            RunPlan::Batch(router) => RunOutcome::Batch(router.route(problem, rng, observer).stats),
+            RunPlan::Stream { process, cfg } => {
+                let schedule = process.schedule(problem.num_packets(), rng);
+                RunOutcome::Stream(route_streaming_observed(
+                    problem, &schedule, cfg, rng, observer,
+                ))
+            }
+        }
+    }
 }
 
 /// A hosted run: its identity plus the reader half of its exchange.
@@ -98,70 +185,37 @@ impl Service {
         }
         // Parse everything first: a service with half its runs dead on
         // arrival helps nobody.
-        let mut prepared: Vec<(String, RunConfig, Arc<RoutingProblem>, ChaCha8Rng)> =
+        let mut prepared: Vec<(String, RunConfig, Arc<RoutingProblem>, ChaCha8Rng, RunPlan)> =
             Vec::with_capacity(configs.len());
         for config in configs {
             let spec = &config.spec;
-            // The single instantiation path shared with the CLI: one rng
-            // seeds the workload and then keeps driving the run, so a
-            // served run is trajectory-identical to `hotpotato route`
-            // with the same spec.
+            // The single instantiation path and run plan shared with the
+            // CLI: one rng seeds the workload and then keeps driving the
+            // run, so a served run is trajectory-identical to
+            // `hotpotato route` with the same spec.
             let (_topo, problem, rng) = spec.instantiate()?;
-            // Validate the algorithm/arrival combination now; the thread
-            // rebuilds the router (it is cheap and `Box<dyn Router>` is
-            // not `Send`).
-            match spec.arrival_process()? {
-                Some(_) => {
-                    StreamPriority::for_algo(&spec.algo)?;
-                }
-                None => {
-                    build_router(&spec.algo, &problem)?;
-                }
-            }
+            let plan = RunPlan::new(
+                spec,
+                &problem,
+                config.admission,
+                StreamingConfig::default().max_steps,
+            )?;
             let name = spec.name();
             if prepared.iter().any(|(n, ..)| *n == name) {
                 return Err(format!("duplicate run '{name}'"));
             }
-            prepared.push((name, config, problem, rng));
+            prepared.push((name, config, problem, rng, plan));
         }
         prepared.sort_by(|a, b| a.0.cmp(&b.0));
 
         let mut runs = Vec::with_capacity(prepared.len());
-        for (name, config, problem, mut rng) in prepared {
+        for (name, config, problem, mut rng, plan) in prepared {
             let (observer, reader) =
                 LiveObserver::new(&problem, config.publish_every, config.rollup_cap);
             let mut observer = observer.with_throttle_us(config.throttle_us);
-            let spec = config.spec.clone();
-            let admission = config.admission;
             let join = std::thread::spawn(move || {
-                match spec.arrival_process().expect("arrival validated at launch") {
-                    Some(process) => {
-                        // Streaming: draw the arrival schedule from the
-                        // post-workload rng, then drive the open-ended
-                        // injection loop from the same stream.
-                        let schedule = process.schedule(problem.num_packets(), &mut rng);
-                        let cfg = StreamingConfig {
-                            admission,
-                            priority: StreamPriority::for_algo(&spec.algo)
-                                .expect("algo validated at launch"),
-                            ..StreamingConfig::default()
-                        };
-                        let outcome = route_streaming_observed(
-                            &problem,
-                            &schedule,
-                            &cfg,
-                            &mut rng,
-                            &mut observer,
-                        );
-                        observer.finish(&outcome.stats);
-                    }
-                    None => {
-                        let router =
-                            build_router(&spec.algo, &problem).expect("algo validated at launch");
-                        let outcome = router.route(&problem, &mut rng, &mut observer);
-                        observer.finish(&outcome.stats);
-                    }
-                }
+                let stats = plan.route(&problem, &mut rng, &mut observer).into_stats();
+                observer.finish(&stats);
             });
             runs.push(RunHandle {
                 name,

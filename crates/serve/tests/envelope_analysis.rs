@@ -6,11 +6,11 @@
 //! verification is off on both sides (`tests/fleet_envelope.rs` covers
 //! it), which keeps the 1000-packet streaming row quick in debug builds.
 
-use hotpotato_sim::{route_streaming_observed, StreamPriority, StreamingConfig};
+use hotpotato_sim::{AdmissionControl, StreamingConfig};
 use hotpotato_trace::{analyze, FleetSample, Meta, Trace, TraceEvent};
 use routing_core::spec::{parse_run_spec, RunSpec};
 use serve::run_fleet_spec;
-use serve::service::build_router;
+use serve::service::RunPlan;
 
 /// Records `spec` into a `Trace` between its meta and stats envelope
 /// events, as the fleet does, and returns it with the router's own
@@ -20,20 +20,14 @@ fn record(spec: &RunSpec) -> (Trace, u64) {
     let mut trace = Trace {
         events: vec![TraceEvent::Meta(Box::new(Meta::new(spec, &problem)))],
     };
-    let stats = match spec.arrival_process().unwrap() {
-        Some(process) => {
-            let schedule = process.schedule(problem.num_packets(), &mut rng);
-            let cfg = StreamingConfig {
-                priority: StreamPriority::for_algo(&spec.algo).unwrap(),
-                ..StreamingConfig::default()
-            };
-            route_streaming_observed(&problem, &schedule, &cfg, &mut rng, &mut trace).stats
-        }
-        None => {
-            let router = build_router(&spec.algo, &problem).unwrap();
-            router.route(&problem, &mut rng, &mut trace).stats
-        }
-    };
+    let plan = RunPlan::new(
+        spec,
+        &problem,
+        AdmissionControl::default(),
+        StreamingConfig::default().max_steps,
+    )
+    .unwrap();
+    let stats = plan.route(&problem, &mut rng, &mut trace).into_stats();
     trace
         .events
         .push(TraceEvent::Stats(Box::new((&stats).into())));

@@ -9,16 +9,13 @@
 //! quick).
 
 use busch_router::{BuschRouter, Params};
-use hotpotato_sim::{
-    route_streaming_observed, JsonlTraceObserver, RouteStats, Router, StreamPriority,
-    StreamingConfig,
-};
+use hotpotato_sim::{AdmissionControl, JsonlTraceObserver, RouteStats, Router, StreamingConfig};
 use hotpotato_trace::{analyze, schema, verify_trace, FleetSample, Trace, TraceEvent};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use routing_core::spec::{parse_run_spec, RunSpec};
 use routing_core::RoutingProblem;
-use serve::service::build_router;
+use serve::service::RunPlan;
 use serve::{run_fleet_router, run_fleet_spec};
 use std::io::Write as _;
 
@@ -62,22 +59,16 @@ fn seal_jsonl(text: &str, stats: &RouteStats, verify: bool) -> FleetSample {
 /// `run_fleet_spec` as it was: the JSONL render-and-reparse envelope.
 fn jsonl_fleet_spec(spec: &RunSpec, verify: bool) -> FleetSample {
     let (_, problem, mut rng) = spec.instantiate().unwrap();
+    let plan = RunPlan::new(
+        spec,
+        &problem,
+        AdmissionControl::default(),
+        StreamingConfig::default().max_steps,
+    )
+    .unwrap();
     let meta = schema::Meta::new(spec, &problem);
     let (text, stats) = record_jsonl(&meta, &problem, |obs| {
-        match spec.arrival_process().unwrap() {
-            Some(process) => {
-                let schedule = process.schedule(problem.num_packets(), &mut rng);
-                let cfg = StreamingConfig {
-                    priority: StreamPriority::for_algo(&spec.algo).unwrap(),
-                    ..StreamingConfig::default()
-                };
-                route_streaming_observed(&problem, &schedule, &cfg, &mut rng, obs).stats
-            }
-            None => {
-                let router = build_router(&spec.algo, &problem).unwrap();
-                router.route(&problem, &mut rng, obs).stats
-            }
-        }
+        plan.route(&problem, &mut rng, obs).into_stats()
     });
     seal_jsonl(&text, &stats, verify)
 }

@@ -65,8 +65,8 @@ pub use schema::{
     TraceEvent, SCHEMA_VERSION,
 };
 pub use shard::{
-    parse_jsonl_parallel, peak_rss_bytes, verify_trace_sharded, PipelineTelemetry, ShardOptions,
-    ShardRun,
+    parse_jsonl_parallel, peak_rss_bytes, verify_trace_sharded, verify_trace_sharded_with,
+    PipelineTelemetry, ShardOptions, ShardRun,
 };
 pub use stream::{report_json, Bucket, StreamingAggregator};
 pub use timeline::{attribute_chains, build_timelines, ChainReport, PacketTimeline};

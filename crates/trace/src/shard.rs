@@ -26,7 +26,7 @@
 //!
 //! [`verify`]: crate::verify
 
-use crate::schema::{Trace, TraceEvent};
+use crate::schema::{Meta, Trace, TraceEvent};
 use crate::timeline::{build_timelines, PacketTimeline};
 use crate::verify::{
     check_timelines_against_stats, cross_check_replay, reconstruct, Model, StreamState,
@@ -189,26 +189,45 @@ fn run_segment(
     Ok(Box::new(s))
 }
 
-/// Verifies a trace by fanning snapshot-delimited segments (plus the
-/// timeline and replay-auditor cross-checks) out over scoped worker
-/// threads. Equivalent to [`crate::verify_trace`] — same report on
-/// success, same first divergence on failure — but bounded by the
-/// slowest job instead of the sum.
-pub fn verify_trace_sharded(trace: &Trace, opts: &ShardOptions) -> Result<ShardRun, VerifyError> {
+/// The meta line of a trace that has both envelope events, or the
+/// error naming the one it lacks.
+fn envelope(trace: &Trace) -> Result<&Meta, VerifyError> {
     let Some(meta) = trace.meta() else {
         return Err(VerifyError {
             line: 1,
             msg: "trace has no meta line (re-record with --trace-out)".into(),
         });
     };
-    let last = trace.events.len();
     if trace.stats().is_none() {
         return Err(VerifyError {
-            line: last,
+            line: trace.events.len(),
             msg: "trace has no final stats line (truncated?)".into(),
         });
     }
-    let instance = reconstruct(meta)?;
+    Ok(meta)
+}
+
+/// Verifies a trace by fanning snapshot-delimited segments (plus the
+/// timeline and replay-auditor cross-checks) out over scoped worker
+/// threads. Equivalent to [`crate::verify_trace`] — same report on
+/// success, same first divergence on failure — but bounded by the
+/// slowest job instead of the sum.
+pub fn verify_trace_sharded(trace: &Trace, opts: &ShardOptions) -> Result<ShardRun, VerifyError> {
+    let instance = reconstruct(envelope(trace)?)?;
+    verify_trace_sharded_with(trace, &instance, opts)
+}
+
+/// [`verify_trace_sharded`] against the instance the caller has already
+/// rebuilt from the trace's meta line with [`reconstruct`] (or with
+/// [`rebuild`](crate::verify::rebuild) and
+/// [`check_shape`](crate::verify::check_shape), its two halves).
+pub fn verify_trace_sharded_with(
+    trace: &Trace,
+    instance: &VerifiedInstance,
+    opts: &ShardOptions,
+) -> Result<ShardRun, VerifyError> {
+    let meta = envelope(trace)?;
+    let last = trace.events.len();
     let model = Model::for_algo(&meta.algo);
     let streaming = !meta.arrival.is_empty();
 
@@ -231,7 +250,7 @@ pub fn verify_trace_sharded(trace: &Trace, opts: &ShardOptions) -> Result<ShardR
     let run_band = |band: usize| -> Result<JobOut, VerifyError> {
         if let Some(seg) = segs.get(band) {
             let tick = |d: u64| progress.tick(d);
-            let out = run_segment(trace, &instance, model, streaming, seg, last, &tick)
+            let out = run_segment(trace, instance, model, streaming, seg, last, &tick)
                 .map(JobOut::Segment);
             progress.shard_done();
             out

@@ -6,15 +6,12 @@
 //! every algorithm, on streams with drops and adversarial arrivals, and
 //! on hand-written traces.
 
-use baselines::{GreedyConfig, GreedyRouter, RandomPriorityRouter, StoreForwardRouter};
-use busch_router::{BuschRouter, Params};
-use hotpotato_sim::{
-    route_streaming_observed, AdmissionControl, Router, StreamPriority, StreamingConfig,
-};
+use hotpotato_sim::{AdmissionControl, StreamingConfig};
 use hotpotato_trace::{
     analyze, attribute_chains, build_timelines, diff, schema, Analysis, Trace, TraceEvent,
 };
 use routing_core::spec::{parse_run_spec, KNOWN_ALGOS};
+use serve::service::RunPlan;
 
 /// The analyzer as it was: a packet-universe pass, a phase-bounds pass
 /// and a main pass, then `build_timelines` and `attribute_chains` walking
@@ -362,22 +359,6 @@ mod reference {
     }
 }
 
-/// The batch router `algo` names, configured as the fleet and the CLI
-/// configure it.
-fn router(algo: &str, problem: &routing_core::RoutingProblem) -> Box<dyn Router> {
-    match algo {
-        "busch" => Box::new(BuschRouter::new(Params::auto(problem))),
-        "greedy" | "ftg" | "aging" => Box::new(GreedyRouter::with_config(GreedyConfig {
-            priority: StreamPriority::for_algo(algo).unwrap(),
-            ..Default::default()
-        })),
-        "rank" => Box::new(RandomPriorityRouter::new()),
-        "sf" => Box::new(StoreForwardRouter::fifo()),
-        "sfrank" => Box::new(StoreForwardRouter::random_rank(problem.congestion() as u64)),
-        other => panic!("no router for '{other}'"),
-    }
-}
-
 /// Records `spec` from its seed into a `Trace` between the meta and
 /// stats envelope events, as the fleet does. Streaming specs run under
 /// `admission`.
@@ -389,22 +370,14 @@ fn record(spec: &str, admission: AdmissionControl) -> Trace {
             &spec, &problem,
         )))],
     };
-    let stats = match spec.arrival_process().unwrap() {
-        Some(process) => {
-            let schedule = process.schedule(problem.num_packets(), &mut rng);
-            let cfg = StreamingConfig {
-                admission,
-                priority: StreamPriority::for_algo(&spec.algo).unwrap(),
-                ..StreamingConfig::default()
-            };
-            route_streaming_observed(&problem, &schedule, &cfg, &mut rng, &mut trace).stats
-        }
-        None => {
-            router(&spec.algo, &problem)
-                .route(&problem, &mut rng, &mut trace)
-                .stats
-        }
-    };
+    let plan = RunPlan::new(
+        &spec,
+        &problem,
+        admission,
+        StreamingConfig::default().max_steps,
+    )
+    .unwrap();
+    let stats = plan.route(&problem, &mut rng, &mut trace).into_stats();
     trace
         .events
         .push(TraceEvent::Stats(Box::new((&stats).into())));

@@ -6,15 +6,15 @@
 // or the other.
 #![allow(dead_code)]
 
-use busch_router::{BuschConfig, BuschRouter, Params};
-use hotpotato_sim::{JsonlTraceObserver, RouteObserver, RouteStats, Router};
+use hotpotato_sim::{
+    AdmissionControl, JsonlTraceObserver, RouteObserver, RouteStats, StreamingConfig,
+};
 use hotpotato_trace::schema;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use routing_core::spec;
+use routing_core::spec::RunSpec;
+use serve::service::RunPlan;
 
 /// Routes `topo_spec`/`workload_spec` under `seed` with the default
-/// Busch configuration, streaming events into a `JsonlTraceObserver`
+/// Busch configuration (the run plan `hotpotato route` uses), streaming events into a `JsonlTraceObserver`
 /// composed with `extra`, and returns the complete trace text (meta
 /// line, event lines, stats line), the run statistics, and `extra`.
 ///
@@ -56,38 +56,31 @@ fn record_busch_inner<O: RouteObserver>(
     extra: O,
     snapshots: bool,
 ) -> (String, RouteStats, O) {
-    let topo = spec::parse_topo(topo_spec).expect("topology spec");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let problem = spec::parse_workload(workload_spec, &topo, &mut rng).expect("workload spec");
+    let spec = RunSpec::batch(topo_spec, workload_spec, "busch", seed);
+    let (_, problem, mut rng) = spec.instantiate().expect("run spec");
+    let meta = schema::Meta::new(&spec, &problem);
+    let plan = RunPlan::new(
+        &spec,
+        &problem,
+        AdmissionControl::default(),
+        StreamingConfig::default().max_steps,
+    )
+    .expect("busch routes every instance");
 
-    let meta = schema::Meta {
-        schema: schema::SCHEMA_VERSION,
-        topo: topo_spec.to_string(),
-        workload: workload_spec.to_string(),
-        algo: "busch".to_string(),
-        seed,
-        arrival: String::new(),
-        packets: problem.num_packets() as u64,
-        levels: topo.net.num_levels() as u64,
-        congestion: u64::from(problem.congestion()),
-        dilation: u64::from(problem.dilation()),
-    };
-
-    let router = BuschRouter::with_config(BuschConfig::new(Params::auto(&problem)));
     let jsonl = if snapshots {
         JsonlTraceObserver::with_snapshots(Vec::new(), &problem)
     } else {
         JsonlTraceObserver::new(Vec::new())
     };
     let mut observer = (extra, jsonl);
-    let out = Router::route(&router, &problem, &mut rng, &mut observer);
+    let stats = plan.route(&problem, &mut rng, &mut observer).into_stats();
     let (extra, trace) = observer;
     let body = trace.finish().expect("in-memory sink cannot fail");
 
     let mut text = schema::meta_line(&meta);
     text.push('\n');
     text.push_str(std::str::from_utf8(&body).expect("observer emits UTF-8"));
-    text.push_str(&schema::stats_line(&out.stats));
+    text.push_str(&schema::stats_line(&stats));
     text.push('\n');
-    (text, out.stats, extra)
+    (text, stats, extra)
 }

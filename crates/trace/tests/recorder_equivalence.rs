@@ -6,30 +6,12 @@
 //! carries snapshots, so the snapshot-consistency law stays audited on
 //! batch greedy, ftg, sfrank and streaming traces.
 
-use baselines::{GreedyConfig, GreedyRouter, RandomPriorityRouter, StoreForwardRouter};
-use busch_router::{BuschRouter, Params};
 use hotpotato_sim::{
-    route_streaming_observed, AdmissionControl, JsonlTraceObserver, RouteObserver, RouteStats,
-    Router, StreamPriority, StreamingConfig,
+    AdmissionControl, JsonlTraceObserver, RouteObserver, RouteStats, StreamingConfig,
 };
 use hotpotato_trace::{schema, verify_trace, Trace, TraceEvent, VerifyReport};
 use routing_core::spec::{parse_run_spec, KNOWN_ALGOS};
-
-/// The batch router `algo` names, configured as the fleet and the CLI
-/// configure it.
-fn router(algo: &str, problem: &routing_core::RoutingProblem) -> Box<dyn Router> {
-    match algo {
-        "busch" => Box::new(BuschRouter::new(Params::auto(problem))),
-        "greedy" | "ftg" | "aging" => Box::new(GreedyRouter::with_config(GreedyConfig {
-            priority: StreamPriority::for_algo(algo).unwrap(),
-            ..Default::default()
-        })),
-        "rank" => Box::new(RandomPriorityRouter::new()),
-        "sf" => Box::new(StoreForwardRouter::fifo()),
-        "sfrank" => Box::new(StoreForwardRouter::random_rank(problem.congestion() as u64)),
-        other => panic!("no router for '{other}'"),
-    }
-}
+use serve::service::RunPlan;
 
 /// Runs `spec` from its seed into `make(problem)`'s observer and
 /// returns the observer with the run's statistics. Streaming specs run
@@ -42,22 +24,14 @@ fn run<O: RouteObserver>(
     let spec = parse_run_spec(spec).unwrap();
     let (_, problem, mut rng) = spec.instantiate().unwrap();
     let mut obs = make(&problem);
-    let stats = match spec.arrival_process().unwrap() {
-        Some(process) => {
-            let schedule = process.schedule(problem.num_packets(), &mut rng);
-            let cfg = StreamingConfig {
-                admission,
-                priority: StreamPriority::for_algo(&spec.algo).unwrap(),
-                ..StreamingConfig::default()
-            };
-            route_streaming_observed(&problem, &schedule, &cfg, &mut rng, &mut obs).stats
-        }
-        None => {
-            router(&spec.algo, &problem)
-                .route(&problem, &mut rng, &mut obs)
-                .stats
-        }
-    };
+    let plan = RunPlan::new(
+        &spec,
+        &problem,
+        admission,
+        StreamingConfig::default().max_steps,
+    )
+    .unwrap();
+    let stats = plan.route(&problem, &mut rng, &mut obs).into_stats();
     (schema::Meta::new(&spec, &problem), obs, stats)
 }
 

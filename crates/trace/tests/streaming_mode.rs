@@ -14,12 +14,12 @@
 //!    exact.
 
 use hotpotato_sim::{
-    route_streaming_observed, AdmissionControl, MetricsObserver, RouteObserver, StepReport,
-    StreamPriority, StreamingConfig, Time,
+    AdmissionControl, MetricsObserver, RouteObserver, StepReport, StreamingConfig, Time,
 };
 use hotpotato_trace::stream::Bucket;
 use hotpotato_trace::{StreamingAggregator, Trace, TraceEvent};
 use routing_core::spec::parse_run_spec;
+use serve::service::{RunOutcome, RunPlan};
 
 /// Wraps a [`StreamingAggregator`] and captures a copy of its exact
 /// totals the moment step `at` completes — the "mid-stream scrape".
@@ -55,16 +55,11 @@ fn stream<O: RouteObserver>(
 ) -> hotpotato_sim::StreamingOutcome {
     let run = parse_run_spec(spec).expect("spec parses");
     let (_topo, problem, mut rng) = run.instantiate().expect("spec instantiates");
-    let process = run
-        .arrival_process()
-        .expect("arrival grammar")
-        .expect("spec has an arrival segment");
-    let schedule = process.schedule(problem.num_packets(), &mut rng);
-    let cfg = StreamingConfig {
-        priority: StreamPriority::for_algo(&run.algo).expect("streaming algo"),
-        ..*cfg
-    };
-    route_streaming_observed(&problem, &schedule, &cfg, &mut rng, observer)
+    let plan = RunPlan::new(&run, &problem, cfg.admission, cfg.max_steps).expect("streaming algo");
+    match plan.route(&problem, &mut rng, observer) {
+        RunOutcome::Stream(out) => out,
+        RunOutcome::Batch(_) => panic!("spec has no arrival segment"),
+    }
 }
 
 /// Median arrival step of the spec's schedule — a step where the run is

@@ -59,16 +59,39 @@
 
 use busch_router::{BuschRouter, FrameSchedule, InvariantReport, PaperParams, Params};
 use hotpotato_sim::{
-    route_streaming_observed, AdmissionControl, JsonlTraceObserver, MetricsObserver, Router,
-    RunRecord, StreamPriority, StreamingConfig,
+    AdmissionControl, JsonlTraceObserver, MetricsObserver, RunRecord, StreamingConfig,
 };
 use hotpotato_trace::verify::{self, VerifiedInstance};
 use hotpotato_trace::{schema, Model, StreamingAggregator, Trace, TraceEvent};
 use leveled_net::render;
-use routing_core::spec::{expand_sweep, parse_run_spec, parse_topo, RunSpec};
+use routing_core::spec::{check_algo, expand_sweep, parse_run_spec, parse_topo, RunSpec};
 use routing_core::ArrivalProcess;
+use serve::service::{RunOutcome, RunPlan};
 use std::io::Write as _;
 use std::process::exit;
+
+/// Unwraps a `Result`, or prints its error as `error: …` and returns
+/// from the enclosing command with exit code 2 (bad input) or the code
+/// given.
+macro_rules! or_exit {
+    ($result:expr) => {
+        or_exit!($result, 2)
+    };
+    ($result:expr, $code:expr) => {
+        match $result {
+            Ok(value) => value,
+            Err(e) => {
+                eprintln!("error: {e}");
+                return $code;
+            }
+        }
+    };
+}
+
+/// Writes `contents` to `path`, naming the path in the error.
+fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("writing {path}: {e}"))
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -178,20 +201,13 @@ fn cmd_topo(args: &[String]) -> i32 {
         eprintln!("usage: hotpotato topo <SPEC> [--dot]");
         return 2;
     };
-    match parse_topo(spec) {
-        Ok(topo) => {
-            if args.iter().any(|a| a == "--dot") {
-                print!("{}", render::to_dot(&topo.net));
-            } else {
-                print!("{}", render::level_summary(&topo.net));
-            }
-            0
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
+    let topo = or_exit!(parse_topo(spec));
+    if args.iter().any(|a| a == "--dot") {
+        print!("{}", render::to_dot(&topo.net));
+    } else {
+        print!("{}", render::level_summary(&topo.net));
     }
+    0
 }
 
 fn cmd_route(args: &[String]) -> i32 {
@@ -211,10 +227,7 @@ fn cmd_route(args: &[String]) -> i32 {
         "--aggregate-out",
         "--aggregate-cap",
     ];
-    if let Err(e) = check_flags(args, VALUED, &["--verify", "--json"]) {
-        eprintln!("error: {e}");
-        return 2;
-    }
+    or_exit!(check_flags(args, VALUED, &["--verify", "--json"]));
     // Every numeric flag is parsed before any work, whether or not the
     // run ends up reading it.
     let seed: u64 = numeric_flag(args, "--seed", 42);
@@ -258,13 +271,7 @@ fn cmd_route(args: &[String]) -> i32 {
     // [/SEED[/ARRIVAL]]]`, the same grammar `serve --run` and the bench
     // gate accept) or the individual flags; both produce a `RunSpec`.
     let mut run = match flag_value(args, "--spec") {
-        Some(spec) => match parse_run_spec(spec) {
-            Ok(run) => run,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        },
+        Some(spec) => or_exit!(parse_run_spec(spec)),
         None => {
             let Some(topo_spec) = flag_value(args, "--topo") else {
                 eprintln!("route needs --topo <SPEC> (or --spec TOPO/WL[/ALGO[/SEED[/ARRIVAL]]])");
@@ -275,14 +282,12 @@ fn cmd_route(args: &[String]) -> i32 {
                 return 2;
             };
             let algo = flag_value(args, "--algo").unwrap_or("busch");
+            or_exit!(check_algo(algo));
             RunSpec::batch(topo_spec, wl_spec, algo, seed)
         }
     };
     if let Some(arrival) = flag_value(args, "--arrival") {
-        if let Err(e) = ArrivalProcess::parse(arrival) {
-            eprintln!("error: {e}");
-            return 2;
-        }
+        or_exit!(ArrivalProcess::parse(arrival));
         run.arrival = Some(arrival.to_string());
     }
     let verify = args.iter().any(|a| a == "--verify");
@@ -291,13 +296,7 @@ fn cmd_route(args: &[String]) -> i32 {
     let trace_out = flag_value(args, "--trace-out");
     let aggregate_out = flag_value(args, "--aggregate-out");
 
-    let (topo, problem, mut rng) = match run.instantiate() {
-        Ok(parts) => parts,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
+    let (topo, problem, mut rng) = or_exit!(run.instantiate());
     let algo = run.algo.as_str();
     if !json {
         println!("problem:  {}", problem.describe());
@@ -307,61 +306,28 @@ fn cmd_route(args: &[String]) -> i32 {
         );
     }
 
-    // Streaming mode resolves its whole configuration up front so a bad
-    // algorithm/arrival combination fails before any sink file exists.
-    let streaming = match run.arrival_process() {
-        Ok(None) => None,
-        Ok(Some(process)) => match StreamPriority::for_algo(algo) {
-            Ok(priority) => {
-                let cfg = StreamingConfig {
-                    admission,
-                    priority,
-                    max_steps,
-                };
-                Some((process, cfg))
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        },
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-
-    // Algorithm dispatch (batch mode): every router reduces to the same
-    // object-safe interface and comes from `serve::build_router`, except
-    // Busch, whose `--params` and pre-run parameter output live here (it
-    // also carries post-run output: invariants). Streaming runs the
-    // shared greedy step directly, so it builds no router.
+    // The one stream-or-batch dispatch `serve` and the fleet also run.
+    // It resolves before any sink file exists, so a bad
+    // algorithm/arrival combination fails first.
+    let mut plan = or_exit!(RunPlan::new(&run, &problem, admission, max_steps));
+    // Busch is the one router the CLI configures itself: `--params` and
+    // the pre-run `params:` line (its post-run output is the invariants).
     let mut params: Option<Params> = None;
-    let router: Option<Box<dyn Router>> = match algo {
-        _ if streaming.is_some() => None,
-        "busch" => {
-            let p = explicit_params.unwrap_or_else(|| Params::auto(&problem));
-            if !json {
-                println!(
-                    "params:   m={} w={} q={:.3} sets={} (scheduled {} steps)",
-                    p.m,
-                    p.w,
-                    p.q,
-                    p.num_sets,
-                    p.scheduled_steps(topo.net.depth())
-                );
-            }
-            params = Some(p);
-            Some(Box::new(BuschRouter::new(p)))
+    if algo == "busch" && matches!(plan, RunPlan::Batch(_)) {
+        let p = explicit_params.unwrap_or_else(|| Params::auto(&problem));
+        if !json {
+            println!(
+                "params:   m={} w={} q={:.3} sets={} (scheduled {} steps)",
+                p.m,
+                p.w,
+                p.q,
+                p.num_sets,
+                p.scheduled_steps(topo.net.depth())
+            );
         }
-        _ => match serve::service::build_router(algo, &problem) {
-            Ok(router) => Some(router),
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        },
-    };
+        params = Some(p);
+        plan = RunPlan::Batch(Box::new(BuschRouter::new(p)));
+    }
 
     // Optional event sinks; `(Option<A>, Option<B>)` is itself an
     // observer, and with all sides `None` every hook is a no-op. Trace
@@ -377,13 +343,8 @@ fn cmd_route(args: &[String]) -> i32 {
                 writeln!(w, "{}", schema::meta_line(&meta))?;
                 Ok(w)
             });
-            match sink {
-                Ok(w) => Some(JsonlTraceObserver::with_snapshots(w, &problem)),
-                Err(e) => {
-                    eprintln!("error: cannot create {path}: {e}");
-                    return 2;
-                }
-            }
+            let w = or_exit!(sink.map_err(|e| format!("cannot create {path}: {e}")));
+            Some(JsonlTraceObserver::with_snapshots(w, &problem))
         }
         None => None,
     };
@@ -392,13 +353,10 @@ fn cmd_route(args: &[String]) -> i32 {
     // the bufferless law: buffered (store-and-forward) runs get no record.
     let record = (verify && Model::for_algo(algo) == Model::Bufferless).then(RunRecord::default);
     let mut observer = (((metrics, trace), aggregate), record);
-    // Drive the run: the open-ended injection loop in streaming mode,
-    // the batch router otherwise. Both paths feed the same sinks and
-    // converge on the run statistics.
-    let (stats, stream) = match &streaming {
-        Some((process, cfg)) => {
-            let schedule = process.schedule(problem.num_packets(), &mut rng);
-            let out = route_streaming_observed(&problem, &schedule, cfg, &mut rng, &mut observer);
+    // Both modes feed the same sinks and converge on the run statistics.
+    let outcome = plan.route(&problem, &mut rng, &mut observer);
+    let stream = match &outcome {
+        RunOutcome::Stream(out) => {
             if !json {
                 println!(
                     "stream:   {} arrivals, {} admitted, {} dropped (peak queue {}, \
@@ -411,18 +369,11 @@ fn cmd_route(args: &[String]) -> i32 {
                     out.throughput() * 1000.0
                 );
             }
-            let drained = out.drained;
-            (out.stats, Some(drained))
+            Some(out.drained)
         }
-        None => {
-            let out = router.expect("batch mode always builds a router").route(
-                &problem,
-                &mut rng,
-                &mut observer,
-            );
-            (out.stats, None)
-        }
+        RunOutcome::Batch(_) => None,
     };
+    let stats = outcome.into_stats();
     let (((metrics, trace), aggregate), record) = observer;
 
     if let (Some(path), Some(metrics)) = (metrics_out, metrics) {
@@ -431,16 +382,10 @@ fn cmd_route(args: &[String]) -> i32 {
             "problem": problem.describe(),
             "metrics": metrics.to_json(),
         });
-        match std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize")) {
-            Ok(()) => {
-                if !json {
-                    println!("metrics:  written to {path}");
-                }
-            }
-            Err(e) => {
-                eprintln!("error: writing {path}: {e}");
-                return 1;
-            }
+        let text = serde_json::to_string_pretty(&doc).expect("serialize");
+        or_exit!(write_file(path, text), 1);
+        if !json {
+            println!("metrics:  written to {path}");
         }
     }
     if let Some(trace) = trace {
@@ -449,30 +394,17 @@ fn cmd_route(args: &[String]) -> i32 {
             writeln!(w, "{}", schema::stats_line(&stats))?;
             w.flush()
         });
-        match close {
-            Ok(()) => {
-                if !json {
-                    println!("trace:    written to {path}");
-                }
-            }
-            Err(e) => {
-                eprintln!("error: writing {path}: {e}");
-                return 1;
-            }
+        or_exit!(close.map_err(|e| format!("writing {path}: {e}")), 1);
+        if !json {
+            println!("trace:    written to {path}");
         }
     }
     if let (Some(path), Some(aggregate)) = (aggregate_out, aggregate) {
         let doc = aggregate.to_json();
-        match std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize")) {
-            Ok(()) => {
-                if !json {
-                    println!("rollup:   written to {path}");
-                }
-            }
-            Err(e) => {
-                eprintln!("error: writing {path}: {e}");
-                return 1;
-            }
+        let text = serde_json::to_string_pretty(&doc).expect("serialize");
+        or_exit!(write_file(path, text), 1);
+        if !json {
+            println!("rollup:   written to {path}");
         }
     }
 
@@ -653,10 +585,7 @@ fn cmd_serve(args: &[String]) -> i32 {
         "--max-in-flight",
         "--max-deferred",
     ];
-    if let Err(e) = check_flags(args, VALUED, &[]) {
-        eprintln!("error: {e}");
-        return 2;
-    }
+    or_exit!(check_flags(args, VALUED, &[]));
     let specs: Vec<&str> = args
         .windows(2)
         .filter(|w| w[0] == "--run")
@@ -681,36 +610,19 @@ fn cmd_serve(args: &[String]) -> i32 {
 
     let mut configs = Vec::with_capacity(specs.len());
     for spec in specs {
-        match parse_run_spec(spec) {
-            Ok(run) => {
-                configs.push(serve::RunConfig {
-                    spec: run,
-                    publish_every,
-                    rollup_cap,
-                    throttle_us,
-                    admission,
-                });
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        }
+        configs.push(serve::RunConfig {
+            spec: or_exit!(parse_run_spec(spec)),
+            publish_every,
+            rollup_cap,
+            throttle_us,
+            admission,
+        });
     }
-    let service = match serve::Service::launch(configs) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let server = match serve::http::HttpServer::bind(addr) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot bind {addr}: {e}");
-            return 1;
-        }
-    };
+    let service = or_exit!(serve::Service::launch(configs));
+    let server = or_exit!(
+        serve::http::HttpServer::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}")),
+        1
+    );
     let bound = server.local_addr();
     println!("serving on http://{bound}");
     for name in service.run_names() {
@@ -729,10 +641,7 @@ fn cmd_serve(args: &[String]) -> i32 {
 /// Keeps serving the final rollup after the sweep completes.
 fn cmd_serve_fleet(args: &[String]) -> i32 {
     const VALUED: &[&str] = &["--sweep", "--addr", "--workers", "--throttle-ms"];
-    if let Err(e) = check_flags(args, VALUED, &["--fleet", "--no-verify"]) {
-        eprintln!("error: {e}");
-        return 2;
-    }
+    or_exit!(check_flags(args, VALUED, &["--fleet", "--no-verify"]));
     let sweeps: Vec<&str> = args
         .windows(2)
         .filter(|w| w[0] == "--sweep")
@@ -752,33 +661,18 @@ fn cmd_serve_fleet(args: &[String]) -> i32 {
     let verify = !args.iter().any(|a| a == "--no-verify");
     let mut specs = Vec::new();
     for sweep in sweeps {
-        match expand_sweep(sweep) {
-            Ok(expanded) => specs.extend(expanded),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        }
+        specs.extend(or_exit!(expand_sweep(sweep)));
     }
-    let service = match serve::FleetService::launch(serve::FleetConfig {
+    let service = or_exit!(serve::FleetService::launch(serve::FleetConfig {
         specs,
         workers,
         verify,
         throttle_ms,
-    }) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let server = match serve::http::HttpServer::bind(addr) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot bind {addr}: {e}");
-            return 1;
-        }
-    };
+    }));
+    let server = or_exit!(
+        serve::http::HttpServer::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}")),
+        1
+    );
     let bound = server.local_addr();
     println!(
         "serving fleet on http://{bound}  ({} runs on {} workers, verify {})",
@@ -816,16 +710,21 @@ fn cmd_trace(args: &[String]) -> i32 {
             let progress = args.iter().any(|a| a == "--progress");
             let json = args.iter().any(|a| a == "--json");
             let started = std::time::Instant::now();
-            let Loaded { trace, bytes, .. } = match load_trace(path, jobs) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 2;
-                }
-            };
-            let trace = std::sync::Arc::new(trace);
+            let Loaded {
+                trace,
+                bytes,
+                instance,
+            } = or_exit!(load_trace(path, jobs));
             let opts = hotpotato_trace::ShardOptions { jobs, progress };
-            match hotpotato_trace::verify_trace_sharded(&trace, &opts) {
+            // Without the loader's instance, the plain form rebuilds and
+            // reports why the meta names no instance this build accepts.
+            let verified = match &instance {
+                Some(instance) => {
+                    hotpotato_trace::verify_trace_sharded_with(&trace, instance, &opts)
+                }
+                None => hotpotato_trace::verify_trace_sharded(&trace, &opts),
+            };
+            match verified {
                 Ok(run) => {
                     let pipeline = hotpotato_trace::PipelineTelemetry {
                         events: trace.events.len() as u64,
@@ -916,13 +815,7 @@ fn cmd_trace(args: &[String]) -> i32 {
                 trace,
                 bytes,
                 instance,
-            } = match load_trace(path, jobs) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 2;
-                }
-            };
+            } = or_exit!(load_trace(path, jobs));
             let mut report = hotpotato_trace::analyze_with(&trace, instance).to_json();
             let pipeline = hotpotato_trace::PipelineTelemetry {
                 events: trace.events.len() as u64,
@@ -939,10 +832,7 @@ fn cmd_trace(args: &[String]) -> i32 {
             let text = serde_json::to_string_pretty(&report).expect("serialize");
             match flag_value(args, "--out") {
                 Some(out) => {
-                    if let Err(e) = std::fs::write(out, text) {
-                        eprintln!("error: writing {out}: {e}");
-                        return 1;
-                    }
+                    or_exit!(write_file(out, text), 1);
                     println!("report:   written to {out}");
                 }
                 None => println!("{text}"),
@@ -953,49 +843,25 @@ fn cmd_trace(args: &[String]) -> i32 {
             let (Some(input), Some(output)) = (args.get(1), args.get(2)) else {
                 return usage();
             };
-            let bytes = match std::fs::read(input) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("error: cannot read {input}: {e}");
-                    return 2;
-                }
-            };
+            let bytes =
+                or_exit!(std::fs::read(input).map_err(|e| format!("cannot read {input}: {e}")));
             let in_len = bytes.len();
             let (out_bytes, direction) = if hotpotato_trace::is_binary(&bytes) {
-                match hotpotato_trace::decode_trace(&bytes) {
-                    Ok(trace) => {
-                        let mut text = String::new();
-                        for ev in &trace.events {
-                            text.push_str(&schema::event_line(ev));
-                            text.push('\n');
-                        }
-                        (text.into_bytes(), "binary -> jsonl")
-                    }
-                    Err(e) => {
-                        eprintln!("error: {input}: {e}");
-                        return 2;
-                    }
+                let trace = hotpotato_trace::decode_trace(&bytes);
+                let trace = or_exit!(trace.map_err(|e| format!("{input}: {e}")));
+                let mut text = String::new();
+                for ev in &trace.events {
+                    text.push_str(&schema::event_line(ev));
+                    text.push('\n');
                 }
+                (text.into_bytes(), "binary -> jsonl")
             } else {
-                let text = match String::from_utf8(bytes) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("error: {input}: trace is not UTF-8 ({e})");
-                        return 2;
-                    }
-                };
-                match Trace::parse(&text) {
-                    Ok(trace) => (hotpotato_trace::encode_trace(&trace), "jsonl -> binary"),
-                    Err(e) => {
-                        eprintln!("error: {input}: {e}");
-                        return 2;
-                    }
-                }
+                let text = or_exit!(String::from_utf8(bytes)
+                    .map_err(|e| format!("{input}: trace is not UTF-8 ({e})")));
+                let trace = or_exit!(Trace::parse(&text).map_err(|e| format!("{input}: {e}")));
+                (hotpotato_trace::encode_trace(&trace), "jsonl -> binary")
             };
-            if let Err(e) = std::fs::write(output, &out_bytes) {
-                eprintln!("error: writing {output}: {e}");
-                return 1;
-            }
+            or_exit!(write_file(output, &out_bytes), 1);
             println!(
                 "convert:  {direction}, {in_len} -> {} bytes ({:.1}% of input)",
                 out_bytes.len(),
@@ -1024,13 +890,7 @@ fn cmd_trace(args: &[String]) -> i32 {
             }
             let jobs = hotpotato_sim::configured_threads();
             let traces = load_trace(a, jobs).and_then(|ta| load_trace(b, jobs).map(|tb| (ta, tb)));
-            let (ta, tb) = match traces {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 2;
-                }
-            };
+            let (ta, tb) = or_exit!(traces);
             let doc = hotpotato_trace::diff(
                 &hotpotato_trace::analyze_with(&ta.trace, ta.instance),
                 &hotpotato_trace::analyze_with(&tb.trace, tb.instance),

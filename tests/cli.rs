@@ -3,10 +3,21 @@
 use std::process::Command;
 
 fn hotpotato(args: &[&str]) -> (String, String, i32) {
-    let out = Command::new(env!("CARGO_BIN_EXE_hotpotato"))
-        .args(args)
-        .output()
-        .expect("binary runs");
+    run(Command::new(env!("CARGO_BIN_EXE_hotpotato")).args(args))
+}
+
+/// [`hotpotato`] under a 4 GB address-space cap, so an unbounded
+/// allocation fails fast (exit 134) rather than exhaust the host.
+fn hotpotato_capped(args: &[&str]) -> (String, String, i32) {
+    run(Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -v 4000000; exec \"$0\" \"$@\"")
+        .arg(env!("CARGO_BIN_EXE_hotpotato"))
+        .args(args))
+}
+
+fn run(cmd: &mut Command) -> (String, String, i32) {
+    let out = cmd.output().expect("binary runs");
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
@@ -43,10 +54,34 @@ fn topo_summary_and_dot() {
 
 #[test]
 fn topo_rejects_bad_specs() {
-    for bad in ["nosuch:3", "mesh:8", "mesh:4x4:xx", "butterfly"] {
-        let (_, err, code) = hotpotato(&["topo", bad]);
-        assert_eq!(code, 2, "spec {bad}");
-        assert!(err.contains("error:"), "spec {bad}: {err}");
+    // Under the address-space cap, a spec whose network would not fit in
+    // memory must fail on its computed size before anything is built.
+    let too_big = |spec| format!("topology '{spec}' exceeds");
+    let cases = [
+        ("nosuch:3", "unknown topology 'nosuch'".to_string()),
+        ("mesh:8", "mesh needs RxC".to_string()),
+        ("mesh:4x4:xx", "unknown mesh corner 'xx'".to_string()),
+        (
+            "butterfly",
+            "topology 'butterfly' needs an argument".to_string(),
+        ),
+        ("linear:4000000000", too_big("linear:4000000000")),
+        ("mesh:100000x100000", too_big("mesh:100000x100000")),
+        ("complete:4000000000x2", too_big("complete:4000000000x2")),
+        ("fattree:40:4000000000", too_big("fattree:40:4000000000")),
+        ("tree:40", too_big("tree:40")),
+        ("bf:27", too_big("bf:27")),
+        ("random:4000000000:9", too_big("random:4000000000:9")),
+        (
+            "hypercube:40",
+            "hypercube dimension 40 out of range".to_string(),
+        ),
+    ];
+    for (bad, msg) in cases {
+        let (out, err, code) = hotpotato_capped(&["topo", bad]);
+        assert_eq!(code, 2, "spec {bad}: {err}");
+        assert!(err.contains(&format!("error: {msg}")), "spec {bad}: {err}");
+        assert!(out.is_empty(), "spec {bad}: {out}");
     }
 }
 
@@ -146,6 +181,69 @@ fn route_verify_audits_streaming_runs() {
     assert_eq!(code, 0, "{err}");
     assert!(out.contains("stream:"), "{out}");
     assert!(out.contains("replay:   VERIFIED"), "{out}");
+}
+
+/// The flag path checks the algorithm as `--spec` does, before any work.
+#[test]
+fn route_rejects_an_unknown_algo_before_any_work() {
+    for args in [
+        &[
+            "route",
+            "--topo",
+            "bf:3",
+            "--workload",
+            "bitrev",
+            "--algo",
+            "nosuch",
+        ][..],
+        &["route", "--spec", "bf:3/bitrev/nosuch/1"],
+    ] {
+        let (out, err, code) = hotpotato(args);
+        assert_eq!(code, 2, "args {args:?}: {err}");
+        assert!(
+            err.contains("error: unknown algorithm 'nosuch' (known: busch|"),
+            "args {args:?}: {err}"
+        );
+        assert!(
+            out.is_empty(),
+            "args {args:?} did work before failing: {out}"
+        );
+    }
+}
+
+/// `hotpotato route` and the fleet route one spec through the same run
+/// plan, so they agree on the run, batch and streaming alike.
+#[test]
+fn route_and_the_fleet_route_the_same_run() {
+    for spec in [
+        "bf:7/bitrev/busch/3",
+        "bf:8/pairs:64/greedy/3",
+        "bf:8/pairs:64/ftg/3/poisson:4",
+        "mesh:8x8/hotspot:12:1/sf/3",
+    ] {
+        let (out, err, code) = hotpotato(&["route", "--spec", spec, "--json"]);
+        assert_eq!(code, 0, "{spec}: {err}");
+        let doc: serde_json::Value = serde_json::from_str(&out).expect("valid JSON");
+        let stats = &doc["stats"];
+        let delivered = stats["delivered_at"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter(|t| !t.is_null())
+            .count() as u64;
+        let deflections: u64 = stats["deflections"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|d| d.as_u64().unwrap())
+            .sum();
+        let run = routing_core::spec::parse_run_spec(spec).unwrap();
+        let sample = serve::run_fleet_spec(&run, false).unwrap();
+        assert_eq!(stats["steps_run"].as_u64(), Some(sample.steps), "{spec}");
+        assert_eq!(delivered, sample.delivered, "{spec}");
+        assert_eq!(deflections, sample.deflections, "{spec}");
+        assert!(delivered > 0, "{spec}");
+    }
 }
 
 #[test]
@@ -353,9 +451,8 @@ fn trace_packet_ids_outside_the_universe_are_rejected() {
     // the trace's packet universe used to abort on a 32 GB allocation, and
     // so did a meta line claiming more packets than its instance has, and
     // one naming a workload that states more packets than the meta claims
-    // (a 128 GB reservation while rebuilding the instance).
-    // The address-space cap makes such an allocation fail fast rather than
-    // exhaust the host.
+    // (a 128 GB reservation while rebuilding the instance), and one
+    // naming a topology too large to build.
     let meta = r#"{"ev":"meta","schema":5,"topo":"bf:3","workload":"bitrev","algo":"busch","seed":7,"arrival":"","packets":8,"levels":4,"congestion":2,"dilation":3}"#;
     let cases = [
         (
@@ -395,6 +492,17 @@ fn trace_packet_ids_outside_the_universe_are_rejected() {
             0,
             "",
         ),
+        // A meta naming a topology too large to build analyzes without an
+        // instance, as one naming no topology does; building it aborted.
+        (
+            "topology",
+            format!(
+                "{}\n{{\"ev\":\"deliver\",\"t\":1,\"pkt\":1}}\n",
+                meta.replace("\"bf:3\"", "\"bf:27\"")
+            ),
+            0,
+            "",
+        ),
     ];
     for (name, text, want, msg) in cases {
         let path = std::env::temp_dir().join(format!(
@@ -402,16 +510,9 @@ fn trace_packet_ids_outside_the_universe_are_rejected() {
             std::process::id()
         ));
         std::fs::write(&path, text).expect("temp file");
-        let out = Command::new("sh")
-            .arg("-c")
-            .arg("ulimit -v 4000000; exec \"$0\" trace analyze \"$1\"")
-            .arg(env!("CARGO_BIN_EXE_hotpotato"))
-            .arg(&path)
-            .output()
-            .expect("sh runs");
+        let (_, err, code) = hotpotato_capped(&["trace", "analyze", path.to_str().unwrap()]);
         let _ = std::fs::remove_file(&path);
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(want), "{name}: {err}");
+        assert_eq!(code, want, "{name}: {err}");
         assert!(err.contains(msg), "{name}: {err}");
     }
 }
