@@ -30,9 +30,13 @@
 //!   zero-cost when disabled) plus concrete sinks: [`MetricsObserver`],
 //!   [`JsonlTraceObserver`], [`SectionProfiler`], and the [`RunRecord`]
 //!   movement log that [`replay::verify`] audits;
-//! * [`jsonl`] — the one renderer of every JSONL trace line shape (bar
-//!   the trace crate's `meta`/`stats` envelope), shared by
-//!   [`JsonlTraceObserver`] and `hotpotato trace convert`;
+//! * [`event`] — the trace wire types ([`TraceEvent`] and its `meta`,
+//!   `stats`, `snapshot` and rollup envelopes) and [`observe_as_events!`],
+//!   the one mapping of the observer hooks to events, shared by
+//!   [`JsonlTraceObserver`] and the trace crate's in-memory `Trace`;
+//! * [`jsonl`] — [`jsonl::push_event`], the one renderer of every JSONL
+//!   trace line shape, shared by [`JsonlTraceObserver`] and
+//!   `hotpotato trace convert`;
 //! * [`router_api`] — the object-safe [`Router`] trait and shared
 //!   [`RouteOutcome`] every routing algorithm implements;
 //! * [`exchange`] — the single-mutex, never-blocking
@@ -41,6 +45,7 @@
 //!   without touching the step loop's latency.
 
 pub mod conflict;
+pub mod event;
 pub mod exchange;
 pub mod jsonl;
 pub mod observe;
@@ -53,7 +58,10 @@ pub mod streaming;
 pub mod summary;
 
 pub use conflict::{SlotView, StreamPriority};
+pub use event::{EventSink, TraceEvent};
 pub use exchange::{snapshot_exchange, SnapshotPublisher, SnapshotReader};
+/// The edge-and-direction move type of [`RouteObserver::on_move`].
+pub use leveled_net::ids::DirectedEdge;
 pub use observe::{
     JsonlTraceObserver, MetricsObserver, NoopObserver, RouteObserver, Section, SectionProfiler,
 };

@@ -12,7 +12,10 @@
 //!   level / phase), per-level occupancy over time, frame progress against
 //!   the theoretical frontier, and per-set congestion watermarks;
 //! * [`JsonlTraceObserver`] — streams every event as one JSON line to any
-//!   [`std::io::Write`] sink, for offline analysis;
+//!   [`std::io::Write`] sink, for offline analysis. It is an
+//!   [`EventSink`]: its hooks are [`crate::observe_as_events!`]'s one
+//!   hook→[`TraceEvent`] mapping, and [`jsonl::push_event`] renders each
+//!   event;
 //! * [`SectionProfiler`] — accumulates wall time per router section
 //!   (conflict resolution vs. kinematics vs. audits vs. injection).
 //!
@@ -29,11 +32,12 @@
 //! The trait is object-safe: algorithm-agnostic drivers can take a
 //! `&mut dyn RouteObserver` (see [`crate::Router`]).
 
+use crate::event::{EventSink, TraceEvent};
 use crate::jsonl::{self, SnapshotCounts};
 use crate::soa::{ExitKind, StepReport};
 use crate::stats::Time;
 use leveled_net::ids::DirectedEdge;
-use leveled_net::{Level, LeveledNetwork, NodeId};
+use leveled_net::{Direction, Level, LeveledNetwork, NodeId};
 use routing_core::RoutingProblem;
 use std::io::Write;
 use std::sync::Arc;
@@ -176,57 +180,59 @@ pub struct NoopObserver;
 impl RouteObserver for NoopObserver {}
 
 /// Forwarding impl so drivers can hold `&mut O` (or `&mut dyn
-/// RouteObserver`) and hand it to the engine by value.
+/// RouteObserver`) and hand it to the engine by value. Always inlined:
+/// the forwarding call must not stand between the engine and a sink
+/// whose hooks are inlined, such as the JSONL writer.
 impl<O: RouteObserver + ?Sized> RouteObserver for &mut O {
-    #[inline]
+    #[inline(always)]
     fn on_move(&mut self, t: Time, pkt: u32, mv: DirectedEdge, kind: ExitKind) {
         (**self).on_move(t, pkt, mv, kind);
     }
-    #[inline]
+    #[inline(always)]
     fn on_trivial(&mut self, t: Time, pkt: u32) {
         (**self).on_trivial(t, pkt);
     }
-    #[inline]
+    #[inline(always)]
     fn on_deliver(&mut self, t: Time, pkt: u32) {
         (**self).on_deliver(t, pkt);
     }
-    #[inline]
+    #[inline(always)]
     fn on_step_end(&mut self, t: Time, report: &StepReport, active: usize) {
         (**self).on_step_end(t, report, active);
     }
-    #[inline]
+    #[inline(always)]
     fn on_arrival(&mut self, t: Time, pkt: u32) {
         (**self).on_arrival(t, pkt);
     }
-    #[inline]
+    #[inline(always)]
     fn on_drop(&mut self, t: Time, pkt: u32) {
         (**self).on_drop(t, pkt);
     }
-    #[inline]
+    #[inline(always)]
     fn on_sets_assigned(&mut self, sets: &[u32], num_sets: u32) {
         (**self).on_sets_assigned(sets, num_sets);
     }
-    #[inline]
+    #[inline(always)]
     fn on_phase_start(&mut self, phase: u64, t: Time) {
         (**self).on_phase_start(phase, t);
     }
-    #[inline]
+    #[inline(always)]
     fn on_phase_end(&mut self, phase: u64, t: Time) {
         (**self).on_phase_end(phase, t);
     }
-    #[inline]
+    #[inline(always)]
     fn on_frontier(&mut self, phase: u64, set: u32, frontier: i64) {
         (**self).on_frontier(phase, set, frontier);
     }
-    #[inline]
+    #[inline(always)]
     fn on_set_congestion(&mut self, phase: u64, set: u32, congestion: u32, initial: u32) {
         (**self).on_set_congestion(phase, set, congestion, initial);
     }
-    #[inline]
+    #[inline(always)]
     fn wants_timing(&self) -> bool {
         (**self).wants_timing()
     }
-    #[inline]
+    #[inline(always)]
     fn on_section(&mut self, section: Section, nanos: u64) {
         (**self).on_section(section, nanos);
     }
@@ -895,22 +901,49 @@ impl SnapshotTracker {
         }
     }
 
+    /// Applies one event to the per-packet state and the counters.
     // lint: hot-path
-    fn on_move(&mut self, pkt: u32, mv: DirectedEdge, kind: ExitKind) {
-        let p = pkt as usize;
-        self.state[p] = 3;
-        self.node[p] = self.net.move_target(mv).0;
-        self.counts.moves += 1;
-        match mv.dir {
-            leveled_net::Direction::Forward => {
-                self.counts.forward += 1;
-                self.cur_forward.push(mv.edge.0);
+    // lint: panics-by-design(dense-index invariant surface: packet/node ids are
+    // validated at construction, so an OOB here is an engine bug caught by the
+    // golden suites, never a client-input path)
+    fn observe(&mut self, ev: &TraceEvent) {
+        match *ev {
+            TraceEvent::Move {
+                pkt,
+                edge,
+                dir,
+                kind,
+                ..
+            } => {
+                let p = pkt as usize;
+                self.state[p] = 3;
+                self.node[p] = self.net.move_target(DirectedEdge { edge, dir }).0;
+                self.counts.moves += 1;
+                match dir {
+                    Direction::Forward => {
+                        self.counts.forward += 1;
+                        self.cur_forward.push(edge.0);
+                    }
+                    Direction::Backward => self.counts.backward += 1,
+                }
+                match kind {
+                    ExitKind::Deflect { .. } => self.counts.deflections += 1,
+                    ExitKind::Oscillate => self.counts.oscillations += 1,
+                    _ => {}
+                }
             }
-            leveled_net::Direction::Backward => self.counts.backward += 1,
-        }
-        match kind {
-            ExitKind::Deflect { .. } => self.counts.deflections += 1,
-            ExitKind::Oscillate => self.counts.oscillations += 1,
+            TraceEvent::Trivial { pkt, .. } => {
+                self.state[pkt as usize] = 4;
+                self.counts.trivial += 1;
+            }
+            TraceEvent::Deliver { pkt, .. } => self.state[pkt as usize] = 4,
+            TraceEvent::Arrival { pkt, .. } => self.state[pkt as usize] = 1,
+            TraceEvent::Drop { pkt, .. } => self.state[pkt as usize] = 2,
+            TraceEvent::Step { .. } => {
+                std::mem::swap(&mut self.prev_forward, &mut self.cur_forward);
+                self.cur_forward.clear();
+            }
+            TraceEvent::Sets { num_sets, .. } => self.counts.num_sets = num_sets,
             _ => {}
         }
     }
@@ -934,8 +967,9 @@ impl SnapshotTracker {
 /// writer. Events carry an `"ev"` discriminator (`move`, `trivial`,
 /// `deliver`, `arrival`, `drop`, `step`, `sets`, `phase_start`,
 /// `phase_end`, `frontier`, `congestion`, `section`, and — with
-/// [`JsonlTraceObserver::with_snapshots`] — `snapshot`); every line is
-/// rendered by [`crate::jsonl`].
+/// [`JsonlTraceObserver::with_snapshots`] — `snapshot`). The hooks are
+/// [`crate::observe_as_events!`]'s mapping, and every line is rendered
+/// by [`jsonl::push_event`].
 ///
 /// Lines accumulate in an internal sized buffer that drains to the
 /// writer only when full and at phase/quiesce boundaries
@@ -1010,103 +1044,35 @@ impl<W: Write> JsonlTraceObserver<W> {
     }
 }
 
-impl<W: Write> RouteObserver for JsonlTraceObserver<W> {
-    fn on_move(&mut self, t: Time, pkt: u32, mv: DirectedEdge, kind: ExitKind) {
-        if let Some(tr) = &mut self.snap {
-            tr.on_move(pkt, mv, kind);
+impl<W: Write> EventSink for JsonlTraceObserver<W> {
+    // Inlined into each hook, with the line rendered before the tracker
+    // sees the event: the hook's variant stays known while it renders, so
+    // the hook compiles to its own arm of `push_event`.
+    #[inline(always)]
+    fn event(&mut self, ev: TraceEvent) {
+        jsonl::push_event(&mut self.buf, &ev);
+        self.end_line();
+        match ev {
+            // Phase events leave the tracker's state as it is.
+            TraceEvent::PhaseStart { phase, t } => {
+                if let Some(tr) = &self.snap {
+                    tr.push_line(&mut self.buf, phase, t);
+                    self.end_line();
+                }
+            }
+            // Phase boundary: drain the buffer so a crashed or killed run
+            // leaves at most one phase of events unwritten.
+            TraceEvent::PhaseEnd { .. } => self.flush_buf(),
+            _ => {
+                if let Some(tr) = &mut self.snap {
+                    tr.observe(&ev);
+                }
+            }
         }
-        jsonl::push_move(&mut self.buf, t, pkt, mv, kind);
-        self.end_line();
-    }
-
-    fn on_trivial(&mut self, t: Time, pkt: u32) {
-        if let Some(tr) = &mut self.snap {
-            tr.state[pkt as usize] = 4;
-            tr.counts.trivial += 1;
-        }
-        jsonl::push_trivial(&mut self.buf, t, pkt);
-        self.end_line();
-    }
-
-    fn on_deliver(&mut self, t: Time, pkt: u32) {
-        if let Some(tr) = &mut self.snap {
-            tr.state[pkt as usize] = 4;
-        }
-        jsonl::push_deliver(&mut self.buf, t, pkt);
-        self.end_line();
-    }
-
-    fn on_step_end(&mut self, t: Time, report: &StepReport, active: usize) {
-        if let Some(tr) = &mut self.snap {
-            std::mem::swap(&mut tr.prev_forward, &mut tr.cur_forward);
-            tr.cur_forward.clear();
-        }
-        jsonl::push_step(&mut self.buf, t, report, active as u64);
-        self.end_line();
-    }
-
-    // lint: panics-by-design(dense-index invariant surface: packet/node ids are
-    // validated at construction, so an OOB here is an engine bug caught by the
-    // golden suites, never a client-input path)
-    fn on_arrival(&mut self, t: Time, pkt: u32) {
-        if let Some(tr) = &mut self.snap {
-            tr.state[pkt as usize] = 1;
-        }
-        jsonl::push_arrival(&mut self.buf, t, pkt);
-        self.end_line();
-    }
-
-    // lint: panics-by-design(dense-index invariant surface: packet/node ids are
-    // validated at construction, so an OOB here is an engine bug caught by the
-    // golden suites, never a client-input path)
-    fn on_drop(&mut self, t: Time, pkt: u32) {
-        if let Some(tr) = &mut self.snap {
-            tr.state[pkt as usize] = 2;
-        }
-        jsonl::push_drop(&mut self.buf, t, pkt);
-        self.end_line();
-    }
-
-    fn on_sets_assigned(&mut self, sets: &[u32], num_sets: u32) {
-        if let Some(tr) = &mut self.snap {
-            tr.counts.num_sets = num_sets;
-        }
-        jsonl::push_sets(&mut self.buf, num_sets, sets);
-        self.end_line();
-    }
-
-    fn on_phase_start(&mut self, phase: u64, t: Time) {
-        jsonl::push_phase_start(&mut self.buf, phase, t);
-        self.end_line();
-        if let Some(tr) = &self.snap {
-            tr.push_line(&mut self.buf, phase, t);
-            self.end_line();
-        }
-    }
-
-    fn on_phase_end(&mut self, phase: u64, t: Time) {
-        jsonl::push_phase_end(&mut self.buf, phase, t);
-        self.end_line();
-        // Phase boundary: drain the buffer so a crashed or killed run
-        // leaves at most one phase of events unwritten.
-        self.flush_buf();
-    }
-
-    fn on_frontier(&mut self, phase: u64, set: u32, frontier: i64) {
-        jsonl::push_frontier(&mut self.buf, phase, set, frontier);
-        self.end_line();
-    }
-
-    fn on_set_congestion(&mut self, phase: u64, set: u32, congestion: u32, initial: u32) {
-        jsonl::push_congestion(&mut self.buf, phase, set, congestion, initial);
-        self.end_line();
-    }
-
-    fn on_section(&mut self, section: Section, nanos: u64) {
-        jsonl::push_section(&mut self.buf, section.name(), nanos);
-        self.end_line();
     }
 }
+
+crate::observe_as_events!([W: Write] JsonlTraceObserver<W>);
 
 /// Sampling profiler sink: accumulates wall time per router section.
 /// Returning `true` from [`RouteObserver::wants_timing`] asks the driver

@@ -48,6 +48,13 @@ pub struct ParsedTopo {
 /// allocated.
 pub const MAX_TOPO_SIZE: u64 = 1 << 26;
 
+/// The most packets a workload spec may state (`pairs:N`, `m2m:N`,
+/// `hotspot:N:D`, `funnel:N`): 16× the 1,048,576 random walks of bf(16),
+/// the largest instance any benchmark or test routes. `m2m` and
+/// `hotspot` build one path per stated packet, so a count over it fails
+/// before anything is built ([`check_packet_budget`]).
+pub const MAX_PACKETS: u64 = 1 << 24;
+
 /// Parses a topology spec (see the module docs for the grammar). Each
 /// kind's size follows from the spec's numbers alone, so a spec larger
 /// than [`MAX_TOPO_SIZE`] fails before anything is built.
@@ -216,6 +223,7 @@ pub fn parse_workload<R: Rng + ?Sized>(
     topo: &ParsedTopo,
     rng: &mut R,
 ) -> Result<Arc<RoutingProblem>, String> {
+    check_packet_budget(spec)?;
     let parts: Vec<&str> = spec.split(':').collect();
     let num = |i: usize| -> Result<usize, String> {
         parts
@@ -262,6 +270,18 @@ pub fn stated_packets(spec: &str) -> Option<usize> {
     match parts.next()? {
         "pairs" | "m2m" | "hotspot" | "funnel" => parts.next()?.parse().ok(),
         _ => None,
+    }
+}
+
+/// Fails on a workload spec that states more than [`MAX_PACKETS`]
+/// packets. [`parse_run_spec`] and [`parse_workload`] check it, and so
+/// does the trace verifier before it rebuilds a meta line's instance.
+pub fn check_packet_budget(workload: &str) -> Result<(), String> {
+    match stated_packets(workload) {
+        Some(n) if n as u64 > MAX_PACKETS => Err(format!(
+            "workload '{workload}' states {n} packets, over the budget of {MAX_PACKETS}"
+        )),
+        _ => Ok(()),
     }
 }
 
@@ -396,6 +416,7 @@ pub fn parse_run_spec(spec: &str) -> Result<RunSpec, String> {
             ));
         }
     }
+    check_packet_budget(parts[1])?;
     if let Some(algo) = parts.get(2) {
         check_algo(algo)?;
     }
@@ -664,5 +685,25 @@ mod tests {
                 assert_eq!(pa.path.edges(), pb.path.edges(), "{topo}/{wl}");
             }
         }
+    }
+
+    #[test]
+    fn stated_packet_counts_over_the_budget_fail_before_any_build() {
+        // `m2m:N` and `hotspot:N:D` build one path per stated packet, so
+        // these specs used to build paths until memory ran out.
+        for wl in [
+            "m2m:4000000000",
+            "pairs:16777217",
+            "hotspot:4000000000:1",
+            "funnel:4000000000",
+        ] {
+            let e = parse_run_spec(&format!("bf:3/{wl}/greedy/1")).err();
+            let e = e.unwrap_or_default();
+            assert!(e.contains("over the budget of 16777216"), "{wl}: {e}");
+        }
+        // At the budget, and for workloads whose count the network fixes,
+        // the spec parses.
+        assert!(parse_run_spec("bf:3/pairs:16777216").is_ok());
+        assert!(parse_run_spec("bf:3/bitrev/busch/1").is_ok());
     }
 }

@@ -5,8 +5,9 @@
 //! multi-GB traces stay cheap to store and verify. The layout is pinned
 //! by a magic header plus [`SCHEMA_VERSION`], and the wire-layout items
 //! of this module (`Tag`, `encode_event`, `decode_event`) are
-//! fingerprinted by `cargo xtask lint` alongside `schema.rs` — changing
-//! the byte layout without bumping the schema version fails lint.
+//! fingerprinted by `cargo xtask lint` alongside the wire types in
+//! `hotpotato_sim::event` — changing the byte layout without bumping the
+//! schema version fails lint.
 //!
 //! Layout: the file starts with [`MAGIC`] followed by the schema
 //! version as a varint. Each event is one tag byte (`Tag`) followed

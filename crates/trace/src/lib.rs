@@ -7,11 +7,13 @@
 //! stream:
 //!
 //! - [`schema`] — the **strict, versioned** line format: every event
-//!   variant, a `meta`/`stats` envelope making traces self-contained,
-//!   and a parser that rejects unknown events, unknown or missing
+//!   variant, a `meta`/`stats` envelope making traces self-contained
+//!   (the types live in `hotpotato_sim::event` and are re-exported
+//!   here), and a parser that rejects unknown events, unknown or missing
 //!   fields, and schema-version mismatches (the stability contract).
 //!   [`Trace`] is also a [`RouteObserver`] that records the same events
-//!   in memory, with no text in between (the fleet envelope).
+//!   in memory, with no text in between (the fleet envelope), through
+//!   the one hook→event mapping the JSONL writer also runs.
 //! - [`timeline`] — per-packet latency anatomy (the exact hot-potato
 //!   identity `latency = advances + deflections + oscillations`),
 //!   home-run segments, and **causal deflection-chain attribution**

@@ -6,10 +6,17 @@
 //! to reconstruct the [`routing_core::RoutingProblem`] offline) and a
 //! `stats` line last (the run's final [`hotpotato_sim::RouteStats`]).
 //!
-//! A [`Trace`] is also a [`RouteObserver`]: routed straight into, it
-//! records the events [`Trace::parse`] would read back from the
-//! observer's lines, without the text in between (the fleet envelope
-//! records this way).
+//! The wire types ([`TraceEvent`], [`Meta`], [`StatsLine`],
+//! [`Snapshot`], [`Rollup`], [`SCHEMA_VERSION`]) live in
+//! [`hotpotato_sim::event`], next to the observer hooks they record, and
+//! are re-exported here; [`event_line`], [`meta_line`] and
+//! [`stats_line`] wrap the one renderer, [`hotpotato_sim::jsonl::push_event`].
+//! This module owns the reading side.
+//!
+//! A [`Trace`] is also a [`RouteObserver`](hotpotato_sim::RouteObserver):
+//! routed straight into, it records the events [`Trace::parse`] would
+//! read back from the observer's lines, without the text in between
+//! (the fleet envelope records this way).
 //!
 //! Parsing is deliberately strict: an unknown `ev` discriminator, a
 //! missing field, an extra field, or a wrong `schema` version is an
@@ -19,315 +26,11 @@
 //! [`SCHEMA_VERSION`] fails CI.
 
 use crate::scan::{Fields, ScanBuf};
-use hotpotato_sim::jsonl::{self, SnapshotCounts};
-use hotpotato_sim::{ExitKind, RouteObserver, RouteStats, Section, StepReport, Time};
-use leveled_net::ids::DirectedEdge;
+use hotpotato_sim::event::EventSink;
+pub use hotpotato_sim::event::{Meta, Rollup, Snapshot, StatsLine, TraceEvent, SCHEMA_VERSION};
+use hotpotato_sim::{jsonl, ExitKind, RouteStats};
 use leveled_net::{Direction, EdgeId};
-use routing_core::spec::RunSpec;
-use routing_core::RoutingProblem;
 use serde::Value;
-
-/// The trace schema version carried by the `meta` line and the live
-/// [`Rollup`] envelope. Bump when any event's field set changes.
-///
-/// Version history: 1 = the original JSONL trace format; 2 = adds the
-/// `Rollup` envelope served by `hotpotato serve` (trace lines are
-/// unchanged, but the version is shared so one fingerprint pins both);
-/// 3 = streaming mode: the `meta` line gains the `arrival` field (the
-/// arrival-process spec, empty for batch runs) and the `arrival` /
-/// `drop` injection events are added; 4 = trace pipeline: the
-/// `snapshot` phase-entry checkpoint event is added and the binary
-/// `.hpt` framing (see [`crate::binary`]) is pinned to the same
-/// version — its wire layout is fingerprinted alongside this file by
-/// `cargo xtask lint`; 5 = the in-memory layout shrinks (the `meta`,
-/// `snapshot` and `stats` variants are boxed and the `step` counters
-/// become `u32`, so a `step` counter past `u32::MAX` is now an error):
-/// the JSONL and `.hpt` bytes are those of version 4 apart from the
-/// version number.
-pub const SCHEMA_VERSION: u64 = 5;
-
-/// The `meta` envelope line: everything needed to rebuild the instance.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Meta {
-    /// Trace schema version (must equal [`SCHEMA_VERSION`]).
-    pub schema: u64,
-    /// Topology spec (`routing_core::spec` grammar).
-    pub topo: String,
-    /// Workload spec (`routing_core::spec` grammar).
-    pub workload: String,
-    /// Algorithm name (`busch`, `greedy`, ...).
-    pub algo: String,
-    /// The run seed (workload generation and routing share one rng).
-    pub seed: u64,
-    /// Arrival-process spec (`routing_core::workloads::ArrivalProcess`
-    /// grammar); empty string = batch mode. A non-empty value marks a
-    /// streaming trace: the verifier rebuilds the arrival schedule from
-    /// it and enforces the arrival/admission laws.
-    pub arrival: String,
-    /// Number of packets (cross-checked on reconstruction).
-    pub packets: u64,
-    /// Number of levels, `L + 1` (cross-checked on reconstruction).
-    pub levels: u64,
-    /// Instance congestion `C`.
-    pub congestion: u64,
-    /// Instance dilation `D`.
-    pub dilation: u64,
-}
-
-impl Meta {
-    /// The envelope of a run labelled by `spec` on `problem`: the labels
-    /// come from the spec, the packet and level counts, `C` and `D` from
-    /// the problem.
-    pub fn new(spec: &RunSpec, problem: &RoutingProblem) -> Meta {
-        Meta {
-            schema: SCHEMA_VERSION,
-            topo: spec.topo.clone(),
-            workload: spec.workload.clone(),
-            algo: spec.algo.clone(),
-            seed: spec.seed,
-            arrival: spec.arrival.clone().unwrap_or_default(),
-            packets: problem.num_packets() as u64,
-            levels: problem.network().num_levels() as u64,
-            congestion: u64::from(problem.congestion()),
-            dilation: u64::from(problem.dilation()),
-        }
-    }
-}
-
-/// The `stats` envelope line: the final per-packet statistics the
-/// verifier's reconstructed timelines must match exactly.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StatsLine {
-    /// Total steps the simulation ran.
-    pub steps: u64,
-    /// Per-packet injection step (`null` = never injected).
-    pub injected_at: Vec<Option<Time>>,
-    /// Per-packet delivery (arrival) time.
-    pub delivered_at: Vec<Option<Time>>,
-    /// Per-packet deflection count.
-    pub deflections: Vec<u32>,
-}
-
-impl From<&RouteStats> for StatsLine {
-    fn from(stats: &RouteStats) -> StatsLine {
-        StatsLine {
-            steps: stats.steps_run,
-            injected_at: stats.injected_at.clone(),
-            delivered_at: stats.delivered_at.clone(),
-            deflections: stats.deflections.clone(),
-        }
-    }
-}
-
-/// The `/rollup/<run>` response document served by `hotpotato serve`: a
-/// schema-versioned envelope around one [`StreamingAggregator`] snapshot
-/// (`rollup` holds the aggregator's `to_json()` report verbatim, so a
-/// quiesced envelope compares *exactly* equal to the in-process report).
-///
-/// [`StreamingAggregator`]: crate::StreamingAggregator
-#[derive(Clone, Debug, PartialEq)]
-pub struct Rollup {
-    /// Envelope schema version (must equal [`SCHEMA_VERSION`]).
-    pub schema: u64,
-    /// Name of the run the snapshot belongs to.
-    pub run: String,
-    /// Publisher sequence number (0 = nothing published yet; the seed
-    /// snapshot).
-    pub seq: u64,
-    /// `true` once the run has quiesced: the snapshot is final and exact.
-    pub finished: bool,
-    /// The aggregator report, exactly as `StreamingAggregator::to_json()`
-    /// rendered it.
-    pub rollup: Value,
-}
-
-/// A `snapshot` checkpoint line: the full verifier-visible state at a
-/// phase entry (a step boundary), emitted by the recorder so the trace
-/// can be *sharded* — each snapshot seeds an independent verification
-/// segment, and the sequential verifier cross-checks every snapshot
-/// against its replayed state (the `snapshot-consistency` law).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Snapshot {
-    /// Phase index this snapshot opens (matches the preceding
-    /// `phase_start` line).
-    pub phase: u64,
-    /// First step of the phase; the replayed clock must agree.
-    pub t: Time,
-    /// Per-packet lifecycle code: 0 = pending, 1 = arrived (streaming,
-    /// not yet injected), 2 = dropped, 3 = in flight, 4 = delivered.
-    pub state: Vec<u32>,
-    /// Current node of each in-flight (`state == 3`) packet, in packet
-    /// order.
-    pub nodes: Vec<u32>,
-    /// Edges crossed forward in the step just before the boundary (the
-    /// arrival pool the safe-deflection-recycling law checks against).
-    pub prev_forward: Vec<u32>,
-    /// Cumulative move count at the boundary.
-    pub moves: u64,
-    /// Cumulative forward crossings.
-    pub forward: u64,
-    /// Cumulative backward crossings.
-    pub backward: u64,
-    /// Cumulative deflections.
-    pub deflections: u64,
-    /// Cumulative oscillation moves.
-    pub oscillations: u64,
-    /// Cumulative trivial deliveries.
-    pub trivial: u64,
-    /// Frontier-set count from the `sets` line (0 = not assigned yet).
-    pub num_sets: u32,
-}
-
-/// One parsed trace line.
-///
-/// Moves are over 90% of a trace, so the variant size is the trace's
-/// memory: the three envelope variants, which occur once per trace or
-/// once per phase, are boxed, and the `step` counters are `u32` (each is
-/// bounded by the packet count, and packet ids are `u32` already).
-#[derive(Clone, Debug, PartialEq)]
-pub enum TraceEvent {
-    /// Envelope: instance identification (first line).
-    Meta(Box<Meta>),
-    /// A packet crossed an edge.
-    Move {
-        /// Staging step.
-        t: Time,
-        /// Packet index.
-        pkt: u32,
-        /// Edge crossed.
-        edge: EdgeId,
-        /// Traversal direction.
-        dir: Direction,
-        /// Caller-declared kind.
-        kind: ExitKind,
-    },
-    /// A trivial (source == destination) delivery.
-    Trivial {
-        /// Step of delivery.
-        t: Time,
-        /// Packet index.
-        pkt: u32,
-    },
-    /// An absorption at the destination (arrival time, staging step + 1).
-    Deliver {
-        /// Arrival time.
-        t: Time,
-        /// Packet index.
-        pkt: u32,
-    },
-    /// Streaming: the packet became available for injection (its
-    /// arrival-process step was reached).
-    Arrival {
-        /// Arrival step.
-        t: Time,
-        /// Packet index.
-        pkt: u32,
-    },
-    /// Streaming: admission control dropped the packet (the injection
-    /// queue was full); it is never injected.
-    Drop {
-        /// Drop step.
-        t: Time,
-        /// Packet index.
-        pkt: u32,
-    },
-    /// A step completed.
-    Step {
-        /// The step.
-        t: Time,
-        /// Packets that moved (including injections).
-        moved: u32,
-        /// Packets absorbed.
-        absorbed: u32,
-        /// Packets injected.
-        injected: u32,
-        /// Deflections (safe + fallback).
-        deflections: u32,
-        /// Fallback (unsafe) deflections.
-        fallback: u32,
-        /// Oscillation moves.
-        oscillations: u32,
-        /// In-flight count after absorption.
-        active: u32,
-    },
-    /// Frontier-set assignment.
-    Sets {
-        /// Number of frontier sets.
-        num_sets: u32,
-        /// Set of each packet.
-        sets: Vec<u32>,
-    },
-    /// A phase began.
-    PhaseStart {
-        /// Phase index.
-        phase: u64,
-        /// First step of the phase.
-        t: Time,
-    },
-    /// A phase ended.
-    PhaseEnd {
-        /// Phase index.
-        phase: u64,
-        /// First step after the phase.
-        t: Time,
-    },
-    /// Theoretical frontier announcement.
-    Frontier {
-        /// Phase.
-        phase: u64,
-        /// Frontier set.
-        set: u32,
-        /// `φ_i(k) = k − i·m`.
-        frontier: i64,
-    },
-    /// Phase-end congestion audit.
-    Congestion {
-        /// Phase.
-        phase: u64,
-        /// Frontier set.
-        set: u32,
-        /// Audited current-path congestion.
-        congestion: u32,
-        /// The set's preselected-path congestion.
-        initial: u32,
-    },
-    /// Section timing sample.
-    Section {
-        /// Section name (`conflict`, `kinematics`, `audit`, `injection`).
-        section: String,
-        /// Nanoseconds spent.
-        nanos: u64,
-    },
-    /// Phase-entry state checkpoint (see [`Snapshot`]).
-    Snapshot(Box<Snapshot>),
-    /// Envelope: final run statistics (last line).
-    Stats(Box<StatsLine>),
-}
-
-const _: () = assert!(std::mem::size_of::<TraceEvent>() <= 40);
-
-impl TraceEvent {
-    /// The `ev` discriminator this event serializes under.
-    pub fn ev(&self) -> &'static str {
-        match self {
-            TraceEvent::Meta(_) => "meta",
-            TraceEvent::Move { .. } => "move",
-            TraceEvent::Trivial { .. } => "trivial",
-            TraceEvent::Deliver { .. } => "deliver",
-            TraceEvent::Arrival { .. } => "arrival",
-            TraceEvent::Drop { .. } => "drop",
-            TraceEvent::Step { .. } => "step",
-            TraceEvent::Sets { .. } => "sets",
-            TraceEvent::PhaseStart { .. } => "phase_start",
-            TraceEvent::PhaseEnd { .. } => "phase_end",
-            TraceEvent::Frontier { .. } => "frontier",
-            TraceEvent::Congestion { .. } => "congestion",
-            TraceEvent::Section { .. } => "section",
-            TraceEvent::Snapshot(_) => "snapshot",
-            TraceEvent::Stats(_) => "stats",
-        }
-    }
-}
 
 /// A parse failure, with the offending line (1-based) once known.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -495,7 +198,7 @@ fn parse_line_with<'a>(line: &'a str, buf: &mut ScanBuf<'a>) -> Result<TraceEven
 
 /// A trace as a list of events. A parsed trace holds one event per
 /// line, in file order (so `events[i]` came from line `i + 1`); a
-/// recorded one (see the [`RouteObserver`] impl) holds them in emission
+/// recorded one (see the [`EventSink`] impl) holds them in emission
 /// order, with whatever envelope events the caller pushed around them.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
@@ -543,111 +246,28 @@ impl Trace {
     }
 }
 
-/// Records every hook as the [`TraceEvent`] that [`parse_line`] builds
-/// from the line `JsonlTraceObserver` writes for it, so routing into a
-/// `Trace` equals recording JSONL and parsing it back. The observer's
-/// optional `snapshot` checkpoints are not recorded: they exist to seed
-/// sharded verification of a file. The meta and stats envelope events
-/// are the caller's to push.
-impl RouteObserver for Trace {
-    fn on_move(&mut self, t: Time, pkt: u32, mv: DirectedEdge, kind: ExitKind) {
-        self.events.push(TraceEvent::Move {
-            t,
-            pkt,
-            edge: mv.edge,
-            dir: mv.dir,
-            kind,
-        });
-    }
-
-    fn on_trivial(&mut self, t: Time, pkt: u32) {
-        self.events.push(TraceEvent::Trivial { t, pkt });
-    }
-
-    fn on_deliver(&mut self, t: Time, pkt: u32) {
-        self.events.push(TraceEvent::Deliver { t, pkt });
-    }
-
-    fn on_step_end(&mut self, t: Time, report: &StepReport, active: usize) {
-        self.events.push(TraceEvent::Step {
-            t,
-            moved: report.moved as u32,
-            absorbed: report.absorbed as u32,
-            injected: report.injected as u32,
-            deflections: report.deflections as u32,
-            fallback: report.fallback_deflections as u32,
-            oscillations: report.oscillations as u32,
-            active: active as u32,
-        });
-    }
-
-    fn on_arrival(&mut self, t: Time, pkt: u32) {
-        self.events.push(TraceEvent::Arrival { t, pkt });
-    }
-
-    fn on_drop(&mut self, t: Time, pkt: u32) {
-        self.events.push(TraceEvent::Drop { t, pkt });
-    }
-
-    fn on_sets_assigned(&mut self, sets: &[u32], num_sets: u32) {
-        self.events.push(TraceEvent::Sets {
-            num_sets,
-            sets: sets.to_vec(),
-        });
-    }
-
-    fn on_phase_start(&mut self, phase: u64, t: Time) {
-        self.events.push(TraceEvent::PhaseStart { phase, t });
-    }
-
-    fn on_phase_end(&mut self, phase: u64, t: Time) {
-        self.events.push(TraceEvent::PhaseEnd { phase, t });
-    }
-
-    fn on_frontier(&mut self, phase: u64, set: u32, frontier: i64) {
-        self.events.push(TraceEvent::Frontier {
-            phase,
-            set,
-            frontier,
-        });
-    }
-
-    fn on_set_congestion(&mut self, phase: u64, set: u32, congestion: u32, initial: u32) {
-        self.events.push(TraceEvent::Congestion {
-            phase,
-            set,
-            congestion,
-            initial,
-        });
-    }
-
-    fn on_section(&mut self, section: Section, nanos: u64) {
-        self.events.push(TraceEvent::Section {
-            section: section.name().to_string(),
-            nanos,
-        });
+/// Records each event in emission order: with [`observe_as_events!`],
+/// every hook becomes the [`TraceEvent`] that [`parse_line`] builds from
+/// the line `JsonlTraceObserver` writes for it, so routing into a `Trace`
+/// equals recording JSONL and parsing it back. The observer's optional
+/// `snapshot` checkpoints are not recorded: they exist to seed sharded
+/// verification of a file. The meta and stats envelope events are the
+/// caller's to push.
+///
+/// [`observe_as_events!`]: hotpotato_sim::observe_as_events
+impl EventSink for Trace {
+    #[inline]
+    fn event(&mut self, ev: TraceEvent) {
+        self.events.push(ev);
     }
 }
+
+hotpotato_sim::observe_as_events!(Trace);
 
 /// Renders the `meta` envelope line (without trailing newline).
 pub fn meta_line(meta: &Meta) -> String {
-    use serde::Serialize as _;
-    Value::object([
-        ("ev", Value::String("meta".into())),
-        ("schema", meta.schema.to_json()),
-        ("topo", Value::String(meta.topo.clone())),
-        ("workload", Value::String(meta.workload.clone())),
-        ("algo", Value::String(meta.algo.clone())),
-        ("seed", meta.seed.to_json()),
-        ("arrival", Value::String(meta.arrival.clone())),
-        ("packets", meta.packets.to_json()),
-        ("levels", meta.levels.to_json()),
-        ("congestion", meta.congestion.to_json()),
-        ("dilation", meta.dilation.to_json()),
-    ])
-    .to_compact_string()
+    event_line(&TraceEvent::Meta(Box::new(meta.clone())))
 }
-
 /// Renders a [`Rollup`] envelope as a JSON document (the `/rollup/<run>`
 /// response body).
 pub fn rollup_doc(r: &Rollup) -> Value {
@@ -688,99 +308,17 @@ pub fn parse_rollup(text: &str) -> Result<Rollup, ParseError> {
 /// Renders the `stats` envelope line (without trailing newline) from the
 /// run's final statistics.
 pub fn stats_line(stats: &RouteStats) -> String {
-    stats_line_of(&stats.into())
-}
-
-/// Renders the `stats` envelope line from an already-parsed
-/// [`StatsLine`].
-pub fn stats_line_of(s: &StatsLine) -> String {
-    use serde::Serialize as _;
-    Value::object([
-        ("ev", Value::String("stats".into())),
-        ("steps", s.steps.to_json()),
-        ("injected_at", s.injected_at.to_json()),
-        ("delivered_at", s.delivered_at.to_json()),
-        ("deflections", s.deflections.to_json()),
-    ])
-    .to_compact_string()
+    event_line(&TraceEvent::Stats(Box::new(stats.into())))
 }
 
 /// Renders any [`TraceEvent`] exactly as the recording pipeline writes
-/// it (no trailing newline): envelope lines via [`meta_line`] /
-/// [`stats_line_of`], every other line through the same
-/// [`hotpotato_sim::jsonl`] renderer `hotpotato_sim::JsonlTraceObserver`
-/// writes with. This canonical rendering is what makes binary → JSONL
-/// transcoding lossless down to the byte for any trace the pipeline
-/// recorded.
+/// it (no trailing newline), through the one renderer
+/// `hotpotato_sim::JsonlTraceObserver` writes with. This canonical
+/// rendering is what makes binary → JSONL transcoding lossless down to
+/// the byte for any trace the pipeline recorded.
 pub fn event_line(ev: &TraceEvent) -> String {
     let mut out = String::new();
-    match ev {
-        TraceEvent::Meta(m) => return meta_line(m),
-        TraceEvent::Stats(s) => return stats_line_of(s),
-        &TraceEvent::Move {
-            t,
-            pkt,
-            edge,
-            dir,
-            kind,
-        } => jsonl::push_move(&mut out, t, pkt, DirectedEdge { edge, dir }, kind),
-        &TraceEvent::Trivial { t, pkt } => jsonl::push_trivial(&mut out, t, pkt),
-        &TraceEvent::Deliver { t, pkt } => jsonl::push_deliver(&mut out, t, pkt),
-        &TraceEvent::Arrival { t, pkt } => jsonl::push_arrival(&mut out, t, pkt),
-        &TraceEvent::Drop { t, pkt } => jsonl::push_drop(&mut out, t, pkt),
-        &TraceEvent::Step {
-            t,
-            moved,
-            absorbed,
-            injected,
-            deflections,
-            fallback,
-            oscillations,
-            active,
-        } => {
-            let report = StepReport {
-                moved: moved as usize,
-                absorbed: absorbed as usize,
-                injected: injected as usize,
-                deflections: deflections as usize,
-                fallback_deflections: fallback as usize,
-                oscillations: oscillations as usize,
-            };
-            jsonl::push_step(&mut out, t, &report, u64::from(active));
-        }
-        TraceEvent::Sets { num_sets, sets } => jsonl::push_sets(&mut out, *num_sets, sets),
-        &TraceEvent::PhaseStart { phase, t } => jsonl::push_phase_start(&mut out, phase, t),
-        &TraceEvent::PhaseEnd { phase, t } => jsonl::push_phase_end(&mut out, phase, t),
-        &TraceEvent::Frontier {
-            phase,
-            set,
-            frontier,
-        } => jsonl::push_frontier(&mut out, phase, set, frontier),
-        &TraceEvent::Congestion {
-            phase,
-            set,
-            congestion,
-            initial,
-        } => jsonl::push_congestion(&mut out, phase, set, congestion, initial),
-        TraceEvent::Section { section, nanos } => jsonl::push_section(&mut out, section, *nanos),
-        TraceEvent::Snapshot(s) => jsonl::push_snapshot(
-            &mut out,
-            s.phase,
-            s.t,
-            s.state.iter().copied(),
-            s.nodes.iter().copied(),
-            &s.prev_forward,
-            &SnapshotCounts {
-                moves: s.moves,
-                forward: s.forward,
-                backward: s.backward,
-                deflections: s.deflections,
-                oscillations: s.oscillations,
-                trivial: s.trivial,
-                num_sets: s.num_sets,
-            },
-        ),
-    }
+    jsonl::push_event(&mut out, ev);
     out
 }
 

@@ -137,7 +137,8 @@ pub fn reconstruct(meta: &Meta) -> Result<VerifiedInstance, VerifyError> {
 /// naming no instance this build can construct: the inner `Err` is that
 /// spec error, the outer one a packet claim the instance contradicts. A
 /// workload spec that states its packet count is checked against the
-/// claim before anything is built, so a hostile count cannot allocate.
+/// claim, and against [`spec::MAX_PACKETS`], before anything is built,
+/// so a hostile count cannot allocate.
 pub fn rebuild(meta: &Meta) -> Result<Result<VerifiedInstance, String>, VerifyError> {
     if let Some(stated) = spec::stated_packets(&meta.workload) {
         if stated as u64 != meta.packets {
@@ -149,6 +150,9 @@ pub fn rebuild(meta: &Meta) -> Result<Result<VerifiedInstance, String>, VerifyEr
                 ),
             );
         }
+    }
+    if let Err(e) = spec::check_packet_budget(&meta.workload) {
+        return fail(1, e);
     }
     let (topo, problem) = match spec::reconstruct_problem(&meta.topo, &meta.workload, meta.seed) {
         Ok(built) => built,
@@ -1178,4 +1182,33 @@ pub(crate) fn cross_check_replay(
             line: 0,
             msg: format!("independent replay auditor disagrees: {e}"),
         })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::schema::SCHEMA_VERSION;
+
+    #[test]
+    fn a_meta_over_the_packet_budget_is_refused_before_any_build() {
+        // The meta's claim matches the count its workload states, so only
+        // the budget stands between it and building four billion paths.
+        // `linear:1` has no source node, so a build that slipped past the
+        // budget fails at once instead of exhausting memory.
+        let meta = Meta {
+            schema: SCHEMA_VERSION,
+            topo: "linear:1".into(),
+            workload: "m2m:4000000000".into(),
+            algo: "greedy".into(),
+            seed: 1,
+            arrival: String::new(),
+            packets: 4_000_000_000,
+            levels: 1,
+            congestion: 0,
+            dilation: 0,
+        };
+        let e = rebuild(&meta).err().expect("refused");
+        assert_eq!(e.line, 1);
+        assert!(e.msg.contains("over the budget of 16777216"), "{}", e.msg);
+    }
 }

@@ -10,7 +10,7 @@
 //!   `.clone()`, `.collect()`, `.to_vec()`, `format!`, or `String`
 //!   construction inside the annotated body.
 //! * [`schemafp`] — the normalized token streams of the `TraceEvent` /
-//!   envelope types in `crates/trace/src/schema.rs` and of the binary
+//!   envelope types in `crates/hotpotato-sim/src/event.rs` and of the binary
 //!   codec (`Tag`, `encode_event`, `decode_event` in
 //!   `crates/trace/src/binary.rs`) are hashed against a committed
 //!   fingerprint; any drift without a `SCHEMA_VERSION` bump in the same
@@ -88,7 +88,7 @@ impl Config {
 
     /// The version-pinned trace schema definition.
     pub fn schema_rs(&self) -> PathBuf {
-        self.root.join("crates/trace/src/schema.rs")
+        self.root.join("crates/hotpotato-sim/src/event.rs")
     }
 
     /// The binary trace codec, pinned alongside the schema (absent in

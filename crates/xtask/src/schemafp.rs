@@ -2,7 +2,7 @@
 //!
 //! The trace format is a contract: recorders write it, the offline
 //! verifier and the analytics pass both re-read it, and `SCHEMA_VERSION`
-//! in `crates/trace/src/schema.rs` is how readers detect incompatible
+//! in `crates/hotpotato-sim/src/event.rs` is how readers detect incompatible
 //! files. This lint makes it impossible to change the wire types without
 //! acknowledging that contract:
 //!
@@ -33,7 +33,7 @@ pub const PINNED_BINARY_ITEMS: &[&str] = &["Tag", "encode_event", "decode_event"
 /// What the schema source currently says.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Current {
-    /// Value of `SCHEMA_VERSION` in schema.rs.
+    /// Value of `SCHEMA_VERSION` in the schema source.
     pub version: u64,
     /// 1-based line of the `SCHEMA_VERSION` declaration.
     pub version_line: usize,
@@ -121,7 +121,7 @@ pub fn bless(cfg: &Config) -> Result<(), Diagnostic> {
         }
     }
     let body = format!(
-        "# Trace schema fingerprint — pins the wire types in crates/trace/src/schema.rs.\n\
+        "# Trace schema fingerprint — pins the wire types in crates/hotpotato-sim/src/event.rs.\n\
          # Checked by `cargo xtask lint`; regenerate with `cargo xtask lint --bless`\n\
          # (which requires a SCHEMA_VERSION bump whenever the fingerprint moves).\n\
          schema_version = {}\n\
@@ -186,7 +186,7 @@ pub fn current(cfg: &Config) -> Result<Current, Diagnostic> {
         hash_input.push('\n');
     }
     // The binary codec rides under the same pin when present (the seeded
-    // fixture trees predate the `.hpt` framing and carry only schema.rs).
+    // fixture trees predate the `.hpt` framing and carry only the schema source).
     if let Ok(bin_src) = std::fs::read_to_string(cfg.binary_rs()) {
         let rel_bin = cfg.rel(&cfg.binary_rs());
         let bin_toks = lex(&bin_src);

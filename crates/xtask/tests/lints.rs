@@ -77,7 +77,7 @@ fn bless_refuses_unbumped_drift() {
     let err = schemafp::bless(&fixture("schema_drift"))
         .expect_err("bless must refuse drift without a version bump");
     assert_eq!(err.lint, "schema-drift");
-    assert_eq!(err.file, "crates/trace/src/schema.rs");
+    assert_eq!(err.file, "crates/hotpotato-sim/src/event.rs");
     assert!(err.msg.contains("bump SCHEMA_VERSION"), "{}", err.msg);
 }
 

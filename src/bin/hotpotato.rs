@@ -88,6 +88,36 @@ macro_rules! or_exit {
     };
 }
 
+/// Writes to stdout: every line the CLI prints goes through here. A
+/// reader that closed early (`hotpotato … | head`) ends the command
+/// quietly with exit 0; any other write error ends it with exit 1.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            exit(0);
+        }
+        eprintln!("error: writing stdout: {e}");
+        exit(1);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// Writes `contents` to `path`, naming the path in the error.
 fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("writing {path}: {e}"))
@@ -203,9 +233,9 @@ fn cmd_topo(args: &[String]) -> i32 {
     };
     let topo = or_exit!(parse_topo(spec));
     if args.iter().any(|a| a == "--dot") {
-        print!("{}", render::to_dot(&topo.net));
+        out!("{}", render::to_dot(&topo.net));
     } else {
-        print!("{}", render::level_summary(&topo.net));
+        out!("{}", render::level_summary(&topo.net));
     }
     0
 }
@@ -290,6 +320,19 @@ fn cmd_route(args: &[String]) -> i32 {
         or_exit!(ArrivalProcess::parse(arrival));
         run.arrival = Some(arrival.to_string());
     }
+    // The admission bounds and the step cap are the streaming loop's; a
+    // batch router runs to its own cap, so on a batch run they would be
+    // silently ignored.
+    if run.arrival.is_none() {
+        let caps = ["--max-steps", "--max-in-flight", "--max-deferred"];
+        if let Some(flag) = caps.iter().find(|&&f| args.iter().any(|a| a == f)) {
+            eprintln!(
+                "error: {flag} applies only to streaming runs \
+                 (name an arrival process: --arrival P or TOPO/WL/ALGO/SEED/ARRIVAL)"
+            );
+            return 2;
+        }
+    }
     let verify = args.iter().any(|a| a == "--verify");
     let json = args.iter().any(|a| a == "--json");
     let metrics_out = flag_value(args, "--metrics-out");
@@ -299,8 +342,8 @@ fn cmd_route(args: &[String]) -> i32 {
     let (topo, problem, mut rng) = or_exit!(run.instantiate());
     let algo = run.algo.as_str();
     if !json {
-        println!("problem:  {}", problem.describe());
-        println!(
+        outln!("problem:  {}", problem.describe());
+        outln!(
             "lower bound max(C, D) = {}",
             problem.congestion().max(problem.dilation())
         );
@@ -316,7 +359,7 @@ fn cmd_route(args: &[String]) -> i32 {
     if algo == "busch" && matches!(plan, RunPlan::Batch(_)) {
         let p = explicit_params.unwrap_or_else(|| Params::auto(&problem));
         if !json {
-            println!(
+            outln!(
                 "params:   m={} w={} q={:.3} sets={} (scheduled {} steps)",
                 p.m,
                 p.w,
@@ -358,7 +401,7 @@ fn cmd_route(args: &[String]) -> i32 {
     let stream = match &outcome {
         RunOutcome::Stream(out) => {
             if !json {
-                println!(
+                outln!(
                     "stream:   {} arrivals, {} admitted, {} dropped (peak queue {}, \
                      peak in-flight {}), {:.1} pkts/kstep",
                     out.arrivals,
@@ -385,7 +428,7 @@ fn cmd_route(args: &[String]) -> i32 {
         let text = serde_json::to_string_pretty(&doc).expect("serialize");
         or_exit!(write_file(path, text), 1);
         if !json {
-            println!("metrics:  written to {path}");
+            outln!("metrics:  written to {path}");
         }
     }
     if let Some(trace) = trace {
@@ -396,7 +439,7 @@ fn cmd_route(args: &[String]) -> i32 {
         });
         or_exit!(close.map_err(|e| format!("writing {path}: {e}")), 1);
         if !json {
-            println!("trace:    written to {path}");
+            outln!("trace:    written to {path}");
         }
     }
     if let (Some(path), Some(aggregate)) = (aggregate_out, aggregate) {
@@ -404,7 +447,7 @@ fn cmd_route(args: &[String]) -> i32 {
         let text = serde_json::to_string_pretty(&doc).expect("serialize");
         or_exit!(write_file(path, text), 1);
         if !json {
-            println!("rollup:   written to {path}");
+            outln!("rollup:   written to {path}");
         }
     }
 
@@ -447,24 +490,24 @@ fn cmd_route(args: &[String]) -> i32 {
                 "latency": stats.latency_summary(),
             })
         };
-        println!("{}", serde_json::to_string_pretty(&doc).expect("serialize"));
+        outln!("{}", serde_json::to_string_pretty(&doc).expect("serialize"));
         return i32::from(failed);
     }
 
     if stream.is_some() {
-        println!("{algo}:   {}", stats.summary());
-        println!("latency:  {}", stats.latency_summary());
+        outln!("{algo}:   {}", stats.summary());
+        outln!("latency:  {}", stats.latency_summary());
     } else {
         match algo {
-            "busch" => println!("busch:    {}", stats.summary()),
-            "greedy" | "ftg" | "aging" => println!("{algo}:   {}", stats.summary()),
-            "rank" => println!("rank:     {}", stats.summary()),
-            "sf" => println!(
+            "busch" => outln!("busch:    {}", stats.summary()),
+            "greedy" | "ftg" | "aging" => outln!("{algo}:   {}", stats.summary()),
+            "rank" => outln!("rank:     {}", stats.summary()),
+            "sf" => outln!(
                 "sf:       {} (max queue {})",
                 stats.summary(),
                 stats.counter("max_queue")
             ),
-            "sfrank" => println!(
+            "sfrank" => outln!(
                 "sfrank:   {} (max queue {})",
                 stats.summary(),
                 stats.counter("max_queue")
@@ -472,10 +515,10 @@ fn cmd_route(args: &[String]) -> i32 {
             _ => unreachable!("dispatch rejected unknown algorithms"),
         }
         if matches!(algo, "busch" | "greedy" | "ftg" | "aging") {
-            println!("latency:  {}", stats.latency_summary());
+            outln!("latency:  {}", stats.latency_summary());
         }
         if algo == "busch" {
-            println!(
+            outln!(
                 "invariants: {}",
                 InvariantReport::from_counters(&stats.counters).summary()
             );
@@ -486,12 +529,14 @@ fn cmd_route(args: &[String]) -> i32 {
             match hotpotato_sim::replay::verify(&problem, record, &stats) {
                 Ok(rep) => {
                     if algo == "busch" {
-                        println!(
+                        outln!(
                             "replay:   VERIFIED ({} moves, {} fwd / {} bwd)",
-                            rep.moves, rep.forward, rep.backward
+                            rep.moves,
+                            rep.forward,
+                            rep.backward
                         );
                     } else {
-                        println!("replay:   VERIFIED ({} moves)", rep.moves);
+                        outln!("replay:   VERIFIED ({} moves)", rep.moves);
                     }
                 }
                 Err(e) => {
@@ -624,11 +669,11 @@ fn cmd_serve(args: &[String]) -> i32 {
         1
     );
     let bound = server.local_addr();
-    println!("serving on http://{bound}");
+    outln!("serving on http://{bound}");
     for name in service.run_names() {
-        println!("  run: {name}  (rollup at /rollup/{name})");
+        outln!("  run: {name}  (rollup at /rollup/{name})");
     }
-    println!("endpoints: /metrics /runs /healthz /rollup/<run>");
+    outln!("endpoints: /metrics /runs /healthz /rollup/<run>");
     // Serves forever (runs keep their final snapshots available after
     // they quiesce); only an accept-loop error returns.
     let err = server.serve(serve::service::into_handler(service));
@@ -674,13 +719,13 @@ fn cmd_serve_fleet(args: &[String]) -> i32 {
         1
     );
     let bound = server.local_addr();
-    println!(
+    outln!(
         "serving fleet on http://{bound}  ({} runs on {} workers, verify {})",
         service.total(),
         service.workers(),
         if verify { "on" } else { "off" }
     );
-    println!("endpoints: /fleet /fleet/progress /metrics /healthz");
+    outln!("endpoints: /fleet /fleet/progress /metrics /healthz");
     let err = server.serve(serve::into_fleet_handler(service));
     eprintln!("error: accept loop failed: {err}");
     1
@@ -759,28 +804,38 @@ fn cmd_trace(args: &[String]) -> i32 {
                             }),
                             "pipeline": pipeline.to_json(),
                         });
-                        println!("{}", serde_json::to_string_pretty(&doc).expect("serialize"));
+                        outln!("{}", serde_json::to_string_pretty(&doc).expect("serialize"));
                         return 0;
                     }
                     if let Some(m) = trace.meta() {
-                        println!(
+                        outln!(
                             "instance: {} / {} / {} (seed {})",
-                            m.topo, m.workload, m.algo, m.seed
+                            m.topo,
+                            m.workload,
+                            m.algo,
+                            m.seed
                         );
                     }
-                    println!(
+                    outln!(
                         "verified: {} packets, {} steps, {} moves ({} fwd / {} bwd)",
-                        rep.packets, rep.steps, rep.moves, rep.forward, rep.backward
+                        rep.packets,
+                        rep.steps,
+                        rep.moves,
+                        rep.forward,
+                        rep.backward
                     );
-                    println!(
+                    outln!(
                         "\u{20}         {} delivered ({} trivial), {} deflections, {} \
                          oscillations, 0 violations",
-                        rep.delivered, rep.trivial, rep.deflections, rep.oscillations
+                        rep.delivered,
+                        rep.trivial,
+                        rep.deflections,
+                        rep.oscillations
                     );
                     if rep.replay_cross_checked {
-                        println!("replay:   independent auditor concurs");
+                        outln!("replay:   independent auditor concurs");
                     } else {
-                        println!("replay:   skipped (buffered store-and-forward trace)");
+                        outln!("replay:   skipped (buffered store-and-forward trace)");
                     }
                     let util = pipeline
                         .shard_utilization()
@@ -789,7 +844,7 @@ fn cmd_trace(args: &[String]) -> i32 {
                         || "n/a".to_string(),
                         |b| format!("{:.1} MiB", b as f64 / (1024.0 * 1024.0)),
                     );
-                    println!(
+                    outln!(
                         "pipeline: {:.3e} events/s, {:.3e} bytes/s, {} shards over {} \
                          jobs (busy {util}), peak RSS {rss}",
                         pipeline.events_per_s(),
@@ -833,9 +888,9 @@ fn cmd_trace(args: &[String]) -> i32 {
             match flag_value(args, "--out") {
                 Some(out) => {
                     or_exit!(write_file(out, text), 1);
-                    println!("report:   written to {out}");
+                    outln!("report:   written to {out}");
                 }
-                None => println!("{text}"),
+                None => outln!("{text}"),
             }
             0
         }
@@ -862,7 +917,7 @@ fn cmd_trace(args: &[String]) -> i32 {
                 (hotpotato_trace::encode_trace(&trace), "jsonl -> binary")
             };
             or_exit!(write_file(output, &out_bytes), 1);
-            println!(
+            outln!(
                 "convert:  {direction}, {in_len} -> {} bytes ({:.1}% of input)",
                 out_bytes.len(),
                 out_bytes.len() as f64 / in_len as f64 * 100.0
@@ -895,7 +950,7 @@ fn cmd_trace(args: &[String]) -> i32 {
                 &hotpotato_trace::analyze_with(&ta.trace, ta.instance),
                 &hotpotato_trace::analyze_with(&tb.trace, tb.instance),
             );
-            println!("{}", serde_json::to_string_pretty(&doc).expect("serialize"));
+            outln!("{}", serde_json::to_string_pretty(&doc).expect("serialize"));
             let rows = doc["rows"].as_array().cloned().unwrap_or_default();
             let mut breached = 0;
             for (metric, limit) in thresholds {
@@ -928,28 +983,28 @@ fn cmd_params(args: &[String]) -> i32 {
         return 2;
     };
     let p = PaperParams::new(c, l, n);
-    println!(
+    outln!(
         "paper parameters for C={c}, L={l}, N={n} (ln(LN) = {:.3}):",
         p.ln_ln
     );
-    println!(
+    outln!(
         "  a      = {:.6}  (frontier sets ⌈aC⌉ = {})",
         p.a,
         p.num_sets()
     );
-    println!("  m      = {:.1}", p.m);
-    println!("  q      = {:.3e}", p.q);
-    println!("  w      = {:.3e}", p.w);
-    println!("  p0     = {:.12}", p.p0);
-    println!("  p1     = {:.3e}", p.p1);
-    println!("  phases = {:.3e}  (⌈aC⌉·m + L)", p.total_phases());
-    println!("  time   = {:.3e}  steps  (phases · m · w)", p.total_time());
-    println!(
+    outln!("  m      = {:.1}", p.m);
+    outln!("  q      = {:.3e}", p.q);
+    outln!("  w      = {:.3e}", p.w);
+    outln!("  p0     = {:.12}", p.p0);
+    outln!("  p1     = {:.3e}", p.p1);
+    outln!("  phases = {:.3e}  (⌈aC⌉·m + L)", p.total_phases());
+    outln!("  time   = {:.3e}  steps  (phases · m · w)", p.total_time());
+    outln!(
         "  Õ      = {:.3e}  = time/(C+L);   ln⁹(LN) = {:.3e}",
         p.polylog_factor(),
         p.ln_ln.powi(9)
     );
-    println!(
+    outln!(
         "  success ≥ {:.9}  (Theorem 2.6 bound 1 − 1/LN = {:.9})",
         p.success_probability(),
         p.success_lower_bound()
@@ -973,15 +1028,15 @@ fn cmd_frames(args: &[String]) -> i32 {
     }
     let s = FrameSchedule::new(m, sets, l);
     for phase in 0..s.end_phase() {
-        print!("phase {phase:>4}  ");
+        out!("phase {phase:>4}  ");
         for level in 0..=l {
             match (0..sets).find(|&i| s.contains(i, phase, level)) {
-                Some(i) => print!("{}", i % 10),
-                None => print!("."),
+                Some(i) => out!("{}", i % 10),
+                None => out!("."),
             }
         }
-        println!();
+        outln!();
     }
-    println!("(all frames gone at phase {})", s.end_phase());
+    outln!("(all frames gone at phase {})", s.end_phase());
     0
 }

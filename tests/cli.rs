@@ -516,3 +516,101 @@ fn trace_packet_ids_outside_the_universe_are_rejected() {
         assert!(err.contains(msg), "{name}: {err}");
     }
 }
+
+#[test]
+fn route_rejects_step_caps_on_batch_runs() {
+    // The admission bounds and the step cap belong to the streaming loop;
+    // a batch run used to accept and ignore them (12 steps, exit 0).
+    for flag in ["--max-steps", "--max-in-flight", "--max-deferred"] {
+        let (out, err, code) = hotpotato(&["route", "--spec", "bf:6/bitrev/greedy/1", flag, "1"]);
+        assert_eq!(code, 2, "{flag}: {err}");
+        assert!(
+            err.contains(flag),
+            "{flag}: the error must name the flag: {err}"
+        );
+        assert!(out.is_empty(), "{flag}: did work before failing: {out}");
+    }
+    // A streaming run keeps them: one step cannot drain it.
+    let (out, err, code) = hotpotato(&[
+        "route",
+        "--spec",
+        "bf:6/bitrev/greedy/1/poisson:0.5",
+        "--max-steps",
+        "1",
+    ]);
+    assert_eq!(code, 1, "{err}");
+    assert!(out.contains("in 1 steps"), "{out}");
+}
+
+#[test]
+fn route_ends_quietly_when_its_reader_closes() {
+    // `route … --json | head` used to panic on the broken pipe (exit 101,
+    // "failed printing to stdout" on stderr).
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hotpotato"))
+        .args(["route", "--spec", "bf:8/bitrev/busch/7", "--json"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(err.is_empty(), "{err}");
+}
+
+#[test]
+fn stated_packet_counts_over_the_budget_are_rejected() {
+    // Each names a workload stating four billion packets. `linear:1` has
+    // no source node, so a build that slipped past the budget would fail
+    // at once rather than exhaust memory.
+    let meta = r#"{"ev":"meta","schema":5,"topo":"linear:1","workload":"m2m:4000000000","algo":"greedy","seed":1,"arrival":"","packets":4000000000,"levels":1,"congestion":0,"dilation":0}"#;
+    let path =
+        std::env::temp_dir().join(format!("hotpotato-cli-budget-{}.jsonl", std::process::id()));
+    std::fs::write(
+        &path,
+        format!("{meta}\n{{\"ev\":\"deliver\",\"t\":1,\"pkt\":0}}\n"),
+    )
+    .expect("temp file");
+    let trace = path.to_str().unwrap();
+    let cases: &[&[&str]] = &[
+        &["route", "--spec", "linear:1/m2m:4000000000"],
+        &[
+            "route",
+            "--topo",
+            "linear:1",
+            "--workload",
+            "hotspot:4000000000:1",
+        ],
+        &[
+            "serve",
+            "--run",
+            "linear:1/funnel:4000000000",
+            "--addr",
+            "127.0.0.1:99999",
+        ],
+        &[
+            "serve",
+            "--fleet",
+            "--sweep",
+            "linear:1/pairs:4000000000/greedy/1..2",
+            "--addr",
+            "127.0.0.1:99999",
+        ],
+        &["trace", "analyze", trace],
+        &["trace", "verify", trace],
+    ];
+    for args in cases {
+        let (out, err, code) = hotpotato_capped(args);
+        assert_eq!(code, 2, "args {args:?}: {err}");
+        assert!(
+            err.contains("states 4000000000 packets, over the budget of 16777216"),
+            "args {args:?}: {err}"
+        );
+        assert!(
+            out.is_empty(),
+            "args {args:?}: did work before failing: {out}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
