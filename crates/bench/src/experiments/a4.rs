@@ -10,7 +10,8 @@
 use crate::runner::parallel_map;
 use crate::table::Table;
 use busch_router::{BuschConfig, BuschRouter, Params};
-use hotpotato_sim::MetricsObserver;
+use hotpotato_trace::verify::VerifiedInstance;
+use hotpotato_trace::Analyzer;
 use leveled_net::builders::{self, ButterflyCoords};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -108,14 +109,15 @@ pub fn run(quick: bool) {
             ..BuschConfig::new(params)
         };
         let mut rng = ChaCha8Rng::seed_from_u64(9000);
-        let mut metrics = MetricsObserver::new(&prob);
-        BuschRouter::with_config(cfg).route_observed(&prob, &mut rng, &mut metrics);
-        let by_level: Vec<String> = metrics
+        let mut analyzer = Analyzer::new(Some(VerifiedInstance::of(&prob)));
+        BuschRouter::with_config(cfg).route_observed(&prob, &mut rng, &mut analyzer);
+        let a = analyzer.finish();
+        let by_level: Vec<String> = a
             .deflections_by_level()
             .iter()
             .map(std::string::ToString::to_string)
             .collect();
-        let hist: Vec<String> = metrics
+        let hist: Vec<String> = a
             .deflection_histogram()
             .iter()
             .take(6)
@@ -123,8 +125,8 @@ pub fn run(quick: bool) {
             .collect();
         t.row(vec![
             label.to_string(),
-            metrics.safe_deflections().to_string(),
-            metrics.unsafe_deflections().to_string(),
+            a.safe_deflections.to_string(),
+            (a.deflections - a.safe_deflections).to_string(),
             by_level.join(" "),
             hist.join(" "),
         ]);

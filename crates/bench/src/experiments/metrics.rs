@@ -1,8 +1,9 @@
 //! METRICS — the structured-observability artifact.
 //!
 //! Routes the bf(k) bit-reversal reference instance (k = 8 quick, 10
-//! full) with a [`MetricsObserver`] and a [`SectionProfiler`] attached
-//! to the paper's router, then reports what the event stream shows:
+//! full) with a [`MetricsObserver`], a live [`Analyzer`] and a
+//! [`SectionProfiler`] attached to the paper's router, then reports what
+//! the event stream shows:
 //! per-frontier-set congestion watermarks against the Lemma 2.2
 //! `ln(L·N)` bound, frame progress against the theoretical frontier
 //! `φ_i(k)`, the deflection histogram, and where the router spends its
@@ -13,6 +14,8 @@
 use crate::table::{f, Table};
 use busch_router::{BuschRouter, Params};
 use hotpotato_sim::{MetricsObserver, SectionProfiler};
+use hotpotato_trace::verify::VerifiedInstance;
+use hotpotato_trace::{Analysis, Analyzer};
 use leveled_net::builders::{self, ButterflyCoords};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -33,6 +36,8 @@ pub struct MetricsReport {
     pub phases: u64,
     /// The filled metrics sink.
     pub metrics: MetricsObserver,
+    /// The live analysis of the same run (every count).
+    pub analysis: Analysis,
     /// The filled section profiler.
     pub profile: SectionProfiler,
 }
@@ -48,7 +53,7 @@ impl MetricsReport {
             "congestion": self.congestion,
             "makespan": self.makespan,
             "phases": self.phases,
-            "metrics": self.metrics.to_json(),
+            "metrics": hotpotato_trace::metrics_json(&self.metrics, &self.analysis),
             "sections": self.profile.to_json(),
         })
     }
@@ -66,12 +71,15 @@ pub fn collect(quick: bool) -> MetricsReport {
     // Sparse occupancy sampling: the committed artifact needs the shape
     // of the series, not a per-64-step trace.
     let mut observer = (
-        MetricsObserver::new(&prob).with_occupancy_sampling(1024),
+        (
+            MetricsObserver::new(&prob).with_occupancy_sampling(1024),
+            Analyzer::new(Some(VerifiedInstance::of(&prob))),
+        ),
         SectionProfiler::new(),
     );
     let out = BuschRouter::new(params).route_observed(&prob, &mut rng, &mut observer);
     assert!(out.stats.all_delivered(), "{}", out.stats.summary());
-    let (metrics, profile) = observer;
+    let ((metrics, analyzer), profile) = observer;
     MetricsReport {
         k,
         n: prob.num_packets(),
@@ -79,6 +87,7 @@ pub fn collect(quick: bool) -> MetricsReport {
         makespan: out.stats.makespan().unwrap_or(0),
         phases: out.phases_elapsed,
         metrics,
+        analysis: analyzer.finish(),
         profile,
     }
 }
@@ -86,7 +95,7 @@ pub fn collect(quick: bool) -> MetricsReport {
 /// Runs METRICS.
 pub fn run(quick: bool) {
     let rep = collect(quick);
-    let m = &rep.metrics;
+    let (m, a) = (&rep.metrics, &rep.analysis);
     let bound = m.ln_ln_bound();
 
     let mut t = Table::new(
@@ -153,9 +162,13 @@ pub fn run(quick: bool) {
     );
     t.row(vec![
         "deflections (safe / unsafe)".into(),
-        format!("{} / {}", m.safe_deflections(), m.unsafe_deflections()),
+        format!(
+            "{} / {}",
+            a.safe_deflections,
+            a.deflections - a.safe_deflections
+        ),
     ]);
-    let hist = m.deflection_histogram();
+    let hist = a.deflection_histogram();
     let tail = hist.last().map_or(0, |&(d, _)| d);
     t.row(vec![
         "deflection histogram".into(),

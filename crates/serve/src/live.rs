@@ -4,7 +4,13 @@
 //! [`MetricsObserver`] and a [`StreamingAggregator`]) and, every
 //! `publish_every` steps, copies the current aggregates into a
 //! [`LiveSnapshot`] through the never-blocking
-//! [`SnapshotPublisher`] exchange. HTTP handler threads read the other
+//! [`SnapshotPublisher`] exchange. Each quantity is counted once:
+//! occupancy and per-set congestion come from the [`MetricsObserver`];
+//! steps, moves, injections, deflections and oscillations from the
+//! aggregator's exact run totals; and the observer's own tail keeps only
+//! what neither folds (trivial deliveries, arrivals, drops, phases, and
+//! the per-packet deflection and injection records behind the
+//! histograms). Memory is O(packets + levels + sets + rollup cap). HTTP handler threads read the other
 //! side. The publish path is `// lint: hot-path`: it only copies —
 //! `clear()` + `extend_from_slice` into buffers pre-sized at exchange
 //! creation — so the steady state allocates nothing and a contended
@@ -218,12 +224,23 @@ impl Latency {
 }
 
 /// What the live view needs beyond the two sinks: the last `active`
-/// count, the fixed-bucket deflection histogram, each packet's
-/// injection step and the latency aggregates.
+/// count, the counts no step report carries, the fixed-bucket
+/// deflection histogram, each packet's deflections and injection step,
+/// and the latency aggregates.
 struct Tail {
     /// In-flight packets after the last completed step.
     active: u64,
+    /// Trivial (source == destination) deliveries.
+    trivial: u64,
+    /// Streaming: packets made available by the arrival process.
+    arrivals: u64,
+    /// Streaming: packets dropped by admission control.
+    drops: u64,
+    /// Phases begun so far (0 for phase-less routers).
+    phases: u64,
     defl_hist: [u64; DEFL_BUCKETS],
+    /// Deflections per packet (the histogram's bucket source).
+    deflections: Vec<u32>,
     /// Injection step per packet (`u64::MAX` = not injected yet);
     /// delivery latency is absorb time minus this.
     injected_step: Vec<Time>,
@@ -241,23 +258,24 @@ fn fill_snapshot(
     tail: &Tail,
     finished: bool,
 ) {
-    snap.steps = metrics.steps();
-    snap.moves = metrics.moves();
-    snap.delivered = metrics.delivered();
-    snap.trivial = metrics.trivial();
-    snap.injected = metrics.injected();
-    snap.oscillations = metrics.oscillations();
+    let totals = agg.totals();
+    snap.steps = totals.steps;
+    snap.moves = totals.moved;
+    snap.delivered = totals.absorbed + tail.trivial;
+    snap.trivial = tail.trivial;
+    snap.injected = totals.injected;
+    snap.oscillations = totals.oscillations;
     snap.active = tail.active;
-    snap.phases = metrics.phases();
-    snap.arrivals = metrics.arrivals();
-    snap.drops = metrics.drops();
+    snap.phases = tail.phases;
+    snap.arrivals = tail.arrivals;
+    snap.drops = tail.drops;
     snap.lat_count = tail.latency.count;
     snap.lat_sum = tail.latency.sum;
     snap.lat_hist = tail.latency.hist;
     snap.lat_window.clear();
     snap.lat_window.extend_from_slice(&tail.latency.ring);
-    snap.safe_deflections = metrics.safe_deflections();
-    snap.unsafe_deflections = metrics.unsafe_deflections();
+    snap.safe_deflections = totals.deflections - totals.fallback;
+    snap.unsafe_deflections = totals.fallback;
     snap.defl_hist = tail.defl_hist;
     snap.occupancy.clear();
     snap.occupancy.extend_from_slice(metrics.occupancy());
@@ -276,14 +294,14 @@ fn fill_snapshot(
     snap.rollup_cap = agg.cap();
     snap.rollup_scale = agg.scale();
     snap.rollup_merges = agg.merges();
-    snap.rollup_totals = *agg.totals();
+    snap.rollup_totals = *totals;
     snap.rollup_buckets.clear();
     snap.rollup_buckets.extend_from_slice(agg.buckets());
 }
 
 /// The serving observer: forwards every event to a [`MetricsObserver`]
-/// and a [`StreamingAggregator`], keeps the little neither of them
-/// counts, and publishes a [`LiveSnapshot`] every `publish_every` steps
+/// and a [`StreamingAggregator`], keeps the few counts neither of them
+/// has, and publishes a [`LiveSnapshot`] every `publish_every` steps
 /// through the exchange.
 pub struct LiveObserver {
     sinks: (MetricsObserver, StreamingAggregator),
@@ -319,7 +337,12 @@ impl LiveObserver {
                 ),
                 tail: Tail {
                     active: 0,
+                    trivial: 0,
+                    arrivals: 0,
+                    drops: 0,
+                    phases: 0,
                     defl_hist,
+                    deflections: vec![0; problem.num_packets()],
                     injected_step: vec![u64::MAX; problem.num_packets()],
                     latency: Latency::new(),
                 },
@@ -359,7 +382,7 @@ impl LiveObserver {
     /// Periodic non-blocking publish.
     // lint: hot-path
     fn publish_if_due(&mut self) {
-        if self.sinks.0.steps().is_multiple_of(self.publish_every) {
+        if self.sinks.1.totals().steps.is_multiple_of(self.publish_every) {
             let Self {
                 sinks,
                 tail,
@@ -377,9 +400,9 @@ impl RouteObserver for LiveObserver {
         match kind {
             ExitKind::Inject => self.tail.injected_step[pkt as usize] = t,
             ExitKind::Deflect { .. } => {
-                // The metrics sink has just counted this deflection.
-                let now = self.sinks.0.packet_deflections(pkt);
-                let (from, to) = (defl_bucket(now - 1), defl_bucket(now));
+                let count = &mut self.tail.deflections[pkt as usize];
+                *count += 1;
+                let (from, to) = (defl_bucket(*count - 1), defl_bucket(*count));
                 if from != to {
                     self.tail.defl_hist[from] -= 1;
                     self.tail.defl_hist[to] += 1;
@@ -391,6 +414,7 @@ impl RouteObserver for LiveObserver {
 
     fn on_trivial(&mut self, t: Time, pkt: u32) {
         self.sinks.on_trivial(t, pkt);
+        self.tail.trivial += 1;
         // Source == destination: delivered the step it was admitted.
         self.tail.latency.record(0);
     }
@@ -405,10 +429,12 @@ impl RouteObserver for LiveObserver {
 
     fn on_arrival(&mut self, t: Time, pkt: u32) {
         self.sinks.on_arrival(t, pkt);
+        self.tail.arrivals += 1;
     }
 
     fn on_drop(&mut self, t: Time, pkt: u32) {
         self.sinks.on_drop(t, pkt);
+        self.tail.drops += 1;
     }
 
     fn on_step_end(&mut self, t: Time, report: &StepReport, active: usize) {
@@ -426,6 +452,7 @@ impl RouteObserver for LiveObserver {
 
     fn on_phase_start(&mut self, phase: u64, t: Time) {
         self.sinks.on_phase_start(phase, t);
+        self.tail.phases = self.tail.phases.max(phase + 1);
     }
 
     fn on_phase_end(&mut self, phase: u64, t: Time) {

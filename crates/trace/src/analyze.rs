@@ -2,11 +2,20 @@
 //! distributions, latency anatomy, causal chains, and empirical C+L
 //! scaling ratios — everything a run leaves behind, condensed into one
 //! JSON report by a single pass over the events ([`Analyzer`]).
+//!
+//! The same fold runs live: [`Analyzer`] is an [`EventSink`], so it sits
+//! in the engine's observer slot as well as reading a recorded or parsed
+//! trace. `route --metrics-out` and the `tables` metrics artifact run it
+//! beside a [`MetricsObserver`], and [`metrics_json`] renders their
+//! metrics document from the pair: the occupancy, frame-progress and
+//! congestion series from the observer, and every count (steps, phases,
+//! deliveries, deflections by packet, level and phase) from the
+//! [`Analysis`].
 
 use crate::schema::{Trace, TraceEvent};
 use crate::timeline::{ChainFold, ChainReport, PacketTimeline, TimelineFold};
 use crate::verify::{reconstruct, VerifiedInstance};
-use hotpotato_sim::{nearest_rank, ExitKind, Time};
+use hotpotato_sim::{nearest_rank, EventSink, ExitKind, MetricsObserver, Time};
 use leveled_net::ids::DirectedEdge;
 use leveled_net::Direction;
 use serde::Value;
@@ -128,6 +137,10 @@ pub struct Analysis {
     pub congestion_watermark: u64,
     /// Per-phase aggregates.
     pub phases: Vec<PhaseRow>,
+    /// Whether the trace carried any `phase_start` or `phase_end` event.
+    /// Without one, [`Analysis::phases`] is the single whole-run row the
+    /// fold makes up, not a phase of the router's schedule.
+    pub phased: bool,
     /// Frontier-lag observations (busch traces with sets + frontiers).
     pub frontier_lags: Vec<FrontierLag>,
     /// Causal deflection-chain attribution.
@@ -175,11 +188,14 @@ pub struct Analyzer {
 
 impl Analyzer {
     /// An empty fold. With `instance`, phase rows get deflections-by-level
-    /// heatmaps and frontier announcements get lags; without it, every
-    /// other field of the [`Analysis`] is still filled.
+    /// heatmaps, frontier announcements get lags, and the packet universe
+    /// starts at the instance's packets (a fold running live sees no meta
+    /// line); without it, every other field of the [`Analysis`] is still
+    /// filled.
     pub fn new(instance: Option<VerifiedInstance>) -> Self {
         let num_levels = instance.as_ref().map_or(0, |i| i.net.num_levels());
-        Analyzer {
+        let packets = instance.as_ref().map_or(0, |i| i.problem.num_packets());
+        let mut analyzer = Analyzer {
             instance,
             num_levels,
             open: PhaseRow {
@@ -187,7 +203,9 @@ impl Analyzer {
                 ..PhaseRow::default()
             },
             ..Analyzer::default()
-        }
+        };
+        analyzer.grow(packets);
+        analyzer
     }
 
     /// Widens the packet universe to `0..n`.
@@ -214,7 +232,9 @@ impl Analyzer {
             }
             TraceEvent::Stats(ref s) => self.stats_steps = Some(s.steps),
             TraceEvent::Step { t, .. } => self.last_t = self.last_t.max(t + 1),
+            TraceEvent::PhaseStart { .. } => self.a.phased = true,
             TraceEvent::PhaseEnd { phase, t } => {
+                self.a.phased = true;
                 let next = PhaseRow {
                     start_t: t,
                     deflections_by_level: vec![0; self.num_levels],
@@ -382,6 +402,16 @@ impl Analyzer {
     }
 }
 
+/// The fold as a live observer: each hook's event is pushed as it
+/// happens, in the order the engine emits it.
+impl EventSink for Analyzer {
+    fn event(&mut self, ev: TraceEvent) {
+        self.push(&ev);
+    }
+}
+
+hotpotato_sim::observe_as_events!(Analyzer);
+
 /// The phase row an event at step `t` counts toward: the open row from
 /// its first step on, otherwise the closed row spanning `t`.
 fn row_at<'r>(closed: &'r mut [PhaseRow], open: &'r mut PhaseRow, t: Time) -> &'r mut PhaseRow {
@@ -411,7 +441,63 @@ pub fn analyze_with(trace: &Trace, instance: Option<VerifiedInstance>) -> Analys
     analyzer.finish()
 }
 
+/// Counts per distinct value: `(value, multiplicity)`, ascending by value.
+fn histogram(values: &[u32]) -> Vec<(u32, u32)> {
+    let mut sorted: Vec<u32> = values.to_vec();
+    sorted.sort_unstable();
+    let mut out: Vec<(u32, u32)> = Vec::new();
+    for v in sorted {
+        match out.last_mut() {
+            Some((val, count)) if *val == v => *count += 1,
+            _ => out.push((v, 1)),
+        }
+    }
+    out
+}
+
 impl Analysis {
+    /// Deflections-per-packet histogram over the packet universe:
+    /// `(deflections, packets)` pairs, ascending.
+    pub fn deflection_histogram(&self) -> Vec<(u32, u32)> {
+        let per_packet: Vec<u32> = self.timelines.iter().map(|t| t.deflections).collect();
+        histogram(&per_packet)
+    }
+
+    /// Deflections by the level of the node each loser departed, summed
+    /// over the phase rows (empty when the instance was unknown).
+    pub fn deflections_by_level(&self) -> Vec<u64> {
+        let levels = self.phases.first().map_or(0, |r| r.deflections_by_level.len());
+        let mut out = vec![0; levels];
+        for row in &self.phases {
+            for (cell, n) in out.iter_mut().zip(&row.deflections_by_level) {
+                *cell += n;
+            }
+        }
+        out
+    }
+
+    /// Phases of the router's schedule: one per phase row of a
+    /// [`phased`](Analysis::phased) trace, 0 for a phase-less one.
+    pub fn schedule_phases(&self) -> u64 {
+        if self.phased {
+            self.phases.len() as u64
+        } else {
+            0
+        }
+    }
+
+    /// Deflections per phase of the router's schedule. A phase-less run
+    /// has one whole-run cell once it deflected, and none before.
+    pub fn deflections_by_phase(&self) -> Vec<u64> {
+        if self.phased {
+            self.phases.iter().map(|r| r.deflections).collect()
+        } else if self.deflections > 0 {
+            vec![self.deflections]
+        } else {
+            Vec::new()
+        }
+    }
+
     /// Drops per arrival (0 when the trace has no streaming events).
     pub fn drop_rate(&self) -> f64 {
         if self.arrivals == 0 {
@@ -568,6 +654,89 @@ impl Analysis {
     }
 }
 
+/// The metrics document of one run (`route --metrics-out`, `tables
+/// metricsjson`): the occupancy, frame-progress and congestion series of
+/// `metrics`, and every count from `analysis`, a live [`Analyzer`] fold
+/// of the same run.
+pub fn metrics_json(metrics: &MetricsObserver, analysis: &Analysis) -> Value {
+    use serde::Serialize as _;
+    let a = analysis;
+    let histogram: Vec<Value> = a
+        .deflection_histogram()
+        .into_iter()
+        .map(|(deflections, packets)| {
+            Value::object([
+                ("deflections", deflections.to_json()),
+                ("packets", packets.to_json()),
+            ])
+        })
+        .collect();
+    let frame_progress: Vec<Value> = metrics
+        .frame_progress()
+        .iter()
+        .map(|row| {
+            Value::object([
+                ("phase", row.phase.to_json()),
+                ("set", row.set.to_json()),
+                ("frontier", row.frontier.to_json()),
+                ("max_level", row.max_level.to_json()),
+                ("in_flight", row.in_flight.to_json()),
+            ])
+        })
+        .collect();
+    let occupancy_series: Vec<Value> = metrics
+        .occupancy_series()
+        .iter()
+        .map(|(t, levels)| Value::object([("t", t.to_json()), ("levels", levels.to_json())]))
+        .collect();
+    let watermarks = metrics.congestion_watermarks();
+    let watermark_max = watermarks.iter().copied().max().unwrap_or(0);
+    Value::object([
+        ("packets", metrics.packets().to_json()),
+        ("steps", a.steps.to_json()),
+        ("delivered", a.deliveries.to_json()),
+        ("trivial_deliveries", a.trivial.to_json()),
+        ("phases", a.schedule_phases().to_json()),
+        (
+            "deflections",
+            Value::object([
+                ("total", a.deflections.to_json()),
+                ("safe", a.safe_deflections.to_json()),
+                ("unsafe", (a.deflections - a.safe_deflections).to_json()),
+                ("per_packet_histogram", Value::Array(histogram)),
+                ("by_level", a.deflections_by_level().to_json()),
+                ("by_phase", a.deflections_by_phase().to_json()),
+            ]),
+        ),
+        (
+            "occupancy",
+            Value::object([
+                ("packet_steps_by_level", metrics.level_packet_steps().to_json()),
+                ("watermark_by_level", metrics.level_watermarks().to_json()),
+                ("series", Value::Array(occupancy_series)),
+            ]),
+        ),
+        (
+            "injection",
+            Value::object([
+                ("arrivals", a.arrivals.to_json()),
+                ("drops", a.drops.to_json()),
+            ]),
+        ),
+        ("frame_progress", Value::Array(frame_progress)),
+        (
+            "congestion",
+            Value::object([
+                ("num_sets", metrics.num_sets().to_json()),
+                ("initial_per_set", metrics.congestion_initial().to_json()),
+                ("watermark_per_set", watermarks.to_json()),
+                ("watermark_max", watermark_max.to_json()),
+                ("ln_ln_bound", metrics.ln_ln_bound().to_json()),
+            ]),
+        ),
+    ])
+}
+
 /// Compares two analyses metric by metric, reporting absolute values and
 /// signed deltas (`b − a`) for every shared scalar. Streaming traces
 /// (schema-v3 `arrival`/`drop` events) additionally get admission
@@ -647,6 +816,10 @@ pub fn diff(a: &Analysis, b: &Analysis) -> Value {
 mod tests {
     use super::*;
     use crate::schema::Trace;
+    use hotpotato_sim::{RouteObserver, StepReport};
+    use leveled_net::{builders, NodeId};
+    use routing_core::{Path, RoutingProblem};
+    use std::sync::Arc;
 
     #[test]
     fn analyzes_a_bare_trace_without_meta() {
@@ -698,6 +871,181 @@ mod tests {
             .find(|r| r["metric"] == "latency_p50")
             .unwrap();
         assert_eq!(p50["a"].as_u64(), Some(2));
+    }
+
+    #[test]
+    fn histogram_run_length_encodes_sorted_values() {
+        assert_eq!(histogram(&[]), vec![]);
+        assert_eq!(histogram(&[3]), vec![(3, 1)]);
+        assert_eq!(histogram(&[2, 0, 2, 1, 2, 0]), vec![(0, 2), (1, 1), (2, 3)]);
+    }
+
+    /// A hand-built 3-level line (4 nodes, depth 3) with two packets
+    /// walking the full chain, plus the chain's forward moves.
+    fn three_level_problem() -> (Arc<RoutingProblem>, Vec<DirectedEdge>) {
+        let net = Arc::new(builders::linear_array(4));
+        let mut moves = Vec::new();
+        let mut at = NodeId(0);
+        for _ in 0..3 {
+            let mv = net
+                .exits(at)
+                .find(|m| m.dir == Direction::Forward)
+                .expect("line node has a forward exit");
+            moves.push(mv);
+            at = net.move_target(mv);
+        }
+        let edges: Vec<_> = moves.iter().map(|m| m.edge).collect();
+        let paths = vec![
+            Path::new(&net, NodeId(0), edges.clone()).unwrap(),
+            Path::new(&net, NodeId(0), edges).unwrap(),
+        ];
+        // Relaxed: both packets share the source node.
+        let prob = Arc::new(RoutingProblem::new_relaxed(net, paths));
+        (prob, moves)
+    }
+
+    fn live(prob: &Arc<RoutingProblem>) -> (MetricsObserver, Analyzer) {
+        (
+            MetricsObserver::new(prob),
+            Analyzer::new(Some(VerifiedInstance::of(prob))),
+        )
+    }
+
+    fn step(o: &mut impl RouteObserver, t: Time) {
+        o.on_step_end(t, &StepReport::default(), 0);
+    }
+
+    #[test]
+    fn live_analysis_counts_deflections_by_packet_level_and_kind() {
+        let (prob, mv) = three_level_problem();
+        let mut o = live(&prob);
+        o.on_move(0, 0, mv[0], ExitKind::Inject);
+        step(&mut o, 0);
+        o.on_move(1, 0, mv[1], ExitKind::Advance);
+        o.on_move(1, 1, mv[0], ExitKind::Inject);
+        step(&mut o, 1);
+        // Packet 0 safely deflected back from level 2 to level 1.
+        o.on_move(
+            2,
+            0,
+            DirectedEdge::backward(mv[1].edge),
+            ExitKind::Deflect { safe: true },
+        );
+        step(&mut o, 2);
+        o.on_move(3, 0, mv[1], ExitKind::Advance);
+        o.on_move(3, 1, mv[1], ExitKind::Advance);
+        step(&mut o, 3);
+        o.on_move(4, 0, mv[2], ExitKind::Advance);
+        o.on_move(4, 1, mv[2], ExitKind::Advance);
+        o.on_deliver(5, 0);
+        o.on_deliver(5, 1);
+        step(&mut o, 4);
+
+        let (metrics, analyzer) = o;
+        let a = analyzer.finish();
+        assert_eq!(a.deflection_histogram(), vec![(0, 1), (1, 1)]);
+        assert_eq!(a.safe_deflections, 1);
+        assert_eq!(a.deflections - a.safe_deflections, 0);
+        // Deflected *from* level 2.
+        assert_eq!(a.deflections_by_level(), vec![0, 0, 1, 0]);
+        // No phase events: no schedule phases, one whole-run cell.
+        assert_eq!(a.schedule_phases(), 0);
+        assert_eq!(a.deflections_by_phase(), vec![1]);
+        let doc = metrics_json(&metrics, &a);
+        assert_eq!(doc["steps"].as_u64(), Some(5));
+        assert_eq!(doc["delivered"].as_u64(), Some(2));
+        assert_eq!(doc["deflections"]["by_phase"], json!([1]));
+        assert_eq!(doc["occupancy"]["watermark_by_level"], json!([0, 2, 2, 0]));
+    }
+
+    #[test]
+    fn phaseless_runs_without_deflections_have_no_phase_cells() {
+        let (prob, mv) = three_level_problem();
+        let mut o = live(&prob);
+        o.on_move(0, 0, mv[0], ExitKind::Inject);
+        step(&mut o, 0);
+        let (metrics, analyzer) = o;
+        let a = analyzer.finish();
+        assert!(!a.phased);
+        assert_eq!(a.phases.len(), 1, "the fold still makes up one row");
+        let doc = metrics_json(&metrics, &a);
+        assert_eq!(doc["phases"].as_u64(), Some(0));
+        assert_eq!(doc["deflections"]["by_phase"], json!([]));
+    }
+
+    #[test]
+    fn phased_runs_count_deflections_per_schedule_phase() {
+        let (prob, mv) = three_level_problem();
+        let mut o = live(&prob);
+        o.on_phase_start(0, 0);
+        o.on_move(0, 0, mv[0], ExitKind::Inject);
+        step(&mut o, 0);
+        o.on_phase_end(0, 1);
+        o.on_phase_start(1, 1);
+        o.on_move(1, 0, DirectedEdge::backward(mv[0].edge), ExitKind::Deflect { safe: false });
+        step(&mut o, 1);
+        let a = o.1.finish();
+        assert!(a.phased);
+        assert_eq!(a.schedule_phases(), 2);
+        assert_eq!(a.deflections_by_phase(), vec![0, 1]);
+        assert_eq!(a.deflections - a.safe_deflections, 1);
+    }
+
+    #[test]
+    fn metrics_document_survives_a_zero_packet_problem() {
+        let net = Arc::new(builders::linear_array(4));
+        let prob = Arc::new(RoutingProblem::new(net, Vec::new()).unwrap());
+        let mut o = live(&prob);
+        o.on_sets_assigned(&[], 4);
+        o.on_phase_start(0, 0);
+        o.on_frontier(0, 0, 2);
+        step(&mut o, 0);
+        o.on_phase_end(0, 1);
+        let (metrics, analyzer) = o;
+        let a = analyzer.finish();
+        assert_eq!(a.deflection_histogram(), vec![]);
+        let doc = metrics_json(&metrics, &a);
+        assert_eq!(doc.get("packets").and_then(Value::as_u64), Some(0));
+        assert_eq!(
+            doc.get("congestion")
+                .and_then(|c| c.get("watermark_max"))
+                .and_then(Value::as_u64),
+            Some(0)
+        );
+    }
+
+    #[test]
+    fn metrics_document_survives_a_single_level_network() {
+        let net = Arc::new(builders::linear_array(1));
+        let prob = Arc::new(RoutingProblem::new(net, vec![Path::trivial(NodeId(0))]).unwrap());
+        let mut o = live(&prob);
+        o.on_trivial(0, 0);
+        step(&mut o, 0);
+        let (metrics, analyzer) = o;
+        let doc = metrics_json(&metrics, &analyzer.finish());
+        assert_eq!(
+            doc.get("trivial_deliveries").and_then(Value::as_u64),
+            Some(1)
+        );
+        assert_eq!(doc.get("delivered").and_then(Value::as_u64), Some(1));
+        assert!(doc["congestion"]["ln_ln_bound"].as_f64().unwrap().is_finite());
+    }
+
+    #[test]
+    fn metrics_document_survives_stray_set_ids() {
+        let (prob, mv) = three_level_problem();
+        let mut o = live(&prob);
+        o.on_sets_assigned(&[0, 0], 4);
+        o.on_phase_start(0, 0);
+        o.on_frontier(0, 9, 5);
+        o.on_set_congestion(0, 9, 1, 1);
+        o.on_move(0, 0, mv[0], ExitKind::Inject);
+        step(&mut o, 0);
+        o.on_phase_end(0, 1);
+        let (metrics, analyzer) = o;
+        let doc = metrics_json(&metrics, &analyzer.finish());
+        assert!(doc.get("congestion").is_some());
+        assert_eq!(doc["congestion"]["watermark_per_set"].as_array().unwrap().len(), 10);
     }
 
     #[test]

@@ -126,6 +126,18 @@ pub struct VerifiedInstance {
     pub problem: Arc<RoutingProblem>,
 }
 
+impl VerifiedInstance {
+    /// The instance of a run routed in this process, for a fold running
+    /// live beside it: nothing was parsed, so there is nothing to rebuild
+    /// or cross-check.
+    pub fn of(problem: &Arc<RoutingProblem>) -> Self {
+        VerifiedInstance {
+            net: problem.network_arc(),
+            problem: Arc::clone(problem),
+        }
+    }
+}
+
 /// Rebuilds and cross-checks the instance named by a trace's meta line.
 pub fn reconstruct(meta: &Meta) -> Result<VerifiedInstance, VerifyError> {
     let instance = rebuild(meta)?.map_err(|msg| VerifyError { line: 1, msg })?;

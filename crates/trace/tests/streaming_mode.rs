@@ -13,11 +13,9 @@
 //!    the stream runs, memory stays `O(cap)` while the totals remain
 //!    exact.
 
-use hotpotato_sim::{
-    AdmissionControl, MetricsObserver, RouteObserver, StepReport, StreamingConfig, Time,
-};
+use hotpotato_sim::{AdmissionControl, RouteObserver, StepReport, StreamingConfig, Time};
 use hotpotato_trace::stream::Bucket;
-use hotpotato_trace::{StreamingAggregator, Trace, TraceEvent};
+use hotpotato_trace::{Analyzer, StreamingAggregator, Trace, TraceEvent};
 use routing_core::spec::parse_run_spec;
 use serve::service::{RunOutcome, RunPlan};
 
@@ -240,13 +238,14 @@ fn streaming_diff_reports_arrival_latency_and_drop_rate_deltas() {
 }
 
 #[test]
-fn metrics_observer_accounts_arrivals_and_drops_exactly() {
+fn live_analyzer_accounts_arrivals_and_drops_exactly() {
     // A tight admission box under bursty arrivals forces drops; the
-    // observer's counters must match the engine's accounting exactly.
+    // live analysis's counters must match the engine's accounting
+    // exactly.
     const SPEC: &str = "bf:6/pairs:192/greedy/3/burst:64:4";
     let run = parse_run_spec(SPEC).unwrap();
     let (_topo, problem, _rng) = run.instantiate().unwrap();
-    let mut metrics = MetricsObserver::new(&problem);
+    let mut analyzer = Analyzer::new(None);
     let cfg = StreamingConfig {
         admission: AdmissionControl {
             max_in_flight: 8,
@@ -254,11 +253,12 @@ fn metrics_observer_accounts_arrivals_and_drops_exactly() {
         },
         ..StreamingConfig::default()
     };
-    let out = stream(SPEC, &cfg, &mut metrics);
+    let out = stream(SPEC, &cfg, &mut analyzer);
+    let a = analyzer.finish();
     assert!(out.drained, "drops resolve the backlog; the run drains");
     assert!(out.dropped > 0, "tight admission must shed load");
-    assert_eq!(metrics.arrivals(), out.arrivals);
-    assert_eq!(metrics.drops(), out.dropped);
+    assert_eq!(a.arrivals, out.arrivals);
+    assert_eq!(a.drops, out.dropped);
     assert_eq!(out.arrivals, problem.num_packets() as u64);
     assert_eq!(
         out.admitted + out.dropped,
@@ -285,7 +285,7 @@ fn adversarial_arrivals_keep_streaming_accounting_exact() {
     const SPEC: &str = "bf:6/pairs:192/greedy/5/adversarial:32:6";
     let run = parse_run_spec(SPEC).unwrap();
     let (_topo, problem, _rng) = run.instantiate().unwrap();
-    let mut metrics = MetricsObserver::new(&problem);
+    let mut analyzer = Analyzer::new(None);
     let cfg = StreamingConfig {
         admission: AdmissionControl {
             max_in_flight: 8,
@@ -293,14 +293,15 @@ fn adversarial_arrivals_keep_streaming_accounting_exact() {
         },
         ..StreamingConfig::default()
     };
-    let out = stream(SPEC, &cfg, &mut metrics);
+    let out = stream(SPEC, &cfg, &mut analyzer);
+    let a = analyzer.finish();
     assert!(out.drained, "drops resolve the backlog; the run drains");
     assert!(
         out.dropped > 0,
         "coalesced bursts against a 16-slot queue must shed load"
     );
-    assert_eq!(metrics.arrivals(), out.arrivals);
-    assert_eq!(metrics.drops(), out.dropped);
+    assert_eq!(a.arrivals, out.arrivals);
+    assert_eq!(a.drops, out.dropped);
     assert_eq!(out.arrivals, problem.num_packets() as u64);
     assert_eq!(
         out.admitted + out.dropped,
@@ -315,7 +316,7 @@ fn adversarial_arrivals_keep_streaming_accounting_exact() {
     assert!(out.peak_in_flight <= 8, "in-flight cap respected");
     assert!(out.peak_deferred <= 16, "deferred cap respected");
     // The whole pipeline is seeded: the worst-case train reproduces.
-    let mut again = MetricsObserver::new(&problem);
+    let mut again = Analyzer::new(None);
     let out2 = stream(SPEC, &cfg, &mut again);
     assert_eq!(out2.dropped, out.dropped);
     assert_eq!(out2.stats.steps_run, out.stats.steps_run);

@@ -4,7 +4,8 @@
 //! [`RouteObserver`] surface:
 //!
 //! 1. unobserved (the zero-cost default),
-//! 2. with a [`MetricsObserver`] + [`SectionProfiler`] tuple, and
+//! 2. with a [`MetricsObserver`], a live [`Analyzer`] and a
+//!    [`SectionProfiler`] composed as tuples, and
 //! 3. through the object-safe [`Router`] trait with a JSONL trace.
 //!
 //! All three draw the same random sequence, so the routing itself is
@@ -15,6 +16,8 @@
 //! ```
 
 use hotpotato_routing::prelude::*;
+use hotpotato_trace::verify::VerifiedInstance;
+use hotpotato_trace::Analyzer;
 use leveled_net::builders::ButterflyCoords;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -39,15 +42,22 @@ fn main() {
     let plain = BuschRouter::new(params).route(&problem, &mut rng);
     println!("unobserved: {}", plain.stats.summary());
 
-    // 2. The same run with metrics + section timing attached. Observers
-    //    compose as tuples; each event fans out to both sinks.
+    // 2. The same run with metrics, a live analysis and section timing
+    //    attached. Observers compose as tuples; each event fans out to
+    //    every sink. The metrics sink keeps what only live positions
+    //    show (occupancy, frame progress, per-set congestion); the
+    //    analyzer counts the deflections.
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let mut observer = (
-        MetricsObserver::new(&problem).with_occupancy_sampling(64),
+        (
+            MetricsObserver::new(&problem).with_occupancy_sampling(64),
+            Analyzer::new(Some(VerifiedInstance::of(&problem))),
+        ),
         SectionProfiler::new(),
     );
     let observed = BuschRouter::new(params).route_observed(&problem, &mut rng, &mut observer);
-    let (metrics, profile) = observer;
+    let ((metrics, analyzer), profile) = observer;
+    let analysis = analyzer.finish();
     assert_eq!(
         plain.stats.makespan(),
         observed.stats.makespan(),
@@ -56,11 +66,11 @@ fn main() {
 
     println!(
         "deflections: {} safe, {} unsafe",
-        metrics.safe_deflections(),
-        metrics.unsafe_deflections()
+        analysis.safe_deflections,
+        analysis.deflections - analysis.safe_deflections
     );
     println!("deflection histogram (per-packet count, packets):");
-    for (d, c) in metrics.deflection_histogram() {
+    for (d, c) in analysis.deflection_histogram() {
         println!("  {d:>3} deflections: {c} packets");
     }
     println!(

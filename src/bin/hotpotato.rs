@@ -62,7 +62,7 @@ use hotpotato_sim::{
     AdmissionControl, JsonlTraceObserver, MetricsObserver, RunRecord, StreamingConfig,
 };
 use hotpotato_trace::verify::{self, VerifiedInstance};
-use hotpotato_trace::{schema, Model, StreamingAggregator, Trace, TraceEvent};
+use hotpotato_trace::{schema, Analyzer, Model, StreamingAggregator, Trace, TraceEvent};
 use leveled_net::render;
 use routing_core::spec::{check_algo, expand_sweep, parse_run_spec, parse_topo, RunSpec};
 use routing_core::ArrivalProcess;
@@ -373,11 +373,18 @@ fn cmd_route(args: &[String]) -> i32 {
     }
 
     // Optional event sinks; `(Option<A>, Option<B>)` is itself an
-    // observer, and with all sides `None` every hook is a no-op. Trace
-    // files are wrapped in a meta/stats envelope so `hotpotato trace
-    // verify` can rebuild the instance offline; phase-entry snapshots
-    // let the verifier shard the replay across workers.
-    let metrics = metrics_out.map(|_| MetricsObserver::new(&problem).with_occupancy_sampling(64));
+    // observer, and with all sides `None` every hook is a no-op. The
+    // metrics document pairs the live-only series with a live analysis
+    // of the run, which keeps its counts. Trace files are wrapped in a
+    // meta/stats envelope so `hotpotato trace verify` can rebuild the
+    // instance offline; phase-entry snapshots let the verifier shard the
+    // replay across workers.
+    let metrics = metrics_out.map(|_| {
+        (
+            MetricsObserver::new(&problem).with_occupancy_sampling(64),
+            Analyzer::new(Some(VerifiedInstance::of(&problem))),
+        )
+    });
     let trace = match trace_out {
         Some(path) => {
             let meta = schema::Meta::new(&run, &problem);
@@ -419,11 +426,11 @@ fn cmd_route(args: &[String]) -> i32 {
     let stats = outcome.into_stats();
     let (((metrics, trace), aggregate), record) = observer;
 
-    if let (Some(path), Some(metrics)) = (metrics_out, metrics) {
+    if let (Some(path), Some((metrics, analyzer))) = (metrics_out, metrics) {
         let doc = serde_json::json!({
             "algorithm": algo,
             "problem": problem.describe(),
-            "metrics": metrics.to_json(),
+            "metrics": hotpotato_trace::metrics_json(&metrics, &analyzer.finish()),
         });
         let text = serde_json::to_string_pretty(&doc).expect("serialize");
         or_exit!(write_file(path, text), 1);

@@ -244,11 +244,13 @@ fn streaming_ftg_poisson_matches_golden() {
 }
 
 /// Attaching observers must not change routing by a single bit: the same
-/// seeded run with a `MetricsObserver` and a `JsonlTraceObserver` feeding
-/// off every event must reproduce the committed golden exactly.
+/// seeded run with a `MetricsObserver`, a live `Analyzer` and a
+/// `JsonlTraceObserver` feeding off every event must reproduce the
+/// committed golden exactly.
 #[test]
 fn observed_run_matches_unobserved_golden() {
     use hotpotato_sim::{JsonlTraceObserver, MetricsObserver};
+    use hotpotato_trace::{verify::VerifiedInstance, Analyzer};
 
     let mut rng = ChaCha8Rng::seed_from_u64(0xC0FFEE);
     let net = Arc::new(builders::butterfly(4));
@@ -256,18 +258,23 @@ fn observed_run_matches_unobserved_golden() {
     let router = BuschRouter::new(Params::scaled(4, 16, 0.15, 2));
     let mut observer = (
         (
-            MetricsObserver::new(&prob),
+            (
+                MetricsObserver::new(&prob),
+                Analyzer::new(Some(VerifiedInstance::of(&prob))),
+            ),
             JsonlTraceObserver::new(Vec::new()),
         ),
         RunRecord::default(),
     );
     let out = router.route_observed(&prob, &mut rng, &mut observer);
     assert!(out.stats.all_delivered(), "golden run must deliver");
-    let ((metrics, trace), record) = observer;
+    let (((metrics, analyzer), trace), record) = observer;
     check_golden("busch_butterfly4.txt", &out.stats, &record);
 
     // The sinks really observed the run they did not perturb.
-    let hist: u64 = metrics
+    assert_eq!(metrics.packets(), prob.num_packets());
+    let hist: u64 = analyzer
+        .finish()
         .deflection_histogram()
         .iter()
         .map(|&(d, c)| u64::from(d) * u64::from(c))
