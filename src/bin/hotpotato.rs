@@ -183,10 +183,17 @@ fn print_usage() {
 }
 
 /// Rejects every argument that is neither one of the `valued` flags
-/// (which consume the next argument) nor one of the `switches`, so a
-/// mistyped or unsupported flag fails instead of silently running the
-/// default.
-fn check_flags(args: &[String], valued: &[&str], switches: &[&str]) -> Result<(), String> {
+/// (which consume the next argument), one of the `switches`, nor one of
+/// the first `positionals` bare arguments, so a mistyped or unsupported
+/// flag or a stray argument fails instead of silently running the
+/// default. Returns the bare arguments, in order.
+fn check_flags<'a>(
+    args: &'a [String],
+    positionals: usize,
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<Vec<&'a str>, String> {
+    let mut bare = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let arg = args[i].as_str();
@@ -196,11 +203,14 @@ fn check_flags(args: &[String], valued: &[&str], switches: &[&str]) -> Result<()
             i += 1;
         } else if arg.starts_with("--") {
             return Err(format!("unknown flag '{arg}'"));
+        } else if bare.len() < positionals {
+            bare.push(arg);
+            i += 1;
         } else {
             return Err(format!("unexpected argument '{arg}'"));
         }
     }
-    Ok(())
+    Ok(bare)
 }
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -210,9 +220,10 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(std::string::String::as_str)
 }
 
-/// Parses `value`, the argument of `flag`. A malformed value ends the
-/// process with exit code 2 and an error naming the flag and the value,
-/// so a typo never silently runs with a default.
+/// Parses `value`, the argument of `flag` (or the positional argument
+/// `flag` names, such as `<C>`). A malformed value ends the process with
+/// exit code 2 and an error naming the argument and the value, so a typo
+/// never silently runs with a default.
 fn parse_arg<T: std::str::FromStr>(flag: &str, value: &str) -> T {
     value.parse().unwrap_or_else(|_| {
         eprintln!("error: {flag} wants a number (got '{value}')");
@@ -227,7 +238,8 @@ fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -
 }
 
 fn cmd_topo(args: &[String]) -> i32 {
-    let Some(spec) = args.first() else {
+    let bare = or_exit!(check_flags(args, 1, &[], &["--dot"]));
+    let [spec] = bare[..] else {
         eprintln!("usage: hotpotato topo <SPEC> [--dot]");
         return 2;
     };
@@ -257,7 +269,7 @@ fn cmd_route(args: &[String]) -> i32 {
         "--aggregate-out",
         "--aggregate-cap",
     ];
-    or_exit!(check_flags(args, VALUED, &["--verify", "--json"]));
+    or_exit!(check_flags(args, 0, VALUED, &["--verify", "--json"]));
     // Every numeric flag is parsed before any work, whether or not the
     // run ends up reading it.
     let seed: u64 = numeric_flag(args, "--seed", 42);
@@ -637,7 +649,7 @@ fn cmd_serve(args: &[String]) -> i32 {
         "--max-in-flight",
         "--max-deferred",
     ];
-    or_exit!(check_flags(args, VALUED, &[]));
+    or_exit!(check_flags(args, 0, VALUED, &[]));
     let specs: Vec<&str> = args
         .windows(2)
         .filter(|w| w[0] == "--run")
@@ -693,7 +705,7 @@ fn cmd_serve(args: &[String]) -> i32 {
 /// Keeps serving the final rollup after the sweep completes.
 fn cmd_serve_fleet(args: &[String]) -> i32 {
     const VALUED: &[&str] = &["--sweep", "--addr", "--workers", "--throttle-ms"];
-    or_exit!(check_flags(args, VALUED, &["--fleet", "--no-verify"]));
+    or_exit!(check_flags(args, 0, VALUED, &["--fleet", "--no-verify"]));
     let sweeps: Vec<&str> = args
         .windows(2)
         .filter(|w| w[0] == "--sweep")
@@ -744,13 +756,15 @@ fn cmd_trace(args: &[String]) -> i32 {
             "usage: hotpotato trace verify <FILE> [--jobs N] [--progress] [--json]\n\
              \u{20}      hotpotato trace analyze <FILE> [--out PATH]\n\
              \u{20}      hotpotato trace convert <IN> <OUT>\n\
-             \u{20}      hotpotato trace diff <A> <B>"
+             \u{20}      hotpotato trace diff <A> <B> [--fail-on METRIC=LIMIT ...]"
         );
         2
     };
+    let sub = args.get(1..).unwrap_or_default();
     match args.first().map(std::string::String::as_str) {
         Some("verify") => {
-            let Some(path) = args.get(1) else {
+            let bare = or_exit!(check_flags(sub, 1, &["--jobs"], &["--progress", "--json"]));
+            let [path] = bare[..] else {
                 return usage();
             };
             let jobs: usize = numeric_flag(args, "--jobs", 0);
@@ -868,7 +882,8 @@ fn cmd_trace(args: &[String]) -> i32 {
             }
         }
         Some("analyze") => {
-            let Some(path) = args.get(1) else {
+            let bare = or_exit!(check_flags(sub, 1, &["--out"], &[]));
+            let [path] = bare[..] else {
                 return usage();
             };
             let started = std::time::Instant::now();
@@ -902,7 +917,8 @@ fn cmd_trace(args: &[String]) -> i32 {
             0
         }
         Some("convert") => {
-            let (Some(input), Some(output)) = (args.get(1), args.get(2)) else {
+            let bare = or_exit!(check_flags(sub, 2, &[], &[]));
+            let [input, output] = bare[..] else {
                 return usage();
             };
             let bytes =
@@ -932,7 +948,8 @@ fn cmd_trace(args: &[String]) -> i32 {
             0
         }
         Some("diff") => {
-            let (Some(a), Some(b)) = (args.get(1), args.get(2)) else {
+            let bare = or_exit!(check_flags(sub, 2, &["--fail-on"], &[]));
+            let [a, b] = bare[..] else {
                 return usage();
             };
             // `--fail-on METRIC=LIMIT` (repeatable): exit nonzero when
@@ -984,11 +1001,16 @@ fn cmd_trace(args: &[String]) -> i32 {
 }
 
 fn cmd_params(args: &[String]) -> i32 {
-    let vals: Vec<u64> = args.iter().filter_map(|s| s.parse().ok()).collect();
-    let [c, l, n] = vals[..] else {
+    let bare = or_exit!(check_flags(args, 3, &[], &[]));
+    let [c, l, n] = bare[..] else {
         eprintln!("usage: hotpotato params <C> <L> <N>");
         return 2;
     };
+    let (c, l, n): (u64, u64, u64) = (
+        parse_arg("<C>", c),
+        parse_arg("<L>", l),
+        parse_arg("<N>", n),
+    );
     let p = PaperParams::new(c, l, n);
     outln!(
         "paper parameters for C={c}, L={l}, N={n} (ln(LN) = {:.3}):",
@@ -1020,11 +1042,16 @@ fn cmd_params(args: &[String]) -> i32 {
 }
 
 fn cmd_frames(args: &[String]) -> i32 {
-    let vals: Vec<u32> = args.iter().filter_map(|s| s.parse().ok()).collect();
-    let [l, m, sets] = vals[..] else {
+    let bare = or_exit!(check_flags(args, 3, &[], &[]));
+    let [l, m, sets] = bare[..] else {
         eprintln!("usage: hotpotato frames <L> <m> <sets>");
         return 2;
     };
+    let (l, m, sets): (u32, u32, u32) = (
+        parse_arg("<L>", l),
+        parse_arg("<m>", m),
+        parse_arg("<sets>", sets),
+    );
     if m < 3 {
         eprintln!("frames need at least 3 inner levels (got m = {m})");
         return 2;

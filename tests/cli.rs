@@ -340,10 +340,16 @@ fn unknown_flags_are_rejected_before_any_work() {
     let cases: &[(&[&str], &str)] = &[
         (
             &["route", "--spec", "bf:4/bitrev/busch", "--engine", "soa"],
-            "--engine",
+            "unknown flag '--engine'",
         ),
-        (&["route", "--spec", "bf:4/bitrev", "--bogus"], "--bogus"),
-        (&["serve", "--run", "bf:4/bitrev", "--bogus"], "--bogus"),
+        (
+            &["route", "--spec", "bf:4/bitrev", "--bogus"],
+            "unknown flag '--bogus'",
+        ),
+        (
+            &["serve", "--run", "bf:4/bitrev", "--bogus"],
+            "unknown flag '--bogus'",
+        ),
         (
             &[
                 "serve",
@@ -352,16 +358,40 @@ fn unknown_flags_are_rejected_before_any_work() {
                 "bf:4/bitrev/busch/1..2",
                 "--bogus",
             ],
-            "--bogus",
+            "unknown flag '--bogus'",
+        ),
+        // The positional commands: stray arguments and malformed numbers
+        // fail by name instead of being skipped.
+        (&["topo", "bf:3", "--bogus"], "unknown flag '--bogus'"),
+        (&["topo", "bf:3", "extra"], "unexpected argument 'extra'"),
+        (&["frames", "8", "x", "4", "2"], "unexpected argument '2'"),
+        (&["frames", "8", "x", "4"], "<m> wants a number (got 'x')"),
+        (
+            &["params", "64", "x", "32", "1024"],
+            "unexpected argument '1024'",
+        ),
+        (&["params", "64", "x", "32"], "<L> wants a number (got 'x')"),
+        (
+            &["trace", "analyze", "run.jsonl", "--bogus"],
+            "unknown flag '--bogus'",
+        ),
+        (
+            &["trace", "verify", "run.jsonl", "--bogus"],
+            "unknown flag '--bogus'",
+        ),
+        (
+            &["trace", "convert", "a.jsonl", "b.hpt", "c"],
+            "unexpected argument 'c'",
+        ),
+        (
+            &["trace", "diff", "a.jsonl", "b.jsonl", "--bogus"],
+            "unknown flag '--bogus'",
         ),
     ];
-    for &(args, flag) in cases {
+    for &(args, want) in cases {
         let (out, err, code) = hotpotato(args);
         assert_eq!(code, 2, "args {args:?}: {err}");
-        assert!(
-            err.contains(&format!("unknown flag '{flag}'")),
-            "args {args:?}: {err}"
-        );
+        assert!(err.contains(want), "args {args:?}: {err}");
         assert!(
             out.is_empty(),
             "args {args:?} did work before failing: {out}"
