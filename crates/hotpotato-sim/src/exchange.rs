@@ -94,10 +94,11 @@ impl<T> SnapshotPublisher<T> {
         }
     }
 
-    /// Final, *blocking* publish for quiesce/shutdown: waits for any
-    /// in-flight reader, then fills. After `flush_with` returns, every
-    /// acquire observes the flushed snapshot. Never called from the step
-    /// loop — only once, after the run completes.
+    /// *Blocking* publish: waits for any in-flight reader, then fills.
+    /// After `flush_with` returns, every acquire observes the flushed
+    /// snapshot. Never called from a step loop: a live run flushes once,
+    /// after it completes, and the fleet coordinator, whose cadence is
+    /// one update per run, flushes every update in place.
     // lint: no-panic
     pub fn flush_with(&mut self, fill: impl FnOnce(&mut T)) {
         let mut stamped = relax(self.shared.lock());

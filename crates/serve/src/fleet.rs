@@ -7,10 +7,10 @@
 //! fully in memory: its events are recorded straight into a [`Trace`]
 //! between the same meta and stats envelope events the CLI writes with
 //! `--trace-out`, then analyzed and replay-verified with no text in
-//! between. The coordinator folds each completed run into a
-//! [`FleetAggregator`] and publishes the whole aggregation through the
-//! snapshot exchange after every event, so HTTP threads serve untorn
-//! views mid-sweep:
+//! between. The coordinator folds each completed run into the
+//! [`FleetAggregator`] of the shared snapshot, in place under the
+//! exchange lock, after every event, so HTTP threads serve untorn views
+//! mid-sweep:
 //!
 //! * `GET /fleet` — the schema-versioned cross-run rollup: per-(topo,
 //!   algo, size) `steps/(C+L)` distributions with bootstrap 95% CIs and
@@ -72,11 +72,11 @@ impl FleetConfig {
     }
 }
 
-/// What the coordinator publishes after every sweep event: the entire
-/// aggregation plus progress counters. Cloned whole through the
-/// exchange — fleet cadence is per *run*, not per step, so the copy is
-/// off any hot path.
-#[derive(Clone)]
+/// The sweep state the coordinator shares with the HTTP threads: the
+/// aggregation plus progress counters. It lives only in the exchange:
+/// the coordinator updates it in place after every sweep event (a
+/// blocking fill; fleet cadence is per *run*, not per step), and readers
+/// render under the same lock, so nothing copies the aggregation.
 pub struct FleetSnapshot {
     /// The cross-run aggregation so far.
     pub agg: FleetAggregator,
@@ -332,7 +332,11 @@ impl FleetService {
     /// sample aggregated under `run="fleet"`, plus the fleet-specific
     /// families.
     fn render_metrics(&self) -> String {
-        let (seq, s) = self.reader.acquire(|seq, s| (seq, s.clone()));
+        self.reader.acquire(|seq, s| Self::metrics_text(seq, s))
+    }
+
+    /// The `/metrics` text of snapshot `s`, published as number `seq`.
+    fn metrics_text(seq: u64, s: &FleetSnapshot) -> String {
         let sums = {
             let mut sums = (0u64, 0u64, 0u64, 0u64);
             for sample in s.agg.samples() {
@@ -498,8 +502,8 @@ impl FleetService {
 }
 
 /// The coordinator body: runs the sweep on `workers` scoped threads,
-/// folds results, publishes after every event, and flushes the final
-/// snapshot once every worker has joined. Reads the wall clock only to
+/// folds each event into the shared snapshot in place, and marks it
+/// finished once every worker has joined. Reads the wall clock only to
 /// stamp telemetry (elapsed/ETA) — results never depend on it.
 // lint: telemetry
 fn coordinate(
@@ -508,7 +512,6 @@ fn coordinate(
     mut publisher: SnapshotPublisher<FleetSnapshot>,
 ) {
     let started = Instant::now();
-    let total = config.specs.len() as u64;
     let FleetConfig {
         specs,
         verify,
@@ -517,11 +520,6 @@ fn coordinate(
     } = config;
     let next = AtomicUsize::new(0);
 
-    let mut agg = FleetAggregator::new();
-    let mut per_worker = vec![0u64; workers];
-    let mut busy = vec![false; workers];
-    let mut running = 0u64;
-    let mut errors: Vec<String> = Vec::new();
     std::thread::scope(|scope| {
         let (tx, rx) = mpsc::channel::<FleetMsg>();
         for worker in 0..workers {
@@ -544,51 +542,38 @@ fn coordinate(
         drop(tx);
 
         for msg in rx {
-            match msg {
-                FleetMsg::Started { worker } => {
-                    running += 1;
-                    busy[worker] = true;
-                }
-                FleetMsg::Done { worker, result } => {
-                    running = running.saturating_sub(1);
-                    busy[worker] = false;
-                    per_worker[worker] += 1;
-                    match result {
-                        Ok(sample) => agg.record(sample),
-                        Err(e) => {
-                            agg.record_failure();
-                            if errors.len() < 8 {
-                                errors.push(e);
+            let elapsed_ms = started.elapsed().as_millis() as u64;
+            publisher.flush_with(|s| {
+                match msg {
+                    FleetMsg::Started { worker } => {
+                        s.running += 1;
+                        s.busy[worker] = true;
+                    }
+                    FleetMsg::Done { worker, result } => {
+                        s.running = s.running.saturating_sub(1);
+                        s.busy[worker] = false;
+                        s.per_worker[worker] += 1;
+                        match result {
+                            Ok(sample) => s.agg.record(sample),
+                            Err(e) => {
+                                s.agg.record_failure();
+                                if s.errors.len() < 8 {
+                                    s.errors.push(e);
+                                }
                             }
                         }
                     }
                 }
-            }
-            let snap = FleetSnapshot {
-                agg: agg.clone(),
-                total,
-                running,
-                per_worker: per_worker.clone(),
-                busy: busy.clone(),
-                errors: errors.clone(),
-                elapsed_ms: started.elapsed().as_millis() as u64,
-                finished: false,
-            };
-            publisher.publish_with(|s| *s = snap);
+                s.elapsed_ms = elapsed_ms;
+            });
         }
     });
     let elapsed_ms = started.elapsed().as_millis() as u64;
     publisher.flush_with(|s| {
-        *s = FleetSnapshot {
-            agg: agg.clone(),
-            total,
-            running: 0,
-            per_worker: per_worker.clone(),
-            busy: vec![false; workers],
-            errors: errors.clone(),
-            elapsed_ms,
-            finished: true,
-        }
+        s.running = 0;
+        s.busy.fill(false);
+        s.elapsed_ms = elapsed_ms;
+        s.finished = true;
     });
 }
 
