@@ -24,9 +24,12 @@
 //!   `Self::name` uses the caller's impl owner; otherwise `q` is matched
 //!   as an impl/trait owner (`SoaEngine::new`) or a module file stem
 //!   (`conflict::resolve_into`) — first in the caller's crate, then
-//!   workspace-wide. A qualifier matching nothing first-party (e.g.
-//!   `String::from`) stays **unresolved**: explicit foreign paths are
-//!   never folded onto same-named local fns.
+//!   workspace-wide. A qualifier naming a first-party trait
+//!   (`RouteObserver::on_move(o, …)`) also resolves to that method in
+//!   every `impl Trait for T` across the workspace, the same
+//!   over-approximation method calls get. A qualifier matching nothing
+//!   first-party (e.g. `String::from`) stays **unresolved**: explicit
+//!   foreign paths are never folded onto same-named local fns.
 //! * **Method calls** `.name(...)` resolve to every impl/trait method
 //!   named `name` in the caller's crate (receiver types are unknown, so
 //!   this over-approximates across owners and never crosses crates).
@@ -59,6 +62,8 @@ pub struct FnInfo {
     pub name: String,
     /// Impl/trait owner type when the fn is a method or trait default.
     pub owner: Option<String>,
+    /// The trait of the `impl Trait for T` block the fn sits in.
+    pub trait_name: Option<String>,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
     /// `// lint:` markers attached to this fn (`hot-path`, `no-panic`,
@@ -115,6 +120,8 @@ pub struct CallGraph {
     free_by_module: BTreeMap<(String, String, String), Vec<usize>>,
     methods_by_crate: BTreeMap<(String, String), Vec<usize>>,
     methods_by_owner: BTreeMap<(String, String, String), Vec<usize>>,
+    /// `(trait, method)` → the method in every `impl Trait for T`.
+    methods_by_trait: BTreeMap<(String, String), Vec<usize>>,
 }
 
 /// Keywords that can never be a call-position identifier.
@@ -138,6 +145,7 @@ impl CallGraph {
             free_by_module: BTreeMap::new(),
             methods_by_crate: BTreeMap::new(),
             methods_by_owner: BTreeMap::new(),
+            methods_by_trait: BTreeMap::new(),
         }
     }
 
@@ -201,6 +209,12 @@ impl CallGraph {
                         .entry((f.crate_name.clone(), owner.clone(), f.name.clone()))
                         .or_default()
                         .push(id);
+                    if let Some(tr) = &f.trait_name {
+                        self.methods_by_trait
+                            .entry((tr.clone(), f.name.clone()))
+                            .or_default()
+                            .push(id);
+                    }
                 }
                 None => {
                     self.free_by_crate
@@ -281,7 +295,13 @@ impl CallGraph {
             return Vec::new();
         }
         let qual = &segs[segs.len() - 2];
-        match crate_hint {
+        let impls = self
+            .methods_by_trait
+            .get(&(qual.clone(), name.clone()))
+            .into_iter()
+            .flatten()
+            .copied();
+        let mut ids = match crate_hint {
             Some(c) => {
                 // Qualified inside a known crate: owner type or module.
                 let mut ids = self.owner_lookup(c, qual, &name);
@@ -324,7 +344,10 @@ impl CallGraph {
                 }
                 ids
             }
-        }
+        };
+        // A trait path also reaches every impl of the method.
+        ids.extend(impls);
+        ids
     }
 
     fn owner_lookup(&self, c: &str, owner: &str, name: &str) -> Vec<usize> {
@@ -461,8 +484,8 @@ fn parse_items(
     out: &mut Vec<FnInfo>,
 ) {
     let mut depth = 0usize;
-    // (owner, depth at which the impl/trait body opened)
-    let mut impl_stack: Vec<(String, usize)> = Vec::new();
+    // (owner, implemented trait, depth at which the impl/trait body opened)
+    let mut impl_stack: Vec<(String, Option<String>, usize)> = Vec::new();
     // depth at which a #[cfg(test)] / `mod tests` body opened
     let mut test_stack: Vec<usize> = Vec::new();
     let mut pending_markers: Vec<String> = Vec::new();
@@ -511,11 +534,12 @@ fn parse_items(
                 }
             }
             TokKind::Ident if t.is_ident("impl") || t.is_ident("trait") => {
-                let (owner, open) = impl_header_owner(toks, i + 1);
+                let (owner, implemented, open) = impl_header_owner(toks, i + 1);
+                let implemented = implemented.filter(|_| t.is_ident("impl"));
                 match open {
                     Some(open_idx) => {
                         depth += 1;
-                        impl_stack.push((owner, depth));
+                        impl_stack.push((owner, implemented, depth));
                         i = open_idx + 1;
                     }
                     None => i += 1,
@@ -576,7 +600,8 @@ fn parse_items(
                     rel: rel.to_string(),
                     file: file_idx,
                     name: name_tok.text.clone(),
-                    owner: impl_stack.last().map(|(o, _)| o.clone()),
+                    owner: impl_stack.last().map(|(o, _, _)| o.clone()),
+                    trait_name: impl_stack.last().and_then(|(_, tr, _)| tr.clone()),
                     line: t.line,
                     markers: std::mem::take(&mut pending_markers),
                     in_test: in_test_file || !test_stack.is_empty(),
@@ -593,7 +618,7 @@ fn parse_items(
                 cfg_test_attr = false;
             }
             TokKind::Punct if t.is_punct('}') => {
-                while impl_stack.last().is_some_and(|&(_, d)| d == depth) {
+                while impl_stack.last().is_some_and(|&(_, _, d)| d == depth) {
                     impl_stack.pop();
                 }
                 while test_stack.last().is_some_and(|&d| d == depth) {
@@ -614,19 +639,21 @@ fn parse_items(
 
 /// Parses an `impl`/`trait` header starting after the keyword: returns
 /// the owner type name (last path segment of the implemented-on type;
-/// for `impl Trait for Type` the `Type`) and the index of the opening
-/// `{`, or `None` when the header never opens a body (e.g. `trait X;`
-/// is not valid Rust, but be tolerant).
-fn impl_header_owner(toks: &[Tok], mut i: usize) -> (String, Option<usize>) {
+/// for `impl Trait for Type` the `Type`), the trait's last path segment
+/// for `impl Trait for Type`, and the index of the opening `{`, or
+/// `None` when the header never opens a body (e.g. `trait X;` is not
+/// valid Rust, but be tolerant).
+fn impl_header_owner(toks: &[Tok], mut i: usize) -> (String, Option<String>, Option<usize>) {
     let mut owner = String::new();
-    let mut after_for = false;
+    let mut implemented = None;
+    let mut in_where = false;
     while i < toks.len() {
         let t = &toks[i];
         if t.is_punct('{') {
-            return (owner, Some(i));
+            return (owner, implemented, Some(i));
         }
         if t.is_punct(';') {
-            return (owner, None);
+            return (owner, implemented, None);
         }
         if t.is_punct('<') {
             // Skip balanced generics, tolerating `->` arrows inside.
@@ -642,25 +669,28 @@ fn impl_header_owner(toks: &[Tok], mut i: usize) -> (String, Option<usize>) {
             }
             continue;
         }
-        if t.is_ident("for") {
-            after_for = true;
+        if t.is_ident("for") && !in_where {
+            // `for` ends the trait path (a where clause's `for<'a>`
+            // bounds are skipped with the rest of the clause).
+            if implemented.is_none() && !owner.is_empty() {
+                implemented = Some(owner.clone());
+            }
             owner.clear();
             i += 1;
             continue;
         }
         if t.is_ident("where") {
-            // Owner is settled; scan on to the `{`.
-            after_for = false;
+            // Owner and trait are settled; scan on to the `{`.
+            in_where = true;
         }
-        if t.kind == TokKind::Ident && !t.is_ident("dyn") && !t.is_ident("where") {
+        if t.kind == TokKind::Ident && !in_where && !t.is_ident("dyn") {
             // Keep overwriting: the last path segment wins
             // (`leveled_net::NodeId` → `NodeId`).
-            let _ = after_for;
             owner = t.text.clone();
         }
         i += 1;
     }
-    (owner, None)
+    (owner, implemented, None)
 }
 
 /// Extracts the call sites in a body token range.
@@ -841,6 +871,32 @@ mod tests {
             .collect();
         resolved.sort_unstable();
         assert_eq!(resolved, ["b", "c"]);
+    }
+
+    #[test]
+    fn trait_paths_resolve_to_every_impl() {
+        let g = graph(
+            "trait T { fn m(&self); fn d(&self) {} }\nstruct A;\nstruct B;\n\
+             impl T for A { fn m(&self) {} }\nimpl<X> T for B where X: for<'a> Fn(&'a u8) { fn m(&self) {} }\n\
+             impl A { fn m(&self) {} }\nfn f(a: &A) { T::m(a); T::d(a); }\n",
+        );
+        let f = g.fns.iter().position(|x| x.name == "f").unwrap();
+        let mut resolved: Vec<(Option<&str>, &str)> = g.calls[f]
+            .iter()
+            .flat_map(|c| g.resolve(f, c))
+            .map(|id| (g.fns[id].owner.as_deref(), g.fns[id].name.as_str()))
+            .collect();
+        resolved.sort_unstable();
+        // Both impls of `m` and the trait's default `d`; A's inherent
+        // `m` is not an impl of `T`.
+        assert_eq!(
+            resolved,
+            [(Some("A"), "m"), (Some("B"), "m"), (Some("T"), "d")]
+        );
+        assert_eq!(
+            g.fns.iter().filter(|x| x.trait_name.as_deref() == Some("T")).count(),
+            2
+        );
     }
 
     #[test]

@@ -88,6 +88,17 @@ fn closure_lint_fires_on_seeded_transitive_allocation() {
 }
 
 #[test]
+fn closure_lint_follows_trait_qualified_calls_into_impls() {
+    // The allocation sits in an `impl Trait for T` method the hot-path
+    // fn reaches only as `Trait::m(self, ..)`: the trait's own item has
+    // no body, so only trait-path resolution finds it.
+    let cfg = fixture("hotpath_closure_trait_violation");
+    assert!(hotpath::check(&cfg).is_empty());
+    let got = rendered(closure::check(&cfg));
+    assert_eq!(got, expected("hotpath_closure_trait_violation"));
+}
+
+#[test]
 fn closure_fixture_is_invisible_to_the_intraprocedural_lint() {
     // The acceptance criterion for the call-graph layer: the seeded
     // allocation sits two calls below the hot-path fn, so the old
