@@ -406,14 +406,11 @@ pub struct FrameProgress {
     pub in_flight: u32,
 }
 
-/// The live-only measurements: per-level occupancy over time, frame
-/// progress against the theoretical frontier, and per-set congestion
-/// watermarks. These need packet positions at step and phase ends,
-/// which no event-stream count carries; every count of moves, steps,
-/// deliveries and deflections is kept by the folds that already count
-/// it (`hotpotato_trace::Analyzer`, `hotpotato_trace::StreamingAggregator`),
-/// and `hotpotato_trace::metrics_json` renders the metrics document
-/// from this observer and an analysis of the same run.
+/// The live-only measurements, which need packet positions at step and
+/// phase ends: per-level occupancy over time, frame progress against the
+/// theoretical frontier, and per-set congestion watermarks. Counts of
+/// moves, steps, deliveries and deflections are left to the folds that
+/// keep them (see the module docs).
 ///
 /// Tracks packet positions from the move stream, so it works with any
 /// router driving the engine; the schedule-aware series (frame progress,

@@ -332,7 +332,7 @@ impl FleetService {
     /// sample aggregated under `run="fleet"`, plus the fleet-specific
     /// families.
     fn render_metrics(&self) -> String {
-        self.reader.acquire(|seq, s| Self::metrics_text(seq, s))
+        self.reader.acquire(Self::metrics_text)
     }
 
     /// The `/metrics` text of snapshot `s`, published as number `seq`.

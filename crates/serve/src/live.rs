@@ -4,14 +4,8 @@
 //! [`MetricsObserver`] and a [`StreamingAggregator`]) and, every
 //! `publish_every` steps, copies the current aggregates into a
 //! [`LiveSnapshot`] through the never-blocking
-//! [`SnapshotPublisher`] exchange. Each quantity is counted once:
-//! occupancy and per-set congestion come from the [`MetricsObserver`];
-//! steps, moves, injections, deflections and oscillations from the
-//! aggregator's exact run totals; and the observer's own tail keeps only
-//! what neither folds (trivial deliveries, arrivals, drops, phases, and
-//! the per-packet deflection and injection records behind the
-//! histograms). Memory is O(packets + levels + sets + rollup cap). HTTP handler threads read the other
-//! side. The publish path is `// lint: hot-path`: it only copies —
+//! [`SnapshotPublisher`] exchange; each count comes from the one sink
+//! that keeps it. HTTP handler threads read the other side. The publish path is `// lint: hot-path`: it only copies —
 //! `clear()` + `extend_from_slice` into buffers pre-sized at exchange
 //! creation — so the steady state allocates nothing and a contended
 //! publish is skipped rather than waited on.
@@ -224,9 +218,8 @@ impl Latency {
 }
 
 /// What the live view needs beyond the two sinks: the last `active`
-/// count, the counts no step report carries, the fixed-bucket
-/// deflection histogram, each packet's deflections and injection step,
-/// and the latency aggregates.
+/// count, the counts no step report carries, the histograms and their
+/// per-packet sources.
 struct Tail {
     /// In-flight packets after the last completed step.
     active: u64,
@@ -382,7 +375,13 @@ impl LiveObserver {
     /// Periodic non-blocking publish.
     // lint: hot-path
     fn publish_if_due(&mut self) {
-        if self.sinks.1.totals().steps.is_multiple_of(self.publish_every) {
+        if self
+            .sinks
+            .1
+            .totals()
+            .steps
+            .is_multiple_of(self.publish_every)
+        {
             let Self {
                 sinks,
                 tail,

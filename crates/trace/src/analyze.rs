@@ -3,14 +3,9 @@
 //! scaling ratios — everything a run leaves behind, condensed into one
 //! JSON report by a single pass over the events ([`Analyzer`]).
 //!
-//! The same fold runs live: [`Analyzer`] is an [`EventSink`], so it sits
-//! in the engine's observer slot as well as reading a recorded or parsed
-//! trace. `route --metrics-out` and the `tables` metrics artifact run it
-//! beside a [`MetricsObserver`], and [`metrics_json`] renders their
-//! metrics document from the pair: the occupancy, frame-progress and
-//! congestion series from the observer, and every count (steps, phases,
-//! deliveries, deflections by packet, level and phase) from the
-//! [`Analysis`].
+//! The same fold runs live as an [`EventSink`]: beside a
+//! [`MetricsObserver`], it keeps every count of the metrics document
+//! that [`metrics_json`] renders from the pair.
 
 use crate::schema::{Trace, TraceEvent};
 use crate::timeline::{ChainFold, ChainReport, PacketTimeline, TimelineFold};
@@ -151,7 +146,9 @@ pub struct Analysis {
 }
 
 /// The analytics fold: [`Analyzer::push`] reads each event once and
-/// [`Analyzer::finish`] condenses them into an [`Analysis`].
+/// [`Analyzer::finish`] condenses them into an [`Analysis`]. It is also
+/// an [`EventSink`], hence a `RouteObserver`: in the observer slot it
+/// folds a run as it happens, with no trace in between.
 ///
 /// Events must come in the chronological order the engine writes and
 /// [`crate::verify_trace`] enforces: every event of step `t` before any
@@ -466,7 +463,10 @@ impl Analysis {
     /// Deflections by the level of the node each loser departed, summed
     /// over the phase rows (empty when the instance was unknown).
     pub fn deflections_by_level(&self) -> Vec<u64> {
-        let levels = self.phases.first().map_or(0, |r| r.deflections_by_level.len());
+        let levels = self
+            .phases
+            .first()
+            .map_or(0, |r| r.deflections_by_level.len());
         let mut out = vec![0; levels];
         for row in &self.phases {
             for (cell, n) in out.iter_mut().zip(&row.deflections_by_level) {
@@ -486,8 +486,8 @@ impl Analysis {
         }
     }
 
-    /// Deflections per phase of the router's schedule. A phase-less run
-    /// has one whole-run cell once it deflected, and none before.
+    /// Deflections per phase of the router's schedule (a phase-less run:
+    /// one whole-run cell once it deflected, none before).
     pub fn deflections_by_phase(&self) -> Vec<u64> {
         if self.phased {
             self.phases.iter().map(|r| r.deflections).collect()
@@ -711,7 +711,10 @@ pub fn metrics_json(metrics: &MetricsObserver, analysis: &Analysis) -> Value {
         (
             "occupancy",
             Value::object([
-                ("packet_steps_by_level", metrics.level_packet_steps().to_json()),
+                (
+                    "packet_steps_by_level",
+                    metrics.level_packet_steps().to_json(),
+                ),
                 ("watermark_by_level", metrics.level_watermarks().to_json()),
                 ("series", Value::Array(occupancy_series)),
             ]),
@@ -982,7 +985,12 @@ mod tests {
         step(&mut o, 0);
         o.on_phase_end(0, 1);
         o.on_phase_start(1, 1);
-        o.on_move(1, 0, DirectedEdge::backward(mv[0].edge), ExitKind::Deflect { safe: false });
+        o.on_move(
+            1,
+            0,
+            DirectedEdge::backward(mv[0].edge),
+            ExitKind::Deflect { safe: false },
+        );
         step(&mut o, 1);
         let a = o.1.finish();
         assert!(a.phased);
@@ -1028,7 +1036,10 @@ mod tests {
             Some(1)
         );
         assert_eq!(doc.get("delivered").and_then(Value::as_u64), Some(1));
-        assert!(doc["congestion"]["ln_ln_bound"].as_f64().unwrap().is_finite());
+        assert!(doc["congestion"]["ln_ln_bound"]
+            .as_f64()
+            .unwrap()
+            .is_finite());
     }
 
     #[test]
@@ -1045,7 +1056,13 @@ mod tests {
         let (metrics, analyzer) = o;
         let doc = metrics_json(&metrics, &analyzer.finish());
         assert!(doc.get("congestion").is_some());
-        assert_eq!(doc["congestion"]["watermark_per_set"].as_array().unwrap().len(), 10);
+        assert_eq!(
+            doc["congestion"]["watermark_per_set"]
+                .as_array()
+                .unwrap()
+                .len(),
+            10
+        );
     }
 
     #[test]

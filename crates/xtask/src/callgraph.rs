@@ -894,7 +894,10 @@ mod tests {
             [(Some("A"), "m"), (Some("B"), "m"), (Some("T"), "d")]
         );
         assert_eq!(
-            g.fns.iter().filter(|x| x.trait_name.as_deref() == Some("T")).count(),
+            g.fns
+                .iter()
+                .filter(|x| x.trait_name.as_deref() == Some("T"))
+                .count(),
             2
         );
     }
