@@ -375,13 +375,8 @@ impl LiveObserver {
     /// Periodic non-blocking publish.
     // lint: hot-path
     fn publish_if_due(&mut self) {
-        if self
-            .sinks
-            .1
-            .totals()
-            .steps
-            .is_multiple_of(self.publish_every)
-        {
+        let steps = self.sinks.1.totals().steps;
+        if steps.is_multiple_of(self.publish_every) {
             let Self {
                 sinks,
                 tail,

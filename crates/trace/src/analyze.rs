@@ -656,88 +656,62 @@ impl Analysis {
 
 /// The metrics document of one run (`route --metrics-out`, `tables
 /// metricsjson`): the occupancy, frame-progress and congestion series of
-/// `metrics`, and every count from `analysis`, a live [`Analyzer`] fold
+/// `metrics`, and every count from `a`, a live [`Analyzer`] fold
 /// of the same run.
-pub fn metrics_json(metrics: &MetricsObserver, analysis: &Analysis) -> Value {
-    use serde::Serialize as _;
-    let a = analysis;
+pub fn metrics_json(metrics: &MetricsObserver, a: &Analysis) -> Value {
     let histogram: Vec<Value> = a
         .deflection_histogram()
         .into_iter()
-        .map(|(deflections, packets)| {
-            Value::object([
-                ("deflections", deflections.to_json()),
-                ("packets", packets.to_json()),
-            ])
-        })
+        .map(|(deflections, packets)| json!({ "deflections": deflections, "packets": packets }))
         .collect();
     let frame_progress: Vec<Value> = metrics
         .frame_progress()
         .iter()
         .map(|row| {
-            Value::object([
-                ("phase", row.phase.to_json()),
-                ("set", row.set.to_json()),
-                ("frontier", row.frontier.to_json()),
-                ("max_level", row.max_level.to_json()),
-                ("in_flight", row.in_flight.to_json()),
-            ])
+            json!({
+                "phase": row.phase,
+                "set": row.set,
+                "frontier": row.frontier,
+                "max_level": row.max_level,
+                "in_flight": row.in_flight,
+            })
         })
         .collect();
-    let occupancy_series: Vec<Value> = metrics
+    let series: Vec<Value> = metrics
         .occupancy_series()
         .iter()
-        .map(|(t, levels)| Value::object([("t", t.to_json()), ("levels", levels.to_json())]))
+        .map(|(t, levels)| json!({ "t": t, "levels": levels }))
         .collect();
     let watermarks = metrics.congestion_watermarks();
-    let watermark_max = watermarks.iter().copied().max().unwrap_or(0);
-    Value::object([
-        ("packets", metrics.packets().to_json()),
-        ("steps", a.steps.to_json()),
-        ("delivered", a.deliveries.to_json()),
-        ("trivial_deliveries", a.trivial.to_json()),
-        ("phases", a.schedule_phases().to_json()),
-        (
-            "deflections",
-            Value::object([
-                ("total", a.deflections.to_json()),
-                ("safe", a.safe_deflections.to_json()),
-                ("unsafe", (a.deflections - a.safe_deflections).to_json()),
-                ("per_packet_histogram", Value::Array(histogram)),
-                ("by_level", a.deflections_by_level().to_json()),
-                ("by_phase", a.deflections_by_phase().to_json()),
-            ]),
-        ),
-        (
-            "occupancy",
-            Value::object([
-                (
-                    "packet_steps_by_level",
-                    metrics.level_packet_steps().to_json(),
-                ),
-                ("watermark_by_level", metrics.level_watermarks().to_json()),
-                ("series", Value::Array(occupancy_series)),
-            ]),
-        ),
-        (
-            "injection",
-            Value::object([
-                ("arrivals", a.arrivals.to_json()),
-                ("drops", a.drops.to_json()),
-            ]),
-        ),
-        ("frame_progress", Value::Array(frame_progress)),
-        (
-            "congestion",
-            Value::object([
-                ("num_sets", metrics.num_sets().to_json()),
-                ("initial_per_set", metrics.congestion_initial().to_json()),
-                ("watermark_per_set", watermarks.to_json()),
-                ("watermark_max", watermark_max.to_json()),
-                ("ln_ln_bound", metrics.ln_ln_bound().to_json()),
-            ]),
-        ),
-    ])
+    json!({
+        "packets": metrics.packets(),
+        "steps": a.steps,
+        "delivered": a.deliveries,
+        "trivial_deliveries": a.trivial,
+        "phases": a.schedule_phases(),
+        "deflections": json!({
+            "total": a.deflections,
+            "safe": a.safe_deflections,
+            "unsafe": a.deflections - a.safe_deflections,
+            "per_packet_histogram": histogram,
+            "by_level": a.deflections_by_level(),
+            "by_phase": a.deflections_by_phase(),
+        }),
+        "occupancy": json!({
+            "packet_steps_by_level": metrics.level_packet_steps(),
+            "watermark_by_level": metrics.level_watermarks(),
+            "series": series,
+        }),
+        "injection": json!({ "arrivals": a.arrivals, "drops": a.drops }),
+        "frame_progress": frame_progress,
+        "congestion": json!({
+            "num_sets": metrics.num_sets(),
+            "initial_per_set": metrics.congestion_initial(),
+            "watermark_per_set": watermarks,
+            "watermark_max": watermarks.iter().copied().max().unwrap_or(0),
+            "ln_ln_bound": metrics.ln_ln_bound(),
+        }),
+    })
 }
 
 /// Compares two analyses metric by metric, reporting absolute values and
