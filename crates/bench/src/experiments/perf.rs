@@ -229,7 +229,7 @@ pub fn measure(quick: bool) -> PerfReport {
             StoreForwardRouter::fifo().route(&prob, &mut rng)
         });
         assert!(out.stats.all_delivered());
-        let moves: u64 = prob.packets().iter().map(|p| p.path.len() as u64).sum();
+        let moves: u64 = prob.paths().map(|p| p.len() as u64).sum();
         rows.push(PerfMeasurement {
             component: "store-and-forward",
             k,

@@ -278,7 +278,7 @@ impl PhaseAuditScratch {
 /// for the phase that just ended, updating `report`; returns the measured
 /// per-set congestion (the `I_e` subject, which observers consume as the
 /// Lemma 2.2 watermark source). `O(N·L)`, reading the engine's layout
-/// directly (CSR preselected paths, arena deviation stacks).
+/// directly (the problem's path arena, the engine's deviation stacks).
 ///
 /// Congestion counts active packets by their current paths and pending
 /// packets by their preselected paths, as in the paper's definition
@@ -306,6 +306,7 @@ pub fn check_phase_end<O: RouteObserver>(
     let net = sim.net();
     let num_edges = net.num_edges();
     let sh = sim.shared();
+    let arena_edges = sh.problem.arena().edges();
     scratch.reserve(initial_per_set.len().max(1), num_edges);
 
     for &idx in sim.active_slice() {
@@ -329,12 +330,11 @@ pub fn check_phase_end<O: RouteObserver>(
             scratch.bump(set, num_edges, mv >> 1);
             cur = sh.dev_next[cur as usize];
         }
-        for off in f.path_next..f.path_end {
-            let mv = sh.path_mv[off as usize];
-            let e = net.edge(leveled_net::EdgeId(mv >> 1));
-            valid &= e.tail.0 == at;
-            at = e.head.0;
-            scratch.bump(set, num_edges, mv >> 1);
+        for &e in &arena_edges[f.path_next as usize..f.path_end as usize] {
+            let edge = net.edge(e);
+            valid &= edge.tail.0 == at;
+            at = edge.head.0;
+            scratch.bump(set, num_edges, e.0);
         }
         debug_assert_eq!(valid, sh.validate_current_path(net, idx));
         if !valid {
@@ -356,12 +356,7 @@ pub fn check_phase_end<O: RouteObserver>(
     // incrementally: paths are immutable and the pending population only
     // shrinks, so subtract the paths of packets that left pending since
     // the last check rather than re-walking every still-pending path.
-    let path_edges = |p: u32| {
-        let i = p as usize;
-        sh.path_mv[sh.path_off[i] as usize..sh.path_off[i + 1] as usize]
-            .iter()
-            .map(|&mv| mv >> 1)
-    };
+    let path_edges = |p: u32| sh.problem.path(p as usize).edges().iter().map(|e| e.0);
     if !scratch.pending_seeded {
         scratch.pending_seeded = true;
         scratch.pending_counts.resize(scratch.counts.len(), 0);

@@ -325,7 +325,7 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
             if cfg.eager_injection {
                 return (0, p);
             }
-            let src = problem.packets()[p as usize].path.source();
+            let src = problem.path(p as usize).source();
             let phase = schedule.injection_phase(sets[p as usize], net.level(src));
             (phase * phase_len, p)
         })
@@ -443,7 +443,7 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
             ready.push(p);
         }
         ready.retain(|&p| {
-            let src = problem.packets()[p as usize].path.source();
+            let src = problem.path(p as usize).source();
             let occupied_source = !sim.shared().arrivals(src.0).is_empty();
             match sim.try_inject(p) {
                 InjectOutcome::Injected => {

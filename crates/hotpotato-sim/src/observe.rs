@@ -451,7 +451,7 @@ impl MetricsObserver {
         let levels = net.num_levels();
         MetricsObserver {
             net,
-            position: problem.packets().iter().map(|p| p.path.source()).collect(),
+            position: problem.paths().map(routing_core::PathRef::source).collect(),
             in_network: vec![false; problem.num_packets()],
             occupancy: vec![0; levels],
             level_packet_steps: vec![0; levels],

@@ -108,7 +108,7 @@ pub fn level_occupancy(problem: &RoutingProblem, record: &RunRecord) -> Vec<Vec<
             let ev = &record.moves[idx];
             let i = ev.pkt.index();
             let target = net.move_target(ev.mv);
-            let dest = problem.packets()[i].path.dest(net);
+            let dest = problem.path(i).dest(net);
             pos[i] = if target == dest { None } else { Some(target) };
             idx += 1;
         }
@@ -279,7 +279,7 @@ pub mod replay {
                     pkt: tr.pkt,
                 });
             }
-            if !problem.packets()[i].path.is_empty() {
+            if !problem.path(i).is_empty() {
                 return Err(ReplayError::BadInjection {
                     time: tr.time,
                     pkt: tr.pkt,
@@ -353,7 +353,7 @@ pub mod replay {
                                 pkt: ev.pkt,
                             });
                         }
-                        let path = &problem.packets()[i].path;
+                        let path = problem.path(i);
                         let ok = !path.is_empty()
                             && origin == path.source()
                             && ev.mv == DirectedEdge::forward(path.edges()[0]);
@@ -388,7 +388,7 @@ pub mod replay {
                     }
                 }
                 let target = net.move_target(ev.mv);
-                let dest = problem.packets()[i].path.dest(net);
+                let dest = problem.path(i).dest(net);
                 if target == dest {
                     delivered[i] = true;
                     pos[i] = None;

@@ -181,7 +181,7 @@ pub fn route_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
                 break;
             }
             pending.pop();
-            let path = &problem.packets()[p as usize].path;
+            let path = problem.path(p as usize);
             if path.is_empty() {
                 stats.injected_at[p as usize] = Some(now);
                 stats.delivered_at[p as usize] = Some(now);
@@ -249,7 +249,7 @@ pub fn route_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
             for &i in &order {
                 let pkt = q[i].pkt as usize;
                 let ne_idx = next_edge[pkt] + 1;
-                let path = &problem.packets()[pkt].path;
+                let path = problem.path(pkt);
                 if ne_idx == path.len() {
                     pick = Some(i); // delivering: always admissible
                     break;
@@ -269,7 +269,7 @@ pub fn route_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
             let chosen = q.swap_remove(pick);
             let pkt = chosen.pkt as usize;
             let ne_idx = next_edge[pkt] + 1;
-            let path = &problem.packets()[pkt].path;
+            let path = problem.path(pkt);
             if ne_idx < path.len() {
                 planned_in[path.edges()[ne_idx].index()] += 1;
             }
@@ -292,7 +292,7 @@ pub fn route_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
             };
             observer.on_move(now, pkt, DirectedEdge::forward(EdgeId(edge as u32)), kind);
             next_edge[i] += 1;
-            let path = &problem.packets()[i].path;
+            let path = problem.path(i);
             if next_edge[i] == path.len() {
                 stats.delivered_at[i] = Some(now + 1);
                 delivered += 1;

@@ -163,11 +163,11 @@ mod tests {
         let dn = DagNetwork::new(&dag).unwrap();
         let prob = random_dag_pairs(&dn, 10, &mut rng).unwrap();
         assert_eq!(prob.num_packets(), 10);
-        for p in prob.packets() {
-            p.path.validate(prob.network()).unwrap();
+        for p in prob.paths() {
+            p.validate(prob.network()).unwrap();
             // Endpoints are original nodes.
-            assert!(!dn.levelized().is_dummy(p.path.source()));
-            assert!(!dn.levelized().is_dummy(p.path.dest(prob.network())));
+            assert!(!dn.levelized().is_dummy(p.source()));
+            assert!(!dn.levelized().is_dummy(p.dest(prob.network())));
         }
     }
 

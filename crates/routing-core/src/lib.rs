@@ -30,7 +30,7 @@ pub mod spec;
 pub mod workloads;
 
 pub use dag::DagNetwork;
-pub use path::{Path, PathError};
-pub use problem::{PacketId, PacketSpec, ProblemError, RoutingProblem};
+pub use path::{Path, PathError, PathRef};
+pub use problem::{PacketId, PathArena, ProblemError, RoutingProblem};
 pub use spec::RunSpec;
 pub use workloads::ArrivalProcess;

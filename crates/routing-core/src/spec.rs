@@ -571,8 +571,8 @@ mod tests {
         let (_, via_spec, mut rng) = spec.instantiate().unwrap();
         let (_, via_reconstruct) = reconstruct_problem("butterfly:4", "pairs:6", 42).unwrap();
         assert_eq!(via_spec.num_packets(), via_reconstruct.num_packets());
-        for (a, b) in via_spec.packets().iter().zip(via_reconstruct.packets()) {
-            assert_eq!(a.path.edges(), b.path.edges());
+        for (a, b) in via_spec.paths().zip(via_reconstruct.paths()) {
+            assert_eq!(a.edges(), b.edges());
         }
         // The returned rng continues the same stream the workload drew
         // from: instantiating twice and drawing must agree.
@@ -680,9 +680,9 @@ mod tests {
             let (_, a) = reconstruct_problem(topo, wl, 42).unwrap();
             let (_, b) = reconstruct_problem(topo, wl, 42).unwrap();
             assert_eq!(a.num_packets(), b.num_packets(), "{topo}/{wl}");
-            for (pa, pb) in a.packets().iter().zip(b.packets()) {
-                assert_eq!(pa.path.source(), pb.path.source(), "{topo}/{wl}");
-                assert_eq!(pa.path.edges(), pb.path.edges(), "{topo}/{wl}");
+            for (pa, pb) in a.paths().zip(b.paths()) {
+                assert_eq!(pa.source(), pb.source(), "{topo}/{wl}");
+                assert_eq!(pa.edges(), pb.edges(), "{topo}/{wl}");
             }
         }
     }

@@ -6,9 +6,8 @@
 //! `C` via [`funnel`] (which concentrates a chosen number of paths on one
 //! edge), `L`/`D` via topology size, and `N` via packet count.
 
-use crate::path::Path;
 use crate::paths::{self, MeshAxis, MinimalPathSampler};
-use crate::problem::RoutingProblem;
+use crate::problem::{PathArena, RoutingProblem};
 use leveled_net::builders::{ButterflyCoords, MeshCoords};
 use leveled_net::{Level, LeveledNetwork, NodeId};
 use rand::seq::SliceRandom;
@@ -153,22 +152,27 @@ pub fn random_walks<R: Rng + ?Sized>(
                 .count(),
         });
     }
-    let mut paths_out = Vec::with_capacity(n);
+    // Every forward edge climbs one level, so no walk is longer than
+    // the levels above its source: the arena never reallocates.
+    let room = sources
+        .iter()
+        .map(|&s| (net.depth() - net.level(s)) as usize)
+        .sum();
+    let mut arena = PathArena::with_capacity(n, room);
     for &src in &sources {
-        let mut edges = Vec::new();
         let mut at = src;
-        loop {
+        let walk = std::iter::from_fn(|| {
             let fwd = net.fwd_edges(at);
             if fwd.is_empty() {
-                break;
+                return None;
             }
             let e = fwd[rng.gen_range(0..fwd.len())];
-            edges.push(e);
             at = net.edge(e).head;
-        }
-        paths_out.push(Path::new(net, src, edges).expect("forward edges chain"));
+            Some(e)
+        });
+        arena.push(src, walk);
     }
-    RoutingProblem::new(Arc::clone(net), paths_out)
+    RoutingProblem::from_arena(Arc::clone(net), arena)
         .map(Arc::new)
         .map_err(|_| unreachable!("sources are distinct by construction"))
 }
@@ -356,19 +360,17 @@ pub fn funnel<R: Rng + ?Sized>(
     let dests: Vec<NodeId> = net.nodes().filter(|&v| down_mask[v.index()]).collect();
     debug_assert!(!dests.is_empty());
 
-    let mut paths_out = Vec::with_capacity(count);
+    let mut arena = PathArena::with_capacity(count, 0);
     for &src in sources.iter().take(count) {
         let up = upstream_sampler
             .sample(net, src, rng)
             .expect("source reaches pivot tail");
         let dst = *dests.choose(rng).expect("non-empty");
         let down = paths::random_minimal(net, ph, dst, rng).expect("reachable from pivot head");
-        let mut edges = up.edges().to_vec();
-        edges.push(pivot);
-        edges.extend_from_slice(down.edges());
-        paths_out.push(Path::new(net, src, edges).expect("segments chain through the pivot"));
+        let edges = up.edges().iter().chain([&pivot]).chain(down.edges());
+        arena.push(src, edges.copied());
     }
-    RoutingProblem::new(Arc::clone(net), paths_out)
+    RoutingProblem::from_arena(Arc::clone(net), arena)
         .map(Arc::new)
         .map_err(|_| unreachable!("distinct sources"))
 }
@@ -726,9 +728,9 @@ mod tests {
         let net = Arc::new(builders::butterfly(4));
         let prob = random_pairs(&net, 10, &mut rng).unwrap();
         assert_eq!(prob.num_packets(), 10);
-        for p in prob.packets() {
-            p.path.validate(prob.network()).unwrap();
-            assert!(!p.path.is_empty());
+        for p in prob.paths() {
+            p.validate(prob.network()).unwrap();
+            assert!(!p.is_empty());
         }
     }
 
@@ -755,9 +757,8 @@ mod tests {
         let prob = butterfly_permutation(&net, &coords, &mut rng);
         assert_eq!(prob.num_packets(), 16);
         let mut dest_rows: Vec<usize> = prob
-            .packets()
-            .iter()
-            .map(|p| coords.coords(p.path.dest(prob.network())).1)
+            .paths()
+            .map(|p| coords.coords(p.dest(prob.network())).1)
             .collect();
         dest_rows.sort_unstable();
         assert_eq!(dest_rows, (0..16).collect::<Vec<_>>());
@@ -785,11 +786,7 @@ mod tests {
         let net = Arc::new(builders::complete_leveled(6, 6));
         let prob = hotspot(&net, 12, 2, &mut rng).unwrap();
         assert_eq!(prob.num_packets(), 12);
-        let mut dests: Vec<NodeId> = prob
-            .packets()
-            .iter()
-            .map(|p| p.path.dest(prob.network()))
-            .collect();
+        let mut dests: Vec<NodeId> = prob.paths().map(|p| p.dest(prob.network())).collect();
         dests.sort_unstable();
         dests.dedup();
         assert!(dests.len() <= 2, "at most two destinations");
@@ -821,9 +818,9 @@ mod tests {
         let net = Arc::new(builders::butterfly(3));
         let prob = level_to_level(&net, 0, 3, &mut rng).unwrap();
         assert_eq!(prob.num_packets(), 8);
-        for p in prob.packets() {
-            assert_eq!(prob.network().level(p.path.source()), 0);
-            assert_eq!(prob.network().level(p.path.dest(prob.network())), 3);
+        for p in prob.paths() {
+            assert_eq!(prob.network().level(p.source()), 0);
+            assert_eq!(prob.network().level(p.dest(prob.network())), 3);
         }
     }
 
@@ -844,8 +841,8 @@ mod tests {
             assert_eq!(prob.num_packets(), count);
             // All paths cross the pivot, so C >= count; and C can't exceed N.
             assert!(prob.congestion() as usize >= count);
-            for p in prob.packets() {
-                p.path.validate(prob.network()).unwrap();
+            for p in prob.paths() {
+                p.validate(prob.network()).unwrap();
             }
         }
     }
@@ -865,8 +862,8 @@ mod tests {
             "C = {} not concentrated",
             blast.congestion()
         );
-        for p in blast.packets() {
-            p.path.validate(blast.network()).unwrap();
+        for p in blast.paths() {
+            p.validate(blast.network()).unwrap();
         }
     }
 
@@ -885,12 +882,12 @@ mod tests {
         let prob = many_to_many(&net, 100, &mut rng).unwrap();
         assert!(prob.is_relaxed());
         assert_eq!(prob.num_packets(), 100);
-        let mut sources: Vec<NodeId> = prob.packets().iter().map(|p| p.path.source()).collect();
+        let mut sources: Vec<NodeId> = prob.paths().map(crate::PathRef::source).collect();
         sources.sort_unstable();
         sources.dedup();
         assert!(sources.len() < 100, "sources repeat in a relaxed problem");
-        for p in prob.packets() {
-            p.path.validate(prob.network()).unwrap();
+        for p in prob.paths() {
+            p.validate(prob.network()).unwrap();
         }
     }
 

@@ -711,7 +711,7 @@ impl StreamState {
                                 format!("packet {pkt} injected after being dropped"),
                             );
                         }
-                        let path = &problem.packets()[p].path;
+                        let path = problem.path(p);
                         let ok = !path.is_empty() && mv == DirectedEdge::forward(path.edges()[0]);
                         if !ok {
                             return fail(
@@ -774,7 +774,7 @@ impl StreamState {
                 self.moves += 1;
                 self.batch.moves += 1;
                 self.last_move_step[p] = self.now;
-                let dest = problem.packets()[p].path.dest(net);
+                let dest = problem.path(p).dest(net);
                 if target == dest {
                     if self.pos[p].is_some() {
                         self.active -= 1;
@@ -814,7 +814,7 @@ impl StreamState {
                         format!("packet {pkt} delivered trivially after being dropped"),
                     );
                 }
-                if !problem.packets()[p].path.is_empty() {
+                if !problem.path(p).is_empty() {
                     return fail(
                         line,
                         format!("packet {pkt} delivered trivially but its path is not trivial"),

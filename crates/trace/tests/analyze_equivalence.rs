@@ -182,10 +182,10 @@ mod reference {
                             }
                             let lvl = match level_of_pkt.get(p).copied().flatten() {
                                 Some(l) => i64::from(l),
-                                None => match inst.problem.packets().get(p) {
-                                    Some(spec) => i64::from(inst.net.level(spec.path.source())),
-                                    None => continue,
-                                },
+                                None if p < inst.problem.num_packets() => {
+                                    i64::from(inst.net.level(inst.problem.path(p).source()))
+                                }
+                                None => continue,
                             };
                             min_level = Some(min_level.map_or(lvl, |m: i64| m.min(lvl)));
                         }

@@ -42,5 +42,5 @@ pub mod prelude {
         Router, SectionProfiler,
     };
     pub use leveled_net::{builders, Direction, EdgeId, LeveledNetwork, NodeId};
-    pub use routing_core::{paths, workloads, Path, RoutingProblem};
+    pub use routing_core::{paths, workloads, Path, PathRef, RoutingProblem};
 }

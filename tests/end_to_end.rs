@@ -71,14 +71,7 @@ fn sanity(problem: &RoutingProblem, stats: &RouteStats, algo: &str) {
     let lower = problem.congestion().max(problem.dilation()) as u64;
     let mk = stats.makespan().unwrap_or(0);
     assert!(
-        problem.dilation() == 0
-            || mk
-                >= problem
-                    .packets()
-                    .iter()
-                    .map(|p| p.path.len())
-                    .max()
-                    .unwrap() as u64,
+        problem.dilation() == 0 || mk >= problem.paths().map(PathRef::len).max().unwrap() as u64,
         "{algo}: makespan {mk} beats the dilation bound on {}",
         problem.describe()
     );

@@ -147,7 +147,7 @@ fn makespan_at_least_longest_path() {
         let n = rng.gen_range(1usize..16);
         let net = Arc::new(builders::complete_leveled(6, 3));
         let prob = workloads::random_pairs(&net, n, rng).unwrap();
-        let longest = prob.packets().iter().map(|p| p.path.len()).max().unwrap() as u64;
+        let longest = prob.paths().map(PathRef::len).max().unwrap() as u64;
         let g = GreedyRouter::new().route(&prob, rng);
         assert!(g.stats.makespan().unwrap() >= longest, "case {case}");
         let sf = StoreForwardRouter::fifo().route(&prob, rng);

@@ -89,7 +89,7 @@ fn record_length_matches_move_accounting() {
     let mut record = RunRecord::default();
     let out = GreedyRouter::new().route_observed(&prob, &mut rng, &mut record);
     // Every packet contributes at least path-length moves.
-    let min_moves: usize = prob.packets().iter().map(|p| p.path.len()).sum();
+    let min_moves: usize = prob.paths().map(PathRef::len).sum();
     assert!(record.len() >= min_moves);
     // Deflections add exactly two extra moves each (out and back) on a
     // butterfly where deflections are backward.
