@@ -182,11 +182,16 @@ fn print_usage() {
     );
 }
 
+/// The flags a command reads every occurrence of; any other flag may be
+/// given once.
+const REPEATABLE: &[&str] = &["--run", "--sweep", "--fail-on"];
+
 /// Rejects every argument that is neither one of the `valued` flags
 /// (which consume the next argument), one of the `switches`, nor one of
-/// the first `positionals` bare arguments, so a mistyped or unsupported
+/// the first `positionals` bare arguments, and every flag outside
+/// [`REPEATABLE`] given twice, so a mistyped, unsupported or repeated
 /// flag or a stray argument fails instead of silently running the
-/// default. Returns the bare arguments, in order.
+/// default or the first value. Returns the bare arguments, in order.
 fn check_flags<'a>(
     args: &'a [String],
     positionals: usize,
@@ -194,12 +199,20 @@ fn check_flags<'a>(
     switches: &[&str],
 ) -> Result<Vec<&'a str>, String> {
     let mut bare = Vec::new();
+    let mut seen: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let arg = args[i].as_str();
+        let flag = valued.contains(&arg) || switches.contains(&arg);
+        if flag && !REPEATABLE.contains(&arg) {
+            if seen.contains(&arg) {
+                return Err(format!("flag '{arg}' given twice"));
+            }
+            seen.push(arg);
+        }
         if valued.contains(&arg) {
             i += 2;
-        } else if switches.contains(&arg) {
+        } else if flag {
             i += 1;
         } else if arg.starts_with("--") {
             return Err(format!("unknown flag '{arg}'"));
@@ -313,7 +326,16 @@ fn cmd_route(args: &[String]) -> i32 {
     // [/SEED[/ARRIVAL]]]`, the same grammar `serve --run` and the bench
     // gate accept) or the individual flags; both produce a `RunSpec`.
     let mut run = match flag_value(args, "--spec") {
-        Some(spec) => or_exit!(parse_run_spec(spec)),
+        Some(spec) => {
+            // The spec names the whole instance; a flag beside it would
+            // either be ignored or silently override part of it.
+            let named = ["--topo", "--workload", "--algo", "--seed"];
+            if let Some(flag) = named.iter().find(|&&f| args.iter().any(|a| a == f)) {
+                eprintln!("error: --spec names the whole run; it cannot be combined with {flag}");
+                return 2;
+            }
+            or_exit!(parse_run_spec(spec))
+        }
         None => {
             let Some(topo_spec) = flag_value(args, "--topo") else {
                 eprintln!("route needs --topo <SPEC> (or --spec TOPO/WL[/ALGO[/SEED[/ARRIVAL]]])");

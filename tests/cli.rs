@@ -399,6 +399,90 @@ fn unknown_flags_are_rejected_before_any_work() {
     }
 }
 
+/// A flag given twice, or a `--spec` beside a flag naming part of the
+/// run it already names, fails by name instead of one value silently
+/// winning.
+#[test]
+fn repeated_and_conflicting_flags_are_rejected() {
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &[
+                "route",
+                "--topo",
+                "bf:5",
+                "--workload",
+                "pairs:12",
+                "--seed",
+                "1",
+                "--seed",
+                "2",
+            ],
+            "flag '--seed' given twice",
+        ),
+        (
+            &[
+                "route",
+                "--spec",
+                "bf:5/pairs:12/busch/1",
+                "--json",
+                "--json",
+            ],
+            "flag '--json' given twice",
+        ),
+        (
+            &["topo", "bf:3", "--dot", "--dot"],
+            "flag '--dot' given twice",
+        ),
+        (
+            &[
+                "serve",
+                "--run",
+                "bf:4/bitrev",
+                "--addr",
+                "127.0.0.1:1",
+                "--addr",
+                "127.0.0.1:2",
+            ],
+            "flag '--addr' given twice",
+        ),
+        (
+            &["trace", "analyze", "a.jsonl", "--out", "x", "--out", "y"],
+            "flag '--out' given twice",
+        ),
+        (
+            &[
+                "route",
+                "--spec",
+                "bf:5/pairs:12/busch/1",
+                "--algo",
+                "greedy",
+            ],
+            "--spec names the whole run; it cannot be combined with --algo",
+        ),
+        (
+            &["route", "--spec", "bf:5/pairs:12/busch/1", "--seed", "2"],
+            "--spec names the whole run; it cannot be combined with --seed",
+        ),
+        (
+            &["route", "--spec", "bf:5/pairs:12", "--topo", "bf:6"],
+            "--spec names the whole run; it cannot be combined with --topo",
+        ),
+        (
+            &["route", "--spec", "bf:5/pairs:12", "--workload", "bitrev"],
+            "--spec names the whole run; it cannot be combined with --workload",
+        ),
+    ];
+    for &(args, want) in cases {
+        let (out, err, code) = hotpotato(args);
+        assert_eq!(code, 2, "args {args:?}: {err}");
+        assert!(err.contains(want), "args {args:?}: {err}");
+        assert!(
+            out.is_empty(),
+            "args {args:?} did work before failing: {out}"
+        );
+    }
+}
+
 #[test]
 fn malformed_numeric_flags_fail_instead_of_defaulting() {
     // `--addr` names a port that cannot exist: a `serve` that ignored
