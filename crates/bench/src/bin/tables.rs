@@ -5,15 +5,18 @@
 //! cargo run -p bench --release --bin tables -- t1 t4          # selected
 //! cargo run -p bench --release --bin tables -- all --quick    # smaller sweeps
 //! cargo run -p bench --release --bin tables -- all --json out.json
-//! cargo run -p bench --release --bin tables -- perfjson       # BENCH_PR1.json
-//! cargo run -p bench --release --bin tables -- metricsjson    # METRICS_PR2.json
+//! cargo run -p bench --release --bin tables -- perfjson --out F     # perf baseline document
+//! cargo run -p bench --release --bin tables -- metricsjson --out F  # metrics document
 //! cargo run -p bench --release --bin tables -- gate --quick   # telemetry gate
 //!     [--baselines F1,F2,..] [--metrics-baseline F]
 //!     [--perf-out F] [--metrics-out F]
 //!     [--scrape ADDR] [--scrape-only]
 //! ```
 //!
-//! The perf gate derives per-component floors from the spread of the
+//! `perfjson`, `metricsjson` and `gate` take only the flags shown, each
+//! at most once (plus `--quick`/`-q`); anything else exits 2 before any
+//! measurement. The perf gate checks [`experiments::perf::COMPONENTS`]
+//! against per-component floors derived from the spread of the
 //! `--baselines` list (default `BENCH_PR1.json`; see
 //! [`bench::gate::adaptive_perf_gate`]). `--scrape ADDR` adds
 //! liveness/exposition checks against a running `hotpotato serve`
@@ -22,7 +25,61 @@
 
 use bench::experiments;
 use bench::table::sink;
+use std::collections::BTreeMap;
 use std::time::Instant;
+
+/// Prints `error: MSG` and exits 2, the usage-error code.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// The flags of a `perfjson`, `metricsjson` or `gate` invocation, by
+/// name: every argument but the `mode` word itself must be `--quick`
+/// (alias `-q`), one of `switches`, or one of `valued` followed by its
+/// value, and none may repeat. A switch maps to `""`. Anything else is a
+/// usage error.
+fn mode_flags<'a>(
+    args: &'a [String],
+    mode: &str,
+    valued: &[&str],
+    switches: &[&str],
+) -> BTreeMap<&'a str, &'a str> {
+    let mut flags = BTreeMap::new();
+    let mut mode_seen = false;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let name = if arg == "-q" { "--quick" } else { arg.as_str() };
+        let value = if valued.contains(&name) {
+            match it.next() {
+                Some(v) => v.as_str(),
+                None => usage_error(&format!("flag '{name}' needs a value")),
+            }
+        } else if name == "--quick" || switches.contains(&name) {
+            ""
+        } else if name == mode && !mode_seen {
+            mode_seen = true;
+            continue;
+        } else if name.starts_with('-') {
+            usage_error(&format!("unknown flag '{name}' for {mode}"))
+        } else {
+            usage_error(&format!("unexpected argument '{name}' for {mode}"))
+        };
+        if flags.insert(name, value).is_some() {
+            usage_error(&format!("flag '{name}' given twice"));
+        }
+    }
+    flags
+}
+
+/// The `--out FILE` a document writer requires: there is no default, so
+/// a committed document is never overwritten by accident.
+fn required_out<'a>(args: &'a [String], mode: &str) -> &'a str {
+    mode_flags(args, mode, &["--out"], &[])
+        .get("--out")
+        .copied()
+        .unwrap_or_else(|| usage_error(&format!("{mode} needs --out FILE")))
+}
 
 /// Runs the PERF suite `repeats` times, keeps each component's best
 /// (fastest) run, and renders the machine-readable baseline document.
@@ -45,22 +102,13 @@ fn measure_perf_doc(quick: bool) -> serde_json::Value {
             }
         });
     }
-    let mut rep = best.expect("at least one pass");
-    eprintln!("perfjson: measuring large-instance row...");
-    rep.rows.push(experiments::perf::measure_large(quick));
-    eprintln!("perfjson: measuring steady-state streaming row...");
-    rep.rows.push(experiments::perf::measure_streaming(quick));
-    eprintln!("perfjson: measuring sharded trace-verify row...");
-    rep.rows.push(experiments::perf::measure_verify(quick));
-    eprintln!("perfjson: measuring fleet-throughput row...");
-    rep.rows.push(experiments::perf::measure_fleet(quick));
+    let rep = best.expect("at least one pass");
     let rows: Vec<serde_json::Value> = rep
         .rows
         .iter()
         .map(|r| {
             serde_json::json!({
                 "component": r.component,
-                "k": r.k,
                 "packets": r.packets,
                 "wall_s": r.wall_s,
                 "repeats": r.repeats,
@@ -69,17 +117,13 @@ fn measure_perf_doc(quick: bool) -> serde_json::Value {
                 "moves": r.moves,
                 "moves_per_s": r.moves_per_s(),
                 "packets_per_s": r.packets_per_s(),
-                "peak_rss_bytes": r.peak_rss_bytes,
-                "rss_bytes_per_packet": r.rss_bytes_per_packet(),
                 "violations": r.violations,
-                "runs": r.runs,
-                "runs_per_s": r.runs_per_s(),
             })
         })
         .collect();
     serde_json::json!({
         "suite": "hotpotato-routing perf baseline",
-        "instance": "butterfly bit-reversal + saturation random walks",
+        "instance": "butterfly bit-reversal",
         "quick": quick,
         "k": rep.k,
         "packets": rep.n,
@@ -106,17 +150,23 @@ fn perfjson(quick: bool, out_path: &str) {
 /// committed baselines with explicit tolerances, and exits non-zero on
 /// any regression (see [`bench::gate`]).
 fn gate_mode(quick: bool, args: &[String]) -> ! {
-    let flag = |name: &str| -> Option<&str> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .map(std::string::String::as_str)
-    };
+    let flags = mode_flags(
+        args,
+        "gate",
+        &[
+            "--baselines",
+            "--metrics-baseline",
+            "--perf-out",
+            "--metrics-out",
+            "--scrape",
+        ],
+        &["--scrape-only"],
+    );
+    let flag = |name: &str| flags.get(name).copied();
     let scrape_addr = flag("--scrape");
-    let scrape_only = args.iter().any(|a| a == "--scrape-only");
+    let scrape_only = flag("--scrape-only").is_some();
     if scrape_only && scrape_addr.is_none() {
-        eprintln!("--scrape-only needs --scrape ADDR");
-        std::process::exit(2);
+        usage_error("--scrape-only needs --scrape ADDR");
     }
     let read_doc = |path: &str| -> serde_json::Value {
         let text = std::fs::read_to_string(path)
@@ -151,7 +201,11 @@ fn gate_mode(quick: bool, args: &[String]) -> ! {
         // (oldest first); a lone baseline gates at the global ratio.
         let list = flag("--baselines").unwrap_or("BENCH_PR1.json");
         let baselines: Vec<serde_json::Value> = list.split(',').map(read_doc).collect();
-        findings.extend(bench::gate::adaptive_perf_gate(&baselines, &perf_cur));
+        findings.extend(bench::gate::adaptive_perf_gate(
+            experiments::perf::COMPONENTS,
+            &baselines,
+            &perf_cur,
+        ));
         findings.extend(bench::gate::metrics_gate(&metrics_base, &metrics_cur));
     }
     if let Some(addr) = scrape_addr {
@@ -202,24 +256,14 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick" || a == "-q");
     if args.iter().any(|a| a == "perfjson") {
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-            .map_or("BENCH_PR1.json", |s| s.as_str());
-        perfjson(quick, out);
+        perfjson(quick, required_out(&args, "perfjson"));
         return;
     }
     if args.iter().any(|a| a == "gate") {
         gate_mode(quick, &args);
     }
     if args.iter().any(|a| a == "metricsjson") {
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-            .map_or("METRICS_PR2.json", |s| s.as_str());
-        metricsjson(quick, out);
+        metricsjson(quick, required_out(&args, "metricsjson"));
         return;
     }
     let json_path = args

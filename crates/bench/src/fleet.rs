@@ -15,20 +15,15 @@ use hotpotato_trace::{FleetAggregator, FleetSample};
 use routing_core::spec::RunSpec;
 use serve::run_fleet_spec;
 
-/// Executes every spec on [`parallel_map`] and folds the samples into
-/// one aggregation, in submission order.
-pub fn collect_specs(specs: Vec<RunSpec>, verify: bool) -> FleetAggregator {
-    collect_with(specs, |spec| run_fleet_spec(&spec, verify))
-}
-
-/// Parses and executes every spec string. Panics on a malformed spec —
-/// table definitions are code, not input.
+/// Parses every spec string, executes the runs on [`parallel_map`] and
+/// folds the samples into one aggregation, in submission order. Panics
+/// on a malformed spec — table definitions are code, not input.
 pub fn collect_strs(specs: &[String], verify: bool) -> FleetAggregator {
     let specs: Vec<RunSpec> = specs
         .iter()
         .map(|s| routing_core::spec::parse_run_spec(s).expect("table specs parse"))
         .collect();
-    collect_specs(specs, verify)
+    collect_with(specs, |spec| run_fleet_spec(&spec, verify))
 }
 
 /// The generic collector: any item type, any sample producer. `t8` uses

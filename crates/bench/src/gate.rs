@@ -3,11 +3,11 @@
 //!
 //! Three kinds of checks:
 //!
-//! * **Perf** ([`adaptive_perf_gate`]) — every component of the newest
-//!   committed perf baseline must still exist and its `moves_per_s`
-//!   throughput must clear a per-component floor derived from the
-//!   *spread* between the committed baselines (`BENCH_PR1.json` vs
-//!   `BENCH_PR3.json`): components whose history agrees tightly gate
+//! * **Perf** ([`adaptive_perf_gate`]) — every listed component must
+//!   exist in the newest committed perf baseline and in the fresh one,
+//!   and its `moves_per_s` throughput must clear a per-component floor
+//!   derived from the *spread* between the committed baselines
+//!   (`BENCH_PR1/3/6/10.json`): components whose history agrees tightly gate
 //!   tightly, noisy ones stay forgiving, and nothing is ever stricter
 //!   than the history justifies (see [`adaptive_ratio`]). A component
 //!   with a single committed measurement gates at [`GLOBAL_MIN_RATIO`].
@@ -91,75 +91,60 @@ pub fn adaptive_ratio(spread: f64) -> f64 {
     (1.0 - (3.0 * spread + 0.10)).clamp(GLOBAL_MIN_RATIO, 0.90)
 }
 
+/// The `moves_per_s` of the row named `component` in a perf document.
+fn moves_per_s(doc: &Value, component: &str) -> Option<f64> {
+    doc.get("rows")?
+        .as_array()?
+        .iter()
+        .find(|r| r.get("component").and_then(|c| c.as_str()) == Some(component))
+        .and_then(|r| f64_at(r, &["moves_per_s"]))
+}
+
 /// Compares a fresh perf document against *several* committed baselines,
 /// deriving each component's floor from the spread between them instead
 /// of one global ratio (baselines that agree tightly gate tightly;
 /// noisy components stay forgiving).
 ///
-/// The newest baseline (last in `baselines`) defines the component set;
-/// the reference throughput for each component is the fastest committed
-/// measurement.
-pub fn adaptive_perf_gate(baselines: &[Value], current: &Value) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let empty = Vec::new();
+/// `components` is the set to check (the PERF suite passes
+/// [`crate::experiments::perf::COMPONENTS`]); rows outside it are never
+/// read. Each listed component must appear in the newest baseline (last
+/// in `baselines`) and in `current`; its reference throughput is the
+/// fastest committed measurement.
+pub fn adaptive_perf_gate(
+    components: &[&str],
+    baselines: &[Value],
+    current: &Value,
+) -> Vec<Finding> {
     let Some(newest) = baselines.last() else {
-        out.push(Finding::fail("perf/baselines", "no baselines given"));
-        return out;
+        return vec![Finding::fail("perf/baselines", "no baselines given")];
     };
-    let newest_rows = newest
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .unwrap_or(&empty);
-    if newest_rows.is_empty() {
-        out.push(Finding::fail(
-            "perf/baselines",
-            "newest baseline has no rows",
-        ));
-        return out;
-    }
-    let cur_rows = current
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .unwrap_or(&empty);
-    for base in newest_rows {
-        let name = base
-            .get("component")
-            .and_then(|c| c.as_str())
-            .unwrap_or("?");
+    let mut out = Vec::new();
+    for &name in components {
         let check = format!("perf/{name}");
+        if moves_per_s(newest, name).is_none() {
+            out.push(Finding::fail(
+                check,
+                format!("component '{name}' has no moves_per_s in the newest baseline"),
+            ));
+            continue;
+        }
         // Every committed measurement of this component, across baselines.
         let history: Vec<f64> = baselines
             .iter()
-            .filter_map(|doc| {
-                doc.get("rows")?
-                    .as_array()?
-                    .iter()
-                    .find(|r| r.get("component").and_then(|c| c.as_str()) == Some(name))
-                    .and_then(|r| f64_at(r, &["moves_per_s"]))
-            })
+            .filter_map(|doc| moves_per_s(doc, name))
             .collect();
-        let Some(&reference) = history.iter().max_by(|a, b| a.total_cmp(b)) else {
-            out.push(Finding::fail(check, "no baseline has moves_per_s"));
-            continue;
-        };
+        let reference = history.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let slowest = history.iter().copied().fold(f64::INFINITY, f64::min);
         let ratio = if history.len() >= 2 {
             adaptive_ratio(1.0 - slowest / reference)
         } else {
             GLOBAL_MIN_RATIO
         };
-        let cur = cur_rows
-            .iter()
-            .find(|r| r.get("component").and_then(|c| c.as_str()) == Some(name));
-        let Some(cur) = cur else {
+        let Some(cur_mps) = moves_per_s(current, name) else {
             out.push(Finding::fail(
                 check,
                 format!("component '{name}' missing from the fresh measurement"),
             ));
-            continue;
-        };
-        let Some(cur_mps) = f64_at(cur, &["moves_per_s"]) else {
-            out.push(Finding::fail(check, "fresh row has no moves_per_s"));
             continue;
         };
         let floor = reference * ratio;
@@ -421,10 +406,11 @@ mod tests {
         let old = perf_doc_named(&[("steady", 1_000_000.0), ("noisy", 1_000_000.0)]);
         let new = perf_doc_named(&[("steady", 980_000.0), ("noisy", 800_000.0)]);
         let baselines = vec![old, new];
+        let both = ["steady", "noisy"];
         // 0.82 of the best: passes the noisy floor (0.30), fails the
         // steady one (0.84).
         let fresh = perf_doc_named(&[("steady", 820_000.0), ("noisy", 820_000.0)]);
-        let findings = adaptive_perf_gate(&baselines, &fresh);
+        let findings = adaptive_perf_gate(&both, &baselines, &fresh);
         let by_name = |n: &str| {
             findings
                 .iter()
@@ -435,29 +421,27 @@ mod tests {
         assert!(by_name("noisy").ok, "{findings:?}");
         // Healthy throughput passes everything.
         let healthy = perf_doc_named(&[("steady", 990_000.0), ("noisy", 990_000.0)]);
-        assert!(passed(&adaptive_perf_gate(&baselines, &healthy)));
-        // A missing component is a failure, not a silent skip.
-        let missing = adaptive_perf_gate(&baselines, &perf_doc_named(&[("steady", 990_000.0)]));
-        assert!(!passed(&missing), "{missing:?}");
+        assert!(passed(&adaptive_perf_gate(&both, &baselines, &healthy)));
     }
 
     #[test]
     fn adaptive_gate_skips_components_absent_from_older_baselines() {
-        // A component introduced by the newest baseline has no history
-        // in older documents: the gate must fall back to the global
-        // ratio for it — not error, not demand the old docs carry it —
-        // while components with full history keep their derived floors.
+        // A component with no history in older documents gates at the
+        // global ratio — not an error, not a demand that the old docs
+        // carry it — while components with full history keep their
+        // derived floors.
         let old = perf_doc_named(&[("classic", 1_000_000.0)]);
         let new = perf_doc_named(&[("classic", 980_000.0), ("large", 2_000_000.0)]);
         let baselines = vec![old, new];
+        let both = ["classic", "large"];
         let fresh = perf_doc_named(&[("classic", 990_000.0), ("large", 600_000.0)]);
         // "large": 0.30 of its single reference — above the 0.25 global
         // fallback even though it is far below any derived tight floor.
-        let findings = adaptive_perf_gate(&baselines, &fresh);
+        let findings = adaptive_perf_gate(&both, &baselines, &fresh);
         assert!(passed(&findings), "{findings:?}");
         // The fallback is still a floor: dropping under it fails.
         let too_slow = perf_doc_named(&[("classic", 990_000.0), ("large", 400_000.0)]);
-        assert!(!passed(&adaptive_perf_gate(&baselines, &too_slow)));
+        assert!(!passed(&adaptive_perf_gate(&both, &baselines, &too_slow)));
         // Rows carrying extra fields (packets_per_s, peak_rss_bytes, ...)
         // must not confuse history collection.
         let decorated = json!({ "k": 16, "rows": [json!({
@@ -467,7 +451,52 @@ mod tests {
         })] });
         let only_classic = vec![perf_doc_named(&[("classic", 1_000_000.0)]), decorated];
         let fresh2 = perf_doc_named(&[("classic", 900_000.0)]);
-        assert!(passed(&adaptive_perf_gate(&only_classic, &fresh2)));
+        assert!(passed(&adaptive_perf_gate(
+            &["classic"],
+            &only_classic,
+            &fresh2
+        )));
+    }
+
+    #[test]
+    fn adaptive_gate_ignores_rows_outside_the_component_list() {
+        // The newest baseline carries a row the list does not name, with
+        // no counterpart in the fresh document: it is never read.
+        let old = perf_doc_named(&[("classic", 1_000_000.0)]);
+        let new = perf_doc_named(&[("classic", 980_000.0), ("retired", 0.0)]);
+        let baselines = vec![old, new];
+        let fresh = perf_doc_named(&[("classic", 990_000.0)]);
+        let findings = adaptive_perf_gate(&["classic"], &baselines, &fresh);
+        assert!(passed(&findings), "{findings:?}");
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        // Nor is an unlisted row of the fresh document, however slow.
+        let fresh = perf_doc_named(&[("classic", 990_000.0), ("retired", 1.0)]);
+        let findings = adaptive_perf_gate(&["classic"], &baselines, &fresh);
+        assert!(passed(&findings), "{findings:?}");
+        assert_eq!(findings.len(), 1, "{findings:?}");
+    }
+
+    #[test]
+    fn adaptive_gate_fails_a_listed_component_missing_from_the_fresh_document() {
+        let baselines = vec![perf_doc_named(&[("a", 1_000_000.0), ("b", 1_000_000.0)])];
+        let fresh = perf_doc_named(&[("a", 990_000.0)]);
+        let findings = adaptive_perf_gate(&["a", "b"], &baselines, &fresh);
+        assert!(!passed(&findings), "{findings:?}");
+        let b = findings.iter().find(|f| f.check == "perf/b").unwrap();
+        assert!(!b.ok && b.detail.contains("fresh measurement"), "{b:?}");
+    }
+
+    #[test]
+    fn adaptive_gate_fails_a_listed_component_missing_from_the_newest_baseline() {
+        // "b" has history in an older baseline but is gone from the
+        // newest: the gate fails it rather than gating on stale history.
+        let old = perf_doc_named(&[("a", 1_000_000.0), ("b", 1_000_000.0)]);
+        let new = perf_doc_named(&[("a", 1_000_000.0)]);
+        let fresh = perf_doc_named(&[("a", 990_000.0), ("b", 990_000.0)]);
+        let findings = adaptive_perf_gate(&["a", "b"], &[old, new], &fresh);
+        assert!(!passed(&findings), "{findings:?}");
+        let b = findings.iter().find(|f| f.check == "perf/b").unwrap();
+        assert!(!b.ok && b.detail.contains("newest baseline"), "{b:?}");
     }
 
     #[test]
@@ -475,10 +504,10 @@ mod tests {
         let only = vec![perf_doc_named(&[("c", 1_000_000.0)])];
         // 0.30 of baseline: above the 0.25 global fallback.
         let fresh = perf_doc_named(&[("c", 300_000.0)]);
-        assert!(passed(&adaptive_perf_gate(&only, &fresh)));
+        assert!(passed(&adaptive_perf_gate(&["c"], &only, &fresh)));
         let too_slow = perf_doc_named(&[("c", 200_000.0)]);
-        assert!(!passed(&adaptive_perf_gate(&only, &too_slow)));
-        assert!(!passed(&adaptive_perf_gate(&[], &fresh)));
+        assert!(!passed(&adaptive_perf_gate(&["c"], &only, &too_slow)));
+        assert!(!passed(&adaptive_perf_gate(&["c"], &[], &fresh)));
     }
 
     const GOOD_SCRAPE: &str = "\
