@@ -2,7 +2,7 @@
 //! [`parallel_map`], the scoped-thread fan-out behind every sweep.
 
 use baselines::StoreForwardRouter;
-use busch_router::{BuschOutcome, BuschRouter, Params};
+use busch_router::{BuschRouter, Params};
 use hotpotato_sim::{configured_threads, RouteStats, Router};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -44,11 +44,6 @@ impl RunSummary {
             violations,
             counters: stats.counters.clone(),
         }
-    }
-
-    /// Builds a summary from a full Busch outcome.
-    pub fn from_busch(out: &BuschOutcome) -> Self {
-        RunSummary::from_stats(&out.stats, out.invariants.total_violations())
     }
 
     /// Whether everything was delivered.

@@ -99,15 +99,6 @@ impl PaperParams {
         }
     }
 
-    /// Evaluates the formulas for a concrete routing problem.
-    pub fn for_problem(problem: &RoutingProblem) -> Self {
-        PaperParams::new(
-            problem.congestion() as u64,
-            problem.network().depth() as u64,
-            problem.num_packets() as u64,
-        )
-    }
-
     /// Number of frontier sets, `⌈aC⌉`.
     pub fn num_sets(&self) -> f64 {
         (self.a * self.c).ceil().max(1.0)

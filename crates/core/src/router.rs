@@ -42,8 +42,6 @@ use std::sync::Arc;
 pub struct BuschConfig {
     /// Scheduling parameters (`m`, `w`, `q`, number of frontier sets).
     pub params: Params,
-    /// Run the `O(N·L)` phase-end invariant audits (`I_b..I_f`).
-    pub check_invariants: bool,
     /// Permit non-safe deflections when no safe backward edge exists
     /// (needed for scaled parameters, where the w.h.p. preconditions can
     /// fail; every use is counted in the invariant report). With `false`
@@ -63,11 +61,10 @@ pub struct BuschConfig {
 
 impl BuschConfig {
     /// Default configuration for the given parameters: fallback allowed,
-    /// invariants checked.
+    /// no ablation switch set.
     pub fn new(params: Params) -> Self {
         BuschConfig {
             params,
-            check_invariants: true,
             allow_fallback: true,
             arbitrary_deflections: false,
             eager_injection: false,

@@ -62,7 +62,6 @@ struct StepCtx {
     /// `q >= 1.0`: every normal arrival excites, and — matching
     /// `gen_bool`'s early return — *without* consuming a draw.
     exc_always: bool,
-    check_invariants: bool,
     rule: DeflectRule,
 }
 
@@ -173,7 +172,7 @@ fn dispatch<R: Rng + ?Sized>(
         }
 
         // I_d: packets of different frontier-sets must not meet.
-        if sc.check_invariants && arrivals.len() > 1 {
+        if arrivals.len() > 1 {
             let first = sets[arrivals[0] as usize];
             if arrivals[1..].iter().any(|&p| sets[p as usize] != first) {
                 ctx.cross_set_meetings += 1;
@@ -300,11 +299,7 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
     let timing = observer.wants_timing();
     let mut sim = SoaEngine::new(Arc::clone(problem), observer);
     let mut invariants = InvariantReport::default();
-    let initial_per_set = if cfg.check_invariants {
-        problem.per_set_congestion(&sets, params.num_sets as usize)
-    } else {
-        Vec::new()
-    };
+    let initial_per_set = problem.per_set_congestion(&sets, params.num_sets as usize);
 
     let n = problem.num_packets();
     let mut tagwe = vec![(TAG_NORMAL as u32) << 30; n];
@@ -364,7 +359,6 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
             phase_start: t.is_multiple_of(phase_len),
             exc_threshold,
             exc_always,
-            check_invariants: cfg.check_invariants,
             rule,
         };
 
@@ -477,7 +471,7 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
         });
 
         // Phase-end audits (the paper states I_a..I_f at phase ends).
-        if cfg.check_invariants && (t + 1).is_multiple_of(phase_len) {
+        if (t + 1).is_multiple_of(phase_len) {
             // Wait packets count at their target node (the head of
             // their oscillation edge), regardless of oscillation parity.
             let effective = |idx: u32, actual: leveled_net::Level| {

@@ -28,8 +28,8 @@
 //!
 //! * [`observe`] — the [`RouteObserver`] event-sink trait (statically
 //!   zero-cost when disabled) plus concrete sinks: [`MetricsObserver`],
-//!   [`JsonlTraceObserver`], [`SectionProfiler`], and the [`RunRecord`]
-//!   movement log that [`replay::verify`] audits;
+//!   [`JsonlTraceObserver`], [`SectionProfiler`], the [`RunRecord`]
+//!   movement log and the [`replay::Auditor`] fold;
 //! * [`event`] — the trace wire types ([`TraceEvent`] and its `meta`,
 //!   `stats`, `snapshot` and rollup envelopes) and [`observe_as_events!`],
 //!   the one mapping of the observer hooks to events, shared by

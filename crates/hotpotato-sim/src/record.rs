@@ -1,10 +1,8 @@
 //! Run recording and independent replay verification.
 //!
-//! A [`RunRecord`] is an observer: attach it to a run (alone, or beside
-//! other sinks as a tuple) and it logs every movement event the engine
-//! emits. [`replay::verify`] then re-checks the *entire run* against the
-//! hot-potato model from scratch — independently of the engine that
-//! produced it:
+//! [`replay::Auditor`] re-checks a run against the hot-potato model from
+//! scratch, as a fold over the moves the engine emits: attach it as an
+//! observer (alone, or beside other sinks as a tuple). It checks that
 //!
 //! * each (edge, direction) slot is used at most once per step;
 //! * packets are injected exactly once, at their path's source, departing
@@ -16,8 +14,9 @@
 //!   never move afterwards;
 //! * the final delivery set matches the run statistics.
 //!
-//! This gives end-to-end audit coverage: a bug in the engine's staging or
-//! bookkeeping cannot hide, because the auditor shares no state with it.
+//! A bug in the engine's staging or bookkeeping cannot hide, because the
+//! auditor shares no state with it. A [`RunRecord`] keeps every move
+//! instead (goldens, [`level_occupancy`]); [`replay::verify`] audits one.
 
 use crate::observe::RouteObserver;
 use crate::soa::ExitKind;
@@ -124,7 +123,7 @@ pub fn level_occupancy(problem: &RoutingProblem, record: &RunRecord) -> Vec<Vec<
 /// Replay verification: see the module docs.
 pub mod replay {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::HashSet;
 
     /// Failure found by the auditor.
     #[derive(Clone, PartialEq, Eq, Debug)]
@@ -191,54 +190,55 @@ pub mod replay {
             /// The packet in disagreement.
             pkt: PacketId,
         },
+        /// An event named a packet or an edge the instance does not have.
+        UnknownId {
+            /// The step.
+            time: Time,
+            /// `"packet"` or `"edge"`.
+            what: &'static str,
+            /// The id named.
+            id: usize,
+        },
     }
 
     impl std::fmt::Display for ReplayError {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            match self {
-                ReplayError::OutOfOrder { at } => write!(f, "event #{at} out of time order"),
-                ReplayError::MovedTwice { time, pkt } => {
-                    write!(f, "t={time}: {pkt} moved twice in one step")
+            use ReplayError as E;
+            let (time, pkt, what) = match self {
+                E::OutOfOrder { at } => return write!(f, "event #{at} out of time order"),
+                E::DeliveryMismatch { pkt } => {
+                    return write!(f, "{pkt}: record and statistics disagree on delivery")
                 }
-                ReplayError::CapacityViolation { time, pkt } => {
-                    write!(f, "t={time}: {pkt} reused an occupied edge-direction slot")
+                E::UnknownId { time, what, id } => {
+                    return write!(f, "t={time}: {what} {id} is not in the instance")
                 }
-                ReplayError::Teleport {
+                E::Teleport {
                     time,
                     pkt,
                     expected,
                 } => {
-                    write!(
-                        f,
-                        "t={time}: {pkt} moved from a node it was not at (expected {expected:?})"
-                    )
+                    let what = format!("moved from a node it was not at (expected {expected:?})");
+                    return write!(f, "t={time}: {pkt} {what}");
                 }
-                ReplayError::NotInFlight { time, pkt } => {
-                    write!(f, "t={time}: {pkt} moved while not in flight")
+                E::MovedTwice { time, pkt } => (time, pkt, "moved twice in one step"),
+                E::CapacityViolation { time, pkt } => {
+                    (time, pkt, "reused an occupied edge-direction slot")
                 }
-                ReplayError::BadInjection { time, pkt } => {
-                    write!(
-                        f,
-                        "t={time}: {pkt} injected away from its source/first edge"
-                    )
+                E::NotInFlight { time, pkt } => (time, pkt, "moved while not in flight"),
+                E::BadInjection { time, pkt } => {
+                    (time, pkt, "injected away from its source/first edge")
                 }
-                ReplayError::Rested { time, pkt } => {
-                    write!(f, "t={time}: {pkt} rested (hot-potato violation)")
-                }
-                ReplayError::MovedAfterDelivery { time, pkt } => {
-                    write!(f, "t={time}: {pkt} moved after delivery")
-                }
-                ReplayError::DeliveryMismatch { pkt } => {
-                    write!(f, "{pkt}: record and statistics disagree on delivery")
-                }
-            }
+                E::Rested { time, pkt } => (time, pkt, "rested (hot-potato violation)"),
+                E::MovedAfterDelivery { time, pkt } => (time, pkt, "moved after delivery"),
+            };
+            write!(f, "t={time}: {pkt} {what}")
         }
     }
 
     impl std::error::Error for ReplayError {}
 
     /// Aggregate results of a successful replay.
-    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
     pub struct ReplayReport {
         /// Total moves verified.
         pub moves: u64,
@@ -252,182 +252,208 @@ pub mod replay {
         pub last_move_time: Time,
     }
 
-    /// Verifies `record` against `problem` and the run's `stats`.
+    /// The replay auditor (see the module docs). Feed it a run's moves
+    /// and trivial deliveries in emission order, then call
+    /// [`Auditor::finish`]. It holds O(packets) state plus the open step,
+    /// which a later move closes and checks: ids in range, no double move
+    /// or slot reuse, no rested packet, then each move's origin. The first
+    /// fault fed is reported, but an out-of-order move voids the step
+    /// grouping, so [`ReplayError::OutOfOrder`] outranks faults in moves.
+    pub struct Auditor<'p> {
+        problem: &'p RoutingProblem,
+        pos: Vec<Option<NodeId>>,
+        delivered: Vec<bool>,
+        /// The step each packet last moved in (`Time::MAX`: never).
+        moved_at: Vec<Time>,
+        /// Packets with a position.
+        in_flight: usize,
+        /// The step of the last move fed, and its moves.
+        now: Time,
+        step: Vec<(PacketId, DirectedEdge, ExitKind)>,
+        slots: HashSet<usize>,
+        moves_fed: usize,
+        report: ReplayReport,
+        /// The first fault, and whether an out-of-order move outranks it.
+        fault: Option<(ReplayError, bool)>,
+    }
+
+    impl<'p> Auditor<'p> {
+        /// An auditor for a run of `problem`, before any event.
+        pub fn new(problem: &'p RoutingProblem) -> Self {
+            let n = problem.num_packets();
+            Auditor {
+                problem,
+                pos: vec![None; n],
+                delivered: vec![false; n],
+                moved_at: vec![Time::MAX; n],
+                in_flight: 0,
+                now: 0,
+                step: Vec::new(),
+                slots: HashSet::new(),
+                moves_fed: 0,
+                report: ReplayReport::default(),
+                fault: None,
+            }
+        }
+
+        /// Checks the open step, then that the packets delivered are
+        /// exactly those the run statistics' `delivered_at` marks.
+        pub fn finish(
+            mut self,
+            delivered_at: &[Option<Time>],
+        ) -> Result<ReplayReport, ReplayError> {
+            if let Some((e, _)) = self.fault {
+                return Err(e);
+            }
+            self.close_step(None)?;
+            for (i, &was_delivered) in self.delivered.iter().enumerate() {
+                if was_delivered != delivered_at.get(i).is_some_and(Option::is_some) {
+                    let pkt = PacketId(i as u32);
+                    return Err(ReplayError::DeliveryMismatch { pkt });
+                }
+            }
+            self.report.delivered = self.delivered.iter().filter(|&&d| d).count();
+            Ok(self.report)
+        }
+
+        /// The lowest in-flight packet that has not moved at step `time`.
+        fn rested(&self, time: Time) -> ReplayError {
+            let i =
+                (0..self.pos.len()).find(|&i| self.pos[i].is_some() && self.moved_at[i] != time);
+            let pkt = PacketId(i.unwrap_or_default() as u32);
+            ReplayError::Rested { time, pkt }
+        }
+
+        /// Checks and applies the open step's moves. `next`, the step of
+        /// the move closing it, must follow at once while any packet is
+        /// in flight: a gap means the packet rested.
+        fn close_step(&mut self, next: Option<Time>) -> Result<(), ReplayError> {
+            let net = self.problem.network();
+            let time = self.now;
+            let mut moved_in_flight = 0;
+            self.slots.clear();
+            for &(pkt, mv, _) in &self.step {
+                let (i, edge) = (pkt.index(), mv.edge.index());
+                if i >= self.pos.len() || edge >= net.num_edges() {
+                    let (what, id) = if i >= self.pos.len() {
+                        ("packet", i)
+                    } else {
+                        ("edge", edge)
+                    };
+                    return Err(ReplayError::UnknownId { time, what, id });
+                }
+                if self.moved_at[i] == time {
+                    return Err(ReplayError::MovedTwice { time, pkt });
+                }
+                self.moved_at[i] = time;
+                if !self.slots.insert(mv.slot_index()) {
+                    return Err(ReplayError::CapacityViolation { time, pkt });
+                }
+                moved_in_flight += usize::from(self.pos[i].is_some());
+            }
+            // Hot-potato: every packet in flight moves.
+            if moved_in_flight < self.in_flight {
+                return Err(self.rested(time));
+            }
+
+            for &(pkt, mv, kind) in &self.step {
+                let i = pkt.index();
+                if self.delivered[i] {
+                    return Err(ReplayError::MovedAfterDelivery { time, pkt });
+                }
+                let origin = net.move_origin(mv);
+                match (kind, self.pos[i]) {
+                    (ExitKind::Inject, None) => {
+                        let path = self.problem.path(i);
+                        let first = path.edges().first().map(|&e| DirectedEdge::forward(e));
+                        if first != Some(mv) || origin != path.source() {
+                            return Err(ReplayError::BadInjection { time, pkt });
+                        }
+                        self.in_flight += 1;
+                    }
+                    (ExitKind::Inject, _) | (_, None) => {
+                        return Err(ReplayError::NotInFlight { time, pkt });
+                    }
+                    (_, Some(at)) if at != origin => {
+                        let expected = Some(at);
+                        return Err(ReplayError::Teleport {
+                            time,
+                            pkt,
+                            expected,
+                        });
+                    }
+                    (_, Some(_)) => {}
+                }
+                let target = net.move_target(mv);
+                if target == self.problem.path(i).dest(net) {
+                    self.delivered[i] = true;
+                    self.pos[i] = None;
+                    self.in_flight -= 1;
+                } else {
+                    self.pos[i] = Some(target);
+                }
+                self.report.moves += 1;
+                match mv.dir {
+                    leveled_net::Direction::Forward => self.report.forward += 1,
+                    leveled_net::Direction::Backward => self.report.backward += 1,
+                }
+                self.report.last_move_time = time;
+            }
+            self.step.clear();
+            if next.is_some_and(|next| next > time + 1) && self.in_flight > 0 {
+                return Err(self.rested(time + 1));
+            }
+            Ok(())
+        }
+    }
+
+    impl RouteObserver for Auditor<'_> {
+        fn on_move(&mut self, t: Time, pkt: u32, mv: DirectedEdge, kind: ExitKind) {
+            if t < self.now && !matches!(self.fault, Some((_, false))) {
+                self.fault = Some((ReplayError::OutOfOrder { at: self.moves_fed }, false));
+            } else if t > self.now && self.fault.is_none() {
+                self.fault = self.close_step(Some(t)).err().map(|e| (e, true));
+            }
+            self.moves_fed += 1;
+            self.now = t;
+            if self.fault.is_none() {
+                self.step.push((PacketId(pkt), mv, kind));
+            }
+        }
+
+        fn on_trivial(&mut self, time: Time, pkt: u32) {
+            let (id, what, pkt) = (pkt as usize, "packet", PacketId(pkt));
+            let fault = if self.fault.is_some() {
+                return;
+            } else if id >= self.pos.len() {
+                ReplayError::UnknownId { time, what, id }
+            } else if self.pos[id].is_some() || self.delivered[id] {
+                ReplayError::NotInFlight { time, pkt }
+            } else if !self.problem.path(id).is_empty() {
+                ReplayError::BadInjection { time, pkt }
+            } else {
+                self.delivered[id] = true;
+                return;
+            };
+            self.fault = Some((fault, false));
+        }
+    }
+
+    /// Verifies `record` against `problem` and the run's `stats`: feeds
+    /// its trivial deliveries, then its moves, to an [`Auditor`].
     pub fn verify(
         problem: &RoutingProblem,
         record: &RunRecord,
         stats: &RouteStats,
     ) -> Result<ReplayReport, ReplayError> {
-        let net = problem.network();
-        let n = problem.num_packets();
-        let mut pos: Vec<Option<NodeId>> = vec![None; n];
-        let mut injected = vec![false; n];
-        let mut delivered = vec![false; n];
-        let mut report = ReplayReport {
-            moves: 0,
-            forward: 0,
-            backward: 0,
-            delivered: 0,
-            last_move_time: 0,
-        };
-
+        let mut auditor = Auditor::new(problem);
         for tr in &record.trivial {
-            let i = tr.pkt.index();
-            if injected[i] || delivered[i] {
-                return Err(ReplayError::NotInFlight {
-                    time: tr.time,
-                    pkt: tr.pkt,
-                });
-            }
-            if !problem.path(i).is_empty() {
-                return Err(ReplayError::BadInjection {
-                    time: tr.time,
-                    pkt: tr.pkt,
-                });
-            }
-            injected[i] = true;
-            delivered[i] = true;
+            auditor.on_trivial(tr.time, tr.pkt.0);
         }
-
-        // Events must be in non-decreasing time order (checked up front so
-        // later diagnostics are trustworthy).
-        for (i, w) in record.moves.windows(2).enumerate() {
-            if w[1].time < w[0].time {
-                return Err(ReplayError::OutOfOrder { at: i + 1 });
-            }
+        for ev in &record.moves {
+            auditor.on_move(ev.time, ev.pkt.0, ev.mv, ev.kind);
         }
-
-        // Group events by step.
-        let mut idx = 0usize;
-        let mut slot_user: HashMap<usize, PacketId> = HashMap::new();
-        while idx < record.moves.len() {
-            let t = record.moves[idx].time;
-            let start = idx;
-            while idx < record.moves.len() && record.moves[idx].time == t {
-                idx += 1;
-            }
-            let step = &record.moves[start..idx];
-
-            // Hot-potato: every active packet must appear exactly once.
-            let mut movers = vec![false; n];
-            slot_user.clear();
-            for ev in step {
-                let i = ev.pkt.index();
-                if movers[i] {
-                    return Err(ReplayError::MovedTwice {
-                        time: t,
-                        pkt: ev.pkt,
-                    });
-                }
-                movers[i] = true;
-                if slot_user.insert(ev.mv.slot_index(), ev.pkt).is_some() {
-                    return Err(ReplayError::CapacityViolation {
-                        time: t,
-                        pkt: ev.pkt,
-                    });
-                }
-            }
-            for (i, p) in pos.iter().enumerate() {
-                if p.is_some() && !movers[i] {
-                    return Err(ReplayError::Rested {
-                        time: t,
-                        pkt: PacketId(i as u32),
-                    });
-                }
-            }
-
-            for ev in step {
-                let i = ev.pkt.index();
-                if delivered[i] {
-                    return Err(ReplayError::MovedAfterDelivery {
-                        time: t,
-                        pkt: ev.pkt,
-                    });
-                }
-                let origin = net.move_origin(ev.mv);
-                match (ev.kind, pos[i]) {
-                    (ExitKind::Inject, None) => {
-                        if injected[i] {
-                            return Err(ReplayError::NotInFlight {
-                                time: t,
-                                pkt: ev.pkt,
-                            });
-                        }
-                        let path = problem.path(i);
-                        let ok = !path.is_empty()
-                            && origin == path.source()
-                            && ev.mv == DirectedEdge::forward(path.edges()[0]);
-                        if !ok {
-                            return Err(ReplayError::BadInjection {
-                                time: t,
-                                pkt: ev.pkt,
-                            });
-                        }
-                        injected[i] = true;
-                    }
-                    (ExitKind::Inject, Some(_)) => {
-                        return Err(ReplayError::NotInFlight {
-                            time: t,
-                            pkt: ev.pkt,
-                        });
-                    }
-                    (_, None) => {
-                        return Err(ReplayError::NotInFlight {
-                            time: t,
-                            pkt: ev.pkt,
-                        });
-                    }
-                    (_, Some(at)) => {
-                        if at != origin {
-                            return Err(ReplayError::Teleport {
-                                time: t,
-                                pkt: ev.pkt,
-                                expected: pos[i],
-                            });
-                        }
-                    }
-                }
-                let target = net.move_target(ev.mv);
-                let dest = problem.path(i).dest(net);
-                if target == dest {
-                    delivered[i] = true;
-                    pos[i] = None;
-                } else {
-                    pos[i] = Some(target);
-                }
-                report.moves += 1;
-                match ev.mv.dir {
-                    leveled_net::Direction::Forward => report.forward += 1,
-                    leveled_net::Direction::Backward => report.backward += 1,
-                }
-                report.last_move_time = t;
-            }
-
-            // Hot-potato across step boundaries: if anything is still in
-            // flight, the very next step must contain its move — a time
-            // gap in the record means a packet rested.
-            if idx < record.moves.len() && record.moves[idx].time > t + 1 {
-                if let Some(i) = pos.iter().position(std::option::Option::is_some) {
-                    return Err(ReplayError::Rested {
-                        time: t + 1,
-                        pkt: PacketId(i as u32),
-                    });
-                }
-            }
-        }
-
-        // Packets still in flight at the end of the record must be exactly
-        // the undelivered ones in the statistics.
-        for (i, &was_delivered) in delivered.iter().enumerate() {
-            let stats_delivered = stats.delivered_at[i].is_some();
-            if was_delivered != stats_delivered {
-                return Err(ReplayError::DeliveryMismatch {
-                    pkt: PacketId(i as u32),
-                });
-            }
-        }
-        report.delivered = delivered.iter().filter(|&&d| d).count();
-        Ok(report)
+        auditor.finish(&stats.delivered_at)
     }
 }
 
@@ -608,6 +634,32 @@ mod tests {
             }]
         );
         assert_eq!(verify(&prob, &rec, &stats).unwrap().delivered, 1);
+    }
+
+    #[test]
+    fn ids_outside_the_instance_are_faults() {
+        let prob = tiny_problem();
+        let unknown = |what, id| ReplayError::UnknownId { time: 0, what, id };
+        let mut rec = good_record();
+        rec.moves[0].pkt = PacketId(1);
+        assert_eq!(
+            verify(&prob, &rec, &stats_delivered()),
+            Err(unknown("packet", 1))
+        );
+        let mut rec = good_record();
+        rec.moves[0].mv.edge = leveled_net::EdgeId(3);
+        assert_eq!(
+            verify(&prob, &rec, &stats_delivered()),
+            Err(unknown("edge", 3))
+        );
+        let mut rec = good_record();
+        rec.trivial.push(TrivialDelivery {
+            time: 0,
+            pkt: PacketId(1),
+        });
+        let err = verify(&prob, &rec, &stats_delivered()).unwrap_err();
+        assert_eq!(err, unknown("packet", 1));
+        assert_eq!(err.to_string(), "t=0: packet 1 is not in the instance");
     }
 
     #[test]

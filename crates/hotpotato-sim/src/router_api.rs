@@ -25,9 +25,8 @@ use std::sync::Arc;
 /// [`RouteStats::counters`] under stable names — the Busch router adds
 /// `"phases"`, `"invariant_violations"` and the per-invariant `inv_*`
 /// counters; store-and-forward adds `"max_queue"`,
-/// `"total_queue_wait"` and `"backpressure_stalls"`. The movement record
-/// for [`crate::replay::verify`] is not part of the outcome: pass a
-/// [`RunRecord`](crate::RunRecord) as (or beside) the observer.
+/// `"total_queue_wait"` and `"backpressure_stalls"`. To audit the run,
+/// pass a [`crate::replay::Auditor`] as (or beside) the observer.
 #[derive(Clone, Debug)]
 pub struct RouteOutcome {
     /// Stable algorithm name (same as [`Router::name`]).

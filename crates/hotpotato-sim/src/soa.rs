@@ -510,9 +510,8 @@ pub struct SoaEngine<O = NoopObserver> {
 }
 
 impl<O: RouteObserver> SoaEngine<O> {
-    /// Builds the engine over `problem`. A movement record for
-    /// [`crate::replay::verify`] is an observer: pass a
-    /// [`RunRecord`](crate::RunRecord) as (or beside) `observer`.
+    /// Builds the engine over `problem`. The replay auditor is an
+    /// observer: pass a [`crate::replay::Auditor`] as (or beside) `observer`.
     // lint: panics-by-design(dense-index invariant surface: packet/node ids are
     // validated at construction, so an OOB here is an engine bug caught by the
     // golden suites, never a client-input path)

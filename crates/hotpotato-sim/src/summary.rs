@@ -96,12 +96,6 @@ impl Summary {
         let v: Vec<f64> = sample.iter().map(|&x| x as f64).collect();
         Summary::of(&v)
     }
-
-    /// Summarizes a `u64` sample.
-    pub fn of_u64(sample: &[u64]) -> Summary {
-        let v: Vec<f64> = sample.iter().map(|&x| x as f64).collect();
-        Summary::of(&v)
-    }
 }
 
 impl std::fmt::Display for Summary {
@@ -132,11 +126,6 @@ impl crate::stats::RouteStats {
     /// Summary of per-packet deflection counts.
     pub fn deflection_summary(&self) -> Summary {
         Summary::of_u32(&self.deflections)
-    }
-
-    /// Summary of per-packet maximum deviation depths.
-    pub fn deviation_summary(&self) -> Summary {
-        Summary::of_u32(&self.max_deviation)
     }
 }
 
@@ -196,7 +185,6 @@ mod tests {
     #[test]
     fn integer_helpers_match() {
         assert_eq!(Summary::of_u32(&[1, 2, 3]), Summary::of(&[1.0, 2.0, 3.0]));
-        assert_eq!(Summary::of_u64(&[5, 5]), Summary::of(&[5.0, 5.0]));
     }
 
     #[test]

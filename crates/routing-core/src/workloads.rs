@@ -6,6 +6,7 @@
 //! `C` via [`funnel`] (which concentrates a chosen number of paths on one
 //! edge), `L`/`D` via topology size, and `N` via packet count.
 
+use crate::path::Path;
 use crate::paths::{self, MeshAxis, MinimalPathSampler};
 use crate::problem::{PathArena, RoutingProblem};
 use leveled_net::builders::{ButterflyCoords, MeshCoords};
@@ -45,6 +46,20 @@ impl std::fmt::Display for WorkloadError {
 
 impl std::error::Error for WorkloadError {}
 
+/// A uniformly random valid path from `src`, which has a forward edge, to
+/// a uniformly random strictly-higher node it reaches. Each call costs
+/// O(V + E): a reachability mask and a scan of every node.
+fn random_pair_path<R: Rng + ?Sized>(net: &LeveledNetwork, src: NodeId, rng: &mut R) -> Path {
+    let mask = net.reachable_mask(src);
+    let lvl = net.level(src);
+    let dests: Vec<NodeId> = net
+        .nodes()
+        .filter(|&v| mask[v.index()] && net.level(v) > lvl)
+        .collect();
+    let dst = *dests.choose(rng).expect("source has a forward edge");
+    paths::random_minimal(net, src, dst, rng).expect("dest is reachable")
+}
+
 /// `n` packets from distinct random sources, each to a uniformly random
 /// strictly-higher reachable destination, along a uniformly random valid
 /// path.
@@ -65,19 +80,10 @@ pub fn random_pairs<R: Rng + ?Sized>(
         });
     }
     candidates.shuffle(rng);
-    let mut paths_out = Vec::with_capacity(n);
-    for &src in candidates.iter().take(n) {
-        let mask = net.reachable_mask(src);
-        let lvl = net.level(src);
-        let dests: Vec<NodeId> = net
-            .nodes()
-            .filter(|&v| mask[v.index()] && net.level(v) > lvl)
-            .collect();
-        debug_assert!(!dests.is_empty(), "source has a forward edge");
-        let dst = *dests.choose(rng).expect("non-empty");
-        let p = paths::random_minimal(net, src, dst, rng).expect("dest is reachable");
-        paths_out.push(p);
-    }
+    let paths_out = candidates[..n]
+        .iter()
+        .map(|&src| random_pair_path(net, src, rng))
+        .collect();
     RoutingProblem::new(Arc::clone(net), paths_out)
         .map(Arc::new)
         .map_err(|_| unreachable!("distinct sources"))
@@ -443,14 +449,7 @@ pub fn many_to_many<R: Rng + ?Sized>(
     let mut paths_out = Vec::new();
     for _ in 0..total {
         let src = *candidates.choose(rng).expect("non-empty");
-        let mask = net.reachable_mask(src);
-        let lvl = net.level(src);
-        let dests: Vec<NodeId> = net
-            .nodes()
-            .filter(|&v| mask[v.index()] && net.level(v) > lvl)
-            .collect();
-        let dst = *dests.choose(rng).expect("source has a forward edge");
-        paths_out.push(paths::random_minimal(net, src, dst, rng).expect("reachable"));
+        paths_out.push(random_pair_path(net, src, rng));
     }
     Ok(Arc::new(RoutingProblem::new_relaxed(
         Arc::clone(net),

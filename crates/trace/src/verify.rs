@@ -22,17 +22,17 @@
 //! 4. the reconstructed per-packet timelines must match the `stats`
 //!    envelope line **exactly** (injection step, arrival time, deflection
 //!    count, per packet), and the step count must match;
-//! 5. as defense in depth, the moves are folded into a
-//!    [`hotpotato_sim::RunRecord`] and re-audited by the *in-memory*
-//!    auditor [`hotpotato_sim::replay::verify`] — two independently
-//!    written verifiers must agree (bufferless traces).
+//! 5. as defense in depth, the moves and trivial deliveries are fed
+//!    one at a time to the *in-memory* auditor
+//!    [`hotpotato_sim::replay::Auditor`] — two independently written
+//!    verifiers must agree (bufferless traces).
 //!
 //! Any divergence is reported with the 1-based line number of the first
 //! offending event, so a corrupted trace names its own corruption.
 
 use crate::schema::{Meta, Snapshot, StatsLine, Trace, TraceEvent};
 use crate::timeline::{build_timelines, PacketTimeline};
-use hotpotato_sim::{replay, ExitKind, RouteObserver, RouteStats, RunRecord, Time};
+use hotpotato_sim::{replay, ExitKind, RouteObserver, Time};
 use leveled_net::ids::DirectedEdge;
 use leveled_net::{Direction, LeveledNetwork, NodeId};
 use routing_core::{spec, RoutingProblem};
@@ -1138,26 +1138,19 @@ pub(crate) fn check_timelines_against_stats(
     Ok(())
 }
 
-/// Folds the trace into a [`RunRecord`] + [`RouteStats`] and runs the
-/// independent in-memory auditor over them.
+/// Feeds the trace's moves and trivial deliveries to the independent
+/// in-memory [`replay::Auditor`] and checks its verdict against the
+/// `stats` line's deliveries. Under sharded verification the auditor
+/// runs *concurrently* with the stream verifier, so it can see corrupt
+/// events the sequential pass would have rejected first; it reports an
+/// id outside the instance as a fault instead of indexing with it.
 pub(crate) fn cross_check_replay(
-    problem: &Arc<RoutingProblem>,
+    problem: &RoutingProblem,
     trace: &Trace,
     stats: &StatsLine,
 ) -> Result<(), VerifyError> {
-    // Bounds-check ids before handing the record to the replay engine:
-    // under sharded verification the auditor runs *concurrently* with
-    // the stream verifier, so it can see corrupt events the sequential
-    // pass would have rejected first — they must surface as errors, not
-    // out-of-range indexing.
-    let packets = problem.num_packets();
-    let edges = problem.network().num_edges();
-    let bounds = |line: usize, what: &str, got: usize, limit: usize| VerifyError {
-        line,
-        msg: format!("replay auditor: {what} {got} out of range (instance has {limit})"),
-    };
-    let mut record = RunRecord::default();
-    for (i, ev) in trace.events.iter().enumerate() {
+    let mut auditor = replay::Auditor::new(problem);
+    for ev in &trace.events {
         match *ev {
             TraceEvent::Move {
                 t,
@@ -1165,30 +1158,13 @@ pub(crate) fn cross_check_replay(
                 edge,
                 dir,
                 kind,
-            } => {
-                if pkt as usize >= packets {
-                    return Err(bounds(i + 1, "packet id", pkt as usize, packets));
-                }
-                if edge.index() >= edges {
-                    return Err(bounds(i + 1, "edge id", edge.index(), edges));
-                }
-                record.on_move(t, pkt, DirectedEdge { edge, dir }, kind);
-            }
-            TraceEvent::Trivial { t, pkt } => {
-                if pkt as usize >= packets {
-                    return Err(bounds(i + 1, "packet id", pkt as usize, packets));
-                }
-                record.on_trivial(t, pkt);
-            }
+            } => auditor.on_move(t, pkt, DirectedEdge { edge, dir }, kind),
+            TraceEvent::Trivial { t, pkt } => auditor.on_trivial(t, pkt),
             _ => {}
         }
     }
-    let mut rs = RouteStats::new(problem.num_packets());
-    rs.steps_run = stats.steps;
-    rs.injected_at = stats.injected_at.clone();
-    rs.delivered_at = stats.delivered_at.clone();
-    rs.deflections = stats.deflections.clone();
-    replay::verify(problem, &record, &rs)
+    auditor
+        .finish(&stats.delivered_at)
         .map(|_| ())
         .map_err(|e| VerifyError {
             line: 0,

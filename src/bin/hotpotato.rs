@@ -59,7 +59,7 @@
 
 use busch_router::{BuschRouter, FrameSchedule, InvariantReport, PaperParams, Params};
 use hotpotato_sim::{
-    AdmissionControl, JsonlTraceObserver, MetricsObserver, RunRecord, StreamingConfig,
+    replay, AdmissionControl, JsonlTraceObserver, MetricsObserver, StreamingConfig,
 };
 use hotpotato_trace::verify::{self, VerifiedInstance};
 use hotpotato_trace::{schema, Analyzer, Model, StreamingAggregator, Trace, TraceEvent};
@@ -433,10 +433,11 @@ fn cmd_route(args: &[String]) -> i32 {
         None => None,
     };
     let aggregate = aggregate_out.map(|_| StreamingAggregator::new(aggregate_cap));
-    // `--verify` records the moves for the replay auditor, which checks
-    // the bufferless law: buffered (store-and-forward) runs get no record.
-    let record = (verify && Model::for_algo(algo) == Model::Bufferless).then(RunRecord::default);
-    let mut observer = (((metrics, trace), aggregate), record);
+    // `--verify` feeds the moves to the replay auditor as they happen. It
+    // checks the bufferless law: buffered (store-and-forward) runs get none.
+    let auditor = (verify && Model::for_algo(algo) == Model::Bufferless)
+        .then(|| replay::Auditor::new(&problem));
+    let mut observer = (((metrics, trace), aggregate), auditor);
     // Both modes feed the same sinks and converge on the run statistics.
     let outcome = plan.route(&problem, &mut rng, &mut observer);
     let stream = match &outcome {
@@ -458,7 +459,7 @@ fn cmd_route(args: &[String]) -> i32 {
         RunOutcome::Batch(_) => None,
     };
     let stats = outcome.into_stats();
-    let (((metrics, trace), aggregate), record) = observer;
+    let (((metrics, trace), aggregate), auditor) = observer;
 
     if let (Some(path), Some((metrics, analyzer))) = (metrics_out, metrics) {
         let doc = serde_json::json!({
@@ -566,8 +567,8 @@ fn cmd_route(args: &[String]) -> i32 {
         }
     }
     if verify {
-        if let Some(record) = record.as_ref() {
-            match hotpotato_sim::replay::verify(&problem, record, &stats) {
+        if let Some(auditor) = auditor {
+            match auditor.finish(&stats.delivered_at) {
                 Ok(rep) => {
                     if algo == "busch" {
                         outln!(

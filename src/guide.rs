@@ -99,10 +99,10 @@
 //! * **Baselines** — [`baselines::GreedyRouter`],
 //!   [`baselines::RandomPriorityRouter`] (reference \[11\]-style), and the buffered
 //!   [`baselines::StoreForwardRouter`] (reference \[16\]-style with random ranks).
-//! * **Replay auditing** — [`hotpotato_sim::replay::verify`] re-checks
-//!   an entire recorded run against the hot-potato model, independently
-//!   of the engine (used by the chaos/fuzzing test-suites). The record is
-//!   a [`hotpotato_sim::RunRecord`] attached to the run as an observer.
+//! * **Replay auditing** — [`hotpotato_sim::replay::Auditor`] re-checks
+//!   every move of a run against the hot-potato model as an observer,
+//!   independently of the engine; [`hotpotato_sim::replay::verify`] feeds
+//!   it a recorded run (the chaos/fuzzing test-suites mutate records).
 //! * **Ablations** — experiments `A1`–`A5` measure each design choice:
 //!   excitation `q`, round length `w`, frame height `m`, set count, safe
 //!   deflections, and the injection discipline.
