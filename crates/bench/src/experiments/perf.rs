@@ -18,7 +18,7 @@
 //! Large instances, streaming, trace verification and fleet throughput
 //! are measured by `examples/hpbench` (medians over repetitions, each
 //! workload's peak RSS in a process of its own); its committed ledger is
-//! `BENCH_PR29.json`.
+//! the highest-numbered `BENCH_PR<N>.json`.
 
 use crate::table::{f, Table};
 use baselines::{GreedyRouter, StoreForwardRouter};

@@ -2,9 +2,10 @@
 //!
 //! Runs the paper's states/targets/conflicts/injection (§3) on
 //! [`hotpotato_sim::SoaEngine`]. The per-packet algorithm state — the
-//! paper's *normal*, *excited* or *wait* state, plus the edge a wait
-//! packet oscillates on — lives in one flat array of packed words
-//! mirroring the engine's SoA layout.
+//! paper's *normal*, *excited* or *wait* state — lives in one flat byte
+//! array mirroring the engine's SoA layout. A wait packet needs no
+//! stored edge: it oscillates on the edge of its last move, so its next
+//! move is that move reversed (`last_move ^ 1`).
 //!
 //! Each step dispatches every occupied node in ascending order into one
 //! [`StepStage`], and all randomness comes from the caller's rng, drawn
@@ -22,7 +23,6 @@ use hotpotato_sim::soa::{
 use hotpotato_sim::{
     InjectOutcome, RouteObserver, Section, SoaEngine, SoaShared, StepStage, Time, NO_MOVE,
 };
-use leveled_net::ids::DirectedEdge;
 use leveled_net::{EdgeId, LeveledNetwork, NodeId};
 use rand::Rng;
 use routing_core::RoutingProblem;
@@ -34,16 +34,6 @@ use std::sync::Arc;
 const TAG_WAIT: u8 = 0;
 const TAG_NORMAL: u8 = 1;
 const TAG_EXCITED: u8 = 2;
-
-/// Packs a (state tag, wait edge) pair into a per-packet state word. The tag
-/// (`TAG_*`) sits in the top 2 bits and — for wait-state packets — the
-/// edge they oscillate on in the low 30; one word because every
-/// dispatch reads both halves together.
-#[inline]
-fn pack_tagwe(tag: u8, we: u32) -> u32 {
-    debug_assert!(we < 1 << 30, "edge id overflows the state word");
-    ((tag as u32) << 30) | we
-}
 
 /// The step clock decomposition and the configuration switches that
 /// influence dispatch.
@@ -72,9 +62,9 @@ struct DispatchCtx {
     stage: StepStage,
     scratch: ConflictScratch,
     contenders: Vec<Contender>,
-    /// (tag, wait_edge) per arrival of the node in hand — the node-local
+    /// The state tag per arrival of the node in hand — the node-local
     /// view of the state updates, which conflict resolution must see.
-    tags_buf: Vec<(u8, u32)>,
+    tags_buf: Vec<u8>,
     excitations: u64,
     cross_set_meetings: u64,
     unsafe_deflections: u64,
@@ -83,14 +73,17 @@ struct DispatchCtx {
 /// Dispatches every occupied node, ascending: folds the round/phase
 /// demotions and excitation draws into the visit, builds contenders, resolves conflicts against
 /// the stage's slot bitset, and stages one exit per arrival. Packet
-/// states are updated in `tagwe` as each node finishes; no other node
-/// reads them in the same step.
+/// states are updated in `tags` as each node finishes; no other node
+/// reads them in the same step. A wait packet's move is its last move
+/// reversed: it entered the wait state by reversing its arrival, and a
+/// wait packet that loses a conflict is demoted, so its last move is
+/// always its previous oscillation.
 // lint: hot-path
 #[allow(clippy::too_many_arguments)]
 fn dispatch<R: Rng + ?Sized>(
     net: &LeveledNetwork,
     sh: &SoaShared,
-    tagwe: &mut [u32],
+    tags: &mut [u8],
     sets: &[u32],
     targets: &[i64],
     sc: StepCtx,
@@ -107,9 +100,8 @@ fn dispatch<R: Rng + ?Sized>(
         // order) is exactly the general path's.
         if let [p] = *arrivals {
             let i = p as usize;
-            let twe = tagwe[i];
-            let mut tag = (twe >> 30) as u8;
-            let mut we = twe & ((1 << 30) - 1);
+            let old_tag = tags[i];
+            let mut tag = old_tag;
             if sc.round_start && (tag == TAG_EXCITED || (tag == TAG_WAIT && sc.phase_start)) {
                 tag = TAG_NORMAL;
             }
@@ -121,32 +113,24 @@ fn dispatch<R: Rng + ?Sized>(
                 ctx.excitations += 1;
             }
             let last = sh.flight[i].last_move;
-            let (mv, kind) = if tag == TAG_WAIT {
-                let e = net.edge(EdgeId(we));
-                let mv = if v == e.head.0 {
-                    (we << 1) | 1
-                } else {
-                    we << 1
-                };
-                (mv, KIND_OSCILLATE)
+            let arrived_fwd = last != NO_MOVE && last & 1 == 0;
+            if tag != TAG_WAIT
+                && arrived_fwd
+                && net.level(NodeId(v)) as i64 == targets[sets[i] as usize]
+            {
+                // Reached the target node: enter the wait state on the
+                // arrival edge (§3, "Wait state").
+                tag = TAG_WAIT;
+            }
+            if tag == TAG_WAIT {
+                ctx.stage.stage(p, last ^ 1, KIND_OSCILLATE);
             } else {
-                let arrived_fwd = last != NO_MOVE && last & 1 == 0;
-                if arrived_fwd && net.level(NodeId(v)) as i64 == targets[sets[i] as usize] {
-                    // Reached the target node: enter the wait state on
-                    // the arrival edge (§3, "Wait state").
-                    tag = TAG_WAIT;
-                    we = last >> 1;
-                    ((we << 1) | 1, KIND_OSCILLATE)
-                } else {
-                    let mv = sh.next_move(p);
-                    debug_assert_ne!(mv, NO_MOVE, "active packets are not at their destination");
-                    (mv, KIND_ADVANCE)
-                }
-            };
-            ctx.stage.stage(p, mv, kind);
-            let new_twe = pack_tagwe(tag, we);
-            if new_twe != twe {
-                tagwe[i] = new_twe;
+                let mv = sh.next_move(p);
+                debug_assert_ne!(mv, NO_MOVE, "active packets are not at their destination");
+                ctx.stage.stage(p, mv, KIND_ADVANCE);
+            }
+            if tag != old_tag {
+                tags[i] = tag;
             }
             continue;
         }
@@ -156,8 +140,7 @@ fn dispatch<R: Rng + ?Sized>(
         // this node's conflict resolution must see the updated states.
         ctx.tags_buf.clear();
         for &p in arrivals {
-            let twe = tagwe[p as usize];
-            let mut tag = (twe >> 30) as u8;
+            let mut tag = tags[p as usize];
             if sc.round_start && (tag == TAG_EXCITED || (tag == TAG_WAIT && sc.phase_start)) {
                 tag = TAG_NORMAL;
             }
@@ -168,7 +151,7 @@ fn dispatch<R: Rng + ?Sized>(
                 tag = TAG_EXCITED;
                 ctx.excitations += 1;
             }
-            ctx.tags_buf.push((tag, twe & ((1 << 30) - 1)));
+            ctx.tags_buf.push(tag);
         }
 
         // I_d: packets of different frontier-sets must not meet.
@@ -182,36 +165,26 @@ fn dispatch<R: Rng + ?Sized>(
         ctx.contenders.clear();
         for (j, &p) in arrivals.iter().enumerate() {
             let last = sh.flight[p as usize].last_move;
-            let (tag, we) = ctx.tags_buf[j];
-            let desired = if tag == TAG_WAIT {
-                // Oscillate: back from the target (edge head), forward
-                // from the rear node (edge tail).
-                let e = net.edge(EdgeId(we));
-                if v == e.head.0 {
-                    DirectedEdge::backward(EdgeId(we))
-                } else {
-                    debug_assert_eq!(v, e.tail.0);
-                    DirectedEdge::forward(EdgeId(we))
-                }
+            let arrived_fwd = last != NO_MOVE && last & 1 == 0;
+            if ctx.tags_buf[j] != TAG_WAIT
+                && arrived_fwd
+                && net.level(NodeId(v)) as i64 == targets[sets[p as usize] as usize]
+            {
+                // Reached the target node: enter the wait state on the
+                // arrival edge (§3, "Wait state").
+                ctx.tags_buf[j] = TAG_WAIT;
+            }
+            let desired = if ctx.tags_buf[j] == TAG_WAIT {
+                unpack_move(last ^ 1)
             } else {
-                let target = targets[sets[p as usize] as usize];
-                let arrived_fwd = last != NO_MOVE && last & 1 == 0;
-                if net.level(NodeId(v)) as i64 == target && arrived_fwd {
-                    // Reached the target node: enter the wait state on
-                    // the arrival edge (§3, "Wait state").
-                    let edge = last >> 1;
-                    ctx.tags_buf[j] = (TAG_WAIT, edge);
-                    DirectedEdge::backward(EdgeId(edge))
-                } else {
-                    let mv = sh.next_move(p);
-                    debug_assert_ne!(mv, NO_MOVE, "active packets are not at their destination");
-                    unpack_move(mv)
-                }
+                let mv = sh.next_move(p);
+                debug_assert_ne!(mv, NO_MOVE, "active packets are not at their destination");
+                unpack_move(mv)
             };
             ctx.contenders.push(Contender {
                 pkt: p,
                 desired,
-                priority: ctx.tags_buf[j].0 as u32,
+                priority: ctx.tags_buf[j] as u32,
                 arrival: if last == NO_MOVE {
                     None
                 } else {
@@ -223,7 +196,7 @@ fn dispatch<R: Rng + ?Sized>(
         // Fast path: a lone packet at a node cannot conflict — its
         // desired slot originates here and nobody else wants it.
         if let [c] = ctx.contenders[..] {
-            let kind = if ctx.tags_buf[0].0 == TAG_WAIT {
+            let kind = if ctx.tags_buf[0] == TAG_WAIT {
                 KIND_OSCILLATE
             } else {
                 KIND_ADVANCE
@@ -244,7 +217,7 @@ fn dispatch<R: Rng + ?Sized>(
             for (j, exit) in exits.iter().enumerate() {
                 debug_assert_eq!(exit.pkt, arrivals[j]);
                 let kind = if exit.won {
-                    if ctx.tags_buf[j].0 == TAG_WAIT {
+                    if ctx.tags_buf[j] == TAG_WAIT {
                         KIND_OSCILLATE
                     } else {
                         KIND_ADVANCE
@@ -252,7 +225,7 @@ fn dispatch<R: Rng + ?Sized>(
                 } else {
                     // Losers demote (§3: deflected excited and wait
                     // packets become normal).
-                    ctx.tags_buf[j].0 = TAG_NORMAL;
+                    ctx.tags_buf[j] = TAG_NORMAL;
                     if exit.safe {
                         KIND_DEFLECT_SAFE
                     } else {
@@ -264,11 +237,9 @@ fn dispatch<R: Rng + ?Sized>(
             }
         }
 
-        for (j, &p) in arrivals.iter().enumerate() {
-            let (tag, we) = ctx.tags_buf[j];
-            let twe = pack_tagwe(tag, we);
-            if twe != tagwe[p as usize] {
-                tagwe[p as usize] = twe;
+        for (&p, &tag) in arrivals.iter().zip(&ctx.tags_buf) {
+            if tag != tags[p as usize] {
+                tags[p as usize] = tag;
             }
         }
     }
@@ -302,7 +273,7 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
     let initial_per_set = problem.per_set_congestion(&sets, params.num_sets as usize);
 
     let n = problem.num_packets();
-    let mut tagwe = vec![(TAG_NORMAL as u32) << 30; n];
+    let mut tags = vec![TAG_NORMAL; n];
     let mut ctx = DispatchCtx {
         stage: StepStage::new(Arc::clone(&net)),
         scratch: ConflictScratch::default(),
@@ -406,7 +377,7 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
         dispatch(
             &net,
             sim.shared(),
-            &mut tagwe,
+            &mut tags,
             &sets,
             &targets,
             sc,
@@ -473,11 +444,13 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
         // Phase-end audits (the paper states I_a..I_f at phase ends).
         if (t + 1).is_multiple_of(phase_len) {
             // Wait packets count at their target node (the head of
-            // their oscillation edge), regardless of oscillation parity.
+            // their oscillation edge, the edge of their last move),
+            // regardless of oscillation parity.
+            let flight = &sim.shared().flight;
             let effective = |idx: u32, actual: leveled_net::Level| {
-                let twe = tagwe[idx as usize];
-                if (twe >> 30) as u8 == TAG_WAIT {
-                    net.level(net.edge(EdgeId(twe & ((1 << 30) - 1))).head)
+                if tags[idx as usize] == TAG_WAIT {
+                    let last = flight[idx as usize].last_move;
+                    net.level(net.edge(EdgeId(last >> 1)).head)
                 } else {
                     actual
                 }

@@ -123,7 +123,6 @@ pub fn level_occupancy(problem: &RoutingProblem, record: &RunRecord) -> Vec<Vec<
 /// Replay verification: see the module docs.
 pub mod replay {
     use super::*;
-    use std::collections::HashSet;
 
     /// Failure found by the auditor.
     #[derive(Clone, PartialEq, Eq, Debug)]
@@ -270,7 +269,13 @@ pub mod replay {
         /// The step of the last move fed, and its moves.
         now: Time,
         step: Vec<(PacketId, DirectedEdge, ExitKind)>,
-        slots: HashSet<usize>,
+        /// Per (edge, direction) slot, the stamp of the last step that
+        /// used it: a slot is taken in the open step iff it holds `stamp`.
+        slot_stamp: Vec<u32>,
+        /// The stamp of the step being closed; never 0, the fresh value.
+        stamp: u32,
+        /// Per-packet destination node.
+        dest: Vec<NodeId>,
         moves_fed: usize,
         report: ReplayReport,
         /// The first fault, and whether an out-of-order move outranks it.
@@ -281,6 +286,7 @@ pub mod replay {
         /// An auditor for a run of `problem`, before any event.
         pub fn new(problem: &'p RoutingProblem) -> Self {
             let n = problem.num_packets();
+            let net = problem.network();
             Auditor {
                 problem,
                 pos: vec![None; n],
@@ -289,7 +295,9 @@ pub mod replay {
                 in_flight: 0,
                 now: 0,
                 step: Vec::new(),
-                slots: HashSet::new(),
+                slot_stamp: vec![0; 2 * net.num_edges()],
+                stamp: 0,
+                dest: problem.paths().map(|path| path.dest(net)).collect(),
                 moves_fed: 0,
                 report: ReplayReport::default(),
                 fault: None,
@@ -331,7 +339,11 @@ pub mod replay {
             let net = self.problem.network();
             let time = self.now;
             let mut moved_in_flight = 0;
-            self.slots.clear();
+            self.stamp = self.stamp.wrapping_add(1);
+            if self.stamp == 0 {
+                self.slot_stamp.fill(0);
+                self.stamp = 1;
+            }
             for &(pkt, mv, _) in &self.step {
                 let (i, edge) = (pkt.index(), mv.edge.index());
                 if i >= self.pos.len() || edge >= net.num_edges() {
@@ -346,9 +358,11 @@ pub mod replay {
                     return Err(ReplayError::MovedTwice { time, pkt });
                 }
                 self.moved_at[i] = time;
-                if !self.slots.insert(mv.slot_index()) {
+                let slot = &mut self.slot_stamp[mv.slot_index()];
+                if *slot == self.stamp {
                     return Err(ReplayError::CapacityViolation { time, pkt });
                 }
+                *slot = self.stamp;
                 moved_in_flight += usize::from(self.pos[i].is_some());
             }
             // Hot-potato: every packet in flight moves.
@@ -385,7 +399,7 @@ pub mod replay {
                     (_, Some(_)) => {}
                 }
                 let target = net.move_target(mv);
-                if target == self.problem.path(i).dest(net) {
+                if target == self.dest[i] {
                     self.delivered[i] = true;
                     self.pos[i] = None;
                     self.in_flight -= 1;

@@ -48,10 +48,10 @@
 //! The layout is built around flat arrays so the per-step inner loops
 //! stream over memory instead of chasing pointers:
 //!
-//! * **Packet state is SoA.** Position, last move, preselected-path
-//!   cursor and deviation depth live in one 32-byte [`Flight`] row per
-//!   packet; the deviation stacks share one free-list arena of
-//!   `(move, next)` pairs.
+//! * **Packet state is SoA.** Position, last move and the node it left,
+//!   preselected-path cursor and deviation depth live in one 32-byte
+//!   [`Flight`] row per packet; the deviation stacks share one free-list
+//!   arena of `(move, next)` pairs.
 //! * **Moves are packed.** A directed edge traversal is a single `u32`
 //!   (`edge << 1 | direction`), chosen so the packed value *is* the
 //!   [`DirectedEdge::slot_index`] and reversing a move is `mv ^ 1`.
@@ -258,13 +258,14 @@ fn list_remove(list: &mut Vec<u32>, pos: &mut [u32], idx: u32) {
 }
 
 /// The per-packet columns every per-move hot loop touches — position,
-/// arrival move, deviation-stack head and depth, preselected-path
-/// cursor, destination — grouped into one 32-byte row so a move costs
-/// one cache line of packet state instead of six. Grouping by access
-/// pattern rather than one-array-per-field is the usual second step of
-/// a data-oriented layout: the columns that are always read together
-/// become a row, and the rarely-touched columns (status, stats) stay in
-/// their own arrays. The paths themselves are the problem's arena.
+/// arrival move and its origin, deviation-stack head and depth,
+/// preselected-path cursor, destination — grouped into one 32-byte row
+/// so a move costs one cache line of packet state instead of seven.
+/// Grouping by access pattern rather than one-array-per-field is the
+/// usual second step of a data-oriented layout: the columns that are
+/// always read together become a row, and the rarely-touched columns
+/// (status, stats) stay in their own arrays. The paths themselves are
+/// the problem's arena.
 #[derive(Clone, Copy, Debug)]
 #[repr(align(32))]
 pub struct Flight {
@@ -275,6 +276,10 @@ pub struct Flight {
     /// Packed move that brought the packet here ([`NO_MOVE`] before
     /// injection).
     pub last_move: u32,
+    /// The node `last_move` left ([`NO_MOVE`] before injection): the
+    /// target of its reversal `last_move ^ 1`, which is what every
+    /// wait-state oscillation is, so that move needs no edge load.
+    pub prev: u32,
     /// Arena index of the deviation-stack top ([`NO_MOVE`] = on the
     /// preselected path).
     pub dev_head: u32,
@@ -287,6 +292,8 @@ pub struct Flight {
     /// Index into the same array one past the preselected path.
     pub path_end: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Flight>() == 32);
 
 /// The dispatch-read half of the engine's state: everything a step
 /// driver reads while deciding exits. Mutated only inside
@@ -535,6 +542,7 @@ impl<O: RouteObserver> SoaEngine<O> {
                 node: path.source().0,
                 dest: path.dest(&net).0,
                 last_move: NO_MOVE,
+                prev: NO_MOVE,
                 dev_head: NO_MOVE,
                 dev_depth: 0,
                 path_next: span[0],
@@ -754,13 +762,12 @@ impl<O: RouteObserver> SoaEngine<O> {
         let mut arrivals_count = 0u32;
         sh.occupied.clear();
         for s in 0..self.staged.len() {
-            // Touch the flight row and edge record a few exits ahead so
-            // their cache misses overlap this iteration's work — the two
-            // loads are data-independent across staged exits, but far
-            // apart in memory.
+            // Touch the flight row a few exits ahead so its cache miss
+            // overlaps this iteration's work: the rows are
+            // data-independent across staged exits, but far apart in
+            // memory.
             if let Some(&ahead) = self.staged.get(s + 12) {
                 std::hint::black_box(sh.flight[staged_pkt(ahead) as usize].node);
-                std::hint::black_box(self.net.edge(EdgeId(staged_mv(ahead) >> 1)).head);
             }
             let entry = self.staged[s];
             let pkt = staged_pkt(entry);
@@ -774,9 +781,11 @@ impl<O: RouteObserver> SoaEngine<O> {
             // Advances and injections staged `next_move` verbatim, so the
             // consume/undo comparison is already decided; deflections and
             // oscillations can coincidentally retrace the deviation
-            // stack, so they take the full comparison. The per-kind
-            // counters fold into the same dispatch so each move branches
-            // on its kind once.
+            // stack, so they take the full comparison. A backward move
+            // with an empty stack cannot consume (preselected moves are
+            // forward), so it skips the path load. The per-kind counters
+            // fold into the same dispatch so each move branches on its
+            // kind once.
             let mut f = sh.flight[i];
             let head = f.dev_head;
             let consumes = match kind {
@@ -802,7 +811,7 @@ impl<O: RouteObserver> SoaEngine<O> {
                     }
                     let next = if head != NO_MOVE {
                         sh.dev_mv[head as usize]
-                    } else if f.path_next < f.path_end {
+                    } else if mv & 1 == 0 && f.path_next < f.path_end {
                         sh.path_move(f.path_next)
                     } else {
                         NO_MOVE
@@ -839,8 +848,18 @@ impl<O: RouteObserver> SoaEngine<O> {
                 }
             }
             report.moved += 1;
-            let e = self.net.edge(EdgeId(mv >> 1));
-            let target = if mv & 1 == 0 { e.head.0 } else { e.tail.0 };
+            // Reversing the last move returns to the node it left.
+            let target = if mv == f.last_move ^ 1 {
+                f.prev
+            } else {
+                let e = self.net.edge(EdgeId(mv >> 1));
+                if mv & 1 == 0 {
+                    e.head.0
+                } else {
+                    e.tail.0
+                }
+            };
+            f.prev = f.node;
             f.node = target;
             f.last_move = mv;
             sh.flight[i] = f;
@@ -1259,40 +1278,145 @@ mod tests {
         assert!(!sim.is_done());
     }
 
-    #[test]
-    fn forward_deflection_off_the_path_invalidates_the_current_path() {
-        // s -e0-> a, then a branches: -e1-> b -e3-> d (the path) and
-        // -e2-> c -e4-> d. A forward deflection onto e2 (possible under
-        // unsafe baselines) leaves a backward undo move on the stack, so
-        // the current path is no longer a valid forward path.
+    /// s -e0-> a, then a branches: -e1-> b -e3-> d (the path) and
+    /// -e2-> c -e4-> d, then d -e5-> f. One packet on the path s, a, b,
+    /// d, f, already injected (at a); returns the engine, a stage, and the
+    /// nodes and edges by name.
+    fn branch_engine() -> (SoaEngine, StepStage, [NodeId; 6], [EdgeId; 6]) {
         let mut b = leveled_net::NetworkBuilder::new("branch");
         let s = b.add_node(0);
         let a = b.add_node(1);
         let nb = b.add_node(2);
         let c = b.add_node(2);
         let d = b.add_node(3);
+        let f = b.add_node(4);
         let e0 = b.add_edge(s, a).unwrap();
         let e1 = b.add_edge(a, nb).unwrap();
         let e2 = b.add_edge(a, c).unwrap();
         let e3 = b.add_edge(nb, d).unwrap();
-        b.add_edge(c, d).unwrap();
+        let e4 = b.add_edge(c, d).unwrap();
+        let e5 = b.add_edge(d, f).unwrap();
         let net = Arc::new(b.build().unwrap());
-        let path = Path::new(&net, s, vec![e0, e1, e3]).unwrap();
+        let path = Path::new(&net, s, vec![e0, e1, e3, e5]).unwrap();
         let prob = Arc::new(RoutingProblem::new(Arc::clone(&net), vec![path]).unwrap());
         let mut sim: SoaEngine = SoaEngine::new(prob, NoopObserver);
         sim.try_inject(0);
         sim.finish_step().unwrap();
-        let mut stage = StepStage::new(Arc::clone(&net));
-        stage.stage(0, pack_move(DirectedEdge::forward(e2)), KIND_DEFLECT_FREE);
-        sim.commit_stage(&mut stage);
+        let stage = StepStage::new(net);
+        (sim, stage, [s, a, nb, c, d, f], [e0, e1, e2, e3, e4, e5])
+    }
+
+    /// Stages packet 0 on `mv` as `kind` and commits the step.
+    fn step_one(sim: &mut SoaEngine, stage: &mut StepStage, mv: DirectedEdge, kind: u8) {
+        stage.stage(0, pack_move(mv), kind);
+        sim.commit_stage(stage);
         sim.finish_step().unwrap();
+    }
+
+    #[test]
+    fn forward_deflection_off_the_path_invalidates_the_current_path() {
+        // A forward deflection onto e2 (possible under unsafe baselines)
+        // leaves a backward undo move on the stack, so the current path
+        // is no longer a valid forward path.
+        let (mut sim, mut stage, [_, a, _, c, ..], [_, _, e2, ..]) = branch_engine();
+        let net = Arc::clone(sim.net());
+        step_one(
+            &mut sim,
+            &mut stage,
+            DirectedEdge::forward(e2),
+            KIND_DEFLECT_FREE,
+        );
         assert_eq!(sim.shared().flight[0].node, c.0);
         assert!(!sim.shared().validate_current_path(&net, 0));
         // Undoing the deflection restores a valid path.
-        stage.stage(0, sim.shared().next_move(0), KIND_ADVANCE);
-        sim.commit_stage(&mut stage);
-        sim.finish_step().unwrap();
+        let undo = unpack_move(sim.shared().next_move(0));
+        step_one(&mut sim, &mut stage, undo, KIND_ADVANCE);
         assert_eq!(sim.shared().flight[0].node, a.0);
+        assert!(sim.shared().validate_current_path(&net, 0));
+    }
+
+    #[test]
+    fn oscillation_back_over_a_deflection_pops_the_stack() {
+        // The oscillation reverses the last move, so its target comes
+        // from `prev`; it also equals the deviation-stack top, so it
+        // consumes it.
+        let (mut sim, mut stage, [_, a, _, c, ..], [_, _, e2, ..]) = branch_engine();
+        let net = Arc::clone(sim.net());
+        step_one(
+            &mut sim,
+            &mut stage,
+            DirectedEdge::forward(e2),
+            KIND_DEFLECT_FREE,
+        );
+        assert_eq!(sim.shared().flight[0].prev, a.0);
+        step_one(
+            &mut sim,
+            &mut stage,
+            DirectedEdge::backward(e2),
+            KIND_OSCILLATE,
+        );
+        let f = sim.shared().flight[0];
+        assert_eq!(
+            (f.node, f.prev, f.dev_depth, f.dev_head),
+            (a.0, c.0, 0, NO_MOVE)
+        );
+        assert!(sim.shared().validate_current_path(&net, 0));
+        assert_eq!(sim.stats().deflections[0], 1);
+    }
+
+    #[test]
+    fn backward_move_on_an_empty_stack_pushes() {
+        // A backward move cannot consume the (forward) preselected path,
+        // so on an empty stack it pushes its forward undo, whether it
+        // reverses the last move (target from `prev`) or not (target
+        // from the edge).
+        let (mut sim, mut stage, [_, a, nb, c, d, _], [_, e1, _, e3, e4, _]) = branch_engine();
+        let net = Arc::clone(sim.net());
+        step_one(
+            &mut sim,
+            &mut stage,
+            DirectedEdge::forward(e1),
+            KIND_ADVANCE,
+        );
+        step_one(
+            &mut sim,
+            &mut stage,
+            DirectedEdge::backward(e1),
+            KIND_OSCILLATE,
+        );
+        let f = sim.shared().flight[0];
+        assert_eq!((f.node, f.prev, f.dev_depth), (a.0, nb.0, 1));
+        assert_eq!(
+            sim.shared().next_move(0),
+            pack_move(DirectedEdge::forward(e1))
+        );
+        assert!(sim.shared().validate_current_path(&net, 0));
+
+        let (mut sim, mut stage, ..) = branch_engine();
+        step_one(
+            &mut sim,
+            &mut stage,
+            DirectedEdge::forward(e1),
+            KIND_ADVANCE,
+        );
+        step_one(
+            &mut sim,
+            &mut stage,
+            DirectedEdge::forward(e3),
+            KIND_ADVANCE,
+        );
+        step_one(
+            &mut sim,
+            &mut stage,
+            DirectedEdge::backward(e4),
+            KIND_DEFLECT_SAFE,
+        );
+        let f = sim.shared().flight[0];
+        assert_eq!((f.node, f.prev, f.dev_depth), (c.0, d.0, 1));
+        assert_eq!(
+            sim.shared().next_move(0),
+            pack_move(DirectedEdge::forward(e4))
+        );
         assert!(sim.shared().validate_current_path(&net, 0));
     }
 }

@@ -9,7 +9,7 @@
 
 use hotpotato_routing::prelude::*;
 use hotpotato_sim::replay::{self, ReplayError};
-use hotpotato_sim::soa::{pack_move, KIND_ADVANCE, KIND_DEFLECT_FREE};
+use hotpotato_sim::soa::{pack_move, unpack_move, KIND_ADVANCE, KIND_DEFLECT_FREE};
 use hotpotato_sim::{InjectOutcome, SlotView, SoaEngine, StepStage};
 use leveled_net::ids::DirectedEdge;
 use rand::seq::SliceRandom;
@@ -19,7 +19,9 @@ use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
 /// Drives the engine with uniformly random legal exits until `max_steps`
-/// or delivery; returns the run statistics and the recorded moves.
+/// or delivery; returns the run statistics and the recorded moves. After
+/// every step, each active packet's flight row must name the origin of
+/// its last move as `prev`, the node a reversal of that move returns to.
 fn chaos_run(
     problem: &Arc<routing_core::RoutingProblem>,
     seed: u64,
@@ -57,6 +59,11 @@ fn chaos_run(
         // Random-subset injection this step.
         pending.retain(|&p| !rng.gen_bool(0.3) || sim.try_inject(p) == InjectOutcome::Blocked);
         sim.finish_step().expect("all arrivals staged");
+        for &p in sim.active_slice() {
+            let f = &sim.shared().flight[p as usize];
+            let origin = net.move_origin(unpack_move(f.last_move));
+            assert_eq!(origin, NodeId(f.prev), "packet {p} at t={}", sim.now());
+        }
     }
     (sim.into_parts(), record)
 }
