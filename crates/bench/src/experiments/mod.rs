@@ -10,7 +10,6 @@ pub mod a5;
 pub mod f1;
 pub mod f2;
 pub mod metrics;
-pub mod perf;
 pub mod t1;
 pub mod t2;
 pub mod t3;
@@ -23,7 +22,7 @@ pub mod t8;
 /// All experiment ids in canonical order.
 pub const ALL: &[&str] = &[
     "f1", "f2", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "a1", "a2", "a3", "a4", "a5",
-    "metrics", "perf",
+    "metrics",
 ];
 
 /// Dispatches one experiment by id; returns false for unknown ids.
@@ -45,7 +44,6 @@ pub fn dispatch(id: &str, quick: bool) -> bool {
         "a4" => a4::run(quick),
         "a5" => a5::run(quick),
         "metrics" => metrics::run(quick),
-        "perf" => perf::run(quick),
         _ => return false,
     }
     true

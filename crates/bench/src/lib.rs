@@ -20,7 +20,7 @@
 //! | a3 | ablation: number of frontier sets | [`experiments::a3`] |
 //! | a4 | ablation: safe backward deflections | [`experiments::a4`] |
 //! | a5 | ablation: injection discipline | [`experiments::a5`] |
-//! | perf | simulator throughput (not a paper artifact) | [`experiments::perf`] |
+//! | metrics | Lemma 2.2 watermarks, frame progress, section profile | [`experiments::metrics`] |
 
 pub mod experiments;
 pub mod fleet;

@@ -28,7 +28,7 @@
 //! parameter defaulting to [`NoopObserver`]. Every hook has an inline
 //! empty default body, so with `NoopObserver` the monomorphized engine
 //! contains no observer code at all — the golden-equivalence tests and
-//! the PERF baseline hold byte-for-byte and within noise respectively.
+//! hpbench's ledger hold byte-for-byte and within noise respectively.
 //! The only conditional hook is timing ([`RouteObserver::wants_timing`]),
 //! which routers consult once per run before reaching for the clock.
 //!
