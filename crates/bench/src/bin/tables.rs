@@ -11,7 +11,9 @@
 //!     [--scrape ADDR] [--scrape-only]
 //! ```
 //!
-//! Every mode takes only the flags shown, each at most once (`-q` is
+//! A mode (`metricsjson`, `gate`) is the first argument; anything else
+//! names experiments. Every mode takes only the flags shown, each at
+//! most once (`-q` is
 //! `--quick`, which `gate` does not take); an unknown flag, a flag
 //! missing its value, a stray argument or an unknown experiment id exits
 //! 2 before anything runs. So does an input or output file that cannot
@@ -76,17 +78,14 @@ fn parse_args<'a>(
 }
 
 /// The flags of a `metricsjson` or `gate` invocation, whose only word is
-/// the `mode` itself.
+/// the `mode` itself, its first argument.
 fn mode_flags<'a>(
     args: &'a [String],
     mode: &str,
     valued: &[&str],
     switches: &[&str],
 ) -> BTreeMap<&'a str, &'a str> {
-    let (flags, mut words) = parse_args(args, mode, valued, switches);
-    if let Some(i) = words.iter().position(|w| *w == mode) {
-        words.remove(i);
-    }
+    let (flags, words) = parse_args(&args[1..], mode, valued, switches);
     if let Some(stray) = words.first() {
         usage_error(&format!("unexpected argument '{stray}' for {mode}"));
     }
@@ -252,12 +251,11 @@ fn experiments_mode(args: &[String]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "gate") {
-        gate_mode(&args);
-    }
-    if args.iter().any(|a| a == "metricsjson") {
-        metricsjson(&args);
-    } else {
-        experiments_mode(&args);
+    // The mode is the first argument only: a flag value spelt like a
+    // mode (`all --json gate`) names a file, not a mode.
+    match args.first().map(String::as_str) {
+        Some("gate") => gate_mode(&args),
+        Some("metricsjson") => metricsjson(&args),
+        _ => experiments_mode(&args),
     }
 }

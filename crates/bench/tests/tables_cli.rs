@@ -153,6 +153,26 @@ fn experiments_check_ids_and_flags_before_running() {
 }
 
 #[test]
+fn the_mode_is_the_first_argument_only() {
+    // A `--json` value spelt like a mode names the output file.
+    for mode in ["gate", "metricsjson"] {
+        let dir = WorkDir::new(&format!("json-{mode}"));
+        let out = dir.tables(&["f2", "--quick", "--json", mode]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{mode}: {stderr}");
+        assert_eq!(dir.files(), vec![mode.to_string()]);
+        let doc = std::fs::read_to_string(dir.path(mode)).expect("read the document");
+        serde_json::from_str(&doc).expect("the document is JSON");
+    }
+    // A mode word after the first argument is an experiment id.
+    assert_usage_error(
+        "late-gate",
+        &["--quick", "gate"],
+        "unknown experiment 'gate'",
+    );
+}
+
+#[test]
 fn the_retired_perf_harness_is_gone() {
     assert_usage_error("perf", &["perf"], "unknown experiment 'perf'");
     assert_usage_error(
