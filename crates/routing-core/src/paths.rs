@@ -9,6 +9,8 @@
 //!   path among all valid paths between two nodes (on leveled networks
 //!   every valid path is minimal, so this is uniform minimal-path
 //!   selection);
+//! * [`PairSampler`] — a uniformly random destination the source reaches,
+//!   then a uniformly random valid path to it;
 //! * [`first_minimal`] — the deterministic lexicographically-first valid
 //!   path (an adversarially *congesting* choice, useful in stress tests);
 //! * [`bit_fixing`] — the unique butterfly path fixing row bits one level
@@ -18,7 +20,7 @@
 
 use crate::path::Path;
 use leveled_net::builders::{ButterflyCoords, MeshCoords};
-use leveled_net::{LeveledNetwork, NodeId};
+use leveled_net::{Level, LeveledNetwork, NodeId};
 use rand::Rng;
 
 /// Precomputed path counts toward a fixed destination, supporting `O(D)`
@@ -28,43 +30,118 @@ use rand::Rng;
 /// correct even when the number of paths overflows any integer type (e.g.
 /// `width^L` paths in a complete leveled network): choices at a node only
 /// ever compare counts of nodes in a single level, which share a scale.
+///
+/// Only the destination's backward cone can count more than 0, so the
+/// counts are computed over that cone alone, and [`retarget`] aims the
+/// same buffers at another destination in time proportional to the two
+/// cones, not to the network.
+///
+/// [`retarget`]: MinimalPathSampler::retarget
 #[derive(Clone, Debug)]
 pub struct MinimalPathSampler {
     dest: NodeId,
-    /// Scaled count of valid paths from each node to `dest` (0 if none).
+    /// Scaled count of valid paths from each node to `dest` (0 if none,
+    /// and 0 below the floor the counts were computed down to).
     count: Vec<f64>,
+    /// The nodes the counts were computed for, level by level downward
+    /// from `dest`: the only nodes whose count may be non-zero.
+    cone: Vec<NodeId>,
+    /// Marks the nodes of `cone`.
+    in_cone: Vec<bool>,
 }
 
 impl MinimalPathSampler {
-    /// Builds the sampler for destination `dest`; `O(V + E)`.
+    /// Builds the sampler for destination `dest`. Costs `O(V)` to zero
+    /// the buffers plus the size of `dest`'s backward cone, its nodes and
+    /// their edges.
     pub fn new(net: &LeveledNetwork, dest: NodeId) -> Self {
-        let mut count = vec![0.0f64; net.num_nodes()];
-        count[dest.index()] = 1.0;
-        let dl = net.level(dest);
+        Self::above(net, dest, 0)
+    }
+
+    /// Builds the sampler for destination `dest`, counting paths only
+    /// from nodes at level `floor` and above (see [`retarget`]).
+    ///
+    /// [`retarget`]: MinimalPathSampler::retarget
+    pub fn above(net: &LeveledNetwork, dest: NodeId, floor: Level) -> Self {
+        let mut sampler = MinimalPathSampler {
+            dest,
+            count: vec![0.0; net.num_nodes()],
+            cone: Vec::new(),
+            in_cone: vec![false; net.num_nodes()],
+        };
+        sampler.retarget(net, dest, floor);
+        sampler
+    }
+
+    /// Aims the sampler at `dest`, counting paths from the nodes of
+    /// `dest`'s backward cone at level `floor` and above. Below `floor`
+    /// every node reads as unreachable; at and above it the counts are
+    /// bit for bit those of [`new`], so [`sample`] draws the same paths
+    /// from the same rng. Costs the previous and the new cone, their
+    /// nodes and their edges.
+    ///
+    /// A node outside the cone counts 0 in a sweep of the whole network,
+    /// so each level's maximum, and with it every rescale decision, is
+    /// the cone's own.
+    ///
+    /// [`new`]: MinimalPathSampler::new
+    /// [`sample`]: MinimalPathSampler::sample
+    pub fn retarget(&mut self, net: &LeveledNetwork, dest: NodeId, floor: Level) {
+        for &v in &self.cone {
+            self.count[v.index()] = 0.0;
+            self.in_cone[v.index()] = false;
+        }
+        self.cone.clear();
+        self.dest = dest;
+        self.count[dest.index()] = 1.0;
+        self.in_cone[dest.index()] = true;
+        self.cone.push(dest);
         // Sweep levels downward; rescale a finished level if it grew huge.
         const CAP: f64 = 1e100;
-        for l in (0..dl).rev() {
+        let mut above = 0..1;
+        for _ in (floor..net.level(dest)).rev() {
+            let start = self.cone.len();
+            for i in above {
+                for &e in net.bwd_edges(self.cone[i]) {
+                    let u = net.edge(e).tail;
+                    if !self.in_cone[u.index()] {
+                        self.in_cone[u.index()] = true;
+                        self.cone.push(u);
+                    }
+                }
+            }
+            let level = start..self.cone.len();
             let mut level_max = 0.0f64;
-            for &v in net.nodes_at_level(l) {
+            for &v in &self.cone[level.clone()] {
                 let mut c = 0.0;
                 for &e in net.fwd_edges(v) {
-                    c += count[net.edge(e).head.index()];
+                    c += self.count[net.edge(e).head.index()];
                 }
-                count[v.index()] = c;
+                self.count[v.index()] = c;
                 level_max = level_max.max(c);
             }
             if level_max > CAP {
-                for &v in net.nodes_at_level(l) {
-                    count[v.index()] /= CAP;
+                for &v in &self.cone[level.clone()] {
+                    self.count[v.index()] /= CAP;
                 }
             }
+            above = level;
         }
-        MinimalPathSampler { dest, count }
     }
 
     /// The destination this sampler targets.
     pub fn dest(&self) -> NodeId {
         self.dest
+    }
+
+    /// The weight [`sample`] gives `v`: the number of valid paths from
+    /// `v` to the destination, divided by a power of `1e100` that every
+    /// node of `v`'s level shares. 0 if `v` reaches no path or lies below
+    /// the floor.
+    ///
+    /// [`sample`]: MinimalPathSampler::sample
+    pub fn weight(&self, v: NodeId) -> f64 {
+        self.count[v.index()]
     }
 
     /// Whether any valid path exists from `src` to the destination.
@@ -117,14 +194,92 @@ impl MinimalPathSampler {
 }
 
 /// Samples a uniformly-random valid path from `src` to `dst`
-/// (convenience wrapper around [`MinimalPathSampler`]).
+/// (convenience wrapper around [`MinimalPathSampler`], counting only from
+/// `src`'s level up). Costs `O(V)` to zero the sampler's buffers plus
+/// `dst`'s backward cone down to `src`'s level; a caller drawing many
+/// paths should hold one sampler and [`retarget`] it instead.
+///
+/// [`retarget`]: MinimalPathSampler::retarget
 pub fn random_minimal<R: Rng + ?Sized>(
     net: &LeveledNetwork,
     src: NodeId,
     dst: NodeId,
     rng: &mut R,
 ) -> Option<Path> {
-    MinimalPathSampler::new(net, dst).sample(net, src, rng)
+    MinimalPathSampler::above(net, dst, net.level(src)).sample(net, src, rng)
+}
+
+/// Uniformly random source–destination paths, one source at a time: a
+/// uniformly random strictly-higher node the source reaches, then a
+/// uniformly random valid path to it. The buffers are reused from draw
+/// to draw, so a draw costs the source's forward cone plus the
+/// destination's backward cone down to the source's level, not the
+/// network.
+#[derive(Clone, Debug)]
+pub struct PairSampler {
+    paths: MinimalPathSampler,
+    /// The current source's forward cone, the source first.
+    cone: Vec<NodeId>,
+    /// Marks the nodes of `cone` while it is walked.
+    seen: Vec<bool>,
+}
+
+impl PairSampler {
+    /// Zeroed buffers for drawing pairs on `net`; `O(V)`.
+    pub fn new(net: &LeveledNetwork) -> Self {
+        PairSampler {
+            paths: MinimalPathSampler::above(net, NodeId(0), net.depth()),
+            cone: Vec::new(),
+            seen: vec![false; net.num_nodes()],
+        }
+    }
+
+    /// Draws a destination and a path for `src`. The destination is
+    /// drawn as a choice from the reached nodes listed in node order
+    /// would draw it: one `gen_range` over their number picks the `k`-th
+    /// in node order, so the rng moves the same way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` has no forward edge.
+    pub fn draw<R: Rng + ?Sized>(
+        &mut self,
+        net: &LeveledNetwork,
+        src: NodeId,
+        rng: &mut R,
+    ) -> Path {
+        self.cone.clear();
+        self.cone.push(src);
+        self.seen[src.index()] = true;
+        let mut i = 0;
+        while let Some(&v) = self.cone.get(i) {
+            for &e in net.fwd_edges(v) {
+                let w = net.edge(e).head;
+                if !self.seen[w.index()] {
+                    self.seen[w.index()] = true;
+                    self.cone.push(w);
+                }
+            }
+            i += 1;
+        }
+        for &v in &self.cone {
+            self.seen[v.index()] = false;
+        }
+        // Every reached node but the source itself is strictly higher.
+        let dests = &mut self.cone[1..];
+        assert!(!dests.is_empty(), "source {src} has no forward edge");
+        let k = rng.gen_range(0..dests.len());
+        let dst = *dests.select_nth_unstable(k).1;
+        self.paths.retarget(net, dst, net.level(src));
+        self.paths
+            .sample(net, src, rng)
+            .expect("the destination is reachable")
+    }
+
+    /// The path counts the last draw sampled from.
+    pub fn sampler(&self) -> &MinimalPathSampler {
+        &self.paths
+    }
 }
 
 /// The deterministic lexicographically-first valid path from `src` to

@@ -55,6 +55,15 @@ pub const MAX_TOPO_SIZE: u64 = 1 << 26;
 /// before anything is built ([`check_packet_budget`]).
 pub const MAX_PACKETS: u64 = 1 << 24;
 
+/// The most work a workload spec may ask a build for, counted as the
+/// packets it states times the nodes plus edges of its network
+/// ([`check_build_work`]). The largest spec any test, benchmark or
+/// documented measurement builds is `bf:12/m2m:8000`: 8,000 × 151,552 =
+/// 1,212,416,000, under a third of the budget. A spec inside
+/// [`MAX_PACKETS`] can still ask for far more: `bf:12/m2m:16000000`
+/// states about 2^41 and fails here before any path is drawn.
+pub const MAX_BUILD_WORK: u64 = 1 << 32;
+
 /// Parses a topology spec (see the module docs for the grammar). Each
 /// kind's size follows from the spec's numbers alone, so a spec larger
 /// than [`MAX_TOPO_SIZE`] fails before anything is built.
@@ -224,6 +233,7 @@ pub fn parse_workload<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Arc<RoutingProblem>, String> {
     check_packet_budget(spec)?;
+    check_build_work(spec, &topo.net)?;
     let parts: Vec<&str> = spec.split(':').collect();
     let num = |i: usize| -> Result<usize, String> {
         parts
@@ -283,6 +293,26 @@ pub fn check_packet_budget(workload: &str) -> Result<(), String> {
         )),
         _ => Ok(()),
     }
+}
+
+/// Fails on a workload spec whose stated packets times the nodes plus
+/// edges of `net` exceed [`MAX_BUILD_WORK`]. [`parse_workload`] checks
+/// it before drawing any path, and so does the trace verifier before it
+/// rebuilds a meta line's workload.
+pub fn check_build_work(workload: &str, net: &LeveledNetwork) -> Result<(), String> {
+    let Some(n) = stated_packets(workload) else {
+        return Ok(());
+    };
+    let size = (net.num_nodes() + net.num_edges()) as u128;
+    let work = n as u128 * size;
+    if work > u128::from(MAX_BUILD_WORK) {
+        return Err(format!(
+            "workload '{workload}' on {} states {n} packets on {size} nodes plus edges: \
+             {work} units of build work, over the budget of {MAX_BUILD_WORK}",
+            net.name()
+        ));
+    }
+    Ok(())
 }
 
 /// Rebuilds the exact problem identified by `(topo, workload, seed)` — the
@@ -705,5 +735,34 @@ mod tests {
         // the spec parses.
         assert!(parse_run_spec("bf:3/pairs:16777216").is_ok());
         assert!(parse_run_spec("bf:3/bitrev/busch/1").is_ok());
+    }
+
+    #[test]
+    fn build_work_over_the_budget_fails_before_any_path() {
+        // Inside the packet budget, but 16,000,000 packets on bf(12)'s
+        // 151,552 nodes plus edges is about 2^41 units of build work.
+        let spec = parse_run_spec("bf:12/m2m:16000000/greedy/1").unwrap();
+        let e = spec.instantiate().err().unwrap_or_default();
+        assert_eq!(
+            e,
+            "workload 'm2m:16000000' on butterfly(12) states 16000000 packets on 151552 \
+             nodes plus edges: 2424832000000 units of build work, over the budget of 4294967296"
+        );
+        // Every workload that states its count is held to it; the largest
+        // spec the repository builds is well inside.
+        let topo = parse_topo("bf:12").unwrap();
+        let size = (topo.net.num_nodes() + topo.net.num_edges()) as u64;
+        let over = MAX_BUILD_WORK / size + 1;
+        for wl in [
+            format!("pairs:{over}"),
+            format!("hotspot:{over}:2"),
+            format!("funnel:{over}"),
+        ] {
+            let e = check_build_work(&wl, &topo.net).unwrap_err();
+            assert!(e.ends_with("over the budget of 4294967296"), "{wl}: {e}");
+        }
+        assert!(check_build_work(&format!("m2m:{}", over - 1), &topo.net).is_ok());
+        assert!(check_build_work("m2m:8000", &topo.net).is_ok());
+        assert!(check_build_work("bitrev", &topo.net).is_ok());
     }
 }

@@ -6,8 +6,7 @@
 //! `C` via [`funnel`] (which concentrates a chosen number of paths on one
 //! edge), `L`/`D` via topology size, and `N` via packet count.
 
-use crate::path::Path;
-use crate::paths::{self, MeshAxis, MinimalPathSampler};
+use crate::paths::{self, MeshAxis, MinimalPathSampler, PairSampler};
 use crate::problem::{PathArena, RoutingProblem};
 use leveled_net::builders::{ButterflyCoords, MeshCoords};
 use leveled_net::{Level, LeveledNetwork, NodeId};
@@ -46,20 +45,6 @@ impl std::fmt::Display for WorkloadError {
 
 impl std::error::Error for WorkloadError {}
 
-/// A uniformly random valid path from `src`, which has a forward edge, to
-/// a uniformly random strictly-higher node it reaches. Each call costs
-/// O(V + E): a reachability mask and a scan of every node.
-fn random_pair_path<R: Rng + ?Sized>(net: &LeveledNetwork, src: NodeId, rng: &mut R) -> Path {
-    let mask = net.reachable_mask(src);
-    let lvl = net.level(src);
-    let dests: Vec<NodeId> = net
-        .nodes()
-        .filter(|&v| mask[v.index()] && net.level(v) > lvl)
-        .collect();
-    let dst = *dests.choose(rng).expect("source has a forward edge");
-    paths::random_minimal(net, src, dst, rng).expect("dest is reachable")
-}
-
 /// `n` packets from distinct random sources, each to a uniformly random
 /// strictly-higher reachable destination, along a uniformly random valid
 /// path.
@@ -80,9 +65,10 @@ pub fn random_pairs<R: Rng + ?Sized>(
         });
     }
     candidates.shuffle(rng);
+    let mut pairs = PairSampler::new(net);
     let paths_out = candidates[..n]
         .iter()
-        .map(|&src| random_pair_path(net, src, rng))
+        .map(|&src| pairs.draw(net, src, rng))
         .collect();
     RoutingProblem::new(Arc::clone(net), paths_out)
         .map(Arc::new)
@@ -366,13 +352,17 @@ pub fn funnel<R: Rng + ?Sized>(
     let dests: Vec<NodeId> = net.nodes().filter(|&v| down_mask[v.index()]).collect();
     debug_assert!(!dests.is_empty());
 
+    let mut downstream = MinimalPathSampler::above(net, ph, net.level(ph));
     let mut arena = PathArena::with_capacity(count, 0);
     for &src in sources.iter().take(count) {
         let up = upstream_sampler
             .sample(net, src, rng)
             .expect("source reaches pivot tail");
         let dst = *dests.choose(rng).expect("non-empty");
-        let down = paths::random_minimal(net, ph, dst, rng).expect("reachable from pivot head");
+        downstream.retarget(net, dst, net.level(ph));
+        let down = downstream
+            .sample(net, ph, rng)
+            .expect("reachable from pivot head");
         let edges = up.edges().iter().chain([&pivot]).chain(down.edges());
         arena.push(src, edges.copied());
     }
@@ -446,10 +436,11 @@ pub fn many_to_many<R: Rng + ?Sized>(
     }
     // `total` is caller-supplied and may exceed anything the network
     // could route, so the paths grow as they are built.
+    let mut pairs = PairSampler::new(net);
     let mut paths_out = Vec::new();
     for _ in 0..total {
         let src = *candidates.choose(rng).expect("non-empty");
-        paths_out.push(random_pair_path(net, src, rng));
+        paths_out.push(pairs.draw(net, src, rng));
     }
     Ok(Arc::new(RoutingProblem::new_relaxed(
         Arc::clone(net),

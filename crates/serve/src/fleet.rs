@@ -613,6 +613,13 @@ mod tests {
     }
 
     #[test]
+    fn a_run_over_the_build_work_budget_fails_before_any_path() {
+        let spec = routing_core::spec::parse_run_spec("bf:12/m2m:16000000/greedy/1").unwrap();
+        let e = run_fleet_spec(&spec, true).unwrap_err();
+        assert!(e.ends_with("over the budget of 4294967296"), "{e}");
+    }
+
+    #[test]
     fn fleet_service_completes_a_sweep_and_serves_it() {
         let specs = expand_sweep("bf:5/bitrev/busch/1..6").unwrap();
         let mut service = FleetService::launch(FleetConfig {

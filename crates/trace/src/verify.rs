@@ -35,6 +35,8 @@ use crate::timeline::{build_timelines, PacketTimeline};
 use hotpotato_sim::{replay, ExitKind, RouteObserver, Time};
 use leveled_net::ids::DirectedEdge;
 use leveled_net::{Direction, LeveledNetwork, NodeId};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use routing_core::{spec, RoutingProblem};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -150,7 +152,9 @@ pub fn reconstruct(meta: &Meta) -> Result<VerifiedInstance, VerifyError> {
 /// spec error, the outer one a packet claim the instance contradicts. A
 /// workload spec that states its packet count is checked against the
 /// claim, and against [`spec::MAX_PACKETS`], before anything is built,
-/// so a hostile count cannot allocate.
+/// so a hostile count cannot allocate; the workload is checked against
+/// [`spec::MAX_BUILD_WORK`] on the built topology before any path is
+/// drawn, so it cannot compute without bound either.
 pub fn rebuild(meta: &Meta) -> Result<Result<VerifiedInstance, String>, VerifyError> {
     if let Some(stated) = spec::stated_packets(&meta.workload) {
         if stated as u64 != meta.packets {
@@ -166,8 +170,19 @@ pub fn rebuild(meta: &Meta) -> Result<Result<VerifiedInstance, String>, VerifyEr
     if let Err(e) = spec::check_packet_budget(&meta.workload) {
         return fail(1, e);
     }
-    let (topo, problem) = match spec::reconstruct_problem(&meta.topo, &meta.workload, meta.seed) {
-        Ok(built) => built,
+    // The steps of `spec::reconstruct_problem`, with the build-work
+    // budget refused like the packet budget rather than taken for a spec
+    // this build cannot construct.
+    let topo = match spec::parse_topo(&meta.topo) {
+        Ok(topo) => topo,
+        Err(e) => return Ok(Err(e)),
+    };
+    if let Err(e) = spec::check_build_work(&meta.workload, &topo.net) {
+        return fail(1, e);
+    }
+    let mut rng = ChaCha8Rng::seed_from_u64(meta.seed);
+    let problem = match spec::parse_workload(&meta.workload, &topo, &mut rng) {
+        Ok(problem) => problem,
         Err(e) => return Ok(Err(e)),
     };
     if problem.num_packets() as u64 != meta.packets {
@@ -1198,5 +1213,25 @@ mod tests {
         let e = rebuild(&meta).err().expect("refused");
         assert_eq!(e.line, 1);
         assert!(e.msg.contains("over the budget of 16777216"), "{}", e.msg);
+    }
+
+    #[test]
+    fn a_meta_over_the_build_work_budget_is_refused_before_any_path() {
+        // Inside the packet budget, but about 2^41 units of build work.
+        let meta = Meta {
+            schema: SCHEMA_VERSION,
+            topo: "bf:12".into(),
+            workload: "m2m:16000000".into(),
+            algo: "greedy".into(),
+            seed: 1,
+            arrival: String::new(),
+            packets: 16_000_000,
+            levels: 13,
+            congestion: 0,
+            dilation: 0,
+        };
+        let e = rebuild(&meta).err().expect("refused");
+        assert_eq!(e.line, 1);
+        assert!(e.msg.contains("over the budget of 4294967296"), "{}", e.msg);
     }
 }

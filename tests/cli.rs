@@ -700,6 +700,59 @@ fn route_ends_quietly_when_its_reader_closes() {
 }
 
 #[test]
+fn build_work_over_the_budget_is_rejected() {
+    // Inside the packet budget, but 16,000,000 packets on bf(12) is far
+    // more build work than the budget admits. Each entry point must
+    // refuse it before drawing a path; `timeout` ends a build that
+    // slipped past the budget.
+    let meta = r#"{"ev":"meta","schema":5,"topo":"bf:12","workload":"m2m:16000000","algo":"greedy","seed":1,"arrival":"","packets":16000000,"levels":13,"congestion":0,"dilation":0}"#;
+    let path = std::env::temp_dir().join(format!(
+        "hotpotato-cli-build-work-{}.jsonl",
+        std::process::id()
+    ));
+    std::fs::write(
+        &path,
+        format!("{meta}\n{{\"ev\":\"deliver\",\"t\":1,\"pkt\":0}}\n"),
+    )
+    .expect("temp file");
+    let trace = path.to_str().unwrap();
+    let cases: &[&[&str]] = &[
+        &["route", "--spec", "bf:12/m2m:16000000/greedy/1"],
+        &["route", "--topo", "bf:12", "--workload", "m2m:16000000"],
+        &[
+            "serve",
+            "--run",
+            "bf:12/m2m:16000000/greedy/1",
+            "--addr",
+            "127.0.0.1:0",
+        ],
+        &["trace", "analyze", trace],
+        &["trace", "verify", trace],
+    ];
+    // A fleet counts the run as failed and keeps serving, with this
+    // error (`serve::fleet`'s tests).
+    for args in cases {
+        let (out, err, code) = run(Command::new("timeout")
+            .arg("60")
+            .arg(env!("CARGO_BIN_EXE_hotpotato"))
+            .args(*args));
+        assert_eq!(code, 2, "args {args:?}: {err}");
+        assert!(
+            err.contains(
+                "workload 'm2m:16000000' on butterfly(12) states 16000000 packets on 151552 \
+                 nodes plus edges: 2424832000000 units of build work, over the budget of 4294967296"
+            ),
+            "args {args:?}: {err}"
+        );
+        assert!(
+            out.is_empty(),
+            "args {args:?}: did work before failing: {out}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn stated_packet_counts_over_the_budget_are_rejected() {
     // Each names a workload stating four billion packets. `linear:1` has
     // no source node, so a build that slipped past the budget would fail
